@@ -9,16 +9,17 @@ whose eigenvalues 2 m^2 give the scalar masses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .higgsmodel import HiggsModel, NotAVacuumError, potential_gradient, potential_hessian, potential_value
+from .higgsmodel import HiggsModel, NotAVacuumError, potential_hessian, potential_value
 from .liecore import GeneratorSet, realify, unrealify
 
 __all__ = [
     "InconsistentSpectrumError",
     "MassForm",
+    "OrbitFrame",
     "OrbitSplit",
     "QuadraticReport",
     "ShiftDecomposition",
@@ -27,6 +28,7 @@ __all__ = [
     "boson_spectrum",
     "decompose_shift",
     "mass_form",
+    "orbit_frame",
     "orbit_split",
     "quadratic_lagrangian",
     "spectrum",
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 TOL_RANK = 1e-8
+TOL_FLAT = 1e-8  # Hessian flatness on the orbit, PSD on the complement
 CLUSTER_GAP = 1e-8
 
 
@@ -101,6 +104,30 @@ def mass_form(gs: GeneratorSet, v0: np.ndarray) -> MassForm:
 
 
 @dataclass(frozen=True)
+class OrbitFrame:
+    """Singular value decomposition of the orbit map X -> X v, realified.
+
+    The first rank rows of vt span the broken coefficient directions and
+    the rest the stabilizer of v; the first rank columns of u span the
+    orbit tangent realify(X v) and the rest its complement.
+    """
+
+    u: np.ndarray  # (2n, 2n)
+    s: np.ndarray  # (min(2n, r),) descending
+    vt: np.ndarray  # (r, r)
+    rank: int
+
+
+def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
+    """The one rank decision on X -> X v: singular values above
+    TOL_RANK times the largest; v = 0 has rank 0."""
+    u, s, vt = np.linalg.svd(_acted(gs, v).T)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > TOL_RANK * smax)) if smax > 0 else 0
+    return OrbitFrame(u=u, s=s, vt=vt, rank=rank)
+
+
+@dataclass(frozen=True)
 class StabilizerSplit:
     """Orthonormal split of the coefficient space at a vacuum.
 
@@ -116,30 +143,25 @@ class StabilizerSplit:
         return self.broken.shape[0]
 
 
-def stabilizer_split(gs: GeneratorSet, v0: np.ndarray, tol_rank: float = TOL_RANK) -> StabilizerSplit:
+def stabilizer_split(gs: GeneratorSet, v0: np.ndarray) -> StabilizerSplit:
     """Kernel / complement split of X -> X v0 on coefficient vectors.
 
-    Rank decisions use a relative singular value threshold; v0 = 0 gives
-    an all-unbroken split.
+    v0 = 0 gives an all-unbroken split.
     """
-    A = _acted(gs, v0).T  # (2n, r)
-    _, s, Vt = np.linalg.svd(A)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
-    sv = np.zeros(gs.r)
-    sv[: s.size] = s
+    return _stabilizer_split(orbit_frame(gs, v0))
+
+
+def _stabilizer_split(frame: OrbitFrame) -> StabilizerSplit:
+    sv = np.zeros(frame.vt.shape[0])
+    sv[: frame.s.size] = frame.s
     return StabilizerSplit(
-        unbroken=_canonical_rows(Vt[rank:]),
-        broken=_canonical_rows(Vt[:rank]),
+        unbroken=_canonical_rows(frame.vt[frame.rank :]),
+        broken=_canonical_rows(frame.vt[: frame.rank]),
         singular_values=sv,
     )
 
 
-def boson_spectrum(
-    mf: MassForm,
-    split: StabilizerSplit,
-    tol_rank: float = TOL_RANK,
-) -> tuple[np.ndarray, np.ndarray]:
+def boson_spectrum(mf: MassForm, split: StabilizerSplit) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize the mass form.
 
     Returns (basis, masses): basis rows are an orthonormal eigenbasis of
@@ -159,7 +181,7 @@ def boson_spectrum(
     # eigenvalues of the mass form are squared singular values of the
     # orbit map, so the stabilizer rank must match the near-zero count;
     # the squared threshold would undershoot machine noise, hence the floor
-    thr = max((tol_rank * split.singular_values.max(initial=0.0)) ** 2, 5e-14 * scale)
+    thr = max((TOL_RANK * split.singular_values.max(initial=0.0)) ** 2, 5e-14 * scale)
     near_zero = int(np.sum(eigvals <= thr))
     if r - near_zero != d:
         raise InconsistentSpectrumError(
@@ -185,35 +207,30 @@ class OrbitSplit:
     hessian_eigenvalues: np.ndarray  # full realified spectrum, descending then zeros
 
 
-def orbit_split(
-    gs: GeneratorSet,
-    v0: np.ndarray,
-    hessian: np.ndarray,
-    tol_rank: float = TOL_RANK,
-    tol_flat: float = 1e-8,
-) -> OrbitSplit:
+def orbit_split(gs: GeneratorSet, v0: np.ndarray, hessian: np.ndarray) -> OrbitSplit:
     """Split the Hessian at a vacuum into orbit and transverse blocks.
 
     The Hessian must vanish on the orbit directions and be PSD on the
     complement; violations raise NotAVacuumError.  Transverse eigenvalues
     are 2 m^2 for scalar masses m.
     """
-    A = _acted(gs, v0).T  # (2n, r)
-    U, s, _ = np.linalg.svd(A)
-    smax = s[0] if s.size else 0.0
-    d = int(np.sum(s > tol_rank * smax)) if smax > 0 else 0
+    return _orbit_split(orbit_frame(gs, v0), hessian)
+
+
+def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
+    d = frame.rank
     H = np.asarray(hessian, dtype=float)
     scale = 1.0 + float(np.max(np.abs(H)))
-    e = U[:, :d].T
-    P = U[:, d:]
-    if d and float(np.max(np.abs(e @ H @ e.T))) > tol_flat * scale:
+    e = frame.u[:, :d].T
+    P = frame.u[:, d:]
+    if d and float(np.max(np.abs(e @ H @ e.T))) > TOL_FLAT * scale:
         raise NotAVacuumError(
             "Hessian does not vanish along the vacuum orbit; the point is not a group minimum"
         )
     Hp = P.T @ H @ P
     Hp = 0.5 * (Hp + Hp.T)
     lam, W = np.linalg.eigh(Hp)
-    if lam.size and lam.min() < -tol_flat * scale:
+    if lam.size and lam.min() < -TOL_FLAT * scale:
         raise NotAVacuumError(
             f"Hessian eigenvalue {lam.min():.3e} on the transverse space; not a minimum"
         )
@@ -267,15 +284,16 @@ class SpectrumResult:
     hessian_eigenvalues: np.ndarray
 
 
-def spectrum(model: HiggsModel, tol_rank: float = TOL_RANK) -> SpectrumResult:
+def spectrum(model: HiggsModel) -> SpectrumResult:
     """Run the whole pipeline: mass form, splits, boson and scalar masses."""
     if model.vacuum is None:
         raise NotAVacuumError("model has no vacuum; run find_vacuum first")
     gs, v0 = model.generators, model.vacuum
     mf = mass_form(gs, v0)
-    split = stabilizer_split(gs, v0, tol_rank)
-    basis, masses = boson_spectrum(mf, split, tol_rank)
-    osplit = orbit_split(gs, v0, potential_hessian(model.potential, v0), tol_rank)
+    frame = orbit_frame(gs, v0)
+    split = _stabilizer_split(frame)
+    basis, masses = boson_spectrum(mf, split)
+    osplit = _orbit_split(frame, potential_hessian(model.potential, v0))
     d = split.d
     return SpectrumResult(
         vacuum=v0,
@@ -326,27 +344,18 @@ def quadratic_lagrangian(
     guard branch reporting raw realified Hessian eigenvalues, with the
     (always well-defined) mass form still dictating the boson masses.
     """
-    gs = model.generators
     v0 = np.asarray(at, dtype=complex) if at is not None else model.vacuum
     if v0 is None:
         raise NotAVacuumError("model has no vacuum; run find_vacuum first")
     const = potential_value(model.potential, v0)
     if spec is None or at is not None:
-        grad = potential_gradient(model.potential, v0)
-        hess = potential_hessian(model.potential, v0)
-        scale = 1.0 + float(np.max(np.abs(hess)))
-        mf = mass_form(gs, v0)
-        split = stabilizer_split(gs, v0)
-        basis, masses = boson_spectrum(mf, split)
-        stationary = float(np.linalg.norm(grad)) <= 1e-9 * scale
-        osplit = None
-        if stationary:
-            try:
-                osplit = orbit_split(gs, v0, hess)
-            except NotAVacuumError:
-                osplit = None
-        if osplit is None:
-            eigs = np.sort(np.linalg.eigvalsh(hess))
+        try:
+            spec = spectrum(replace(model, vacuum=v0))
+        except NotAVacuumError:
+            gs = model.generators
+            split = stabilizer_split(gs, v0)
+            _, masses = boson_spectrum(mass_form(gs, v0), split)
+            eigs = np.sort(np.linalg.eigvalsh(potential_hessian(model.potential, v0)))
             return QuadraticReport(
                 is_vacuum=False,
                 constant=const,
@@ -356,14 +365,6 @@ def quadratic_lagrangian(
                 higgs_masses=(),
                 scalar_mass_squared=tuple(eigs),
             )
-        return QuadraticReport(
-            is_vacuum=True,
-            constant=const,
-            boson_masses=tuple(masses),
-            massless_boson_count=int(np.sum(masses == 0.0)),
-            goldstone_count=split.d,
-            higgs_masses=tuple(osplit.higgs_masses),
-        )
     return QuadraticReport(
         is_vacuum=True,
         constant=const,

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .electroweak import PAULI
+
 __all__ = [
     "IntertwinerBasis",
     "Representation",
@@ -180,16 +182,6 @@ def triple_invariance_defect(
         )
         worst = max(worst, float(np.linalg.norm(moved)))
     return worst
-
-
-PAULI = np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
 
 
 def electroweak_fermion_representations(

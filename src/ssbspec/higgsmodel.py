@@ -1,14 +1,14 @@
 """Invariant scalar potentials and vacuum finding.
 
 The built-in quartic potential is V(v) = -mu/2 |v|^2 + lambda/2 |v|^4 with
-mu, lambda > 0, minimized on the sphere |v| = sqrt(mu / (2 lambda)).
+lambda > 0.  For mu > 0 it is minimized on the sphere
+|v| = sqrt(mu / (2 lambda)); for mu <= 0 (the symmetric phase) at the origin.
 Gradients and Hessians are taken in realified coordinates (interleaved
 re/im pairs), where the vacuum sphere and curvature structure are plain
 real calculus.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,14 +64,15 @@ class QuarticPotential:
     lam: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.lam > 0):
+        if not (np.isfinite(self.mu) and np.isfinite(self.lam) and self.lam > 0):
             raise PotentialError(
-                f"quartic potential needs mu > 0 and lambda > 0, got mu={self.mu}, lambda={self.lam}"
+                f"quartic potential needs finite mu and lambda > 0, got mu={self.mu}, lambda={self.lam}"
             )
 
     @property
     def vacuum_radius(self) -> float:
-        return float(np.sqrt(self.mu / (2.0 * self.lam)))
+        """|v| at the minimum; 0 in the symmetric phase mu <= 0."""
+        return float(np.sqrt(self.mu / (2.0 * self.lam))) if self.mu > 0 else 0.0
 
     def value(self, v: np.ndarray) -> float:
         s = float(np.vdot(v, v).real)
@@ -274,14 +275,3 @@ def check_potential_invariance(
         worst = max(worst, defect)
     return worst
 
-
-def warn_if_not_vacuum(model: HiggsModel, v0: np.ndarray, tol_vac: float = TOL_VAC) -> None:
-    """Emit a warning when v0 is not a stationary minimum of the potential."""
-    grad = potential_gradient(model.potential, v0)
-    hess = potential_hessian(model.potential, v0)
-    scale = 1.0 + float(np.max(np.abs(hess)))
-    if (
-        float(np.linalg.norm(grad)) > tol_vac * scale
-        or float(np.linalg.eigvalsh(hess).min()) < -tol_vac * scale
-    ):
-        warnings.warn("supplied point is not a vacuum of the potential", stacklevel=3)

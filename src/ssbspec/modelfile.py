@@ -16,15 +16,16 @@ errors carry line and section locations and are reported together.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chiral import Representation, RepresentationError, TripleProduct
-from .higgsmodel import CustomPotential, HiggsModel, NotAVacuumError, QuarticPotential, find_vacuum
+from .higgsmodel import HiggsModel, NotAVacuumError, QuarticPotential, find_vacuum
 from .latticefields import Grid, LatticeError
-from .liecore import FactorLabel, GeneratorSet, GeneratorError, realify
+from .liecore import FactorLabel, GeneratorSet, GeneratorError
 
 __all__ = [
     "Document",
@@ -63,6 +64,14 @@ class ModelFileError(ValueError):
         super().__init__("\n".join(str(i) for i in self.issues))
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise json.JSONDecodeError(f"non-finite number {text}", text, 0)
+    return value
+
+
 def parse_document(text: str) -> Document:
     doc: Document = {}
     issues = []
@@ -93,7 +102,7 @@ def parse_document(text: str) -> Document:
             issues.append(ParseIssue(lineno, section, f"duplicate key {key!r}"))
             continue
         try:
-            doc[section][key] = json.loads(value_text)
+            doc[section][key] = json.loads(value_text, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as err:
             issues.append(ParseIssue(lineno, section, f"bad value for {key!r}: {err.msg}"))
     if issues:
@@ -178,27 +187,6 @@ def _take(entries, key, issues, section, required=True):
     return entries.pop(key)
 
 
-def _quartic_family(mu: float, lam: float):
-    """Quartic potential for any sign of mu; symmetric phase allowed."""
-    if mu > 0:
-        return QuarticPotential(mu=mu, lam=lam)
-
-    def value(v):
-        s = float(np.vdot(v, v).real)
-        return -0.5 * mu * s + 0.5 * lam * s * s
-
-    def gradient(v):
-        x = realify(v)
-        return (-mu + 2.0 * lam * float(x @ x)) * x
-
-    def hessian(v):
-        x = realify(v)
-        s = float(x @ x)
-        return (-mu + 2.0 * lam * s) * np.eye(x.size) + 4.0 * lam * np.outer(x, x)
-
-    return CustomPotential(value_fn=value, gradient_fn=gradient, hessian_fn=hessian)
-
-
 def parse_model_file(text: str) -> ModelBundle:
     doc = parse_document(text)
     issues = []
@@ -218,6 +206,8 @@ def parse_model_file(text: str) -> ModelBundle:
         factors_raw = _take(algebra, "factors", issues, "algebra", required=False)
         for key in algebra:
             issues.append(ParseIssue(0, "algebra", f"unknown key {key!r}"))
+        if n is not None and r is not None and not (isinstance(n, int) and isinstance(r, int)):
+            issues.append(ParseIssue(0, "algebra", "n and r must be integers"))
         if gens_raw is not None:
             gens = _complex_array(gens_raw, issues, "algebra", "generators")
             if gens is not None:
@@ -284,7 +274,7 @@ def parse_model_file(text: str) -> ModelBundle:
             elif not lam > 0:
                 issues.append(ParseIssue(0, "potential", f"non-positive coupling lambda = {lam}"))
             else:
-                potential = _quartic_family(float(mu), float(lam))
+                potential = QuarticPotential(mu=float(mu), lam=float(lam))
 
     model = None
     if gs is not None and potential is not None:
@@ -297,7 +287,7 @@ def parse_model_file(text: str) -> ModelBundle:
             if vec_raw is not None:
                 vacuum = _complex_array(vec_raw, issues, "vacuum", "vector")
         if vacuum is None and "vacuum" not in doc:
-            if isinstance(potential, QuarticPotential):
+            if potential.vacuum_radius > 0:
                 probe = HiggsModel(generators=gs, potential=potential)
                 vacuum = find_vacuum(probe, np.ones(gs.n) / np.sqrt(gs.n))
             else:

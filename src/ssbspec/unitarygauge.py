@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .breaking import SpectrumResult
+from .breaking import SpectrumResult, orbit_frame
 from .liecore import GeneratorSet, realify
 
 __all__ = [
@@ -95,11 +95,8 @@ def _build_frame(gs: GeneratorSet, v0: np.ndarray, spec: SpectrumResult | None) 
     if spec is not None:
         broken, orbit = spec.broken, spec.orbit_basis
     else:
-        A = realify(gs.matrices @ v0).T  # (2n, r)
-        U, s, Vt = np.linalg.svd(A)
-        smax = s[0] if s.size else 0.0
-        d = int(np.sum(s > 1e-8 * smax)) if smax > 0 else 0
-        broken, orbit = Vt[:d], U[:, :d].T
+        of = orbit_frame(gs, v0)
+        broken, orbit = of.vt[: of.rank], of.u[:, : of.rank].T
     alpha = np.einsum("dr,rij->dij", broken, gs.matrices)
     anorm = max((np.linalg.norm(a, 2) for a in alpha), default=0.0)
     trust = np.pi / (2.0 * anorm) if anorm > 0 else 1.0
@@ -171,6 +168,14 @@ def _phi_of(frame: _Frame, phi: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, 
     return U, U @ phi
 
 
+def _tangents(frame: _Frame, t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d/dt_j exp(A(t)) phi for each broken direction j, shape (d, n)."""
+    A = np.einsum("d,dij->ij", t, frame.alpha)
+    return np.stack(
+        [scipy.linalg.expm_frechet(A, a, compute_expm=False) @ phi for a in frame.alpha]
+    )
+
+
 def _defect_of(frame: _Frame, phi_t: np.ndarray) -> float:
     xi = np.sqrt(2.0) * frame.orbit @ realify(phi_t - frame.v0)
     return float(np.max(np.abs(xi)))
@@ -191,7 +196,6 @@ def _chart_iterate(
     frame: _Frame, phi: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Newton-ascent in the fixed chart t -> exp(A(t)).  Raises _Stall."""
-    d = frame.alpha.shape[0]
     fscale = max(1.0, float(np.linalg.norm(frame.v0) * np.linalg.norm(phi)))
     U, phi_t = _phi_of(frame, phi, t)
     for it in range(config.max_iter):
@@ -199,13 +203,7 @@ def _chart_iterate(
         z = float(np.vdot(frame.v0, phi_t).real)
         if defect < config.tol and z >= -config.tol * fscale:
             return t, U, phi_t, it
-        A = np.einsum("d,dij->ij", t, frame.alpha)
-        dphi = np.stack(
-            [
-                scipy.linalg.expm_frechet(A, frame.alpha[j], compute_expm=False) @ phi
-                for j in range(d)
-            ]
-        )
+        dphi = _tangents(frame, t, phi)
         s = np.real(frame.av0 @ np.conj(phi_t))
         J = np.real(np.einsum("jn,in->ij", np.conj(dphi), frame.av0))
         grad_f = np.real(dphi @ np.conj(frame.v0))
@@ -297,11 +295,14 @@ def _group_normalize(
         J = np.real(np.einsum("jn,in->ij", np.conj(frame.alpha @ psi), frame.av0))
         stepped = False
         candidates = []
-        try:
-            candidates.append(np.linalg.solve(J, -s))
-        except np.linalg.LinAlgError:
-            pass
-        candidates.append(-s)  # steepest ascent of the overlap at the identity
+        # a gradient below rounding cannot climb off a non-target critical
+        # point (z < 0); its line search would accept null steps forever
+        if z >= 0 or float(np.linalg.norm(s)) > np.finfo(float).eps * fscale:
+            try:
+                candidates.append(np.linalg.solve(J, -s))
+            except np.linalg.LinAlgError:
+                pass
+            candidates.append(-s)  # steepest ascent of the overlap at the identity
         for direction in candidates:
             direction = _capped(direction, frame.trust)
             slope = float(-s @ direction)
@@ -349,38 +350,29 @@ def _gauss_newton_to(
     budget: int,
 ) -> tuple[np.ndarray, bool, int]:
     """Damped Gauss-Newton for exp(A(t)) phi = target, from the given t."""
-    d = frame.alpha.shape[0]
     t = np.array(t, dtype=float)
     spent = 0
     for _ in range(budget):
         spent += 1
-        A = np.einsum("d,dij->ij", t, frame.alpha)
-        h = realify(scipy.linalg.expm(A) @ phi - target)
+        h = realify(_phi_of(frame, phi, t)[1] - target)
         hn = float(np.linalg.norm(h))
         if hn < tol_h:
             return t, True, spent
-        dphi = np.stack(
-            [
-                scipy.linalg.expm_frechet(A, frame.alpha[j], compute_expm=False) @ phi
-                for j in range(d)
-            ]
-        )
+        dphi = _tangents(frame, t, phi)
         direction, *_ = np.linalg.lstsq(realify(dphi).T, -h, rcond=None)
         direction = _capped(direction, frame.trust)
         lam = 1.0
         stepped = False
         for _ in range(40):
             t_try = t + lam * direction
-            A_try = np.einsum("d,dij->ij", t_try, frame.alpha)
-            h_try = realify(scipy.linalg.expm(A_try) @ phi - target)
+            h_try = realify(_phi_of(frame, phi, t_try)[1] - target)
             if float(np.linalg.norm(h_try)) <= (1 - ARMIJO * lam) * hn:
                 t, stepped = t_try, True
                 break
             lam *= 0.5
         if not stepped:
             return t, False, spent
-    A = np.einsum("d,dij->ij", t, frame.alpha)
-    h = realify(scipy.linalg.expm(A) @ phi - target)
+    h = realify(_phi_of(frame, phi, t)[1] - target)
     return t, float(np.linalg.norm(h)) < tol_h, spent
 
 
@@ -439,13 +431,10 @@ def _lift_by_twist_scan(
     U_acc = np.eye(gs.n, dtype=complex)
     for delta in steps:
         U_acc = scipy.linalg.expm(np.einsum("d,dij->ij", delta, frame.alpha)) @ U_acc
-    acts = realify(gs.matrices @ phi).T  # (2n, r)
-    sv = np.linalg.svd(acts, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > 1e-10 * max(1.0, smax)))
-    if gs.r - rank != 1:
+    at_phi = orbit_frame(gs, phi)
+    if gs.r - at_phi.rank != 1:
         return None
-    Z_coeff = np.linalg.svd(acts)[2][-1]
+    Z_coeff = at_phi.vt[-1]
     Z0 = np.einsum("r,rij->ij", Z_coeff, gs.matrices)
     rho = float(np.max(np.abs(np.linalg.eigvals(Z0))))
     period = 4.0 * np.pi / rho if rho > 0 else 2.0 * np.pi
@@ -506,19 +495,12 @@ def _polish(
     frame: _Frame, phi: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A few plain Newton steps to push an accepted residual well below tol."""
-    d = frame.alpha.shape[0]
     U, phi_t = _phi_of(frame, phi, t)
     for _ in range(4):
         defect = _defect_of(frame, phi_t)
         if defect < 5e-3 * config.tol:
             break
-        A = np.einsum("d,dij->ij", t, frame.alpha)
-        dphi = np.stack(
-            [
-                scipy.linalg.expm_frechet(A, frame.alpha[j], compute_expm=False) @ phi
-                for j in range(d)
-            ]
-        )
+        dphi = _tangents(frame, t, phi)
         s = np.real(frame.av0 @ np.conj(phi_t))
         J = np.real(np.einsum("jn,in->ij", np.conj(dphi), frame.av0))
         try:
@@ -549,8 +531,9 @@ def solve_unitary_gauge_point(
     Re <v0, point> maximal (in particular nonnegative) is selected.
     """
     phi = np.asarray(phi, dtype=complex)
-    if not np.any(phi):
-        raise DegeneratePointError("field value is zero; the orbit collapses")
+    pnrm = float(np.linalg.norm(phi))
+    if not (np.isfinite(pnrm) and pnrm > 0):
+        raise DegeneratePointError(f"field value has norm {pnrm}; it must be finite and nonzero")
     frame = _frame if _frame is not None else _build_frame(gs, v0, spec)
     d = frame.alpha.shape[0]
     if d == 0:
@@ -564,7 +547,7 @@ def solve_unitary_gauge_point(
         )
     # the chart coefficients are invariant under rescaling of phi
     vnrm = float(np.linalg.norm(frame.v0))
-    work = phi * (vnrm / float(np.linalg.norm(phi))) if vnrm > 0 else phi
+    work = phi * (vnrm / pnrm) if vnrm > 0 else phi
     t_start = np.zeros(d) if t0 is None else np.array(t0, dtype=float)
     try:
         t, U, work_t, its = _chart_iterate(frame, work, t_start, config)

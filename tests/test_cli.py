@@ -127,6 +127,18 @@ def test_unitary_gauge_reads_field_file(tmp_path):
     assert np.allclose(norms_in, norms_out, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [1e-300, float("nan")])
+def test_degenerate_field_site_is_located(tmp_path, bad):
+    grid = Grid(dim=2, shape=(4, 4), spacing=0.5)
+    phi = np.array([0.0, 1.0]) + 0.3 * smooth_multiplet_field(grid, 2, seed=9)
+    phi[2, 1] = [bad, 0.0]
+    src = tmp_path / "bad.field"
+    write_field(src, grid, "multiplet", phi)
+    code, text = run("unitary-gauge", "--model", MODEL, "--field", str(src))
+    assert code == 2
+    assert "error: site (2, 1): field value has norm" in text
+
+
 def test_gauge_check_orders():
     code, text = run("gauge-check", "--grid", "16", "--refine", "2", "--format", "machine")
     assert code == 0

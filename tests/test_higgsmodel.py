@@ -44,8 +44,7 @@ def fd_hessian(p, v, h=1e-5):
 
 
 def test_parameter_validation():
-    with pytest.raises(PotentialError):
-        QuarticPotential(mu=-1.0, lam=1.0)
+    assert QuarticPotential(mu=-1.0, lam=1.0).vacuum_radius == 0.0
     with pytest.raises(PotentialError):
         QuarticPotential(mu=1.0, lam=0.0)
 

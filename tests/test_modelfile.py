@@ -113,11 +113,18 @@ def test_located_syntax_errors():
 
 
 def test_bad_json_value_is_located():
-    with pytest.raises(ModelFileError) as err:
-        parse_document("[algebra]\nn = {oops\n")
-    (issue,) = err.value.issues
-    assert issue.line == 2
-    assert issue.section == "algebra"
+    for value in ("{oops", "NaN", "-Infinity", "[1.0, 1e999]"):
+        with pytest.raises(ModelFileError) as err:
+            parse_document(f"[algebra]\nn = {value}\n")
+        (issue,) = err.value.issues
+        assert issue.line == 2
+        assert issue.section == "algebra"
+
+
+def test_non_integer_dimensions_rejected():
+    for bad in (MINIMAL.replace("n = 1", "n = 1.0"), MINIMAL.replace("r = 1", "r = 1.0")):
+        with pytest.raises(ModelFileError, match="n and r must be integers"):
+            parse_model_file(bad)
 
 
 def test_mismatched_generator_shape():

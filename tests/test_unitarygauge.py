@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ssbspec.breaking import spectrum
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
+from ssbspec import unitarygauge
 from ssbspec.unitarygauge import (
     DegeneratePointError,
     UnitaryGaugeConfig,
@@ -69,10 +70,12 @@ def test_solver_rotates_swapped_point_to_canonical_ray():
 
 
 def test_solver_escapes_antipodal_start():
-    # (0, -c) is a critical configuration of the overlap but not its max
-    res = solve_unitary_gauge_point(GS, V0, np.array([0.0, -1.1]), spec=SPEC)
-    np.testing.assert_allclose(res.point, [0.0, 1.1], atol=1e-9)
-    assert res.overlap.real > 0
+    # (0, -c) is a critical configuration of the overlap but not its max;
+    # a phase far below rounding leaves a gradient too small to climb
+    for phi in ([0.0, -1.1], [0.0, -1.1 + 5e-146j]):
+        res = solve_unitary_gauge_point(GS, V0, np.array(phi), spec=SPEC)
+        np.testing.assert_allclose(res.point, [0.0, 1.1], atol=1e-9)
+        assert res.overlap.real > 0
 
 
 def test_solver_identity_on_already_canonical_point():
@@ -157,3 +160,23 @@ def test_tight_iteration_budget_raises():
     cfg = UnitaryGaugeConfig(max_iter=0)
     with pytest.raises(DegeneratePointError):
         solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), spec=SPEC, config=cfg)
+
+
+def test_twist_scan_lifts_when_continuation_fails(monkeypatch):
+    # measured: the chart Newton stalls from t = 0, the continuation lift
+    # returns None, and the twist scan finds the chart coefficients
+    phi = np.array(
+        [0.9623332796875556 + 1.087589351073743j, -2.8423182230285127 + 0.1524980492210118j]
+    )
+    lifts = []
+
+    def spy(*args, **kwargs):
+        lifted = twist_scan(*args, **kwargs)
+        lifts.append(lifted)
+        return lifted
+
+    twist_scan = unitarygauge._lift_by_twist_scan
+    monkeypatch.setattr(unitarygauge, "_lift_by_twist_scan", spy)
+    res = solve_unitary_gauge_point(GS, V0, phi, t0=np.zeros(3))
+    assert len(lifts) == 1 and lifts[0] is not None
+    assert res.goldstone_defect < 1e-10
