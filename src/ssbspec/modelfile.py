@@ -72,6 +72,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _is_int(value) -> bool:
+    """JSON integer; true and false are booleans even though bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def parse_document(text: str) -> Document:
     doc: Document = {}
     issues = []
@@ -206,12 +215,12 @@ def parse_model_file(text: str) -> ModelBundle:
         factors_raw = _take(algebra, "factors", issues, "algebra", required=False)
         for key in algebra:
             issues.append(ParseIssue(0, "algebra", f"unknown key {key!r}"))
-        if n is not None and r is not None and not (isinstance(n, int) and isinstance(r, int)):
+        if n is not None and r is not None and not (_is_int(n) and _is_int(r)):
             issues.append(ParseIssue(0, "algebra", "n and r must be integers"))
         if gens_raw is not None:
             gens = _complex_array(gens_raw, issues, "algebra", "generators")
             if gens is not None:
-                if isinstance(n, int) and isinstance(r, int) and gens.shape != (r, n, n):
+                if _is_int(n) and _is_int(r) and gens.shape != (r, n, n):
                     issues.append(
                         ParseIssue(
                             0,
@@ -235,7 +244,7 @@ def parse_model_file(text: str) -> ModelBundle:
                             )
                             continue
                         name, indices, coupling = item
-                        if not coupling > 0:
+                        if not (_is_number(coupling) and coupling > 0):
                             issues.append(
                                 ParseIssue(0, "algebra", f"non-positive coupling for factor {name!r}")
                             )
@@ -269,7 +278,7 @@ def parse_model_file(text: str) -> ModelBundle:
         for key in pot_entries:
             issues.append(ParseIssue(0, "potential", f"unknown key {key!r}"))
         if mu is not None and lam is not None:
-            if not isinstance(mu, (int, float)) or not isinstance(lam, (int, float)):
+            if not (_is_number(mu) and _is_number(lam)):
                 issues.append(ParseIssue(0, "potential", "mu and lambda must be numbers"))
             elif not lam > 0:
                 issues.append(ParseIssue(0, "potential", f"non-positive coupling lambda = {lam}"))
@@ -338,7 +347,7 @@ def parse_model_file(text: str) -> ModelBundle:
         if not (isinstance(flags, list) and len(flags) == 3 and all(isinstance(f, bool) for f in flags)):
             issues.append(ParseIssue(0, "yukawa", "conjugated must be three booleans"))
             ok = False
-        if not isinstance(g_y, (int, float)):
+        if not _is_number(g_y):
             issues.append(ParseIssue(0, "yukawa", "g_y must be a number"))
             ok = False
         tensor = _complex_array(tensor_raw, issues, "yukawa", "tensor") if tensor_raw is not None else None

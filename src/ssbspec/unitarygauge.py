@@ -15,11 +15,11 @@ trust radius so iterates stay where the single-exponential chart is well
 conditioned.  Rotations close to the chart's folds can still stall; the
 solver then locates the target value by iterating directly on the group
 (recentering the expansion at the identity each step, which has no
-folds) and recovers chart coefficients for it in up to three stages:
-a continuation lift that replays the accepted orbit steps as Gauss-Newton
-hops, a twist scan that rotates the matrix logarithm of the accumulated
-element into the broken span using the stabilizer freedom of phi, and a
-deterministic multistart ladder.
+folds) and lifts the accumulated group element back into the chart:
+Gauss-Newton starts from the broken-span part of its matrix logarithm,
+and, when the stabilizer of phi is one dimensional, from the twist of
+the element by that stabilizer whose logarithm lies closest to the
+broken span.
 
 Inputs are rescaled to the vacuum norm internally (the coefficients t
 solving the problem are invariant under phi -> c phi because v0 is
@@ -232,11 +232,14 @@ def _chart_iterate(
 
         # ascent phase: climb Re<v0, U phi>; Newton first when it climbs
         candidates = []
-        try:
-            candidates.append(np.linalg.solve(J, -s))
-        except np.linalg.LinAlgError:
-            pass
-        candidates.append(grad_f.copy())
+        # as in the orbit climb: a gradient below rounding cannot climb off
+        # a non-target critical point, so go straight to the curvature escape
+        if z >= 0 or float(np.linalg.norm(grad_f)) > np.finfo(float).eps * fscale:
+            try:
+                candidates.append(np.linalg.solve(J, -s))
+            except np.linalg.LinAlgError:
+                pass
+            candidates.append(grad_f.copy())
         for direction in candidates:
             direction = _capped(direction, frame.trust)
             slope = float(grad_f @ direction)
@@ -277,32 +280,36 @@ def _chart_iterate(
 
 def _group_normalize(
     frame: _Frame, phi: np.ndarray, config: UnitaryGaugeConfig
-) -> tuple[np.ndarray, list[np.ndarray], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Climb the overlap on the orbit itself, recentering at the identity.
 
-    Free of chart folds; returns the target value, the accepted step
-    coefficients in order, and the iteration count.
+    Free of chart folds; returns the target value psi, the accumulated
+    group element U_acc with U_acc phi = psi, and the iteration count.
     """
     psi = phi.astype(complex)
-    steps: list[np.ndarray] = []
+    U_acc = np.eye(len(phi), dtype=complex)
     fscale = max(1.0, float(np.linalg.norm(frame.v0) * np.linalg.norm(phi)))
     tol = 0.05 * config.tol
     for it in range(4 * config.max_iter):
         z = float(np.vdot(frame.v0, psi).real)
         if _defect_of(frame, psi) < tol and z >= -tol * fscale:
-            return psi, steps, it
+            return psi, U_acc, it
         s = np.real(frame.av0 @ np.conj(psi))
+        snorm = float(np.linalg.norm(s))
         J = np.real(np.einsum("jn,in->ij", np.conj(frame.alpha @ psi), frame.av0))
         stepped = False
         candidates = []
         # a gradient below rounding cannot climb off a non-target critical
         # point (z < 0); its line search would accept null steps forever
-        if z >= 0 or float(np.linalg.norm(s)) > np.finfo(float).eps * fscale:
+        if z >= 0 or snorm > np.finfo(float).eps * fscale:
             try:
                 candidates.append(np.linalg.solve(J, -s))
             except np.linalg.LinAlgError:
                 pass
-            candidates.append(-s)  # steepest ascent of the overlap at the identity
+            # near a critical point gradient steps only creep (off a saddle
+            # they shrink with |s|); leave it to Newton or the curvature escape
+            if snorm > config.endgame * fscale:
+                candidates.append(-s)  # steepest ascent of the overlap at the identity
         for direction in candidates:
             direction = _capped(direction, frame.trust)
             slope = float(-s @ direction)
@@ -310,11 +317,10 @@ def _group_normalize(
                 continue
             lam = 1.0
             for _ in range(40):
-                delta = lam * direction
-                cand = scipy.linalg.expm(np.einsum("d,dij->ij", delta, frame.alpha)) @ psi
+                E = scipy.linalg.expm(np.einsum("d,dij->ij", lam * direction, frame.alpha))
+                cand = E @ psi
                 if float(np.vdot(frame.v0, cand).real) >= z + ARMIJO * lam * slope:
-                    psi, stepped = cand, True
-                    steps.append(delta)
+                    psi, U_acc, stepped = cand, E @ U_acc, True
                     break
                 lam *= 0.5
             if stepped:
@@ -327,11 +333,10 @@ def _group_normalize(
         for direction in (W[:, -1], -W[:, -1]):
             lam = frame.trust
             for _ in range(40):
-                delta = lam * direction
-                cand = scipy.linalg.expm(np.einsum("d,dij->ij", delta, frame.alpha)) @ psi
+                E = scipy.linalg.expm(np.einsum("d,dij->ij", lam * direction, frame.alpha))
+                cand = E @ psi
                 if float(np.vdot(frame.v0, cand).real) > z + 1e-14 * fscale:
-                    psi, stepped = cand, True
-                    steps.append(delta)
+                    psi, U_acc, stepped = cand, E @ U_acc, True
                     break
                 lam *= 0.5
             if stepped:
@@ -376,119 +381,67 @@ def _gauss_newton_to(
     return t, float(np.linalg.norm(h)) < tol_h, spent
 
 
-def _lift_by_continuation(
-    frame: _Frame,
-    phi: np.ndarray,
-    psi_star: np.ndarray,
-    steps: list[np.ndarray],
-    config: UnitaryGaugeConfig,
-) -> tuple[np.ndarray, int] | None:
-    """Lift the orbit path into the fixed chart, subdividing stalled hops."""
-    d = frame.alpha.shape[0]
-    scale = max(1.0, float(np.linalg.norm(psi_star)))
-    tol_hop = 1e-11 * scale
-    t = np.zeros(d)
-    psi = phi.astype(complex)
-    stack = list(reversed(steps))
-    spent = 0
-    budget = 40 * config.max_iter
-    while stack:
-        delta = stack.pop()
-        target = scipy.linalg.expm(np.einsum("d,dij->ij", delta, frame.alpha)) @ psi
-        t_new, ok, used = _gauss_newton_to(frame, phi, t, target, tol_hop, 2 * config.max_iter)
-        spent += used
-        if spent > budget:
-            return None
-        if not ok:
-            if float(np.linalg.norm(delta)) < 1e-6:
-                return None  # lift blocked by a chart fold
-            stack.append(0.5 * delta)
-            stack.append(0.5 * delta)
-            continue
-        t, psi = t_new, target
-    t, ok, used = _gauss_newton_to(
-        frame, phi, t, psi_star, 0.25 * config.tol * scale, 2 * config.max_iter
-    )
-    return (t, spent + used) if ok else None
+def _log_unitary(U: np.ndarray) -> np.ndarray:
+    """Principal logarithm V diag(i angle(w)) V^-1 of a unitary U = V diag(w) V^-1."""
+    w, V = np.linalg.eig(U)
+    return (V * (1j * np.angle(w))) @ np.linalg.inv(V)
 
 
-def _lift_by_twist_scan(
+def _lift(
     gs: GeneratorSet,
     frame: _Frame,
     phi: np.ndarray,
     psi_star: np.ndarray,
-    steps: list[np.ndarray],
+    U_acc: np.ndarray,
     config: UnitaryGaugeConfig,
-) -> tuple[np.ndarray, int] | None:
-    """Twist the accumulated element by the stabilizer of phi.
+) -> tuple[np.ndarray | None, int]:
+    """Chart coefficients t with exp(A(t)) phi = psi_star, given U_acc phi = psi_star.
 
-    U_acc exp(tau Z0) sends phi to the same target for every tau when
-    Z0 phi = 0; the scan looks for tau where the matrix logarithm has no
-    component outside the broken span, giving chart coefficients
-    directly.  Applies when that stabilizer (within the generator span)
-    is one dimensional.
+    Gauss-Newton starts from the broken-span part of log U_acc.  If that
+    fails and the stabilizer of phi (within the generator span) is one
+    dimensional, spanned by Z0, then U_acc exp(tau Z0) sends phi to
+    psi_star for every tau; a scan looks for the tau whose logarithm has
+    the least component outside the broken span, and Gauss-Newton starts
+    again from there.  Returns t (None on failure) and the Gauss-Newton
+    iterations spent.
     """
-    U_acc = np.eye(gs.n, dtype=complex)
-    for delta in steps:
-        U_acc = scipy.linalg.expm(np.einsum("d,dij->ij", delta, frame.alpha)) @ U_acc
+    scale = max(1.0, float(np.linalg.norm(psi_star)))
+
+    def log_coeffs(U: np.ndarray) -> tuple[np.ndarray, float]:
+        c = gs.project(_log_unitary(U)[None, :, :])[0][0]
+        return c, float(np.linalg.norm(c - frame.broken.T @ (frame.broken @ c)))
+
+    def gauss_newton_from(c: np.ndarray) -> tuple[np.ndarray, bool, int]:
+        return _gauss_newton_to(
+            frame, phi, frame.broken @ c, psi_star, 0.25 * config.tol * scale, 2 * config.max_iter
+        )
+
+    t, ok, spent = gauss_newton_from(log_coeffs(U_acc)[0])
+    if ok:
+        return t, spent
     at_phi = orbit_frame(gs, phi)
     if gs.r - at_phi.rank != 1:
-        return None
-    Z_coeff = at_phi.vt[-1]
-    Z0 = np.einsum("r,rij->ij", Z_coeff, gs.matrices)
+        return None, spent
+    Z0 = np.einsum("r,rij->ij", at_phi.vt[-1], gs.matrices)
     rho = float(np.max(np.abs(np.linalg.eigvals(Z0))))
     period = 4.0 * np.pi / rho if rho > 0 else 2.0 * np.pi
 
-    def unbroken_norm(tau: float) -> tuple[float, np.ndarray]:
-        X, _ = scipy.linalg.logm(U_acc @ scipy.linalg.expm(tau * Z0), disp=False)
-        c = gs.project(X[None, :, :])[0][0]
-        resid = c - frame.broken.T @ (frame.broken @ c)
-        return float(np.linalg.norm(resid)), c
+    def twisted(tau: float) -> tuple[np.ndarray, float]:
+        return log_coeffs(U_acc @ scipy.linalg.expm(tau * Z0))
 
     taus = np.linspace(0.0, period, 257)
-    vals = [unbroken_norm(tau)[0] for tau in taus]
-    i_min = int(np.argmin(vals))
+    i_min = int(np.argmin([twisted(tau)[1] for tau in taus]))
     lo = taus[max(0, i_min - 1)]
     hi = taus[min(len(taus) - 1, i_min + 1)]
     for _ in range(120):
         m1 = lo + 0.382 * (hi - lo)
         m2 = lo + 0.618 * (hi - lo)
-        if unbroken_norm(m1)[0] <= unbroken_norm(m2)[0]:
+        if twisted(m1)[1] <= twisted(m2)[1]:
             hi = m2
         else:
             lo = m1
-    _, c = unbroken_norm(0.5 * (lo + hi))
-    scale = max(1.0, float(np.linalg.norm(psi_star)))
-    t, ok, used = _gauss_newton_to(
-        frame, phi, frame.broken @ c, psi_star, 0.25 * config.tol * scale, 2 * config.max_iter
-    )
-    return (t, used) if ok else None
-
-
-def _lift_by_multistart(
-    frame: _Frame,
-    phi: np.ndarray,
-    psi_star: np.ndarray,
-    config: UnitaryGaugeConfig,
-) -> tuple[np.ndarray, int] | None:
-    """Deterministic Gauss-Newton starts on spheres in coefficient space."""
-    d = frame.alpha.shape[0]
-    scale = max(1.0, float(np.linalg.norm(psi_star)))
-    tol_h = 0.25 * config.tol * scale
-    radius_unit = frame.trust  # ~ quarter turn per unit of radius
-    spent = 0
-    rng = np.random.default_rng(20160111)  # fixed: starts are part of the algorithm
-    for radius in (radius_unit, 2 * radius_unit, 3 * radius_unit):
-        for _ in range(12):
-            direction = rng.normal(size=d)
-            direction /= np.linalg.norm(direction)
-            t, ok, used = _gauss_newton_to(
-                frame, phi, radius * direction, psi_star, tol_h, config.max_iter
-            )
-            spent += used
-            if ok:
-                return t, spent
-    return None
+    t, ok, used = gauss_newton_from(twisted(0.5 * (lo + hi))[0])
+    return (t if ok else None), spent + used
 
 
 def _polish(
@@ -552,17 +505,12 @@ def solve_unitary_gauge_point(
     try:
         t, U, work_t, its = _chart_iterate(frame, work, t_start, config)
     except _Stall:
-        psi_star, steps, it_a = _group_normalize(frame, work, config)
-        lifted = _lift_by_continuation(frame, work, psi_star, steps, config)
-        if lifted is None:
-            lifted = _lift_by_twist_scan(gs, frame, work, psi_star, steps, config)
-        if lifted is None:
-            lifted = _lift_by_multistart(frame, work, psi_star, config)
-        if lifted is None:
+        psi_star, U_acc, it_a = _group_normalize(frame, work, config)
+        t, it_b = _lift(gs, frame, work, psi_star, U_acc, config)
+        if t is None:
             raise DegeneratePointError(
                 "found the transverse value but no broken-chart coefficients for it"
             )
-        t, it_b = lifted
         its = config.max_iter + it_a + it_b
     t, U, work_t = _polish(frame, work, t, config)
     defect = _defect_of(frame, work_t)

@@ -26,8 +26,9 @@ EW = str(HERE.parent / "models" / "electroweak.model")
 SPIN1 = str(GOLDENS / "spin1.model")
 SYMMETRIC = str(GOLDENS / "symmetric.model")
 
-# a doublet value where the chart Newton stalls from t = 0, continuation
-# fails and the twist-scan lift finds the chart coefficients
+# a doublet value where the chart Newton stalls from t = 0, Gauss-Newton
+# from the logarithm of the orbit climb's group element fails, and the
+# scan over the stabilizer twist of that element finds the chart coefficients
 TWIST_PHI = np.array(
     [0.9623332796875556 + 1.087589351073743j, -2.8423182230285127 + 0.1524980492210118j]
 )

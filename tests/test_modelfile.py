@@ -122,9 +122,36 @@ def test_bad_json_value_is_located():
 
 
 def test_non_integer_dimensions_rejected():
-    for bad in (MINIMAL.replace("n = 1", "n = 1.0"), MINIMAL.replace("r = 1", "r = 1.0")):
-        with pytest.raises(ModelFileError, match="n and r must be integers"):
+    # JSON true is a bool, which Python counts as the integer 1
+    for value in ("1.0", "true"):
+        for bad in (MINIMAL.replace("n = 1", f"n = {value}"), MINIMAL.replace("r = 1", f"r = {value}")):
+            with pytest.raises(ModelFileError, match="n and r must be integers") as err:
+                parse_model_file(bad)
+            assert [i.section for i in err.value.issues] == ["algebra"]
+
+
+def test_boolean_couplings_rejected():
+    yukawa = (
+        "\n[representations]\nsinglet = [[[[0.0, 1.0]]]]\n"
+        + '\n[yukawa]\nslots = ["singlet", "higgs", "singlet"]\n'
+        + "conjugated = [true, false, false]\n"
+        + "tensor = [[[[1.0, 0.0]]]]\n"
+        + "g_y = true\n"
+    )
+    cases = [
+        (MINIMAL.replace("mu = 2.0", "mu = true"), "potential", "mu and lambda must be numbers"),
+        (MINIMAL.replace("lambda = 1.0", "lambda = true"), "potential", "mu and lambda must be numbers"),
+        (
+            MINIMAL.replace("[potential]", 'factors = [["u1", [0], true]]\n\n[potential]'),
+            "algebra",
+            "non-positive coupling for factor",
+        ),
+        (MINIMAL + yukawa, "yukawa", "g_y must be a number"),
+    ]
+    for bad, section, message in cases:
+        with pytest.raises(ModelFileError, match=message) as err:
             parse_model_file(bad)
+        assert [i.section for i in err.value.issues] == [section]
 
 
 def test_mismatched_generator_shape():

@@ -7,12 +7,15 @@ phi is (0, |phi|) up to tolerance.
 """
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbspec.breaking import spectrum
+from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec import unitarygauge
+from ssbspec.liecore import GeneratorSet
 from ssbspec.unitarygauge import (
     DegeneratePointError,
     UnitaryGaugeConfig,
@@ -71,11 +74,15 @@ def test_solver_rotates_swapped_point_to_canonical_ray():
 
 def test_solver_escapes_antipodal_start():
     # (0, -c) is a critical configuration of the overlap but not its max;
-    # a phase far below rounding leaves a gradient too small to climb
+    # a phase far below rounding leaves a gradient too small to climb, and
+    # must not cost more iterations than the exact critical point
+    iterations = []
     for phi in ([0.0, -1.1], [0.0, -1.1 + 5e-146j]):
         res = solve_unitary_gauge_point(GS, V0, np.array(phi), spec=SPEC)
         np.testing.assert_allclose(res.point, [0.0, 1.1], atol=1e-9)
         assert res.overlap.real > 0
+        iterations.append(res.iterations)
+    assert iterations[0] == iterations[1]
 
 
 def test_solver_identity_on_already_canonical_point():
@@ -162,21 +169,70 @@ def test_tight_iteration_budget_raises():
         solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), spec=SPEC, config=cfg)
 
 
-def test_twist_scan_lifts_when_continuation_fails(monkeypatch):
-    # measured: the chart Newton stalls from t = 0, the continuation lift
-    # returns None, and the twist scan finds the chart coefficients
+def _spy_gauss_newton(monkeypatch) -> list:
+    calls = []
+    gauss_newton = unitarygauge._gauss_newton_to
+
+    def spy(*args, **kwargs):
+        t, ok, used = gauss_newton(*args, **kwargs)
+        calls.append((ok, used))
+        return t, ok, used
+
+    monkeypatch.setattr(unitarygauge, "_gauss_newton_to", spy)
+    return calls
+
+
+def test_twist_scan_lifts_when_log_start_fails(monkeypatch):
+    # measured: the chart Newton stalls from t = 0, Gauss-Newton from the
+    # broken part of log U_acc fails, and the stabilizer twist finds the
+    # chart coefficients; the failed attempt counts toward the iterations
     phi = np.array(
         [0.9623332796875556 + 1.087589351073743j, -2.8423182230285127 + 0.1524980492210118j]
     )
-    lifts = []
-
-    def spy(*args, **kwargs):
-        lifted = twist_scan(*args, **kwargs)
-        lifts.append(lifted)
-        return lifted
-
-    twist_scan = unitarygauge._lift_by_twist_scan
-    monkeypatch.setattr(unitarygauge, "_lift_by_twist_scan", spy)
+    calls = _spy_gauss_newton(monkeypatch)
+    climbs = []
+    climb = unitarygauge._group_normalize
+    monkeypatch.setattr(
+        unitarygauge, "_group_normalize", lambda *a: climbs.append(climb(*a)) or climbs[-1]
+    )
     res = solve_unitary_gauge_point(GS, V0, phi, t0=np.zeros(3))
-    assert len(lifts) == 1 and lifts[0] is not None
+    assert [ok for ok, _ in calls] == [False, True]
+    spent = sum(used for _, used in calls)
+    assert res.iterations == UnitaryGaugeConfig().max_iter + climbs[0][2] + spent
     assert res.goldstone_defect < 1e-10
+
+
+def test_orbit_climb_escapes_a_saddle(monkeypatch):
+    # measured on a rough spin-1 field: from this warm start the chart
+    # Newton stalls and the orbit climb reaches a saddle of the overlap
+    # (Hessian eigenvalues about -0.81, -0.77, +0.045), where gradient
+    # steps only creep; the curvature escape climbs off it
+    gs = GeneratorSet(su2_irrep(3))
+    v0 = np.ones(3) / np.sqrt(3.0)
+    phi = np.array(
+        [
+            2.3876259581138664 + 0.22773390136058455j,
+            -0.2054962117266912 + 0.26975429554669805j,
+            2.1700268594051133 - 0.46106043194305646j,
+        ]
+    )
+    t0 = np.array([-8.544742152622002, -0.009735825034667472, 10.52419072212499])
+    calls = _spy_gauss_newton(monkeypatch)
+    res = solve_unitary_gauge_point(gs, v0, phi, t0=t0)
+    assert calls and calls[0][0]
+    assert res.goldstone_defect < 1e-12
+    assert res.overlap.real > 0
+    np.testing.assert_allclose(np.linalg.norm(res.point), np.linalg.norm(phi), rtol=1e-12)
+
+
+def test_log_of_unitary_matches_scipy_logm():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            H = 0.5 * (H + H.conj().T)
+            H *= rng.uniform(0.1, 0.99) * np.pi / np.max(np.abs(np.linalg.eigvalsh(H)))
+            U = scipy.linalg.expm(1j * H)
+            X = unitarygauge._log_unitary(U)
+            np.testing.assert_allclose(X, scipy.linalg.logm(U), atol=1e-10)
+            np.testing.assert_allclose(scipy.linalg.expm(X), U, atol=1e-12)
