@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .breaking import SpectrumResult
 from .higgsmodel import HiggsModel
-from .liecore import GeneratorSet, realify, unrealify
+from .liecore import GeneratorSet, expm_skew, realify, unrealify
 
 __all__ = [
     "ActionConfig",
@@ -368,7 +367,7 @@ def smooth_transform_field(
         [_eval_waves(grid, _wave_set(rng, grid.dim, terms), scale) for _ in range(gs.r)],
         axis=-1,
     )
-    return scipy.linalg.expm(np.einsum("...r,rij->...ij", coeffs, gs.matrices))
+    return expm_skew(np.einsum("...r,rij->...ij", coeffs, gs.matrices))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "AlgebraElement",
@@ -24,6 +23,7 @@ __all__ = [
     "GeneratorSet",
     "ValidationReport",
     "act",
+    "expm_skew",
     "exponentiate",
     "random_algebra_element",
     "real_action_matrix",
@@ -179,9 +179,27 @@ def act(gs: GeneratorSet, coeffs: AlgebraElement, v: np.ndarray) -> np.ndarray:
     return gs.matrix_of(coeffs) @ vec
 
 
+def skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, V) of H = -iA, so that A = V diag(iw) V^dagger, for a stack
+    of skew-Hermitian A.  H is symmetrised, which drops any non-skew part of A."""
+    H = -1j * np.asarray(A, dtype=complex)
+    return np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+
+
+def exp_of_eigh(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V diag(e^{iw}) V^dagger, the exponential of V diag(iw) V^dagger; unitary to rounding."""
+    return (V * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+def expm_skew(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a stack (..., n, n) of skew-Hermitian matrices, from `skew_eigh`."""
+    return exp_of_eigh(*skew_eigh(A))
+
+
 def exponentiate(gs: GeneratorSet, coeffs: AlgebraElement) -> np.ndarray:
-    """Group element exp(X) of the algebra element X; unitary for a valid basis."""
-    return scipy.linalg.expm(gs.matrix_of(coeffs))
+    """Group element exp(X) of X; the basis must be skew-Hermitian (model files
+    are checked to 1e-10), since `expm_skew` drops any non-skew part."""
+    return expm_skew(gs.matrix_of(coeffs))
 
 
 def realify(v: np.ndarray) -> np.ndarray:

@@ -6,16 +6,17 @@ happens exactly when the fiber derivative s_i = Re <phi, g_i v0> is zero
 along the broken directions.  The solver returns U = exp(sum_i t_i a_i)
 over the broken basis with U phi on that slice.
 
-Strategy.  Newton steps on the residual s(t) with exact Jacobians
-(Frechet derivatives of the matrix exponential), globalized by climbing
-the overlap Re <v0, U(t) phi>: its critical points are exactly the
-unitary gauge configurations, and climbing selects the representative
-whose component along v0 is real and nonnegative.  Steps are capped at a
-trust radius so iterates stay where the single-exponential chart is well
-conditioned.  Rotations close to the chart's folds can still stall; the
-solver then locates the target value by iterating directly on the group
-(recentering the expansion at the identity each step, which has no
-folds) and lifts the accumulated group element back into the chart:
+Strategy.  Newton steps on the residual s(t) with exact Jacobians (the
+closed-form Daleckii-Krein derivatives of exp over one eigendecomposition
+of the skew-Hermitian A(t)), globalized by climbing the overlap
+Re <v0, U(t) phi>: its critical points are exactly the unitary gauge
+configurations, and the climb ends at one whose component along v0 is
+real and nonnegative.  Steps are capped at a trust radius so iterates
+stay where the single-exponential chart is well conditioned.  Rotations
+close to the chart's folds can still stall; the solver then locates the
+target value by iterating directly on the group (recentering the
+expansion at the identity each step, which has no folds) and lifts the
+accumulated group element back into the chart:
 Gauss-Newton starts from the broken-span part of its matrix logarithm,
 and, when the stabilizer of phi is one dimensional, from the twist of
 the element by that stabilizer whose logarithm lies closest to the
@@ -32,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .breaking import SpectrumResult, orbit_frame
-from .liecore import GeneratorSet, realify
+from .liecore import GeneratorSet, exp_of_eigh, expm_skew, realify, skew_eigh
 
 __all__ = [
     "BrokenHessian",
@@ -162,18 +162,25 @@ class GaugePointResult:
     iterations: int
 
 
-def _phi_of(frame: _Frame, phi: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A = np.einsum("d,dij->ij", t, frame.alpha)
-    U = scipy.linalg.expm(A)
-    return U, U @ phi
+def _phi_of(frame: _Frame, phi: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """U = exp(A(t)), U phi, and the eigenpairs of A(t) that `_tangents` takes."""
+    eig = skew_eigh(np.einsum("d,dij->ij", t, frame.alpha))
+    U = exp_of_eigh(*eig)
+    return U, U @ phi, eig
 
 
-def _tangents(frame: _Frame, t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """d/dt_j exp(A(t)) phi for each broken direction j, shape (d, n)."""
-    A = np.einsum("d,dij->ij", t, frame.alpha)
-    return np.stack(
-        [scipy.linalg.expm_frechet(A, a, compute_expm=False) @ phi for a in frame.alpha]
-    )
+def _tangents(frame: _Frame, eig: tuple, phi: np.ndarray) -> np.ndarray:
+    """d/dt_j exp(A(t)) phi for each broken direction j, shape (d, n).
+
+    Daleckii-Krein, from eig = (w, V) with A(t) = V diag(iw) V^dagger: the
+    derivative along a_j is V (G o (V^dagger a_j V)) V^dagger, where
+    G_jk = (e^{iw_j} - e^{iw_k}) / (iw_j - iw_k) = e^{i(w_j+w_k)/2} sinc((w_j-w_k)/2)
+    needs no special case at equal eigenvalues.
+    """
+    w, V = eig
+    G = np.exp(0.5j * (w[:, None] + w)) * np.sinc((w[:, None] - w) / (2.0 * np.pi))
+    Vh = np.conj(V.T)
+    return V @ (G * (Vh @ frame.alpha @ V)) @ (Vh @ phi)
 
 
 def _defect_of(frame: _Frame, phi_t: np.ndarray) -> float:
@@ -188,8 +195,32 @@ def _overlap_hessian(frame: _Frame, phi_t: np.ndarray) -> np.ndarray:
 
 
 def _capped(direction: np.ndarray, trust: float) -> np.ndarray:
-    dn = float(np.linalg.norm(direction))
-    return direction * (trust / dn) if dn > trust else direction
+    """direction shortened to length trust without overflow; a non-finite
+    one (an overflowed solve) becomes a null step, which line searches reject."""
+    big = float(np.max(np.abs(direction), initial=0.0))
+    if not np.isfinite(big):
+        return np.zeros_like(direction)
+    dn = float(np.linalg.norm(direction / big)) if big > 0 else 0.0
+    return direction / big * (trust / dn) if big * dn > trust else direction
+
+
+def _endgame_step(frame: _Frame, J: np.ndarray, s: np.ndarray, move):
+    """Newton step on s = 0 backtracked on |s|, for overlap gains below rounding:
+    (step, *move(step)) with move(step) as `_phi_of` gives it, or None."""
+    try:
+        direction = np.linalg.solve(J, -s)
+    except np.linalg.LinAlgError:
+        direction = -J.T @ s
+    direction = _capped(direction, frame.trust)
+    snorm = float(np.linalg.norm(s))
+    lam = 1.0
+    for _ in range(40):
+        moved = move(lam * direction)
+        s_try = np.real(frame.av0 @ np.conj(moved[1]))
+        if float(np.linalg.norm(s_try)) <= (1 - ARMIJO * lam) * snorm:
+            return (lam * direction, *moved)
+        lam *= 0.5
+    return None
 
 
 def _chart_iterate(
@@ -197,40 +228,26 @@ def _chart_iterate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Newton-ascent in the fixed chart t -> exp(A(t)).  Raises _Stall."""
     fscale = max(1.0, float(np.linalg.norm(frame.v0) * np.linalg.norm(phi)))
-    U, phi_t = _phi_of(frame, phi, t)
+    U, phi_t, eig = _phi_of(frame, phi, t)
     for it in range(config.max_iter):
         defect = _defect_of(frame, phi_t)
         z = float(np.vdot(frame.v0, phi_t).real)
         if defect < config.tol and z >= -config.tol * fscale:
             return t, U, phi_t, it
-        dphi = _tangents(frame, t, phi)
+        dphi = _tangents(frame, eig, phi)
         s = np.real(frame.av0 @ np.conj(phi_t))
         J = np.real(np.einsum("jn,in->ij", np.conj(dphi), frame.av0))
         grad_f = np.real(dphi @ np.conj(frame.v0))
 
-        stepped = False
         if defect < config.endgame * fscale and z > 0:
-            # endgame: overlap gains are below rounding, backtrack on |s|
-            try:
-                direction = np.linalg.solve(J, -s)
-            except np.linalg.LinAlgError:
-                direction = -J.T @ s
-            direction = _capped(direction, frame.trust)
-            snorm = float(np.linalg.norm(s))
-            lam = 1.0
-            for _ in range(40):
-                t_try = t + lam * direction
-                U_try, phi_try = _phi_of(frame, phi, t_try)
-                s_try = np.real(frame.av0 @ np.conj(phi_try))
-                if float(np.linalg.norm(s_try)) <= (1 - ARMIJO * lam) * snorm:
-                    t, U, phi_t, stepped = t_try, U_try, phi_try, True
-                    break
-                lam *= 0.5
-            if not stepped:
+            got = _endgame_step(frame, J, s, lambda step: _phi_of(frame, phi, t + step))
+            if got is None:
                 raise _Stall
+            t, U, phi_t, eig = t + got[0], *got[1:]
             continue
 
         # ascent phase: climb Re<v0, U phi>; Newton first when it climbs
+        stepped = False
         candidates = []
         # as in the orbit climb: a gradient below rounding cannot climb off
         # a non-target critical point, so go straight to the curvature escape
@@ -248,9 +265,9 @@ def _chart_iterate(
             lam = 1.0
             for _ in range(30):
                 t_try = t + lam * direction
-                U_try, phi_try = _phi_of(frame, phi, t_try)
+                U_try, phi_try, eig_try = _phi_of(frame, phi, t_try)
                 if float(np.vdot(frame.v0, phi_try).real) >= z + ARMIJO * lam * slope:
-                    t, U, phi_t, stepped = t_try, U_try, phi_try, True
+                    t, U, phi_t, eig, stepped = t_try, U_try, phi_try, eig_try, True
                     break
                 lam *= 0.5
             if stepped:
@@ -266,9 +283,9 @@ def _chart_iterate(
             lam = frame.trust
             for _ in range(30):
                 t_try = t + lam * direction
-                U_try, phi_try = _phi_of(frame, phi, t_try)
+                U_try, phi_try, eig_try = _phi_of(frame, phi, t_try)
                 if float(np.vdot(frame.v0, phi_try).real) > z + 1e-14 * fscale:
-                    t, U, phi_t, stepped = t_try, U_try, phi_try, True
+                    t, U, phi_t, eig, stepped = t_try, U_try, phi_try, eig_try, True
                     break
                 lam *= 0.5
             if stepped:
@@ -297,6 +314,12 @@ def _group_normalize(
         s = np.real(frame.av0 @ np.conj(psi))
         snorm = float(np.linalg.norm(s))
         J = np.real(np.einsum("jn,in->ij", np.conj(frame.alpha @ psi), frame.av0))
+        if snorm < config.endgame * fscale and z > 0:
+            # as in the chart: step rounding outweighs the Armijo gain; backtrack on |s|
+            got = _endgame_step(frame, J, s, lambda step: _phi_of(frame, psi, step))
+            if got is not None:
+                psi, U_acc = got[2], got[1] @ U_acc
+                continue
         stepped = False
         candidates = []
         # a gradient below rounding cannot climb off a non-target critical
@@ -317,8 +340,7 @@ def _group_normalize(
                 continue
             lam = 1.0
             for _ in range(40):
-                E = scipy.linalg.expm(np.einsum("d,dij->ij", lam * direction, frame.alpha))
-                cand = E @ psi
+                E, cand, _ = _phi_of(frame, psi, lam * direction)
                 if float(np.vdot(frame.v0, cand).real) >= z + ARMIJO * lam * slope:
                     psi, U_acc, stepped = cand, E @ U_acc, True
                     break
@@ -333,8 +355,7 @@ def _group_normalize(
         for direction in (W[:, -1], -W[:, -1]):
             lam = frame.trust
             for _ in range(40):
-                E = scipy.linalg.expm(np.einsum("d,dij->ij", lam * direction, frame.alpha))
-                cand = E @ psi
+                E, cand, _ = _phi_of(frame, psi, lam * direction)
                 if float(np.vdot(frame.v0, cand).real) > z + 1e-14 * fscale:
                     psi, U_acc, stepped = cand, E @ U_acc, True
                     break
@@ -356,29 +377,29 @@ def _gauss_newton_to(
 ) -> tuple[np.ndarray, bool, int]:
     """Damped Gauss-Newton for exp(A(t)) phi = target, from the given t."""
     t = np.array(t, dtype=float)
+    _, phi_t, eig = _phi_of(frame, phi, t)
     spent = 0
     for _ in range(budget):
         spent += 1
-        h = realify(_phi_of(frame, phi, t)[1] - target)
+        h = realify(phi_t - target)
         hn = float(np.linalg.norm(h))
         if hn < tol_h:
             return t, True, spent
-        dphi = _tangents(frame, t, phi)
+        dphi = _tangents(frame, eig, phi)
         direction, *_ = np.linalg.lstsq(realify(dphi).T, -h, rcond=None)
         direction = _capped(direction, frame.trust)
         lam = 1.0
         stepped = False
         for _ in range(40):
             t_try = t + lam * direction
-            h_try = realify(_phi_of(frame, phi, t_try)[1] - target)
-            if float(np.linalg.norm(h_try)) <= (1 - ARMIJO * lam) * hn:
-                t, stepped = t_try, True
+            _, phi_try, eig_try = _phi_of(frame, phi, t_try)
+            if float(np.linalg.norm(realify(phi_try - target))) <= (1 - ARMIJO * lam) * hn:
+                t, phi_t, eig, stepped = t_try, phi_try, eig_try, True
                 break
             lam *= 0.5
         if not stepped:
             return t, False, spent
-    h = realify(_phi_of(frame, phi, t)[1] - target)
-    return t, float(np.linalg.norm(h)) < tol_h, spent
+    return t, float(np.linalg.norm(realify(phi_t - target))) < tol_h, spent
 
 
 def _log_unitary(U: np.ndarray) -> np.ndarray:
@@ -427,7 +448,7 @@ def _lift(
     period = 4.0 * np.pi / rho if rho > 0 else 2.0 * np.pi
 
     def twisted(tau: float) -> tuple[np.ndarray, float]:
-        return log_coeffs(U_acc @ scipy.linalg.expm(tau * Z0))
+        return log_coeffs(U_acc @ expm_skew(tau * Z0))
 
     taus = np.linspace(0.0, period, 257)
     i_min = int(np.argmin([twisted(tau)[1] for tau in taus]))
@@ -448,22 +469,22 @@ def _polish(
     frame: _Frame, phi: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A few plain Newton steps to push an accepted residual well below tol."""
-    U, phi_t = _phi_of(frame, phi, t)
+    U, phi_t, eig = _phi_of(frame, phi, t)
     for _ in range(4):
         defect = _defect_of(frame, phi_t)
         if defect < 5e-3 * config.tol:
             break
-        dphi = _tangents(frame, t, phi)
+        dphi = _tangents(frame, eig, phi)
         s = np.real(frame.av0 @ np.conj(phi_t))
         J = np.real(np.einsum("jn,in->ij", np.conj(dphi), frame.av0))
         try:
             t_try = t + np.linalg.solve(J, -s)
         except np.linalg.LinAlgError:
             break
-        U_try, phi_try = _phi_of(frame, phi, t_try)
+        U_try, phi_try, eig_try = _phi_of(frame, phi, t_try)
         if _defect_of(frame, phi_try) >= defect:
             break
-        t, U, phi_t = t_try, U_try, phi_try
+        t, U, phi_t, eig = t_try, U_try, phi_try, eig_try
     return t, U, phi_t
 
 
@@ -479,9 +500,11 @@ def solve_unitary_gauge_point(
     """Rotate one field value into unitary gauge.
 
     Returns the group element exp(sum t_i a_i) over the broken basis, the
-    rotated value, and the residual Goldstone defect.  Among the
-    gauge-equivalent transverse representatives, the one with
-    Re <v0, point> maximal (in particular nonnegative) is selected.
+    rotated value, and the residual Goldstone defect.  The point is a
+    transverse representative with Re <v0, point> >= 0 (to tol): for the
+    doublet the one with Re <v0, point> maximal, but where the slice meets
+    an orbit at several such points (larger representations) the one
+    reached can depend on the warm start t0.
     """
     phi = np.asarray(phi, dtype=complex)
     pnrm = float(np.linalg.norm(phi))

@@ -1,10 +1,15 @@
 """End-to-end command tests, run in process through main()."""
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssbspec
 from ssbspec.cli import main
 from ssbspec.gridfile import read_field, write_field
 from ssbspec.latticefields import Grid, smooth_multiplet_field
@@ -174,3 +179,18 @@ def test_seed_env_fallback(monkeypatch):
     monkeypatch.delenv("SSB_SPECTRUM_SEED")
     _, text2 = run("spectrum", "--model", MODEL, "--format", "machine")
     assert parse_document(text2)["report"]["seed"] == 0
+
+
+def test_commands_load_no_scipy():
+    # numpy alone serves the program; scipy is a test reference only
+    code = (
+        "import sys\n"
+        "from ssbspec.cli import main\n"
+        "main(['electroweak', '--format', 'machine'])\n"
+        f"main(['spectrum', '--model', {MODEL!r}, '--format', 'machine'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ssbspec.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

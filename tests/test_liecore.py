@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import build_generators
 from ssbspec.liecore import (
     GeneratorError,
     GeneratorSet,
     act,
+    expm_skew,
     exponentiate,
     random_algebra_element,
     real_action_matrix,
@@ -47,6 +50,39 @@ def test_exponentiate_phase():
     u1 = GeneratorSet(np.array([[[1j]]]))
     U = exponentiate(u1, np.array([np.pi]))
     np.testing.assert_allclose(U, [[-1.0]], atol=1e-13)
+
+
+def _with_spectrum(rng, w):
+    """i V diag(w) V^dagger for a seeded random unitary V."""
+    n = len(w)
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return 1j * (V * np.asarray(w)) @ V.conj().T
+
+
+def test_expm_skew_matches_scipy():
+    rng = np.random.default_rng(30)
+    spin1 = su2_irrep(3)
+    cases = [
+        np.zeros((2, 2)),
+        np.zeros((3, 3)),
+        1j * np.diag([0.7, 0.7, -1.4]),
+        _with_spectrum(rng, [0.3, 0.3, -0.6]),
+        _with_spectrum(rng, [1.0, 1.0 + 1e-10, -2.0]),
+    ]
+    for norm in np.logspace(-9, 1, 11):
+        for mats in (EW.matrices, spin1):
+            A = np.einsum("r,rij->ij", rng.normal(size=len(mats)), mats)
+            cases.append(A * (norm / np.linalg.norm(A, 2)))
+    for A in cases:
+        U = expm_skew(A)
+        np.testing.assert_allclose(U, scipy.linalg.expm(A), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(U @ U.conj().T, np.eye(len(A)), rtol=0, atol=1e-13)
+    # a (k, m, n, n) stack, as for a transform field on a grid
+    stack = np.einsum("kmr,rij->kmij", rng.normal(size=(3, 4, 3)), spin1)
+    U = expm_skew(stack)
+    assert U.shape == stack.shape
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_allclose(U[idx], scipy.linalg.expm(stack[idx]), rtol=0, atol=1e-13)
 
 
 def test_structure_constants_su2_block():

@@ -5,6 +5,9 @@ couplings (g, gp), the fiber derivative at phi = (c, 0) is
 (0, c*g*w/2, 0, 0), and the canonical transverse representative of any
 phi is (0, |phi|) up to tolerance.
 """
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +18,8 @@ from ssbspec.breaking import spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec import unitarygauge
-from ssbspec.liecore import GeneratorSet
+from ssbspec.liecore import GeneratorSet, skew_eigh
+from ssbspec.modelfile import parse_model_file
 from ssbspec.unitarygauge import (
     DegeneratePointError,
     UnitaryGaugeConfig,
@@ -236,3 +240,63 @@ def test_log_of_unitary_matches_scipy_logm():
             X = unitarygauge._log_unitary(U)
             np.testing.assert_allclose(X, scipy.linalg.logm(U), atol=1e-10)
             np.testing.assert_allclose(scipy.linalg.expm(X), U, atol=1e-12)
+
+
+def test_tangents_match_scipy_frechet():
+    rng = np.random.default_rng(31)
+    spin1 = unitarygauge._build_frame(GeneratorSet(su2_irrep(3)), np.ones(3) / np.sqrt(3.0), None)
+    doublet = unitarygauge._build_frame(GS, V0, SPEC)
+    cases = [(frame, np.zeros(len(frame.alpha))) for frame in (doublet, spin1)]
+    for norm in np.logspace(-9, 1, 11):
+        for frame in (doublet, spin1):
+            t = rng.normal(size=len(frame.alpha))
+            A = np.einsum("d,dij->ij", t, frame.alpha)
+            cases.append((frame, t * (norm / np.linalg.norm(A, 2))))
+    # directions whose sums have exactly and nearly equal eigenvalues
+    skew = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    diagonal = dataclasses.replace(
+        spin1,
+        alpha=np.stack(
+            [1j * np.diag([1.0, 1.0, -2.0]), 1j * np.diag([0.0, 1e-9, 0.0]), skew - skew.conj().T]
+        ),
+    )
+    cases += [(diagonal, np.array([1.0, 0.0, 0.0])), (diagonal, np.array([1.0, 1.0, 0.0]))]
+    for frame, t in cases:
+        n = frame.alpha.shape[1]
+        phi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        A = np.einsum("d,dij->ij", t, frame.alpha)
+        want = np.stack(
+            [scipy.linalg.expm_frechet(A, a, compute_expm=False) @ phi for a in frame.alpha]
+        )
+        got = unitarygauge._tangents(frame, skew_eigh(A), phi)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_orbit_climb_converges_below_rounding():
+    # measured on a rough doublet field (sweep-rough seed 602, doublet field 1,
+    # site (17, 17)): near the target the rounding of each step moves the
+    # overlap by more than the Armijo gain of a converging Newton step, so the
+    # climb backtracks on |s| instead, as the chart does
+    with open("models/electroweak.model") as fh:
+        bundle = parse_model_file(fh.read())
+    frame = unitarygauge._build_frame(bundle.model.generators, bundle.model.vacuum, None)
+    phi = np.array(
+        [-1.2369512352161733 - 0.15013864946833777j, 1.346640666947669 + 1.1242892477152149j]
+    )
+    phi *= np.linalg.norm(frame.v0) / np.linalg.norm(phi)
+    psi, U_acc, iterations = unitarygauge._group_normalize(frame, phi, UnitaryGaugeConfig())
+    assert iterations == 5
+    assert unitarygauge._defect_of(frame, psi) < 0.05 * UnitaryGaugeConfig().tol
+    np.testing.assert_allclose(U_acc @ phi, psi, rtol=0, atol=1e-14)
+
+
+def test_huge_newton_direction_does_not_overflow():
+    # the chart Newton solve at this nearly singular Jacobian gives a
+    # direction whose squared norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = solve_unitary_gauge_point(GS, V0, np.array([0.0, 9.4e-253 + 1j]), spec=SPEC)
+        capped = unitarygauge._capped(np.array([1e200, -1e200]), 2.0)
+    np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-10)
+    np.testing.assert_allclose(capped, [np.sqrt(2.0), -np.sqrt(2.0)])
+    np.testing.assert_array_equal(unitarygauge._capped(np.array([np.inf, 1.0]), 2.0), 0.0)
