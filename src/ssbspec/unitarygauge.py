@@ -12,15 +12,18 @@ of the skew-Hermitian A(t)), globalized by climbing the overlap
 Re <v0, U(t) phi>: its critical points are exactly the unitary gauge
 configurations, and the climb ends at one whose component along v0 is
 real and nonnegative.  Steps are capped at a trust radius so iterates
-stay where the single-exponential chart is well conditioned.  Rotations
-close to the chart's folds can still stall; the solver then locates the
-target value by iterating directly on the group (recentering the
-expansion at the identity each step, which has no folds) and lifts the
-accumulated group element back into the chart:
+stay where the single-exponential chart is well conditioned.  The sites
+of a field are independent, so this chart iteration runs on all of them
+at once, each from t = 0: one stacked eigendecomposition per trial step,
+with a step length per site.  A site can still stall, at rotations close
+to the chart's folds or at a critical point away from the target; the
+solver then locates its target value by iterating directly on the group
+(recentering the expansion at the identity each step, which has no
+folds) and lifts the accumulated group element back into the chart:
 Gauss-Newton starts from the broken-span part of its matrix logarithm,
 and, when the stabilizer of phi is one dimensional, from the twist of
 the element by that stabilizer whose logarithm lies closest to the
-broken span.
+broken span.  This fallback runs one site at a time.
 
 Inputs are rescaled to the vacuum norm internally (the coefficients t
 solving the problem are invariant under phi -> c phi because v0 is
@@ -30,6 +33,7 @@ returned point.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +56,11 @@ __all__ = [
 ]
 
 ARMIJO = 1e-4
+_BLOCK = 4096  # sites solved together; bounds the stacked temporaries on large grids
 
 
 class DegeneratePointError(RuntimeError):
     """The solver cannot make progress from this field value."""
-
-
-class _Stall(Exception):
-    """Private: primary chart iteration gave up; try the fallback."""
 
 
 @dataclass(frozen=True)
@@ -163,14 +164,15 @@ class GaugePointResult:
 
 
 def _phi_of(frame: _Frame, phi: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """U = exp(A(t)), U phi, and the eigenpairs of A(t) that `_tangents` takes."""
-    eig = skew_eigh(np.einsum("d,dij->ij", t, frame.alpha))
+    """U = exp(A(t)), U phi, and the eigenpairs of A(t) that `_tangents` takes,
+    for one site or a stack of them (t of shape (..., d), phi of shape (..., n))."""
+    eig = skew_eigh(np.einsum("...d,dij->...ij", t, frame.alpha))
     U = exp_of_eigh(*eig)
-    return U, U @ phi, eig
+    return U, (U @ phi[..., None])[..., 0], eig
 
 
 def _tangents(frame: _Frame, eig: tuple, phi: np.ndarray) -> np.ndarray:
-    """d/dt_j exp(A(t)) phi for each broken direction j, shape (d, n).
+    """d/dt_j exp(A(t)) phi for each broken direction j, shape (..., d, n).
 
     Daleckii-Krein, from eig = (w, V) with A(t) = V diag(iw) V^dagger: the
     derivative along a_j is V (G o (V^dagger a_j V)) V^dagger, where
@@ -178,14 +180,24 @@ def _tangents(frame: _Frame, eig: tuple, phi: np.ndarray) -> np.ndarray:
     needs no special case at equal eigenvalues.
     """
     w, V = eig
-    G = np.exp(0.5j * (w[:, None] + w)) * np.sinc((w[:, None] - w) / (2.0 * np.pi))
-    Vh = np.conj(V.T)
-    return V @ (G * (Vh @ frame.alpha @ V)) @ (Vh @ phi)
+    wj, wk = w[..., :, None], w[..., None, :]
+    G = np.exp(0.5j * (wj + wk)) * np.sinc((wj - wk) / (2.0 * np.pi))
+    Vh = np.conj(np.swapaxes(V, -1, -2))
+    V, Vh, G = V[..., None, :, :], Vh[..., None, :, :], G[..., None, :, :]
+    return (V @ (G * (Vh @ frame.alpha @ V)) @ (Vh @ phi[..., None, :, None]))[..., 0]
 
 
-def _defect_of(frame: _Frame, phi_t: np.ndarray) -> float:
-    xi = np.sqrt(2.0) * frame.orbit @ realify(phi_t - frame.v0)
-    return float(np.max(np.abs(xi)))
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, summed as np.linalg.norm sums one
+    vector, so a stack of one rounds as the scalar code did."""
+    real, imag = x.real[..., None, :], x.imag[..., None, :]
+    return np.sqrt((real @ np.swapaxes(real, -1, -2) + imag @ np.swapaxes(imag, -1, -2))[..., 0, 0])
+
+
+def _defect_of(frame: _Frame, phi_t: np.ndarray) -> np.ndarray:
+    """Largest orbit-tangent coordinate of phi_t - v0, per site."""
+    xi = (np.sqrt(2.0) * frame.orbit @ realify(phi_t - frame.v0)[..., None])[..., 0]
+    return np.max(np.abs(xi), axis=-1, initial=0.0)
 
 
 def _overlap_hessian(frame: _Frame, phi_t: np.ndarray) -> np.ndarray:
@@ -195,13 +207,40 @@ def _overlap_hessian(frame: _Frame, phi_t: np.ndarray) -> np.ndarray:
 
 
 def _capped(direction: np.ndarray, trust: float) -> np.ndarray:
-    """direction shortened to length trust without overflow; a non-finite
-    one (an overflowed solve) becomes a null step, which line searches reject."""
-    big = float(np.max(np.abs(direction), initial=0.0))
-    if not np.isfinite(big):
-        return np.zeros_like(direction)
-    dn = float(np.linalg.norm(direction / big)) if big > 0 else 0.0
-    return direction / big * (trust / dn) if big * dn > trust else direction
+    """Rows of direction shortened to length trust without overflow; a non-finite
+    row (an overflowed solve) becomes a null step, which line searches reject."""
+    big = np.max(np.abs(direction), axis=-1, keepdims=True, initial=0.0)
+    finite = np.isfinite(big)
+    direction = np.where(finite, direction, 0.0)
+    big = np.where(finite, big, 0.0)
+    unit = direction / np.where(big > 0, big, 1.0)
+    dn = _norms(unit)[..., None]
+    return np.where(big * dn > trust, unit * (trust / np.where(dn > 0, dn, 1.0)), direction)
+
+
+def _residual(frame: _Frame, phi_t: np.ndarray) -> np.ndarray:
+    """s_i = Re <phi_t, a_i v0> along the broken directions, per site."""
+    return np.real(np.conj(phi_t) @ frame.av0.T)
+
+
+def _jacobian(frame: _Frame, dphi: np.ndarray) -> np.ndarray:
+    """J_ij = ds_i/dt_j = Re <dphi_j, a_i v0> from the tangents dphi, per site."""
+    return np.real(np.einsum("...jn,in->...ij", np.conj(dphi), frame.av0))
+
+
+def _newton_directions(J: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows solve(J, -s) for a stack, and the mask of singular J (rows left 0)."""
+    singular = np.zeros(len(s), dtype=bool)
+    try:
+        return np.linalg.solve(J, -s[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        direction = np.zeros_like(s)
+        for k in range(len(s)):
+            try:
+                direction[k] = np.linalg.solve(J[k], -s[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return direction, singular
 
 
 def _endgame_step(frame: _Frame, J: np.ndarray, s: np.ndarray, move):
@@ -216,83 +255,106 @@ def _endgame_step(frame: _Frame, J: np.ndarray, s: np.ndarray, move):
     lam = 1.0
     for _ in range(40):
         moved = move(lam * direction)
-        s_try = np.real(frame.av0 @ np.conj(moved[1]))
-        if float(np.linalg.norm(s_try)) <= (1 - ARMIJO * lam) * snorm:
+        if float(np.linalg.norm(_residual(frame, moved[1]))) <= (1 - ARMIJO * lam) * snorm:
             return (lam * direction, *moved)
         lam *= 0.5
     return None
 
 
-def _chart_iterate(
-    frame: _Frame, phi: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Newton-ascent in the fixed chart t -> exp(A(t)).  Raises _Stall."""
-    fscale = max(1.0, float(np.linalg.norm(frame.v0) * np.linalg.norm(phi)))
-    U, phi_t, eig = _phi_of(frame, phi, t)
+def _backtrack(
+    frame: _Frame,
+    work: np.ndarray,
+    t: np.ndarray,
+    direction: np.ndarray,
+    endgame: np.ndarray,
+    snorm: np.ndarray,
+    z: np.ndarray,
+    slope: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Armijo backtracking from t along direction for a stack of sites at once.
+
+    Each site halves its own step length until the step is accepted: on |s|
+    (at most 40 halvings) where endgame is set, else on the overlap, which
+    must gain ARMIJO * lam * slope (at most 30).  Returns the mask of
+    accepted sites and, in the rows of those, t + lam direction, U phi and
+    the eigenpairs of A there.
+    """
+    m, n = work.shape
+    t, phi_t = t.copy(), np.empty((m, n), dtype=complex)
+    w, V = np.empty((m, n)), np.empty((m, n, n), dtype=complex)
+    halvings = np.where(endgame, 40, 30)
+    lam = np.ones(m)
+    moved = np.zeros(m, dtype=bool)
+    for k in range(40):
+        p = np.flatnonzero(~moved & (halvings > k))
+        if not p.size:
+            break
+        t_try = t[p] + lam[p, None] * direction[p]
+        _, phi_try, (w_try, V_try) = _phi_of(frame, work[p], t_try)
+        ok = np.where(
+            endgame[p],
+            _norms(_residual(frame, phi_try)) <= (1 - ARMIJO * lam[p]) * snorm[p],
+            np.real(phi_try @ np.conj(frame.v0)) >= z[p] + ARMIJO * lam[p] * slope[p],
+        )
+        q = p[ok]
+        t[q], phi_t[q], w[q], V[q] = t_try[ok], phi_try[ok], w_try[ok], V_try[ok]
+        moved[q] = True
+        lam[p[~ok]] *= 0.5
+    return moved, t, phi_t, (w, V)
+
+
+def _chart_newton(
+    frame: _Frame, work: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton ascent in the fixed chart t -> exp(A(t)) for a stack of sites at once.
+
+    Each site climbs the overlap Re <v0, U phi>: a Newton step on s(t) = 0
+    when it climbs, else a gradient step, each backtracked with the site's
+    own step length.  Once its defect is below the endgame level with the
+    overlap positive, a site takes Newton steps backtracked on |s|.  A site
+    stalls when no step is accepted (a critical point away from the target
+    needs the curvature escape of the orbit climb) or when max_iter steps
+    leave it unconverged.  Returns the coefficients, the iterations of each
+    site and the mask of stalled sites.
+    """
+    t = np.array(t, dtype=float)
+    fscale = np.maximum(1.0, _norms(frame.v0) * _norms(work))
+    _, phi_t, (w, V) = _phi_of(frame, work, t)
+    iterations = np.full(len(work), config.max_iter)
+    live = np.arange(len(work))
     for it in range(config.max_iter):
-        defect = _defect_of(frame, phi_t)
-        z = float(np.vdot(frame.v0, phi_t).real)
-        if defect < config.tol and z >= -config.tol * fscale:
-            return t, U, phi_t, it
-        dphi = _tangents(frame, eig, phi)
-        s = np.real(frame.av0 @ np.conj(phi_t))
-        J = np.real(np.einsum("jn,in->ij", np.conj(dphi), frame.av0))
+        defect = _defect_of(frame, phi_t[live])
+        z = np.real(phi_t[live] @ np.conj(frame.v0))
+        done = (defect < config.tol) & (z >= -config.tol * fscale[live])
+        iterations[live[done]] = it
+        live, defect, z = live[~done], defect[~done], z[~done]
+        if not live.size:
+            break
+        dphi = _tangents(frame, (w[live], V[live]), work[live])
+        s, J = _residual(frame, phi_t[live]), _jacobian(frame, dphi)
+        snorm = _norms(s)
         grad_f = np.real(dphi @ np.conj(frame.v0))
-
-        if defect < config.endgame * fscale and z > 0:
-            got = _endgame_step(frame, J, s, lambda step: _phi_of(frame, phi, t + step))
-            if got is None:
-                raise _Stall
-            t, U, phi_t, eig = t + got[0], *got[1:]
-            continue
-
-        # ascent phase: climb Re<v0, U phi>; Newton first when it climbs
-        stepped = False
-        candidates = []
-        # as in the orbit climb: a gradient below rounding cannot climb off
-        # a non-target critical point, so go straight to the curvature escape
-        if z >= 0 or float(np.linalg.norm(grad_f)) > np.finfo(float).eps * fscale:
-            try:
-                candidates.append(np.linalg.solve(J, -s))
-            except np.linalg.LinAlgError:
-                pass
-            candidates.append(grad_f.copy())
-        for direction in candidates:
+        newton, singular = _newton_directions(J, s)
+        # below the endgame level the overlap's gain is below rounding: backtrack on |s|
+        endgame = (defect < config.endgame * fscale[live]) & (z > 0)
+        fix = endgame & singular
+        newton[fix] = -np.einsum("mji,mj->mi", J[fix], s[fix])
+        # as in the orbit climb: a gradient below rounding cannot climb off a
+        # non-target critical point
+        ascent = ~endgame & ((z >= 0) | (_norms(grad_f) > np.finfo(float).eps * fscale[live]))
+        moved = np.zeros(len(live), dtype=bool)
+        for direction, usable in ((newton, endgame | (ascent & ~singular)), (grad_f, ascent)):
             direction = _capped(direction, frame.trust)
-            slope = float(grad_f @ direction)
-            if slope <= 0:
-                continue
-            lam = 1.0
-            for _ in range(30):
-                t_try = t + lam * direction
-                U_try, phi_try, eig_try = _phi_of(frame, phi, t_try)
-                if float(np.vdot(frame.v0, phi_try).real) >= z + ARMIJO * lam * slope:
-                    t, U, phi_t, eig, stepped = t_try, U_try, phi_try, eig_try, True
-                    break
-                lam *= 0.5
-            if stepped:
-                break
-        if stepped:
-            continue
-
-        # flat gradient away from the target: escape along positive curvature
-        w, W = np.linalg.eigh(_overlap_hessian(frame, phi_t))
-        if w[-1] <= 0:
-            raise _Stall
-        for direction in (W[:, -1], -W[:, -1]):
-            lam = frame.trust
-            for _ in range(30):
-                t_try = t + lam * direction
-                U_try, phi_try, eig_try = _phi_of(frame, phi, t_try)
-                if float(np.vdot(frame.v0, phi_try).real) > z + 1e-14 * fscale:
-                    t, U, phi_t, eig, stepped = t_try, U_try, phi_try, eig_try, True
-                    break
-                lam *= 0.5
-            if stepped:
-                break
-        if not stepped:
-            raise _Stall
-    raise _Stall
+            slope = np.einsum("md,md->m", grad_f, direction)
+            p = np.flatnonzero(usable & ~moved & (endgame | (slope > 0)))
+            ok, t_new, phi_new, (w_new, V_new) = _backtrack(
+                frame, work[live[p]], t[live[p]], direction[p], endgame[p], snorm[p], z[p], slope[p]
+            )
+            q = live[p[ok]]
+            t[q], phi_t[q], w[q], V[q] = t_new[ok], phi_new[ok], w_new[ok], V_new[ok]
+            moved[p[ok]] = True
+        live = live[moved]
+    return t, iterations, iterations == config.max_iter
 
 
 def _group_normalize(
@@ -311,9 +373,9 @@ def _group_normalize(
         z = float(np.vdot(frame.v0, psi).real)
         if _defect_of(frame, psi) < tol and z >= -tol * fscale:
             return psi, U_acc, it
-        s = np.real(frame.av0 @ np.conj(psi))
+        s = _residual(frame, psi)
         snorm = float(np.linalg.norm(s))
-        J = np.real(np.einsum("jn,in->ij", np.conj(frame.alpha @ psi), frame.av0))
+        J = _jacobian(frame, frame.alpha @ psi)
         if snorm < config.endgame * fscale and z > 0:
             # as in the chart: step rounding outweighs the Armijo gain; backtrack on |s|
             got = _endgame_step(frame, J, s, lambda step: _phi_of(frame, psi, step))
@@ -466,26 +528,95 @@ def _lift(
 
 
 def _polish(
-    frame: _Frame, phi: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
+    frame: _Frame, work: np.ndarray, t: np.ndarray, config: UnitaryGaugeConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A few plain Newton steps to push an accepted residual well below tol."""
-    U, phi_t, eig = _phi_of(frame, phi, t)
+    """A few plain Newton steps pushing accepted residuals well below tol, for a
+    stack of sites; a site stops at its first step that does not lower its defect."""
+    t = np.array(t, dtype=float)
+    U, phi_t, (w, V) = _phi_of(frame, work, t)
+    live = np.arange(len(work))
     for _ in range(4):
-        defect = _defect_of(frame, phi_t)
-        if defect < 5e-3 * config.tol:
+        defect = _defect_of(frame, phi_t[live])
+        keep = defect >= 5e-3 * config.tol
+        live, defect = live[keep], defect[keep]
+        if not live.size:
             break
-        dphi = _tangents(frame, eig, phi)
-        s = np.real(frame.av0 @ np.conj(phi_t))
-        J = np.real(np.einsum("jn,in->ij", np.conj(dphi), frame.av0))
-        try:
-            t_try = t + np.linalg.solve(J, -s)
-        except np.linalg.LinAlgError:
-            break
-        U_try, phi_try, eig_try = _phi_of(frame, phi, t_try)
-        if _defect_of(frame, phi_try) >= defect:
-            break
-        t, U, phi_t, eig = t_try, U_try, phi_try, eig_try
+        dphi = _tangents(frame, (w[live], V[live]), work[live])
+        direction, singular = _newton_directions(_jacobian(frame, dphi), _residual(frame, phi_t[live]))
+        t_try = t[live] + direction
+        U_try, phi_try, (w_try, V_try) = _phi_of(frame, work[live], t_try)
+        ok = ~singular & (_defect_of(frame, phi_try) < defect)
+        live = live[ok]
+        t[live], U[live], phi_t[live] = t_try[ok], U_try[ok], phi_try[ok]
+        w[live], V[live] = w_try[ok], V_try[ok]
     return t, U, phi_t
+
+
+def _site_norms(phi: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+    """|phi| per site of a stack (m, n); a zero or non-finite norm raises
+    DegeneratePointError, prefixed by where(k) for the first such site k."""
+    pnrm = _norms(phi)
+    bad = np.flatnonzero(~(np.isfinite(pnrm) & (pnrm > 0)))
+    if bad.size:
+        k = int(bad[0])
+        raise DegeneratePointError(
+            f"{where(k)}field value has norm {pnrm[k]}; it must be finite and nonzero"
+        )
+    return pnrm
+
+
+def _solve_stack(
+    gs: GeneratorSet,
+    frame: _Frame,
+    phi: np.ndarray,
+    pnrm: np.ndarray,
+    t0: np.ndarray,
+    config: UnitaryGaugeConfig,
+    where: Callable[[int], str],
+) -> tuple[np.ndarray, ...]:
+    """Unitary gauge for a stack of values phi (m, n) with norms pnrm, all at once.
+
+    The chart Newton starts every site from its row of t0 (m, d); a site
+    whose chart stalls takes the orbit climb and the lift, one site at a
+    time.  Returns the transforms, points, coefficients, defects,
+    iterations and the mask of sites that took that fallback.  A failure
+    raises DegeneratePointError, prefixed by where(k) for the first failing
+    site k.
+    """
+    m, n = phi.shape
+    d = frame.alpha.shape[0]
+    if d == 0:
+        transforms = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
+        return transforms, phi, np.zeros((m, 0)), np.zeros(m), np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    # the chart coefficients are invariant under rescaling of phi
+    vnrm = float(np.linalg.norm(frame.v0))
+    work = phi * (vnrm / pnrm)[:, None]
+    t, iterations, fallback = _chart_newton(frame, work, t0, config)
+    failure = None
+    for k in np.flatnonzero(fallback):
+        try:
+            psi_star, U_acc, it_a = _group_normalize(frame, work[k], config)
+            t_k, it_b = _lift(gs, frame, work[k], psi_star, U_acc, config)
+        except DegeneratePointError as err:
+            failure = (k, str(err))
+            break
+        if t_k is None:
+            failure = (k, "found the transverse value but no broken-chart coefficients for it")
+            break
+        t[k], iterations[k] = t_k, config.max_iter + it_a + it_b
+    # sites after a failed fallback cannot be the first failure
+    solved = m if failure is None else failure[0]
+    t, U, work_t = _polish(frame, work[:solved], t[:solved], config)
+    defect = _defect_of(frame, work_t)
+    z = np.real(work_t @ np.conj(frame.v0))
+    bad = np.flatnonzero((defect >= config.tol) | (z < -config.tol * max(1.0, vnrm * vnrm)))
+    if bad.size:
+        k = int(bad[0])
+        failure = (k, f"no convergence (goldstone defect {defect[k]:.3e}, overlap {z[k]:.3e})")
+    if failure is not None:
+        raise DegeneratePointError(f"{where(failure[0])}{failure[1]}")
+    points = (U @ phi[..., None])[..., 0]
+    return U, points, t, _defect_of(frame, points), iterations, fallback
 
 
 def solve_unitary_gauge_point(
@@ -495,62 +626,30 @@ def solve_unitary_gauge_point(
     spec: SpectrumResult | None = None,
     config: UnitaryGaugeConfig = UnitaryGaugeConfig(),
     t0: np.ndarray | None = None,
-    _frame: _Frame | None = None,
 ) -> GaugePointResult:
     """Rotate one field value into unitary gauge.
 
     Returns the group element exp(sum t_i a_i) over the broken basis, the
     rotated value, and the residual Goldstone defect.  The point is a
     transverse representative with Re <v0, point> >= 0 (to tol): for the
-    doublet the one with Re <v0, point> maximal, but where the slice meets
-    an orbit at several such points (larger representations) the one
-    reached can depend on the warm start t0.
+    doublet the one with Re <v0, point> maximal.  Where the slice meets an
+    orbit at several such points (larger representations) the one reached
+    depends on the starting coefficients: with t0=None the chart Newton
+    starts from t = 0, so the point depends only on the value.  This is the
+    field solver run on a stack of one site.
     """
-    phi = np.asarray(phi, dtype=complex)
-    pnrm = float(np.linalg.norm(phi))
-    if not (np.isfinite(pnrm) and pnrm > 0):
-        raise DegeneratePointError(f"field value has norm {pnrm}; it must be finite and nonzero")
-    frame = _frame if _frame is not None else _build_frame(gs, v0, spec)
-    d = frame.alpha.shape[0]
-    if d == 0:
-        return GaugePointResult(
-            transform=np.eye(gs.n, dtype=complex),
-            point=phi,
-            coeffs=np.zeros(0),
-            goldstone_defect=0.0,
-            overlap=complex(np.vdot(frame.v0, phi)),
-            iterations=0,
-        )
-    # the chart coefficients are invariant under rescaling of phi
-    vnrm = float(np.linalg.norm(frame.v0))
-    work = phi * (vnrm / pnrm) if vnrm > 0 else phi
-    t_start = np.zeros(d) if t0 is None else np.array(t0, dtype=float)
-    try:
-        t, U, work_t, its = _chart_iterate(frame, work, t_start, config)
-    except _Stall:
-        psi_star, U_acc, it_a = _group_normalize(frame, work, config)
-        t, it_b = _lift(gs, frame, work, psi_star, U_acc, config)
-        if t is None:
-            raise DegeneratePointError(
-                "found the transverse value but no broken-chart coefficients for it"
-            )
-        its = config.max_iter + it_a + it_b
-    t, U, work_t = _polish(frame, work, t, config)
-    defect = _defect_of(frame, work_t)
-    fscale = max(1.0, vnrm * vnrm)
-    z = float(np.vdot(frame.v0, work_t).real)
-    if defect >= config.tol or z < -config.tol * fscale:
-        raise DegeneratePointError(
-            f"no convergence (goldstone defect {defect:.3e}, overlap {z:.3e})"
-        )
-    point = U @ phi
+    phi = np.asarray(phi, dtype=complex)[None]
+    pnrm = _site_norms(phi, lambda k: "")
+    frame = _build_frame(gs, v0, spec)
+    start = np.zeros((1, frame.alpha.shape[0])) if t0 is None else np.array(t0, dtype=float)[None]
+    U, point, t, defect, iterations, _ = _solve_stack(gs, frame, phi, pnrm, start, config, lambda k: "")
     return GaugePointResult(
-        transform=U,
-        point=point,
-        coeffs=t,
-        goldstone_defect=_defect_of(frame, point),
-        overlap=complex(np.vdot(frame.v0, point)),
-        iterations=its,
+        transform=U[0],
+        point=point[0],
+        coeffs=t[0],
+        goldstone_defect=float(defect[0]),
+        overlap=complex(np.vdot(frame.v0, point[0])),
+        iterations=int(iterations[0]),
     )
 
 
@@ -560,6 +659,7 @@ class GaugeFieldResult:
     transformed: np.ndarray  # (*shape, n)
     defects: np.ndarray  # (*shape,)
     iterations: np.ndarray  # (*shape,)
+    fallback: np.ndarray  # (*shape,) bool: the chart stalled; orbit climb and lift ran
 
     @property
     def max_defect(self) -> float:
@@ -575,33 +675,42 @@ def apply_unitary_gauge_field(
 ) -> GaugeFieldResult:
     """Solve the pointwise problem across a grid field.
 
-    Sites are swept in lexicographic order, each warm-started from its
-    predecessor's exponential coordinates.  A failing site raises
-    DegeneratePointError naming the site.
+    Sites are independent: all are solved together, in blocks of _BLOCK,
+    each starting from t = 0, so a site's result does not depend on its
+    neighbours or on their order.  A zero or non-finite value, or a site
+    that fails, raises DegeneratePointError naming the first such site in
+    lexicographic order; values are checked before any is solved.
     """
     field = np.asarray(field, dtype=complex)
     if field.shape[-1] != gs.n:
         raise ValueError(f"field must have {gs.n} components on the last axis")
     shape = field.shape[:-1]
+    flat = field.reshape(-1, gs.n)
+
+    def site(k: int) -> str:
+        return f"site {tuple(int(i) for i in np.unravel_index(k, shape))}: "
+
+    pnrm = _site_norms(flat, site)
     frame = _build_frame(gs, v0, spec)
     d = frame.alpha.shape[0]
-    transforms = np.empty(shape + (gs.n, gs.n), dtype=complex)
-    transformed = np.empty(shape + (gs.n,), dtype=complex)
-    defects = np.empty(shape)
-    iterations = np.empty(shape, dtype=int)
-    warm = np.zeros(d)
-    for idx in np.ndindex(*shape):
-        try:
-            res = solve_unitary_gauge_point(
-                gs, v0, field[idx], config=config, t0=warm, _frame=frame
+    m, n = flat.shape
+    transforms = np.empty((m, n, n), dtype=complex)
+    transformed = np.empty((m, n), dtype=complex)
+    defects = np.empty(m)
+    iterations = np.empty(m, dtype=int)
+    fallback = np.empty(m, dtype=bool)
+    for start in range(0, m, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rows = flat[block]
+        (transforms[block], transformed[block], _, defects[block], iterations[block], fallback[block]) = (
+            _solve_stack(
+                gs, frame, rows, pnrm[block], np.zeros((len(rows), d)), config, lambda k: site(start + k)
             )
-        except DegeneratePointError as err:
-            raise DegeneratePointError(f"site {idx}: {err}") from err
-        warm = res.coeffs
-        transforms[idx] = res.transform
-        transformed[idx] = res.point
-        defects[idx] = res.goldstone_defect
-        iterations[idx] = res.iterations
+        )
     return GaugeFieldResult(
-        transforms=transforms, transformed=transformed, defects=defects, iterations=iterations
+        transforms=transforms.reshape(shape + (n, n)),
+        transformed=transformed.reshape(shape + (n,)),
+        defects=defects.reshape(shape),
+        iterations=iterations.reshape(shape),
+        fallback=fallback.reshape(shape),
     )

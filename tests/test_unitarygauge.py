@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from ssbspec.breaking import spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
+from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec import unitarygauge
 from ssbspec.liecore import GeneratorSet, skew_eigh
 from ssbspec.modelfile import parse_model_file
+from test_goldens import TWIST_PHI
 from ssbspec.unitarygauge import (
     DegeneratePointError,
     UnitaryGaugeConfig,
@@ -167,6 +169,89 @@ def test_zero_site_reports_its_location():
         apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
 
 
+def test_first_of_two_degenerate_sites_is_named():
+    field = np.ones((3, 4, 2), dtype=complex)
+    field[2, 1] = np.nan
+    field[0, 3] = 0.0
+    with pytest.raises(DegeneratePointError, match=r"^site \(0, 3\): field value has norm 0\.0"):
+        apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+
+
+def test_first_of_two_failing_fallbacks_is_named(monkeypatch):
+    # (0, -1) is a critical point of the overlap away from the target: the
+    # chart stalls there and the orbit climb, made to fail here, takes over
+    field = np.tile(np.array([0.1, 1.0], dtype=complex), (3, 4, 1))
+    field[2, 1] = field[1, 3] = [0.0, -1.0]
+
+    def climb(frame, phi, config):
+        raise DegeneratePointError("orbit climb did not converge")
+
+    monkeypatch.setattr(unitarygauge, "_group_normalize", climb)
+    # both sites in the second block of five: the name counts from the field's start
+    monkeypatch.setattr(unitarygauge, "_BLOCK", 5)
+    with pytest.raises(DegeneratePointError, match=r"^site \(1, 3\): orbit climb did not converge$"):
+        apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+
+
+SPIN1 = GeneratorSet(su2_irrep(3))
+SPIN1_V0 = np.ones(3) / np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("gs, v0", [(GS, V0), (SPIN1, SPIN1_V0)], ids=["doublet", "spin1"])
+def test_sweep_is_independent_of_site_order(gs, v0, monkeypatch):
+    # rough values: the spin-1 slice meets an orbit at several points, which
+    # a start from a neighbour's coefficients could pick differently; -1.3 v0
+    # is a critical point of the overlap away from the target, where the
+    # chart stalls and the fallback runs
+    rng = np.random.default_rng(41)
+    n = gs.n
+    field = v0 + rng.uniform(0.5, 2.5, size=(5, 6, 1)) * (
+        rng.normal(size=(5, 6, n)) + 1j * rng.normal(size=(5, 6, n))
+    )
+    field[3, 2] = -1.3 * v0
+    perm = rng.permutation(30)
+    out = apply_unitary_gauge_field(gs, v0, field)
+    # and in blocks of seven sites instead of one block
+    monkeypatch.setattr(unitarygauge, "_BLOCK", 7)
+    shuffled = apply_unitary_gauge_field(gs, v0, field.reshape(30, n)[perm].reshape(5, 6, n))
+    assert out.fallback.any()
+    for name in ("transformed", "transforms", "defects"):
+        got = getattr(shuffled, name).reshape(30, -1)
+        np.testing.assert_allclose(got, getattr(out, name).reshape(30, -1)[perm], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(shuffled.iterations.ravel(), out.iterations.ravel()[perm])
+    np.testing.assert_array_equal(shuffled.fallback.ravel(), out.fallback.ravel()[perm])
+    for idx in np.ndindex(5, 6):
+        cold = solve_unitary_gauge_point(gs, v0, field[idx], t0=None)
+        np.testing.assert_allclose(out.transformed[idx], cold.point, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.transforms[idx], cold.transform, rtol=0, atol=1e-12)
+        assert out.iterations[idx] == cold.iterations
+
+
+def test_one_stalled_site_inside_a_batch(monkeypatch):
+    # only the TWIST_PHI site stalls in the chart; it alone takes the orbit
+    # climb and the lift, and counts their iterations as the point solver does
+    grid = Grid(dim=2, shape=(4, 5), spacing=0.25)
+    field = V0 + 0.35 * smooth_multiplet_field(grid, 2, 3)
+    field[2, 3] = TWIST_PHI
+    point = solve_unitary_gauge_point(GS, V0, TWIST_PHI, spec=SPEC)
+    climbs = _spy_climb(monkeypatch)
+    lifts = []
+    lift = unitarygauge._lift
+    monkeypatch.setattr(
+        unitarygauge, "_lift", lambda *a: lifts.append(lift(*a)) or lifts[-1]
+    )
+    calls = _spy_gauss_newton(monkeypatch)
+    out = apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+    assert np.argwhere(out.fallback).tolist() == [[2, 3]]
+    assert len(climbs) == 1 and len(lifts) == 1
+    np.testing.assert_allclose(climbs[0][0], TWIST_PHI * W / np.linalg.norm(TWIST_PHI), atol=1e-15)
+    expected = UnitaryGaugeConfig().max_iter + climbs[0][1][2] + lifts[0][1]
+    assert lifts[0][1] == sum(used for _, used in calls)
+    assert out.iterations[2, 3] == expected == point.iterations
+    np.testing.assert_allclose(out.transformed[2, 3], point.point, rtol=0, atol=1e-12)
+    assert out.max_defect < 1e-10
+
+
 def test_tight_iteration_budget_raises():
     cfg = UnitaryGaugeConfig(max_iter=0)
     with pytest.raises(DegeneratePointError):
@@ -186,23 +271,29 @@ def _spy_gauss_newton(monkeypatch) -> list:
     return calls
 
 
+def _spy_climb(monkeypatch) -> list:
+    """Records (phi, (psi, U_acc, iterations)) for each orbit climb."""
+    climbs = []
+    climb = unitarygauge._group_normalize
+
+    def spy(frame, phi, config):
+        climbs.append((phi, climb(frame, phi, config)))
+        return climbs[-1][1]
+
+    monkeypatch.setattr(unitarygauge, "_group_normalize", spy)
+    return climbs
+
+
 def test_twist_scan_lifts_when_log_start_fails(monkeypatch):
     # measured: the chart Newton stalls from t = 0, Gauss-Newton from the
     # broken part of log U_acc fails, and the stabilizer twist finds the
     # chart coefficients; the failed attempt counts toward the iterations
-    phi = np.array(
-        [0.9623332796875556 + 1.087589351073743j, -2.8423182230285127 + 0.1524980492210118j]
-    )
     calls = _spy_gauss_newton(monkeypatch)
-    climbs = []
-    climb = unitarygauge._group_normalize
-    monkeypatch.setattr(
-        unitarygauge, "_group_normalize", lambda *a: climbs.append(climb(*a)) or climbs[-1]
-    )
-    res = solve_unitary_gauge_point(GS, V0, phi, t0=np.zeros(3))
+    climbs = _spy_climb(monkeypatch)
+    res = solve_unitary_gauge_point(GS, V0, TWIST_PHI, t0=np.zeros(3))
     assert [ok for ok, _ in calls] == [False, True]
     spent = sum(used for _, used in calls)
-    assert res.iterations == UnitaryGaugeConfig().max_iter + climbs[0][2] + spent
+    assert res.iterations == UnitaryGaugeConfig().max_iter + climbs[0][1][2] + spent
     assert res.goldstone_defect < 1e-10
 
 
