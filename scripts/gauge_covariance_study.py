@@ -8,7 +8,7 @@ differences should give orders near 2.
 import argparse
 
 from ssbspec.electroweak import build_generators
-from ssbspec.latticefields import Grid, convergence_orders, strength_covariance_defect
+from ssbspec.latticefields import Grid, convergence_orders
 
 
 def main():
@@ -27,10 +27,7 @@ def main():
     print("seed   derivative orders        strength orders")
     seen = []
     for seed in range(args.seeds):
-        der = convergence_orders(gs, grid, seed=seed, refinements=args.refine)
-        stre = convergence_orders(
-            gs, grid, seed=seed, refinements=args.refine, measure=strength_covariance_defect
-        )
+        der, stre = convergence_orders(gs, grid, seed=seed, refinements=args.refine)
         seen += [*der.orders, *stre.orders]
         d = "  ".join(f"{o:.4f}" for o in der.orders)
         s = "  ".join(f"{o:.4f}" for o in stre.orders)

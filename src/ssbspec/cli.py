@@ -39,12 +39,9 @@ from .latticefields import (
     convergence_orders,
     gauge_transform_gauge,
     gauge_transform_matter,
-    higgs_density,
     klein_gordon_density,
-    quadratic_expansion_check,
     smooth_gauge_field,
     smooth_multiplet_field,
-    strength_covariance_defect,
     yang_mills_density,
     field_strength,
 )
@@ -335,10 +332,7 @@ def _cmd_gauge_check(args, out) -> int:
     extent = args.grid if args.grid is not None else 16
     refine = args.refine if args.refine is not None else 2
     base = Grid(dim=2, shape=(extent, extent), spacing=1.0 / extent, metric=args.metric)
-    der = convergence_orders(gs, base, seed=seed, refinements=refine)
-    stren = convergence_orders(
-        gs, base, seed=seed, refinements=refine, measure=strength_covariance_defect
-    )
+    der, stren = convergence_orders(gs, base, seed=seed, refinements=refine)
     lo, hi = ORDER_BAND
     orders_ok = all(lo <= o <= hi for o in der.orders + stren.orders)
 
@@ -403,13 +397,21 @@ def _cmd_gauge_check(args, out) -> int:
 # argument plumbing
 
 
+def _tolerance(text: str) -> float:
+    """--tol value: a finite positive number."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
 def _add_common(sp, model_required=True, with_model=True):
     if with_model:
         sp.add_argument(
             "--model", required=model_required, help="model file path", default=None
         )
     sp.add_argument("--seed", type=int, default=None, help=f"rng seed (or ${ENV_SEED})")
-    sp.add_argument("--tol", type=float, default=None, help="pass/fail tolerance")
+    sp.add_argument("--tol", type=_tolerance, default=None, help="pass/fail tolerance")
     sp.add_argument(
         "--format",
         choices=("table", "machine"),
@@ -473,7 +475,7 @@ def main(argv=None, stdout=None) -> int:
         for issue in err.issues:
             out.write(f"error: {issue}\n")
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:
         out.write(f"error: {err}\n")
         return 2
     except (

@@ -11,8 +11,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .breaking import SpectrumResult
@@ -30,8 +28,8 @@ __all__ = [
     "TransformedGauge",
     "central_difference",
     "convergence_orders",
+    "covariance_defects",
     "covariant_derivative",
-    "derivative_covariance_defect",
     "field_strength",
     "gauge_matrices",
     "gauge_transform_gauge",
@@ -43,7 +41,6 @@ __all__ = [
     "smooth_multiplet_field",
     "smooth_scalar_field",
     "smooth_transform_field",
-    "strength_covariance_defect",
     "total_action",
     "yang_mills_density",
 ]
@@ -238,17 +235,22 @@ def yang_mills_density(grid: Grid, f: np.ndarray) -> np.ndarray:
     return -0.25 * np.einsum("m,n,...mnr,...mnr->...", s, s, f, f)
 
 
+def _add_kinetic(gs, grid, a, psi, out) -> np.ndarray:
+    """out + sum_mu s_mu |nabla_mu psi|^2, added one direction at a time."""
+    s = grid.signs
+    for mu in range(grid.dim):
+        grad = covariant_derivative(gs, grid, a, psi, mu)
+        out = out + s[mu] * np.einsum("...i,...i->...", grad.conj(), grad).real
+    return out
+
+
 def klein_gordon_density(
     gs: GeneratorSet, grid: Grid, a: np.ndarray | None, psi: np.ndarray, mass: float
 ) -> np.ndarray:
     """(nabla^mu psi)^dag (nabla_mu psi) - m^2 psi^dag psi."""
     psi = np.asarray(psi, dtype=complex)
-    s = grid.signs
-    out = -(mass**2) * np.einsum("...i,...i->...", psi.conj(), psi).real
-    for mu in range(grid.dim):
-        grad = covariant_derivative(gs, grid, a, psi, mu)
-        out = out + s[mu] * np.einsum("...i,...i->...", grad.conj(), grad).real
-    return out
+    mass_term = -(mass**2) * np.einsum("...i,...i->...", psi.conj(), psi).real
+    return _add_kinetic(gs, grid, a, psi, mass_term)
 
 
 def _potential_field(potential, phi: np.ndarray) -> np.ndarray:
@@ -260,12 +262,7 @@ def higgs_density(
 ) -> np.ndarray:
     """(nabla^mu phi)^dag (nabla_mu phi) - V(phi)."""
     phi = np.asarray(phi, dtype=complex)
-    s = grid.signs
-    out = -_potential_field(potential, phi)
-    for mu in range(grid.dim):
-        grad = covariant_derivative(gs, grid, a, phi, mu)
-        out = out + s[mu] * np.einsum("...i,...i->...", grad.conj(), grad).real
-    return out
+    return _add_kinetic(gs, grid, a, phi, -_potential_field(potential, phi))
 
 
 @dataclass(frozen=True)
@@ -374,19 +371,7 @@ def smooth_transform_field(
 # covariance measurements
 
 
-def derivative_covariance_defect(
-    gs: GeneratorSet,
-    grid: Grid,
-    a: np.ndarray,
-    psi: np.ndarray,
-    sigma: np.ndarray,
-) -> float:
-    """Root-mean-square of nabla'_mu (sigma psi) - sigma nabla_mu psi.
-
-    RMS over sites, components, and directions; the mean-square norm
-    keeps refinement ratios clean where a max would jump between sites.
-    """
-    a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
+def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
     psi_prime = gauge_transform_matter(sigma, psi)
     gaps = []
     for mu in range(grid.dim):
@@ -396,11 +381,7 @@ def derivative_covariance_defect(
     return float(np.sqrt(np.mean(gaps)))
 
 
-def strength_covariance_defect(
-    gs: GeneratorSet, grid: Grid, a: np.ndarray, sigma: np.ndarray
-) -> float:
-    """Root-mean-square of F(A') - sigma F(A) sigma^-1, as matrices."""
-    a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
+def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime))
     f = gauge_matrices(gs, field_strength(gs, grid, a))
     sigma_inv = sigma.conj().swapaxes(-1, -2)
@@ -408,42 +389,56 @@ def strength_covariance_defect(
     return float(np.sqrt(np.mean(np.abs(f_prime - conj) ** 2)))
 
 
+def covariance_defects(
+    gs: GeneratorSet, grid: Grid, a: np.ndarray, psi: np.ndarray, sigma: np.ndarray
+) -> tuple[float, float]:
+    """(derivative, strength): root-mean-square defects of both identities.
+
+    The RMS of nabla'_mu (sigma psi) - sigma nabla_mu psi over sites,
+    components and directions, and of F(A') - sigma F(A) sigma^-1 as
+    matrices, both from one A'.  The mean-square norm keeps refinement
+    ratios clean where a max would jump between sites.
+    """
+    a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
+    return (
+        _derivative_defect(gs, grid, a, a_prime, psi, sigma),
+        _strength_defect(gs, grid, a, a_prime, sigma),
+    )
+
+
 @dataclass(frozen=True)
 class OrderMeasurement:
     defects: tuple[float, ...]  # per grid, coarse to fine
-    orders: tuple[float, ...]  # log2 ratios between consecutive grids
+
+    @property
+    def orders(self) -> tuple[float, ...]:
+        """log2 ratios between consecutive grids."""
+        d = self.defects
+        return tuple(float(np.log2(d[k] / d[k + 1])) for k in range(len(d) - 1))
 
 
 def convergence_orders(
-    gs: GeneratorSet,
-    grid: Grid,
-    seed: int = 0,
-    refinements: int = 2,
-    measure: Callable[[GeneratorSet, Grid, np.ndarray, np.ndarray, np.ndarray], float]
-    | None = None,
-) -> OrderMeasurement:
-    """Measured convergence order of a covariance defect under refinement.
+    gs: GeneratorSet, grid: Grid, seed: int = 0, refinements: int = 2
+) -> tuple[OrderMeasurement, OrderMeasurement]:
+    """Measured convergence orders of both covariance defects under refinement.
 
-    The smooth test fields are resampled from the same continuum data on
-    each grid, so the defect sequence estimates the discretization order
-    (2 for central differences).
+    Returns (derivative, strength), as in covariance_defects.  Each of
+    the refinements + 1 grids gets one set of smooth test fields and one
+    gauge transform, which both defects share.  The fields are resampled
+    from the same continuum data on each grid, so each defect sequence
+    estimates the discretization order (2 for central differences).
     """
-    if measure is None:
-        measure = derivative_covariance_defect
-    defects = []
+    if refinements < 1:
+        raise LatticeError(f"refinements must be at least 1 to measure an order, got {refinements}")
+    levels = []
     for level in range(refinements + 1):
         g = grid.refined(2**level)
         a = smooth_gauge_field(g, gs.r, seed)
         psi = smooth_multiplet_field(g, gs.n, seed + 1)
         sigma = smooth_transform_field(gs, g, seed + 2)
-        if measure is strength_covariance_defect:
-            defects.append(measure(gs, g, a, sigma))
-        else:
-            defects.append(measure(gs, g, a, psi, sigma))
-    orders = tuple(
-        float(np.log2(defects[k] / defects[k + 1])) for k in range(len(defects) - 1)
-    )
-    return OrderMeasurement(defects=tuple(float(x) for x in defects), orders=orders)
+        levels.append(covariance_defects(gs, g, a, psi, sigma))
+    derivative, strength = zip(*levels)
+    return OrderMeasurement(derivative), OrderMeasurement(strength)
 
 
 # ---------------------------------------------------------------------------

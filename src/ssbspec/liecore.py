@@ -127,15 +127,19 @@ class GeneratorSet:
         resid = (M - recon).reshape(M.shape[:-2] + (-1,))
         return coeffs, np.linalg.norm(resid, axis=-1)
 
+    def _brackets(self):
+        """Every [g_i, g_j], shape (r, r, n, n), and its projection (c, defect)."""
+        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
+        brackets = prod - np.transpose(prod, (1, 0, 2, 3))
+        return (brackets, *self.project(brackets))
+
     def structure_constants(self, tol_alg: float = 1e-10) -> np.ndarray:
         """c with [g_i, g_j] = sum_k c[i, j, k] g_k.
 
         Raises GeneratorError if some bracket leaves the span (the basis
         does not close under commutators).
         """
-        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
-        brackets = prod - np.transpose(prod, (1, 0, 2, 3))
-        c, defect = self.project(brackets)
+        brackets, c, defect = self._brackets()
         scale = max(1.0, float(np.max(np.abs(brackets))))
         worst = float(np.max(defect))
         if worst > tol_alg * scale:
@@ -149,10 +153,7 @@ class GeneratorSet:
 
     def closure_defect(self) -> float:
         """Largest Frobenius distance of a bracket from the span."""
-        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
-        brackets = prod - np.transpose(prod, (1, 0, 2, 3))
-        _, defect = self.project(brackets)
-        return float(np.max(defect))
+        return float(np.max(self._brackets()[2]))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from ssbspec.latticefields import (
     quadratic_expansion_check,
     smooth_gauge_field,
     smooth_multiplet_field,
-    strength_covariance_defect,
     yang_mills_density,
 )
 from ssbspec.liecore import exponentiate, realify, unrealify
@@ -157,8 +156,7 @@ def test_06_discrete_gauge_covariance_is_second_order():
     gs = build_generators(PARAMS.g, PARAMS.gp)
     grid = Grid(dim=2, shape=(16, 16), spacing=1.0 / 16.0)
 
-    derivative = convergence_orders(gs, grid, seed=0, refinements=2)
-    strength = convergence_orders(gs, grid, seed=0, refinements=2, measure=strength_covariance_defect)
+    derivative, strength = convergence_orders(gs, grid, seed=0, refinements=2)
     for order in (*derivative.orders, *strength.orders):
         assert ORDER_BAND[0] <= order <= ORDER_BAND[1]
 

@@ -156,10 +156,27 @@ def test_gauge_check_orders():
     assert text2 == text
 
 
-def test_parse_errors_exit_2():
-    code, text = run("spectrum", "--model", MODEL.replace(".model", ".missing"))
+@pytest.mark.parametrize("refine", ["0", "-1"])
+def test_gauge_check_without_refinement_measures_nothing(refine):
+    code, text = run("gauge-check", "--grid", "8", "--refine", refine)
     assert code == 2
-    assert "error:" in text
+    assert text == f"error: refinements must be at least 1 to measure an order, got {refine}\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tolerance_is_rejected_at_the_flag(tol, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run("unitary-gauge", "--model", MODEL, "--tol", tol)
+    assert exit_.value.code == 2
+    assert f"argument --tol: expected a finite positive number, got '{tol}'" in capsys.readouterr().err
+
+
+def test_parse_errors_exit_2():
+    # a missing file and a directory: both name the path, neither raises
+    for path in (MODEL.replace(".model", ".missing"), "models"):
+        code, text = run("spectrum", "--model", path)
+        assert code == 2
+        assert text.startswith("error:") and repr(path) in text
 
 
 def test_bad_model_reports_located_issue(tmp_path):

@@ -10,6 +10,7 @@ Closed forms used below:
 import numpy as np
 import pytest
 
+from ssbspec import latticefields
 from ssbspec.breaking import spectrum
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec.latticefields import (
@@ -20,8 +21,8 @@ from ssbspec.latticefields import (
     NotUnitaryGaugeError,
     central_difference,
     convergence_orders,
+    covariance_defects,
     covariant_derivative,
-    derivative_covariance_defect,
     field_strength,
     gauge_matrices,
     gauge_transform_gauge,
@@ -33,7 +34,6 @@ from ssbspec.latticefields import (
     smooth_multiplet_field,
     smooth_scalar_field,
     smooth_transform_field,
-    strength_covariance_defect,
     total_action,
     yang_mills_density,
 )
@@ -167,10 +167,34 @@ def test_shape_validation_errors():
 
 def test_covariance_orders_second_order():
     base = Grid(dim=2, shape=(16, 16), spacing=1.0 / 16)
-    der = convergence_orders(GS, base, seed=3)
+    der, stren = convergence_orders(GS, base, seed=3)
     assert all(1.9 <= o <= 2.1 for o in der.orders)
-    stren = convergence_orders(GS, base, seed=3, measure=strength_covariance_defect)
     assert all(1.9 <= o <= 2.1 for o in stren.orders)
+
+
+def test_convergence_orders_transform_once_per_level(monkeypatch):
+    calls = {"gauge_transform_gauge": 0, "smooth_transform_field": 0}
+
+    def spy(name):
+        real = getattr(latticefields, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(latticefields, name, counted)
+
+    spy("gauge_transform_gauge")
+    spy("smooth_transform_field")
+    base = Grid(dim=2, shape=(8, 8), spacing=1.0 / 8)
+    der, stren = convergence_orders(GS, base, seed=5, refinements=2)
+    assert calls == {"gauge_transform_gauge": 3, "smooth_transform_field": 3}
+    for level in range(3):
+        g = base.refined(2**level)
+        a = smooth_gauge_field(g, GS.r, 5)
+        psi = smooth_multiplet_field(g, GS.n, 6)
+        sigma = smooth_transform_field(GS, g, 7)
+        assert covariance_defects(GS, g, a, psi, sigma) == (der.defects[level], stren.defects[level])
 
 
 def test_constant_transform_leaves_densities_invariant():
@@ -247,4 +271,4 @@ def test_derivative_covariance_small_on_smooth_data():
     a = smooth_gauge_field(grid, GS.r, seed=1)
     psi = smooth_multiplet_field(grid, GS.n, seed=2)
     sigma = smooth_transform_field(GS, grid, seed=3)
-    assert derivative_covariance_defect(GS, grid, a, psi, sigma) < 0.1
+    assert covariance_defects(GS, grid, a, psi, sigma)[0] < 0.1
