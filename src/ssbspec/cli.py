@@ -95,7 +95,12 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as err:
+        raise ValueError(f"{ENV_SEED}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +410,19 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """--seed or $SSB_SPECTRUM_SEED value: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp, model_required=True, with_model=True):
     if with_model:
         sp.add_argument(
             "--model", required=model_required, help="model file path", default=None
         )
-    sp.add_argument("--seed", type=int, default=None, help=f"rng seed (or ${ENV_SEED})")
+    sp.add_argument("--seed", type=_seed, default=None, help=f"rng seed (or ${ENV_SEED})")
     sp.add_argument("--tol", type=_tolerance, default=None, help="pass/fail tolerance")
     sp.add_argument(
         "--format",

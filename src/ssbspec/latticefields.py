@@ -138,7 +138,8 @@ def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def gauge_matrices(gs: GeneratorSet, a: np.ndarray) -> np.ndarray:
     """Coefficient field (..., r) to matrix field (..., n, n)."""
-    return np.einsum("...r,rij->...ij", np.asarray(a, dtype=float), gs.matrices)
+    a = np.asarray(a, dtype=float)
+    return (a.reshape(-1, gs.r) @ gs.matrices.reshape(gs.r, -1)).reshape(a.shape[:-1] + (gs.n, gs.n))
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,10 @@ def gauge_transform_gauge(
     valued sigma the result leaves the generator span by O(h^2); the
     projection defect records how much.  Passing tol_proj makes a larger
     defect an error.  A sigma that is not sitewise unitary is rejected.
+
+    The conjugation is two chained products over all directions at once;
+    the derivative term is then subtracted one direction at a time, and
+    GeneratorSet.project maps every site back to coefficients in one solve.
     """
     sigma = np.asarray(sigma, dtype=complex)
     a = np.asarray(a, dtype=float)
@@ -175,13 +180,17 @@ def gauge_transform_gauge(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
     sigma_inv = sigma.conj().swapaxes(-1, -2)
-    mats = gauge_matrices(gs, a)  # (*shape, D, n, n)
-    conjugated = np.einsum("...ij,...djk,...kl->...dil", sigma, mats, sigma_inv)
-    dsig = np.stack(
-        [central_difference(grid, sigma, mu) for mu in range(grid.dim)], axis=grid.dim
+    # the (*shape, D, n, n) matrix field and sigma A are freed once conjugated
+    conjugated = np.einsum(
+        "...dik,...kl->...dil",
+        np.einsum("...ij,...djk->...dik", sigma, gauge_matrices(gs, a)),
+        sigma_inv,
     )
-    inhomog = np.einsum("...dij,...jk->...dik", dsig, sigma_inv)
-    coeffs, defect = gs.project(conjugated - inhomog)
+    for mu in range(grid.dim):
+        conjugated[..., mu, :, :] -= np.einsum(
+            "...ij,...jk->...ik", central_difference(grid, sigma, mu), sigma_inv
+        )
+    coeffs, defect = gs.project(conjugated)
     worst = float(np.max(defect)) if defect.size else 0.0
     if tol_proj is not None and worst > tol_proj:
         raise NonGroupTransformError(
@@ -200,7 +209,7 @@ def covariant_derivative(
     if a is None:
         return dpsi
     a = np.asarray(a, dtype=float)
-    return dpsi + np.einsum("...r,rij,...j->...i", a[..., mu, :], gs.matrices, psi)
+    return dpsi + np.einsum("...ij,...j->...i", gauge_matrices(gs, a[..., mu, :]), psi)
 
 
 def field_strength(
@@ -215,14 +224,15 @@ def field_strength(
     a = np.asarray(a, dtype=float)
     _check_grid_axes(grid, a, 2, "gauge field")
     c = gs.structure_constants(tol_alg=tol_alg)
-    D = grid.dim
-    F = np.zeros(grid.shape + (D, D, gs.r))
+    D, r = grid.dim, gs.r
+    F = np.zeros(grid.shape + (D, D, r))
     for mu in range(D):
         for nu in range(mu + 1, D):
             curl = central_difference(grid, a[..., nu, :], mu) - central_difference(
                 grid, a[..., mu, :], nu
             )
-            bracket = np.einsum("...i,...j,ijk->...k", a[..., mu, :], a[..., nu, :], c)
+            outer = a[..., mu, :, None] * a[..., nu, None, :]
+            bracket = (outer.reshape(-1, r * r) @ c.reshape(r * r, r)).reshape(curl.shape)
             F[..., mu, nu, :] = curl + bracket
             F[..., nu, mu, :] = -(curl + bracket)
     return F
@@ -364,7 +374,7 @@ def smooth_transform_field(
         [_eval_waves(grid, _wave_set(rng, grid.dim, terms), scale) for _ in range(gs.r)],
         axis=-1,
     )
-    return expm_skew(np.einsum("...r,rij->...ij", coeffs, gs.matrices))
+    return expm_skew(gauge_matrices(gs, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +392,13 @@ def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
 
 
 def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
-    f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime))
-    f = gauge_matrices(gs, field_strength(gs, grid, a))
-    sigma_inv = sigma.conj().swapaxes(-1, -2)
-    conj = np.einsum("...ij,...mnjk,...kl->...mnil", sigma, f, sigma_inv)
-    return float(np.sqrt(np.mean(np.abs(f_prime - conj) ** 2)))
+    # F is antisymmetric: the planes mu < nu hold half the mean square over (D, D)
+    mu, nu = np.triu_indices(grid.dim, 1)
+    f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime)[..., mu, nu, :])
+    f = gauge_matrices(gs, field_strength(gs, grid, a)[..., mu, nu, :])
+    conj = np.einsum("...pik,...lk->...pil", np.einsum("...ij,...pjk->...pik", sigma, f), sigma.conj())
+    gap = np.sum(np.abs(f_prime - conj) ** 2)
+    return float(np.sqrt(2.0 * gap / (grid.site_count * grid.dim**2 * gs.n**2)))
 
 
 def covariance_defects(

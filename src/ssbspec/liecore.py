@@ -108,6 +108,10 @@ class GeneratorSet:
     def project(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project matrices onto the real span of the basis.
 
+        The right-hand sides Re tr(g_i^dagger M) are one real matmul over
+        the interleaved (re, im) views of all matrices, and one solve with
+        the Gram matrix serves every matrix at once.
+
         Parameters
         ----------
         mats : (..., n, n) complex ndarray
@@ -118,14 +122,17 @@ class GeneratorSet:
         defect : (...) real ndarray
             Frobenius distance between each matrix and its projection.
         """
-        M = np.asarray(mats, dtype=complex)
+        M = np.ascontiguousarray(mats, dtype=complex)
         if M.shape[-2:] != (self.n, self.n):
             raise GeneratorError(f"expected trailing shape ({self.n}, {self.n})")
-        b = np.real(np.einsum("rij,...ij->...r", np.conj(self.matrices), M))
-        coeffs = np.linalg.solve(self.gram(), b[..., None])[..., 0]
-        recon = np.einsum("...r,rij->...ij", coeffs, self.matrices)
-        resid = (M - recon).reshape(M.shape[:-2] + (-1,))
-        return coeffs, np.linalg.norm(resid, axis=-1)
+        basis = self.matrices.reshape(self.r, -1)
+        flat = M.reshape(-1, basis.shape[1])
+        b = flat.view(float) @ basis.view(float).T
+        coeffs = np.linalg.solve(self.gram(), b.T).T
+        resid = coeffs @ basis
+        np.subtract(flat, resid, out=resid)
+        lead = M.shape[:-2]
+        return coeffs.reshape(lead + (self.r,)), np.linalg.norm(resid, axis=-1).reshape(lead)
 
     def _brackets(self):
         """Every [g_i, g_j], shape (r, r, n, n), and its projection (c, defect)."""

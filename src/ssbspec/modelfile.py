@@ -82,10 +82,15 @@ def _is_number(value) -> bool:
 
 
 def parse_document(text: str) -> Document:
+    return _parse_lines(text)[0]
+
+
+def _parse_lines(text: str) -> tuple[Document, dict]:
+    """The document, and the line of each (section, key) and section header (section, None)."""
     doc: Document = {}
+    lines = {}
     issues = []
     section = ""
-    section_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -97,7 +102,7 @@ def parse_document(text: str) -> Document:
                 issues.append(ParseIssue(lineno, section, "duplicate section"))
             else:
                 doc[section] = {}
-                section_lines[section] = lineno
+                lines[(section, None)] = lineno
             continue
         m = _ENTRY_RE.match(line)
         if not m:
@@ -114,9 +119,10 @@ def parse_document(text: str) -> Document:
             doc[section][key] = json.loads(value_text, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as err:
             issues.append(ParseIssue(lineno, section, f"bad value for {key!r}: {err.msg}"))
+        lines[(section, key)] = lineno
     if issues:
         raise ModelFileError(issues)
-    return doc
+    return doc, lines
 
 
 def _format_float(x: float) -> str:
@@ -173,60 +179,62 @@ class ModelBundle:
     grid: Grid | None
 
 
-def _complex_array(value, issues, lineno_section, name):
+def _complex_array(value, issue, section, key):
     """Nested [re, im] lists to a complex ndarray; issues on ragged data."""
     try:
         arr = np.array(value, dtype=float)
     except (ValueError, TypeError):
-        issues.append(ParseIssue(0, lineno_section, f"{name}: ragged or non-numeric array"))
+        issue(section, f"{key}: ragged or non-numeric array", key)
         return None
     if arr.ndim < 1 or arr.shape[-1] != 2:
-        issues.append(
-            ParseIssue(0, lineno_section, f"{name}: innermost entries must be [re, im] pairs")
-        )
+        issue(section, f"{key}: innermost entries must be [re, im] pairs", key)
         return None
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _take(entries, key, issues, section, required=True):
+def _take(entries, key, issue, section, required=True):
     if key not in entries:
         if required:
-            issues.append(ParseIssue(0, section, f"missing key {key!r}"))
+            issue(section, f"missing key {key!r}")
         return None
     return entries.pop(key)
 
 
 def parse_model_file(text: str) -> ModelBundle:
-    doc = parse_document(text)
+    doc, lines = _parse_lines(text)
     issues = []
+
+    def issue(section, message, key=None):
+        """Record an issue at the key's line, else at its section header (0 if absent)."""
+        line = lines.get((section, key), lines.get((section, None), 0))
+        issues.append(ParseIssue(line, section, message))
+
     known = {"algebra", "potential", "vacuum", "representations", "yukawa", "grid"}
     for section in doc:
         if section not in known:
-            issues.append(ParseIssue(0, section, "unknown section"))
+            issue(section, "unknown section")
 
     gs = None
     algebra = dict(doc.get("algebra", {}))
     if "algebra" not in doc:
-        issues.append(ParseIssue(0, "algebra", "missing [algebra] section"))
+        issue("algebra", "missing [algebra] section")
     else:
-        n = _take(algebra, "n", issues, "algebra")
-        r = _take(algebra, "r", issues, "algebra")
-        gens_raw = _take(algebra, "generators", issues, "algebra")
-        factors_raw = _take(algebra, "factors", issues, "algebra", required=False)
+        n = _take(algebra, "n", issue, "algebra")
+        r = _take(algebra, "r", issue, "algebra")
+        gens_raw = _take(algebra, "generators", issue, "algebra")
+        factors_raw = _take(algebra, "factors", issue, "algebra", required=False)
         for key in algebra:
-            issues.append(ParseIssue(0, "algebra", f"unknown key {key!r}"))
+            issue("algebra", f"unknown key {key!r}", key)
         if n is not None and r is not None and not (_is_int(n) and _is_int(r)):
-            issues.append(ParseIssue(0, "algebra", "n and r must be integers"))
+            issue("algebra", "n and r must be integers", "r" if _is_int(n) else "n")
         if gens_raw is not None:
-            gens = _complex_array(gens_raw, issues, "algebra", "generators")
+            gens = _complex_array(gens_raw, issue, "algebra", "generators")
             if gens is not None:
                 if _is_int(n) and _is_int(r) and gens.shape != (r, n, n):
-                    issues.append(
-                        ParseIssue(
-                            0,
-                            "algebra",
-                            f"generators have shape {gens.shape}, expected ({r}, {n}, {n})",
-                        )
+                    issue(
+                        "algebra",
+                        f"generators have shape {gens.shape}, expected ({r}, {n}, {n})",
+                        "generators",
                     )
                 else:
                     factors = ()
@@ -237,17 +245,11 @@ def parse_model_file(text: str) -> ModelBundle:
                             or not isinstance(item[0], str)
                             or not isinstance(item[1], list)
                         ):
-                            issues.append(
-                                ParseIssue(
-                                    0, "algebra", "factors entries must be [name, indices, coupling]"
-                                )
-                            )
+                            issue("algebra", "factors entries must be [name, indices, coupling]", "factors")
                             continue
                         name, indices, coupling = item
                         if not (_is_number(coupling) and coupling > 0):
-                            issues.append(
-                                ParseIssue(0, "algebra", f"non-positive coupling for factor {name!r}")
-                            )
+                            issue("algebra", f"non-positive coupling for factor {name!r}", "factors")
                             continue
                         factors += (
                             FactorLabel(
@@ -259,29 +261,28 @@ def parse_model_file(text: str) -> ModelBundle:
                         skew = gs.skew_defect()
                         scale = max(1.0, float(np.max(np.abs(gens))))
                         if skew > 1e-10 * scale:
-                            issues.append(
-                                ParseIssue(
-                                    0, "algebra", f"generators not skew-Hermitian (defect {skew:.3e})"
-                                )
+                            issue(
+                                "algebra", f"generators not skew-Hermitian (defect {skew:.3e})", "generators"
                             )
                             gs = None
                     except GeneratorError as err:
-                        issues.append(ParseIssue(0, "algebra", str(err)))
+                        # the shape checks above leave only factor indices to reject
+                        issue("algebra", str(err), "factors")
 
     potential = None
     pot_entries = dict(doc.get("potential", {}))
     if "potential" not in doc:
-        issues.append(ParseIssue(0, "potential", "missing [potential] section"))
+        issue("potential", "missing [potential] section")
     else:
-        mu = _take(pot_entries, "mu", issues, "potential")
-        lam = _take(pot_entries, "lambda", issues, "potential")
+        mu = _take(pot_entries, "mu", issue, "potential")
+        lam = _take(pot_entries, "lambda", issue, "potential")
         for key in pot_entries:
-            issues.append(ParseIssue(0, "potential", f"unknown key {key!r}"))
+            issue("potential", f"unknown key {key!r}", key)
         if mu is not None and lam is not None:
             if not (_is_number(mu) and _is_number(lam)):
-                issues.append(ParseIssue(0, "potential", "mu and lambda must be numbers"))
+                issue("potential", "mu and lambda must be numbers", "lambda" if _is_number(mu) else "mu")
             elif not lam > 0:
-                issues.append(ParseIssue(0, "potential", f"non-positive coupling lambda = {lam}"))
+                issue("potential", f"non-positive coupling lambda = {lam}", "lambda")
             else:
                 potential = QuarticPotential(mu=float(mu), lam=float(lam))
 
@@ -290,11 +291,11 @@ def parse_model_file(text: str) -> ModelBundle:
         vac_entries = dict(doc.get("vacuum", {}))
         vacuum = None
         if "vacuum" in doc:
-            vec_raw = _take(vac_entries, "vector", issues, "vacuum")
+            vec_raw = _take(vac_entries, "vector", issue, "vacuum")
             for key in vac_entries:
-                issues.append(ParseIssue(0, "vacuum", f"unknown key {key!r}"))
+                issue("vacuum", f"unknown key {key!r}", key)
             if vec_raw is not None:
-                vacuum = _complex_array(vec_raw, issues, "vacuum", "vector")
+                vacuum = _complex_array(vec_raw, issue, "vacuum", "vector")
         if vacuum is None and "vacuum" not in doc:
             if potential.vacuum_radius > 0:
                 probe = HiggsModel(generators=gs, potential=potential)
@@ -305,52 +306,48 @@ def parse_model_file(text: str) -> ModelBundle:
             try:
                 model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)
             except NotAVacuumError as err:
-                issues.append(ParseIssue(0, "vacuum", str(err)))
+                issue("vacuum", str(err), "vector")
 
     representations = {}
     for name, raw in doc.get("representations", {}).items():
         if name == RESERVED_SLOT:
-            issues.append(
-                ParseIssue(0, "representations", f"{RESERVED_SLOT!r} is reserved for the model multiplet")
-            )
+            issue("representations", f"{RESERVED_SLOT!r} is reserved for the model multiplet", name)
             continue
-        mats = _complex_array(raw, issues, "representations", name)
+        mats = _complex_array(raw, issue, "representations", name)
         if mats is None:
             continue
         if mats.ndim != 3 or (gs is not None and mats.shape[0] != gs.r):
-            issues.append(
-                ParseIssue(
-                    0,
-                    "representations",
-                    f"{name}: expected ({gs.r if gs else '?'}, dim, dim) generator stack, got {mats.shape}",
-                )
+            issue(
+                "representations",
+                f"{name}: expected ({gs.r if gs else '?'}, dim, dim) generator stack, got {mats.shape}",
+                name,
             )
             continue
         try:
             representations[name] = Representation(mats)
         except RepresentationError as err:
-            issues.append(ParseIssue(0, "representations", f"{name}: {err}"))
+            issue("representations", f"{name}: {err}", name)
 
     yukawa = None
     yk = dict(doc.get("yukawa", {}))
     if "yukawa" in doc:
-        slots = _take(yk, "slots", issues, "yukawa")
-        flags = _take(yk, "conjugated", issues, "yukawa")
-        tensor_raw = _take(yk, "tensor", issues, "yukawa")
-        g_y = _take(yk, "g_y", issues, "yukawa")
+        slots = _take(yk, "slots", issue, "yukawa")
+        flags = _take(yk, "conjugated", issue, "yukawa")
+        tensor_raw = _take(yk, "tensor", issue, "yukawa")
+        g_y = _take(yk, "g_y", issue, "yukawa")
         for key in yk:
-            issues.append(ParseIssue(0, "yukawa", f"unknown key {key!r}"))
+            issue("yukawa", f"unknown key {key!r}", key)
         ok = True
         if not (isinstance(slots, list) and len(slots) == 3 and all(isinstance(s, str) for s in slots)):
-            issues.append(ParseIssue(0, "yukawa", "slots must be three representation names"))
+            issue("yukawa", "slots must be three representation names", "slots")
             ok = False
         if not (isinstance(flags, list) and len(flags) == 3 and all(isinstance(f, bool) for f in flags)):
-            issues.append(ParseIssue(0, "yukawa", "conjugated must be three booleans"))
+            issue("yukawa", "conjugated must be three booleans", "conjugated")
             ok = False
         if not _is_number(g_y):
-            issues.append(ParseIssue(0, "yukawa", "g_y must be a number"))
+            issue("yukawa", "g_y must be a number", "g_y")
             ok = False
-        tensor = _complex_array(tensor_raw, issues, "yukawa", "tensor") if tensor_raw is not None else None
+        tensor = _complex_array(tensor_raw, issue, "yukawa", "tensor") if tensor_raw is not None else None
         if ok and tensor is not None and gs is not None:
             dims = []
             for s in slots:
@@ -359,16 +356,14 @@ def parse_model_file(text: str) -> ModelBundle:
                 elif s in representations:
                     dims.append(representations[s].dim)
                 else:
-                    issues.append(ParseIssue(0, "yukawa", f"unknown representation {s!r}"))
+                    issue("yukawa", f"unknown representation {s!r}", "slots")
                     dims.append(None)
             if None not in dims:
                 if tensor.ndim != 3 or tensor.shape != tuple(dims):
-                    issues.append(
-                        ParseIssue(
-                            0,
-                            "yukawa",
-                            f"tensor shape {tensor.shape} does not match slot dimensions {tuple(dims)}",
-                        )
+                    issue(
+                        "yukawa",
+                        f"tensor shape {tensor.shape} does not match slot dimensions {tuple(dims)}",
+                        "tensor",
                     )
                 else:
                     yukawa = YukawaSection(
@@ -380,17 +375,17 @@ def parse_model_file(text: str) -> ModelBundle:
     grid = None
     gd = dict(doc.get("grid", {}))
     if "grid" in doc:
-        dim = _take(gd, "dim", issues, "grid")
-        shape = _take(gd, "shape", issues, "grid")
-        h = _take(gd, "h", issues, "grid")
-        metric = _take(gd, "metric", issues, "grid", required=False) or "euclidean"
+        dim = _take(gd, "dim", issue, "grid")
+        shape = _take(gd, "shape", issue, "grid")
+        h = _take(gd, "h", issue, "grid")
+        metric = _take(gd, "metric", issue, "grid", required=False) or "euclidean"
         for key in gd:
-            issues.append(ParseIssue(0, "grid", f"unknown key {key!r}"))
+            issue("grid", f"unknown key {key!r}", key)
         if dim is not None and shape is not None and h is not None:
             try:
                 grid = Grid(dim=int(dim), shape=tuple(shape), spacing=float(h), metric=metric)
             except (LatticeError, TypeError, ValueError) as err:
-                issues.append(ParseIssue(0, "grid", str(err)))
+                issue("grid", str(err))
 
     if issues:
         raise ModelFileError(issues)

@@ -198,6 +198,18 @@ def test_seed_env_fallback(monkeypatch):
     assert parse_document(text2)["report"]["seed"] == 0
 
 
+@pytest.mark.parametrize("value", ["-5", "abc", "3.5"])
+def test_bad_seed_names_its_source(value, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run("spectrum", "--model", MODEL, "--seed", value)
+    assert exit_.value.code == 2
+    assert f"argument --seed: expected a non-negative integer, got '{value}'" in capsys.readouterr().err
+    monkeypatch.setenv("SSB_SPECTRUM_SEED", value)
+    code, text = run("spectrum", "--model", MODEL)
+    assert code == 2
+    assert text == f"error: SSB_SPECTRUM_SEED: expected a non-negative integer, got '{value}'\n"
+
+
 def test_commands_load_no_scipy():
     # numpy alone serves the program; scipy is a test reference only
     code = (

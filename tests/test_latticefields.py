@@ -7,11 +7,14 @@ Closed forms used below:
     coefficient c^2 along the third generator, density -f^2/2 euclidean
     and +f^2/2 lorentzian for f = |F_01|.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ssbspec import latticefields
 from ssbspec.breaking import spectrum
+from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec.latticefields import (
     ActionConfig,
@@ -37,7 +40,7 @@ from ssbspec.latticefields import (
     total_action,
     yang_mills_density,
 )
-from ssbspec.liecore import GeneratorSet, exponentiate
+from ssbspec.liecore import GeneratorSet, expm_skew, exponentiate
 
 PARAMS = ElectroweakParams(g=2.0, gp=1.0, mu=2.0, lam=1.0)
 GS = build_generators(PARAMS.g, PARAMS.gp)
@@ -272,3 +275,87 @@ def test_derivative_covariance_small_on_smooth_data():
     psi = smooth_multiplet_field(grid, GS.n, seed=2)
     sigma = smooth_transform_field(GS, grid, seed=3)
     assert covariance_defects(GS, grid, a, psi, sigma)[0] < 0.1
+
+
+# ---------------------------------------------------------------------------
+# the matmul kernels against the einsum expressions they replaced, on a 3-D
+# grid, so that three planes mu < nu enter the field strength
+
+SPIN1 = GeneratorSet(su2_irrep(3))
+GRID3 = Grid(dim=3, shape=(4, 5, 6), spacing=0.25)
+
+
+def _random_fields(gs, grid, seed):
+    """Random (not smooth) a, psi and a group-valued sigma on the grid."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=grid.shape + (grid.dim, gs.r))
+    psi = rng.normal(size=grid.shape + (gs.n,)) + 1j * rng.normal(size=grid.shape + (gs.n,))
+    sigma = expm_skew(np.einsum("...r,rij->...ij", rng.normal(size=grid.shape + (gs.r,)), gs.matrices))
+    return a, psi, sigma
+
+
+def _assert_rel(new, ref, rel=1e-13):
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
+def _old_field_strength(gs, grid, a):
+    c = gs.structure_constants()
+    F = np.zeros(grid.shape + (grid.dim, grid.dim, gs.r))
+    for mu in range(grid.dim):
+        for nu in range(grid.dim):
+            if mu != nu:
+                curl = central_difference(grid, a[..., nu, :], mu) - central_difference(grid, a[..., mu, :], nu)
+                F[..., mu, nu, :] = curl + np.einsum("...i,...j,ijk->...k", a[..., mu, :], a[..., nu, :], c)
+    return F
+
+
+@pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
+def test_matmul_kernels_match_their_einsum_forms(gs):
+    a, psi, sigma = _random_fields(gs, GRID3, seed=gs.n)
+    _assert_rel(gauge_matrices(gs, a), np.einsum("...r,rij->...ij", a, gs.matrices))
+    for mu in range(GRID3.dim):
+        ref = central_difference(GRID3, psi, mu) + np.einsum(
+            "...r,rij,...j->...i", a[..., mu, :], gs.matrices, psi
+        )
+        _assert_rel(covariant_derivative(gs, GRID3, a, psi, mu), ref)
+    _assert_rel(field_strength(gs, GRID3, a), _old_field_strength(gs, GRID3, a))
+
+    sigma_inv = sigma.conj().swapaxes(-1, -2)
+    conjugated = np.einsum("...ij,...djk,...kl->...dil", sigma, gauge_matrices(gs, a), sigma_inv)
+    dsig = np.stack([central_difference(GRID3, sigma, mu) for mu in range(GRID3.dim)], axis=GRID3.dim)
+    # project has its own check against its einsum form in test_liecore
+    coeffs, defect = gs.project(conjugated - np.einsum("...dij,...jk->...dik", dsig, sigma_inv))
+    out = gauge_transform_gauge(gs, GRID3, sigma, a)
+    _assert_rel(out.coefficients, coeffs)
+    assert out.projection_defect == pytest.approx(float(np.max(defect)), rel=1e-13)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "lorentzian"])
+@pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
+def test_strength_defect_on_independent_planes_equals_full_mean(gs, metric):
+    grid = Grid(dim=3, shape=GRID3.shape, spacing=GRID3.spacing, metric=metric)
+    a, _, sigma = _random_fields(gs, grid, seed=10 + gs.n)
+    a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
+    f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime))
+    f = gauge_matrices(gs, field_strength(gs, grid, a))
+    conj = np.einsum("...ij,...mnjk,...kl->...mnil", sigma, f, sigma.conj().swapaxes(-1, -2))
+    full = float(np.sqrt(np.mean(np.abs(f_prime - conj) ** 2)))
+    assert latticefields._strength_defect(gs, grid, a, a_prime, sigma) == pytest.approx(full, rel=1e-13)
+
+
+def test_covariance_defects_peak_memory_at_128():
+    # conjugating F on all (D, D) planes, diagonal and duplicates included,
+    # peaks near 46 MB above entry here; the planes mu < nu stay near 19 MB
+    grid = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
+    a = smooth_gauge_field(grid, SPIN1.r, seed=0)
+    psi = smooth_multiplet_field(grid, SPIN1.n, seed=1)
+    sigma = smooth_transform_field(SPIN1, grid, seed=2)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        covariance_defects(SPIN1, grid, a, psi, sigma)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6

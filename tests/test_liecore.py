@@ -105,6 +105,33 @@ def test_projection_detects_outside_span():
     assert defect < 1e-12
 
 
+def _old_project(gs, mats):
+    """The einsum form project replaced, one Gram solve per matrix."""
+    b = np.real(np.einsum("rij,...ij->...r", np.conj(gs.matrices), mats))
+    coeffs = np.linalg.solve(gs.gram(), b[..., None])[..., 0]
+    recon = np.einsum("...r,rij->...ij", coeffs, gs.matrices)
+    return coeffs, np.linalg.norm((mats - recon).reshape(mats.shape[:-2] + (-1,)), axis=-1)
+
+
+@pytest.mark.parametrize("gs", [EW, GeneratorSet(su2_irrep(3))], ids=["doublet", "spin1"])
+def test_project_matches_its_einsum_form(gs):
+    rng = np.random.default_rng(gs.n)
+    n = gs.n
+    # the unitary-gauge fallback lift projects a (1, n, n) stack: bit for bit
+    for _ in range(200):
+        one = rng.normal(size=(1, n, n)) + 1j * rng.normal(size=(1, n, n))
+        for new, old in zip(gs.project(one), _old_project(gs, one)):
+            assert new.shape == old.shape and np.array_equal(new, old)
+    # a (4, 5, 3) grid stack of near-span matrices, one solve for all, and
+    # the same stack as a view with strided columns
+    stack = np.einsum("...r,rij->...ij", rng.normal(size=(4, 5, 3, gs.r)), gs.matrices)
+    stack = stack + 1e-3 * (rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape))
+    for mats in (stack, np.repeat(stack, 2, axis=-1)[..., ::2]):
+        for new, old in zip(gs.project(mats), _old_project(gs, mats)):
+            assert new.shape == old.shape
+            assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+
+
 def test_shape_errors():
     with pytest.raises(GeneratorError):
         GeneratorSet(np.zeros((2, 2, 3), dtype=complex))

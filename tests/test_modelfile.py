@@ -154,6 +154,49 @@ def test_boolean_couplings_rejected():
         assert [i.section for i in err.value.issues] == [section]
 
 
+YUKAWA_TAIL = (
+    "\n[representations]\nhiggs = [[[[0.0, 1.0]]]]\n"
+    + '\n[yukawa]\nslots = ["higgs", "higgs", "higgs"]\n'
+    + "conjugated = [true, false, false]\n"
+    + "tensor = [[[[1.0, 0.0]]]]\n"
+    + "g_y = true\n"
+)
+
+
+@pytest.mark.parametrize(
+    "bad, line, section, message",
+    [
+        (MINIMAL.replace("r = 1", "r = 2"), 5, "algebra", "expected (2, 1, 1)"),
+        (MINIMAL.replace("n = 1", "n = 1.0"), 3, "algebra", "n and r must be integers"),
+        (MINIMAL.replace("r = 1", "r = true"), 4, "algebra", "n and r must be integers"),
+        (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[1.0, 0.0]]]]"), 5, "algebra", "not skew-Hermitian"),
+        (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 1.0], [0.0]]]]"), 5, "algebra", "generators: ragged"),
+        (MINIMAL.replace("[potential]", 'factors = [["u1", [3], 1.0]]\n\n[potential]'), 7, "algebra", "out-of-range"),
+        (MINIMAL.replace("lambda = 1.0\n", ""), 7, "potential", "missing key 'lambda'"),
+        (MINIMAL.replace("lambda = 1.0", "lambda = 0.0"), 9, "potential", "non-positive coupling"),
+        (MINIMAL.replace("mu = 2.0", "mu = 2.0\ncolor = 3"), 9, "potential", "unknown key 'color'"),
+        (MINIMAL + "\n[vacuum]\nvector = [[0.5, 0.0]]\n", 12, "vacuum", ""),
+        (MINIMAL + "\n[mystery]\nk = 1\n", 11, "mystery", "unknown section"),
+        (MINIMAL + YUKAWA_TAIL, 12, "representations", "'higgs' is reserved"),
+        (MINIMAL + YUKAWA_TAIL, 18, "yukawa", "g_y must be a number"),
+        (MINIMAL.split("[potential]")[0], 0, "potential", "missing [potential] section"),
+    ],
+    ids=[
+        "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged", "factor-index",
+        "missing-key", "lambda", "unknown-key", "vacuum", "unknown-section", "reserved-name",
+        "g_y", "missing-section",
+    ],
+)
+def test_assembly_issue_carries_the_entry_line(bad, line, section, message):
+    # a present key is located at its own line, a missing one at its
+    # section header, and a missing section at the document (line 0)
+    with pytest.raises(ModelFileError) as err:
+        parse_model_file(bad)
+    (issue,) = [i for i in err.value.issues if i.section == section and message in i.message]
+    assert issue.line == line
+    assert str(issue).startswith(f"line {line} [{section}]: " if line else f"document [{section}]: ")
+
+
 def test_mismatched_generator_shape():
     bad = MINIMAL.replace("r = 1", "r = 2")
     with pytest.raises(ModelFileError, match="expected \\(2, 1, 1\\)"):
