@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .breaking import spectrum
+from .breaking import InconsistentSpectrumError, spectrum
 from .chiral import Representation, triple_invariance_defect
 from .electroweak import (
     ElectroweakParams,
@@ -32,7 +32,13 @@ from .electroweak import (
     weinberg_angle,
 )
 from .gridfile import GridFileError, read_field, write_field
-from .higgsmodel import NotAVacuumError, check_potential_invariance, potential_gradient, potential_hessian
+from .higgsmodel import (
+    NotAVacuumError,
+    VacuumSolveError,
+    check_potential_invariance,
+    potential_gradient,
+    potential_hessian,
+)
 from .latticefields import (
     Grid,
     LatticeError,
@@ -496,6 +502,8 @@ def main(argv=None, stdout=None) -> int:
         GeneratorError,
         NotAVacuumError,
         DegeneratePointError,
+        VacuumSolveError,
+        InconsistentSpectrumError,
         ValueError,
     ) as err:
         out.write(f"error: {err}\n")

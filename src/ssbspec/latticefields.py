@@ -75,8 +75,8 @@ class Grid:
             raise LatticeError(f"expected {self.dim} extents, got {len(self.shape)}")
         if any(m < 4 for m in self.shape):
             raise LatticeError("each extent must be at least 4")
-        if not self.spacing > 0:
-            raise LatticeError("spacing must be positive")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise LatticeError(f"spacing must be finite and positive, got {self.spacing}")
         if self.metric not in ("euclidean", "lorentzian"):
             raise LatticeError(f"unknown metric {self.metric!r}")
 
@@ -125,6 +125,18 @@ def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
     return (np.roll(field, -1, axis=mu) - np.roll(field, 1, axis=mu)) / (2.0 * grid.spacing)
 
 
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over the last two axes, one broadcast product per inner index.
+
+    On stacks of tiny matrices this beats both einsum and @, which pay a
+    per-matrix overhead the 2x2 and 3x3 products here cannot amortize.
+    """
+    out = x[..., :, :1] * y[..., :1, :]
+    for j in range(1, x.shape[-1]):
+        out += x[..., :, j : j + 1] * y[..., j : j + 1, :]
+    return out
+
+
 def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Pointwise sigma(x) psi(x)."""
     sigma = np.asarray(sigma, dtype=complex)
@@ -133,7 +145,7 @@ def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
         raise LatticeError(
             f"transform shape {sigma.shape} does not match matter shape {psi.shape}"
         )
-    return np.einsum("...ij,...j->...i", sigma, psi)
+    return _matmul(sigma, psi[..., None])[..., 0]
 
 
 def gauge_matrices(gs: GeneratorSet, a: np.ndarray) -> np.ndarray:
@@ -162,9 +174,11 @@ def gauge_transform_gauge(
     projection defect records how much.  Passing tol_proj makes a larger
     defect an error.  A sigma that is not sitewise unitary is rejected.
 
-    The conjugation is two chained products over all directions at once;
-    the derivative term is then subtracted one direction at a time, and
-    GeneratorSet.project maps every site back to coefficients in one solve.
+    Every site product is an unrolled sum over the short inner axis
+    (_matmul): the conjugation is two chained products over all directions
+    at once; the derivative term is then subtracted one direction at a
+    time, and GeneratorSet.project maps every site back to coefficients in
+    one solve.
     """
     sigma = np.asarray(sigma, dtype=complex)
     a = np.asarray(a, dtype=float)
@@ -172,24 +186,18 @@ def gauge_transform_gauge(
     _check_grid_axes(grid, a, 2, "gauge field")
     if a.shape[grid.dim] != grid.dim or a.shape[-1] != gs.r:
         raise LatticeError(f"gauge field must end in ({grid.dim}, {gs.r})")
-    n = gs.n
-    eye = np.eye(n)
-    unitary_defect = np.max(np.abs(np.einsum("...ij,...kj->...ik", sigma, sigma.conj()) - eye))
+    sigma_inv = sigma.conj().swapaxes(-1, -2)
+    unitary_defect = np.max(np.abs(_matmul(sigma, sigma_inv) - np.eye(gs.n)))
     if unitary_defect > 1e-8:
         raise NonGroupTransformError(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
-    sigma_inv = sigma.conj().swapaxes(-1, -2)
     # the (*shape, D, n, n) matrix field and sigma A are freed once conjugated
-    conjugated = np.einsum(
-        "...dik,...kl->...dil",
-        np.einsum("...ij,...djk->...dik", sigma, gauge_matrices(gs, a)),
-        sigma_inv,
+    conjugated = _matmul(
+        _matmul(sigma[..., None, :, :], gauge_matrices(gs, a)), sigma_inv[..., None, :, :]
     )
     for mu in range(grid.dim):
-        conjugated[..., mu, :, :] -= np.einsum(
-            "...ij,...jk->...ik", central_difference(grid, sigma, mu), sigma_inv
-        )
+        conjugated[..., mu, :, :] -= _matmul(central_difference(grid, sigma, mu), sigma_inv)
     coeffs, defect = gs.project(conjugated)
     worst = float(np.max(defect)) if defect.size else 0.0
     if tol_proj is not None and worst > tol_proj:
@@ -209,7 +217,7 @@ def covariant_derivative(
     if a is None:
         return dpsi
     a = np.asarray(a, dtype=float)
-    return dpsi + np.einsum("...ij,...j->...i", gauge_matrices(gs, a[..., mu, :]), psi)
+    return dpsi + _matmul(gauge_matrices(gs, a[..., mu, :]), psi[..., None])[..., 0]
 
 
 def field_strength(
@@ -396,7 +404,7 @@ def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     mu, nu = np.triu_indices(grid.dim, 1)
     f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime)[..., mu, nu, :])
     f = gauge_matrices(gs, field_strength(gs, grid, a)[..., mu, nu, :])
-    conj = np.einsum("...pik,...lk->...pil", np.einsum("...ij,...pjk->...pik", sigma, f), sigma.conj())
+    conj = _matmul(_matmul(sigma[..., None, :, :], f), sigma.conj().swapaxes(-1, -2)[..., None, :, :])
     gap = np.sum(np.abs(f_prime - conj) ** 2)
     return float(np.sqrt(2.0 * gap / (grid.site_count * grid.dim**2 * gs.n**2)))
 
@@ -434,21 +442,29 @@ def convergence_orders(
 ) -> tuple[OrderMeasurement, OrderMeasurement]:
     """Measured convergence orders of both covariance defects under refinement.
 
-    Returns (derivative, strength), as in covariance_defects.  Each of
-    the refinements + 1 grids gets one set of smooth test fields and one
-    gauge transform, which both defects share.  The fields are resampled
-    from the same continuum data on each grid, so each defect sequence
-    estimates the discretization order (2 for central differences).
+    Returns (derivative, strength), as in covariance_defects.  The smooth
+    test fields are sampled once, on the finest grid; each coarser grid
+    takes the strided sub-lattice, which is bit-identical to resampling
+    the same continuum data there (site i of the m-grid is site 2^k i of
+    the 2^k m-grid, at the same correctly rounded fraction, and every
+    field builder works site by site).  Each of the refinements + 1 grids
+    then gets one gauge transform, which both defects share, and each
+    defect sequence estimates the discretization order (2 for central
+    differences).
     """
     if refinements < 1:
         raise LatticeError(f"refinements must be at least 1 to measure an order, got {refinements}")
+    fine = grid.refined(2**refinements)
+    fields = (
+        smooth_gauge_field(fine, gs.r, seed),
+        smooth_multiplet_field(fine, gs.n, seed + 1),
+        smooth_transform_field(gs, fine, seed + 2),
+    )
     levels = []
     for level in range(refinements + 1):
-        g = grid.refined(2**level)
-        a = smooth_gauge_field(g, gs.r, seed)
-        psi = smooth_multiplet_field(g, gs.n, seed + 1)
-        sigma = smooth_transform_field(gs, g, seed + 2)
-        levels.append(covariance_defects(gs, g, a, psi, sigma))
+        sites = (slice(None, None, 2 ** (refinements - level)),) * grid.dim
+        a, psi, sigma = (np.ascontiguousarray(f[sites]) for f in fields)
+        levels.append(covariance_defects(gs, grid.refined(2**level), a, psi, sigma))
     derivative, strength = zip(*levels)
     return OrderMeasurement(derivative), OrderMeasurement(strength)
 

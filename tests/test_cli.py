@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 import ssbspec
+from ssbspec import cli, modelfile
+from ssbspec.breaking import InconsistentSpectrumError
 from ssbspec.cli import main
 from ssbspec.gridfile import read_field, write_field
+from ssbspec.higgsmodel import VacuumSolveError
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec.modelfile import parse_document
 
@@ -177,6 +180,22 @@ def test_parse_errors_exit_2():
         code, text = run("spectrum", "--model", path)
         assert code == 2
         assert text.startswith("error:") and repr(path) in text
+
+
+def test_solver_runtime_errors_exit_2(monkeypatch, capsys):
+    def no_vacuum(model, start):
+        raise VacuumSolveError("vacuum search did not converge", start, 7)
+
+    def inconsistent(model):
+        raise InconsistentSpectrumError("orbit rank 3 disagrees with Goldstone count 2")
+
+    monkeypatch.setattr(modelfile, "find_vacuum", no_vacuum)
+    code, text = run("spectrum", "--model", "tests/goldens/spin1.model")
+    assert (code, text) == (2, "error: vacuum search did not converge\n")
+    monkeypatch.setattr(cli, "spectrum", inconsistent)
+    code, text = run("spectrum", "--model", MODEL)
+    assert (code, text) == (2, "error: orbit rank 3 disagrees with Goldstone count 2\n")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_bad_model_reports_located_issue(tmp_path):

@@ -1,7 +1,11 @@
 """Binary field file round-trips and corruption handling."""
+import io
+import struct
+
 import numpy as np
 import pytest
 
+from ssbspec.cli import main
 from ssbspec.gridfile import MAGIC, GridFileError, read_field, write_field
 from ssbspec.latticefields import Grid, smooth_gauge_field, smooth_multiplet_field
 
@@ -77,3 +81,16 @@ def test_payload_length_mismatch(tmp_path):
     path.write_bytes(blob[:-16])
     with pytest.raises(GridFileError, match="payload"):
         read_field(path)
+
+
+def test_infinite_spacing_exits_2_through_the_cli(tmp_path):
+    # the header carries the spacing; patch a finite one to inf
+    path = tmp_path / "x.field"
+    write_field(path, GRID, "multiplet", smooth_multiplet_field(GRID, 2, seed=4))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, len(MAGIC) + 8 + 4 * GRID.dim, float("inf"))
+    path.write_bytes(bytes(blob))
+    out = io.StringIO()
+    code = main(["unitary-gauge", "--model", "models/electroweak.model", "--field", str(path)], stdout=out)
+    assert code == 2
+    assert out.getvalue() == "error: spacing must be finite and positive, got inf\n"

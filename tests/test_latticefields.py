@@ -48,6 +48,7 @@ MODEL = build_model(PARAMS)
 SPEC = spectrum(MODEL)
 
 U1 = GeneratorSet(matrices=np.array([[[1j]]]))
+SPIN1 = GeneratorSet(su2_irrep(3))
 
 SU2 = GeneratorSet(
     matrices=0.5j
@@ -71,6 +72,10 @@ def test_grid_validation():
         Grid(dim=1, shape=(8,), spacing=0.0)
     with pytest.raises(LatticeError):
         Grid(dim=1, shape=(8,), spacing=0.1, metric="conformal")
+    # inf > 0 holds, and central differences over an infinite spacing read 0
+    for spacing in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(LatticeError, match="spacing must be finite and positive"):
+            Grid(dim=2, shape=(4, 4), spacing=spacing)
     g = Grid(dim=3, shape=(4, 8, 4), spacing=0.5, metric="lorentzian")
     assert np.array_equal(g.signs, [1.0, -1.0, -1.0])
     assert g.volume_element == pytest.approx(0.125)
@@ -176,7 +181,10 @@ def test_covariance_orders_second_order():
 
 
 def test_convergence_orders_transform_once_per_level(monkeypatch):
-    calls = {"gauge_transform_gauge": 0, "smooth_transform_field": 0}
+    # the fields are sampled once, on the finest grid, and strided down;
+    # the == below against freshly sampled coarse fields proves that exact.
+    # The 3-D case strides a slice of (step,) * dim off the plane.
+    calls = {}
 
     def spy(name):
         real = getattr(latticefields, name)
@@ -189,15 +197,18 @@ def test_convergence_orders_transform_once_per_level(monkeypatch):
 
     spy("gauge_transform_gauge")
     spy("smooth_transform_field")
-    base = Grid(dim=2, shape=(8, 8), spacing=1.0 / 8)
-    der, stren = convergence_orders(GS, base, seed=5, refinements=2)
-    assert calls == {"gauge_transform_gauge": 3, "smooth_transform_field": 3}
-    for level in range(3):
-        g = base.refined(2**level)
-        a = smooth_gauge_field(g, GS.r, 5)
-        psi = smooth_multiplet_field(g, GS.n, 6)
-        sigma = smooth_transform_field(GS, g, 7)
-        assert covariance_defects(GS, g, a, psi, sigma) == (der.defects[level], stren.defects[level])
+    plane = Grid(dim=2, shape=(8, 8), spacing=1.0 / 8)
+    cube = Grid(dim=3, shape=(6, 6, 6), spacing=1.0 / 6)
+    for gs, base, refinements in ((GS, plane, 2), (SPIN1, plane, 2), (GS, cube, 1)):
+        calls.update(gauge_transform_gauge=0, smooth_transform_field=0)
+        der, stren = convergence_orders(gs, base, seed=5, refinements=refinements)
+        assert calls == {"gauge_transform_gauge": refinements + 1, "smooth_transform_field": 1}
+        for level in range(refinements + 1):
+            g = base.refined(2**level)
+            a = smooth_gauge_field(g, gs.r, 5)
+            psi = smooth_multiplet_field(g, gs.n, 6)
+            sigma = smooth_transform_field(gs, g, 7)
+            assert covariance_defects(gs, g, a, psi, sigma) == (der.defects[level], stren.defects[level])
 
 
 def test_constant_transform_leaves_densities_invariant():
@@ -281,7 +292,6 @@ def test_derivative_covariance_small_on_smooth_data():
 # the matmul kernels against the einsum expressions they replaced, on a 3-D
 # grid, so that three planes mu < nu enter the field strength
 
-SPIN1 = GeneratorSet(su2_irrep(3))
 GRID3 = Grid(dim=3, shape=(4, 5, 6), spacing=0.25)
 
 
@@ -297,6 +307,27 @@ def _random_fields(gs, grid, seed):
 def _assert_rel(new, ref, rel=1e-13):
     assert new.shape == ref.shape
     assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unrolled_matmul_matches_einsum(n):
+    rng = np.random.default_rng(n)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    x, y = cplx(5, 4, n, n), cplx(5, 4, n, n)
+    _assert_rel(latticefields._matmul(x, y), np.einsum("...ij,...jk->...ik", x, y))
+    # the conjugation shapes: one matrix per site against one per direction
+    sites, dirs = cplx(5, 4, 1, n, n), cplx(5, 4, 3, n, n)
+    ref = np.einsum("...ij,...djk->...dik", sites[..., 0, :, :], dirs)
+    _assert_rel(latticefields._matmul(sites, dirs), ref)
+    adjoint = sites.conj().swapaxes(-1, -2)  # a strided view, as sigma^-1 is
+    ref = np.einsum("...dij,...jk->...dik", dirs, adjoint[..., 0, :, :])
+    _assert_rel(latticefields._matmul(dirs, adjoint), ref)
+    # the matrix-vector shape
+    psi = cplx(5, 4, n, 1)
+    _assert_rel(latticefields._matmul(x, psi), np.einsum("...ij,...jk->...ik", x, psi))
 
 
 def _old_field_strength(gs, grid, a):
