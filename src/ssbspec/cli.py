@@ -423,6 +423,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _extent(text: str) -> int:
+    """--grid value: a grid extent, an integer of at least 4."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 4):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 4, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp, model_required=True, with_model=True):
     if with_model:
         sp.add_argument(
@@ -461,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gauge-check", help="covariance discretization orders")
     _add_common(sp, model_required=False)
-    sp.add_argument("--grid", type=int, default=None, help="base grid extent")
+    sp.add_argument("--grid", type=_extent, default=None, help="base grid extent, at least 4")
     sp.add_argument("--refine", type=int, default=None, help="number of refinements")
     sp.add_argument(
         "--metric", choices=("euclidean", "lorentzian"), default="euclidean"

@@ -15,7 +15,7 @@ import numpy as np
 
 from .breaking import SpectrumResult
 from .higgsmodel import HiggsModel
-from .liecore import GeneratorSet, expm_skew, realify, unrealify
+from .liecore import GeneratorSet, expm_skew, realify, site_blocks, unrealify
 
 __all__ = [
     "ActionConfig",
@@ -119,10 +119,27 @@ def _check_grid_axes(grid: Grid, field: np.ndarray, trailing: int, what: str):
 
 
 def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
-    """(f(x+h e_mu) - f(x-h e_mu)) / 2h with periodic wrap."""
+    """(f(x+h e_mu) - f(x-h e_mu)) / 2h with periodic wrap.
+
+    The differences are taken between slices of the field straight into the
+    output, the two wrapped edge slabs included, so no shifted copy is made;
+    a strided field (one direction of a gauge field) is made contiguous
+    first, since contiguous slices subtract faster.
+    """
     if not 0 <= mu < grid.dim:
         raise LatticeError(f"direction {mu} out of range for dimension {grid.dim}")
-    return (np.roll(field, -1, axis=mu) - np.roll(field, 1, axis=mu)) / (2.0 * grid.spacing)
+    field = np.ascontiguousarray(field)
+    step = 2.0 * grid.spacing
+    out = np.empty(field.shape, np.result_type(field, step))
+
+    def along(start, stop):
+        return (slice(None),) * mu + (slice(start, stop),)
+
+    np.subtract(field[along(2, None)], field[along(None, -2)], out=out[along(1, -1)])
+    np.subtract(field[along(1, 2)], field[along(-1, None)], out=out[along(None, 1)])
+    np.subtract(field[along(None, 1)], field[along(-2, -1)], out=out[along(-1, None)])
+    out /= step
+    return out
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,13 +189,16 @@ def gauge_transform_gauge(
     The derivative term is a central difference, so for a smooth group
     valued sigma the result leaves the generator span by O(h^2); the
     projection defect records how much.  Passing tol_proj makes a larger
-    defect an error.  A sigma that is not sitewise unitary is rejected.
+    defect an error.  A sigma that is not sitewise unitary is rejected; the
+    error gives the worst site defect over the whole field.
 
-    Every site product is an unrolled sum over the short inner axis
-    (_matmul): the conjugation is two chained products over all directions
-    at once; the derivative term is then subtracted one direction at a
-    time, and GeneratorSet.project maps every site back to coefficients in
-    one solve.
+    The work runs one direction at a time: d_mu sigma needs neighbours, so
+    it is taken over the whole field, and only one direction's is held.
+    Everything else is site local and runs in blocks of liecore.SITE_BLOCK
+    sites (the unitarity check, both conjugation products, the derivative
+    term and GeneratorSet.project), so its (sites, n, n) temporaries do not
+    grow with the grid.  Every site product is an unrolled sum over the
+    short inner axis (_matmul).
     """
     sigma = np.asarray(sigma, dtype=complex)
     a = np.asarray(a, dtype=float)
@@ -186,25 +206,36 @@ def gauge_transform_gauge(
     _check_grid_axes(grid, a, 2, "gauge field")
     if a.shape[grid.dim] != grid.dim or a.shape[-1] != gs.r:
         raise LatticeError(f"gauge field must end in ({grid.dim}, {gs.r})")
-    sigma_inv = sigma.conj().swapaxes(-1, -2)
-    unitary_defect = np.max(np.abs(_matmul(sigma, sigma_inv) - np.eye(gs.n)))
+    sites, n = grid.site_count, gs.n
+    flat_sigma = sigma.reshape(sites, n, n)
+    flat_a = a.reshape(sites, grid.dim, gs.r)
+
+    def inverse(block):
+        return flat_sigma[block].conj().swapaxes(-1, -2)
+
+    unitary_defect = np.max(
+        [np.max(np.abs(_matmul(flat_sigma[b], inverse(b)) - np.eye(n))) for b in site_blocks(sites)]
+    )
     if unitary_defect > 1e-8:
         raise NonGroupTransformError(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
-    # the (*shape, D, n, n) matrix field and sigma A are freed once conjugated
-    conjugated = _matmul(
-        _matmul(sigma[..., None, :, :], gauge_matrices(gs, a)), sigma_inv[..., None, :, :]
-    )
+    coeffs = np.empty((sites, grid.dim, gs.r))
+    block_worst = []
     for mu in range(grid.dim):
-        conjugated[..., mu, :, :] -= _matmul(central_difference(grid, sigma, mu), sigma_inv)
-    coeffs, defect = gs.project(conjugated)
-    worst = float(np.max(defect)) if defect.size else 0.0
+        d_sigma = central_difference(grid, sigma, mu).reshape(sites, n, n)
+        for block in site_blocks(sites):
+            sigma_inv = inverse(block)
+            moved = _matmul(_matmul(flat_sigma[block], gauge_matrices(gs, flat_a[block, mu])), sigma_inv)
+            moved -= _matmul(d_sigma[block], sigma_inv)
+            coeffs[block, mu], defect = gs.project(moved)
+            block_worst.append(np.max(defect))
+    worst = float(np.max(block_worst))
     if tol_proj is not None and worst > tol_proj:
         raise NonGroupTransformError(
             f"transformed field leaves the generator span (defect {worst:.3e} > {tol_proj:.3e})"
         )
-    return TransformedGauge(coefficients=coeffs, projection_defect=worst)
+    return TransformedGauge(coefficients=coeffs.reshape(a.shape), projection_defect=worst)
 
 
 def covariant_derivative(
@@ -217,7 +248,15 @@ def covariant_derivative(
     if a is None:
         return dpsi
     a = np.asarray(a, dtype=float)
-    return dpsi + _matmul(gauge_matrices(gs, a[..., mu, :]), psi[..., None])[..., 0]
+    _check_grid_axes(grid, a, 2, "gauge field")
+    if psi.shape[-1] != gs.n:
+        raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
+    # A_mu psi in site blocks, so the (sites, n, n) matrix field stays one block
+    a_mu = a[..., mu, :].reshape(-1, gs.r)
+    flat_psi, flat_out = psi.reshape(-1, gs.n, 1), dpsi.reshape(-1, gs.n)
+    for block in site_blocks(len(flat_out)):
+        flat_out[block] += _matmul(gauge_matrices(gs, a_mu[block]), flat_psi[block])[..., 0]
+    return dpsi
 
 
 def field_strength(
@@ -335,9 +374,9 @@ def _wave_set(rng: np.random.Generator, dim: int, terms: int):
     return waves
 
 
-def _eval_waves(grid: Grid, waves, scale: float) -> np.ndarray:
-    frac = grid.fractions()  # (D, *shape)
-    out = np.zeros(grid.shape)
+def _eval_waves(frac: np.ndarray, waves, scale: float) -> np.ndarray:
+    """Sum of the waves at the site fractions frac, shape (D, *shape)."""
+    out = np.zeros(frac.shape[1:])
     for k, phase, amp in waves:
         angle = 2.0 * np.pi * np.tensordot(k, frac, axes=(0, 0)) + phase
         out = out + amp * np.sin(angle)
@@ -348,16 +387,17 @@ def smooth_scalar_field(grid: Grid, seed: int, terms: int = 3, scale: float = 1.
     """Periodic band-limited random field; refining the grid resamples
     the same continuum function."""
     rng = np.random.default_rng(seed)
-    return _eval_waves(grid, _wave_set(rng, grid.dim, terms), scale)
+    return _eval_waves(grid.fractions(), _wave_set(rng, grid.dim, terms), scale)
 
 
 def smooth_multiplet_field(
     grid: Grid, n: int, seed: int, terms: int = 3, scale: float = 1.0
 ) -> np.ndarray:
     rng = np.random.default_rng(seed)
+    frac = grid.fractions()
     parts = []
     for _ in range(2 * n):
-        parts.append(_eval_waves(grid, _wave_set(rng, grid.dim, terms), scale))
+        parts.append(_eval_waves(frac, _wave_set(rng, grid.dim, terms), scale))
     stacked = np.stack(parts, axis=-1)
     return stacked[..., :n] + 1j * stacked[..., n:]
 
@@ -366,8 +406,9 @@ def smooth_gauge_field(
     grid: Grid, r: int, seed: int, terms: int = 3, scale: float = 1.0
 ) -> np.ndarray:
     rng = np.random.default_rng(seed)
+    frac = grid.fractions()
     comps = [
-        [_eval_waves(grid, _wave_set(rng, grid.dim, terms), scale) for _ in range(r)]
+        [_eval_waves(frac, _wave_set(rng, grid.dim, terms), scale) for _ in range(r)]
         for _ in range(grid.dim)
     ]
     return np.stack([np.stack(row, axis=-1) for row in comps], axis=-2)
@@ -376,13 +417,21 @@ def smooth_gauge_field(
 def smooth_transform_field(
     gs: GeneratorSet, grid: Grid, seed: int, terms: int = 3, scale: float = 0.4
 ) -> np.ndarray:
-    """sigma(x) = exp(sum_i c_i(x) g_i) with smooth coefficient fields."""
+    """sigma(x) = exp(sum_i c_i(x) g_i) with smooth coefficient fields.
+
+    The exponential runs in blocks of liecore.SITE_BLOCK sites, written into
+    one result, so its stacked eigh temporaries do not grow with the grid.
+    """
     rng = np.random.default_rng(seed)
+    frac = grid.fractions()
     coeffs = np.stack(
-        [_eval_waves(grid, _wave_set(rng, grid.dim, terms), scale) for _ in range(gs.r)],
+        [_eval_waves(frac, _wave_set(rng, grid.dim, terms), scale) for _ in range(gs.r)],
         axis=-1,
-    )
-    return expm_skew(gauge_matrices(gs, coeffs))
+    ).reshape(-1, gs.r)
+    sigma = np.empty((len(coeffs), gs.n, gs.n), dtype=complex)
+    for block in site_blocks(len(coeffs)):
+        sigma[block] = expm_skew(gauge_matrices(gs, coeffs[block]))
+    return sigma.reshape(grid.shape + (gs.n, gs.n))
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +451,18 @@ def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
 def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     # F is antisymmetric: the planes mu < nu hold half the mean square over (D, D)
     mu, nu = np.triu_indices(grid.dim, 1)
-    f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime)[..., mu, nu, :])
-    f = gauge_matrices(gs, field_strength(gs, grid, a)[..., mu, nu, :])
-    conj = _matmul(_matmul(sigma[..., None, :, :], f), sigma.conj().swapaxes(-1, -2)[..., None, :, :])
-    gap = np.sum(np.abs(f_prime - conj) ** 2)
-    return float(np.sqrt(2.0 * gap / (grid.site_count * grid.dim**2 * gs.n**2)))
+    sites, n = grid.site_count, gs.n
+    f_prime = field_strength(gs, grid, a_prime)[..., mu, nu, :].reshape(sites, len(mu), gs.r)
+    f = field_strength(gs, grid, a)[..., mu, nu, :].reshape(sites, len(mu), gs.r)
+    flat_sigma = sigma.reshape(sites, 1, n, n)
+    # the matrices are built and conjugated in site blocks; the squared gaps
+    # fill one array, summed once, so the summation order is the grid's
+    gap = np.empty((sites, len(mu), n, n))
+    for block in site_blocks(sites):
+        s = flat_sigma[block]
+        conj = _matmul(_matmul(s, gauge_matrices(gs, f[block])), s.conj().swapaxes(-1, -2))
+        gap[block] = np.abs(gauge_matrices(gs, f_prime[block]) - conj) ** 2
+    return float(np.sqrt(2.0 * np.sum(gap) / (sites * grid.dim**2 * n**2)))
 
 
 def covariance_defects(

@@ -35,6 +35,23 @@ __all__ = [
 # Real coefficient vector with respect to a GeneratorSet basis.
 AlgebraElement = np.ndarray
 
+# Sites per call of a stacked kernel (the unitary-gauge sweep, the lattice
+# transforms): the (sites, n, n) temporaries scale with this, not with the grid.
+SITE_BLOCK = 4096
+
+
+def site_blocks(count: int) -> list[slice]:
+    """Consecutive slices of SITE_BLOCK sites covering range(count).
+
+    A lone last site joins the block before it: numpy's matmul takes a
+    matrix-vector BLAS path for a single row, which rounds differently from
+    the matrix-matrix one every other block takes.
+    """
+    starts = list(range(0, count, SITE_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+
 
 class GeneratorError(ValueError):
     """Structural problem with a generator set or an algebra element."""
@@ -189,9 +206,12 @@ def act(gs: GeneratorSet, coeffs: AlgebraElement, v: np.ndarray) -> np.ndarray:
 
 def skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, V) of H = -iA, so that A = V diag(iw) V^dagger, for a stack
-    of skew-Hermitian A.  H is symmetrised, which drops any non-skew part of A."""
+    of skew-Hermitian A.  H is symmetrised in place, (H + H^dagger) / 2, which
+    drops any non-skew part of A; the only temporary beside H is H^dagger."""
     H = -1j * np.asarray(A, dtype=complex)
-    return np.linalg.eigh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))
+    H += np.conj(np.swapaxes(H, -1, -2))
+    H *= 0.5
+    return np.linalg.eigh(H)
 
 
 def exp_of_eigh(w: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .breaking import SpectrumResult, orbit_frame
-from .liecore import GeneratorSet, exp_of_eigh, expm_skew, realify, skew_eigh
+from .liecore import GeneratorSet, exp_of_eigh, expm_skew, realify, site_blocks, skew_eigh
 
 __all__ = [
     "BrokenHessian",
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 ARMIJO = 1e-4
-_BLOCK = 4096  # sites solved together; bounds the stacked temporaries on large grids
 
 
 class DegeneratePointError(RuntimeError):
@@ -675,9 +674,9 @@ def apply_unitary_gauge_field(
 ) -> GaugeFieldResult:
     """Solve the pointwise problem across a grid field.
 
-    Sites are independent: all are solved together, in blocks of _BLOCK,
-    each starting from t = 0, so a site's result does not depend on its
-    neighbours or on their order.  A zero or non-finite value, or a site
+    Sites are independent: all are solved together, in blocks of
+    liecore.SITE_BLOCK, each starting from t = 0, so a site's result does
+    not depend on its neighbours or on their order.  A zero or non-finite value, or a site
     that fails, raises DegeneratePointError naming the first such site in
     lexicographic order; values are checked before any is solved.
     """
@@ -699,12 +698,11 @@ def apply_unitary_gauge_field(
     defects = np.empty(m)
     iterations = np.empty(m, dtype=int)
     fallback = np.empty(m, dtype=bool)
-    for start in range(0, m, _BLOCK):
-        block = slice(start, start + _BLOCK)
+    for block in site_blocks(m):
         rows = flat[block]
         (transforms[block], transformed[block], _, defects[block], iterations[block], fallback[block]) = (
             _solve_stack(
-                gs, frame, rows, pnrm[block], np.zeros((len(rows), d)), config, lambda k: site(start + k)
+                gs, frame, rows, pnrm[block], np.zeros((len(rows), d)), config, lambda k: site(block.start + k)
             )
         )
     return GaugeFieldResult(

@@ -166,6 +166,15 @@ def test_gauge_check_without_refinement_measures_nothing(refine):
     assert text == f"error: refinements must be at least 1 to measure an order, got {refine}\n"
 
 
+@pytest.mark.parametrize("extent", ["0", "3", "-8", "abc"])
+def test_bad_grid_extent_is_rejected_at_the_flag(extent, capsys):
+    # --grid 0 divided by zero for the spacing and ended in a traceback
+    with pytest.raises(SystemExit) as exit_:
+        run("gauge-check", "--grid", extent)
+    assert exit_.value.code == 2
+    assert f"argument --grid: expected an integer of at least 4, got '{extent}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_bad_tolerance_is_rejected_at_the_flag(tol, capsys):
     with pytest.raises(SystemExit) as exit_:

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssbspec import latticefields
+from ssbspec import latticefields, liecore
 from ssbspec.breaking import spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
@@ -165,6 +165,10 @@ def test_shape_validation_errors():
     good_a = np.zeros((8, 8, 2, GS.r))
     with pytest.raises(LatticeError):
         covariant_derivative(GS, grid, good_a, np.zeros((8, 7, 2)), 0)
+    with pytest.raises(LatticeError, match="matter field has 3 components"):
+        covariant_derivative(GS, grid, good_a, np.zeros((8, 8, 3)), 0)
+    with pytest.raises(LatticeError, match="gauge field must have shape"):
+        covariant_derivative(GS, grid, good_a[:4], np.zeros((8, 8, 2)), 0)
     with pytest.raises(LatticeError):
         central_difference(grid, np.zeros((8, 8)), 2)
     with pytest.raises(LatticeError):
@@ -375,18 +379,95 @@ def test_strength_defect_on_independent_planes_equals_full_mean(gs, metric):
     assert latticefields._strength_defect(gs, grid, a, a_prime, sigma) == pytest.approx(full, rel=1e-13)
 
 
-def test_covariance_defects_peak_memory_at_128():
-    # conjugating F on all (D, D) planes, diagonal and duplicates included,
-    # peaks near 46 MB above entry here; the planes mu < nu stay near 19 MB
-    grid = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
-    a = smooth_gauge_field(grid, SPIN1.r, seed=0)
-    psi = smooth_multiplet_field(grid, SPIN1.n, seed=1)
-    sigma = smooth_transform_field(SPIN1, grid, seed=2)
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated above entry while fn runs."""
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        covariance_defects(SPIN1, grid, a, psi, sigma)
-        peak = tracemalloc.get_traced_memory()[1] - entry
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+
+
+# Measured peaks (numpy 2.4, x86-64), spin-1, with about 20 % headroom in each
+# bound.  Over the whole grid at once (no site blocks) they were 18.6, 12.6
+# and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB.
+PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
+
+
+def test_covariance_defects_peak_memory_at_128():
+    a = smooth_gauge_field(PLANE128, SPIN1.r, seed=0)
+    psi = smooth_multiplet_field(PLANE128, SPIN1.n, seed=1)
+    sigma = smooth_transform_field(SPIN1, PLANE128, seed=2)
+    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 8.5e6  # 7.1 MB
+
+
+def test_smooth_transform_field_peak_memory_at_128():
+    assert _traced_peak(lambda: smooth_transform_field(SPIN1, PLANE128, seed=2)) < 7.3e6  # 6.1 MB
+
+
+def test_convergence_orders_peak_memory_at_32_refined_twice():
+    base = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
+    assert _traced_peak(lambda: convergence_orders(SPIN1, base, seed=0, refinements=2)) < 13.3e6  # 11.0 MB
+
+
+# ---------------------------------------------------------------------------
+# site blocks and the slice form of the central difference
+
+
+@pytest.mark.parametrize("extent", [4, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_central_difference_equals_its_roll_form(dim, extent, dtype):
+    rng = np.random.default_rng(dim * extent)
+    for mu in range(dim):
+        # the extent under test on axis mu, other (distinct) extents elsewhere
+        grid = Grid(dim=dim, shape=[extent if k == mu else 6 + k for k in range(dim)], spacing=0.3)
+        field = rng.normal(size=grid.shape + (2, 3))
+        if dtype is complex:
+            field = field + 1j * rng.normal(size=field.shape)
+        ref = (np.roll(field, -1, axis=mu) - np.roll(field, 1, axis=mu)) / (2.0 * grid.spacing)
+        got = central_difference(grid, field, mu)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+# 1056 and 1024 sites split unevenly at 7 and 1000; 120 sites leave one
+# site over at 7, which rides with the block before it
+BLOCK_GRIDS = [
+    Grid(dim=2, shape=(33, 32), spacing=1.0 / 32),
+    Grid(dim=3, shape=(8, 8, 16), spacing=1.0 / 8),
+    Grid(dim=3, shape=(4, 5, 6), spacing=0.25, metric="lorentzian"),
+]
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["plane", "cube", "lone-site"])
+@pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
+def test_site_blocks_leave_the_lattice_kernels_bit_identical(gs, grid, block, monkeypatch):
+    def kernels():
+        a = smooth_gauge_field(grid, gs.r, seed=1)
+        psi = smooth_multiplet_field(grid, gs.n, seed=2)
+        sigma = smooth_transform_field(gs, grid, seed=3)
+        moved = gauge_transform_gauge(gs, grid, sigma, a)
+        return sigma, moved.coefficients, moved.projection_defect, covariance_defects(gs, grid, a, psi, sigma)
+
+    assert grid.site_count <= liecore.SITE_BLOCK  # the reference is one block
+    whole = kernels()
+    monkeypatch.setattr(liecore, "SITE_BLOCK", block)
+    blocked = kernels()
+    for ref, got in zip(whole, blocked):
+        assert np.array_equal(got, ref)
+
+
+def test_non_unitary_site_in_the_last_block_is_reported(monkeypatch):
+    grid = Grid(dim=2, shape=(5, 6), spacing=0.2)
+    sigma = smooth_transform_field(GS, grid, seed=4)
+    a = smooth_gauge_field(grid, GS.r, seed=5)
+    monkeypatch.setattr(liecore, "SITE_BLOCK", 7)  # blocks of 7, 7, 7, 7 and 2 sites
+    gauge_transform_gauge(GS, grid, sigma, a)
+    sigma[0, 1] *= 1.05  # defect 0.1025 in the first block
+    sigma[4, 5] *= 1.1  # the last site: sigma sigma^dagger = 1.21, the worst defect
+    with pytest.raises(NonGroupTransformError, match=r"not unitary \(defect 2\.100e-01\)"):
+        gauge_transform_gauge(GS, grid, sigma, a)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbspec.chiral import su2_irrep
+from ssbspec import liecore
 from ssbspec.electroweak import build_generators
 from ssbspec.liecore import (
     GeneratorError,
@@ -191,3 +192,16 @@ def test_random_elements_deterministic_and_centered():
     draws = np.array([random_algebra_element(EW, rng) for _ in range(1000)])
     # mean of 1000 unit-variance draws stays within 5 standard errors
     assert np.all(np.abs(draws.mean(axis=0)) < 5.0 / np.sqrt(1000))
+
+
+@pytest.mark.parametrize("block", [2, 3, 7])
+def test_site_blocks_cover_every_site_once(block, monkeypatch):
+    monkeypatch.setattr(liecore, "SITE_BLOCK", block)
+    for count in range(1, 30):
+        blocks = liecore.site_blocks(count)
+        assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+        sizes = [b.stop - b.start for b in blocks]
+        # full blocks, then the rest; a lone last site joins the block before it
+        assert sizes[:-1] == [block] * (len(sizes) - 1)
+        assert 1 <= sizes[-1] <= block + 1
+        assert sizes[-1] > 1 or count == 1

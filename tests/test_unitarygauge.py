@@ -18,7 +18,7 @@ from ssbspec.breaking import spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec.latticefields import Grid, smooth_multiplet_field
-from ssbspec import unitarygauge
+from ssbspec import liecore, unitarygauge
 from ssbspec.liecore import GeneratorSet, skew_eigh
 from ssbspec.modelfile import parse_model_file
 from test_goldens import TWIST_PHI
@@ -188,7 +188,7 @@ def test_first_of_two_failing_fallbacks_is_named(monkeypatch):
 
     monkeypatch.setattr(unitarygauge, "_group_normalize", climb)
     # both sites in the second block of five: the name counts from the field's start
-    monkeypatch.setattr(unitarygauge, "_BLOCK", 5)
+    monkeypatch.setattr(liecore, "SITE_BLOCK", 5)
     with pytest.raises(DegeneratePointError, match=r"^site \(1, 3\): orbit climb did not converge$"):
         apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
 
@@ -212,7 +212,7 @@ def test_sweep_is_independent_of_site_order(gs, v0, monkeypatch):
     perm = rng.permutation(30)
     out = apply_unitary_gauge_field(gs, v0, field)
     # and in blocks of seven sites instead of one block
-    monkeypatch.setattr(unitarygauge, "_BLOCK", 7)
+    monkeypatch.setattr(liecore, "SITE_BLOCK", 7)
     shuffled = apply_unitary_gauge_field(gs, v0, field.reshape(30, n)[perm].reshape(5, 6, n))
     assert out.fallback.any()
     for name in ("transformed", "transforms", "defects"):
