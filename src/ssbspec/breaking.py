@@ -9,7 +9,8 @@ whose eigenvalues 2 m^2 give the scalar masses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,16 +83,16 @@ def _sort_clusters(values: np.ndarray, rows: np.ndarray, gap: float) -> tuple[np
     return np.concatenate(out_vals), np.concatenate(out_rows)
 
 
-@dataclass(frozen=True)
-class MassForm:
-    """Symmetric PSD matrix m_ij = Re <g_i v0, g_j v0> on coefficient vectors."""
+class MassForm(namedtuple("MassForm", "matrix")):
+    """Symmetric PSD matrix m_ij = Re <g_i v0, g_j v0> on coefficient vectors,
+    stored as a read-only real copy."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+    def __new__(cls, matrix: np.ndarray):
+        m = np.array(matrix, dtype=float)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.asarray(a) @ self.matrix @ np.asarray(b))
@@ -103,8 +104,7 @@ def mass_form(gs: GeneratorSet, v0: np.ndarray) -> MassForm:
     return MassForm(T @ T.T)
 
 
-@dataclass(frozen=True)
-class OrbitFrame:
+class OrbitFrame(NamedTuple):
     """Singular value decomposition of the orbit map X -> X v, realified.
 
     The first rank rows of vt span the broken coefficient directions and
@@ -127,8 +127,7 @@ def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
     return OrbitFrame(u=u, s=s, vt=vt, rank=rank)
 
 
-@dataclass(frozen=True)
-class StabilizerSplit:
+class StabilizerSplit(NamedTuple):
     """Orthonormal split of the coefficient space at a vacuum.
 
     unbroken rows annihilate v0; broken rows span the complement.
@@ -193,8 +192,7 @@ def boson_spectrum(mf: MassForm, split: StabilizerSplit) -> tuple[np.ndarray, np
     return rows, masses
 
 
-@dataclass(frozen=True)
-class OrbitSplit:
+class OrbitSplit(NamedTuple):
     """Orthonormal split of realified field space at a vacuum.
 
     orbit rows span the gauge-orbit tangent realify(g v0); transverse
@@ -244,8 +242,7 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
     )
 
 
-@dataclass(frozen=True)
-class ShiftDecomposition:
+class ShiftDecomposition(NamedTuple):
     """Coordinates of phi - v0 in the orbit/transverse frame.
 
     The shift is (1/sqrt 2) (sum_i xi_i e_i + sum_j eta_j f_j) in
@@ -268,8 +265,7 @@ def reconstruct_shift(split: OrbitSplit, v0: np.ndarray, dec: ShiftDecomposition
     return np.asarray(v0, dtype=complex) + unrealify(delta)
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """Full spectrum data of a broken model at its vacuum."""
 
     vacuum: np.ndarray
@@ -309,8 +305,7 @@ def spectrum(model: HiggsModel) -> SpectrumResult:
     )
 
 
-@dataclass(frozen=True)
-class QuadraticReport:
+class QuadraticReport(NamedTuple):
     """Coefficients of the second-order expansion around a candidate vacuum.
 
     For a genuine vacuum: the constant term, scalar masses on transverse
@@ -350,7 +345,7 @@ def quadratic_lagrangian(
     const = potential_value(model.potential, v0)
     if spec is None or at is not None:
         try:
-            spec = spectrum(replace(model, vacuum=v0))
+            spec = spectrum(HiggsModel(model.generators, model.potential, v0))
         except NotAVacuumError:
             gs = model.generators
             split = stabilizer_split(gs, v0)

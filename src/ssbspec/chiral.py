@@ -12,7 +12,8 @@ complex conjugate matrices.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,14 +41,17 @@ class RepresentationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Action of the abstract generator basis on one multiplet space."""
+class Representation(namedtuple("Representation", "matrices")):
+    """Action of the abstract generator basis on one multiplet space.
 
-    matrices: np.ndarray  # (r, dim, dim) complex, skew-Hermitian
+    matrices is an (r, dim, dim) complex stack of skew-Hermitian matrices,
+    stored as a read-only copy.
+    """
 
-    def __post_init__(self):
-        m = np.array(self.matrices, dtype=complex)
+    __slots__ = ()
+
+    def __new__(cls, matrices: np.ndarray):
+        m = np.array(matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] == 0:
             raise RepresentationError(
                 f"representation must be an (r, dim, dim) stack, got {m.shape}"
@@ -56,7 +60,7 @@ class Representation:
         if skew > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
             raise RepresentationError(f"matrices are not skew-Hermitian (defect {skew:.3e})")
         m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
+        return super().__new__(cls, m)
 
     @property
     def r(self) -> int:
@@ -67,8 +71,7 @@ class Representation:
         return self.matrices.shape[1]
 
 
-@dataclass(frozen=True)
-class IntertwinerBasis:
+class IntertwinerBasis(NamedTuple):
     """Basis of {K : L_i K = K R_i for every generator i}."""
 
     matrices: tuple[np.ndarray, ...]  # each (dim_left, dim_right)
@@ -122,22 +125,23 @@ def mass_form_exists(rep_left: Representation, rep_right: Representation) -> boo
     return intertwiner_basis(rep_left, rep_right).dimension > 0
 
 
-@dataclass(frozen=True)
-class TripleProduct:
-    """Trilinear coefficient tensor with per-slot conjugation flags."""
+class TripleProduct(namedtuple("TripleProduct", "tensor conjugated")):
+    """Trilinear coefficient tensor with per-slot conjugation flags.
 
-    tensor: np.ndarray  # (dim_a, dim_b, dim_c) complex
-    conjugated: tuple[bool, bool, bool]
+    tensor is a (dim_a, dim_b, dim_c) complex array, stored as a read-only
+    copy; conjugated is stored as a tuple of three bools.
+    """
 
-    def __post_init__(self):
-        t = np.array(self.tensor, dtype=complex)
+    __slots__ = ()
+
+    def __new__(cls, tensor: np.ndarray, conjugated: tuple[bool, bool, bool]):
+        t = np.array(tensor, dtype=complex)
         if t.ndim != 3:
             raise RepresentationError(f"tensor must have three slots, got shape {t.shape}")
         if not np.all(np.isfinite(t.view(float))):
             raise RepresentationError("tensor entries must be finite")
         t.setflags(write=False)
-        object.__setattr__(self, "tensor", t)
-        object.__setattr__(self, "conjugated", tuple(bool(f) for f in self.conjugated))
+        return super().__new__(cls, t, tuple(bool(f) for f in conjugated))
 
     def contract(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> complex:
         """tau(a, b, c); conjugated slots conjugate their argument."""

@@ -12,7 +12,8 @@ sqrt(g^2+g'^2), which annihilates the vacuum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,16 +51,18 @@ class ChargeError(ValueError):
     """Representation matrices do not carry a consistent charge structure."""
 
 
-@dataclass(frozen=True)
-class ElectroweakParams:
-    g: float = 2.0
-    gp: float = 1.0
-    mu: float = 2.0
-    lam: float = 1.0
+class ElectroweakParams(namedtuple("ElectroweakParams", "g gp mu lam")):
+    """Couplings g, g' and potential parameters mu, lambda; all finite and positive."""
 
-    def __post_init__(self):
-        if not (self.g > 0 and self.gp > 0 and self.mu > 0 and self.lam > 0):
+    __slots__ = ()
+
+    def __new__(cls, g: float = 2.0, gp: float = 1.0, mu: float = 2.0, lam: float = 1.0):
+        for name, value in (("g", g), ("gp", gp), ("mu", mu), ("lambda", lam)):
+            if not math.isfinite(value):
+                raise ValueError(f"electroweak parameter {name} must be finite, got {value}")
+        if not (g > 0 and gp > 0 and mu > 0 and lam > 0):
             raise ValueError("all electroweak parameters must be positive")
+        return super().__new__(cls, g, gp, mu, lam)
 
 
 def build_generators(g: float, gp: float) -> GeneratorSet:
@@ -98,8 +101,7 @@ def diagonal_basis(p: ElectroweakParams) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class MassPredictions:
+class MassPredictions(NamedTuple):
     w: float
     z: float
     photon: float
@@ -126,8 +128,7 @@ def elementary_charge(p: ElectroweakParams) -> float:
     return p.g * p.gp / math.hypot(p.g, p.gp)
 
 
-@dataclass(frozen=True)
-class ChargeOperators:
+class ChargeOperators(NamedTuple):
     """Hermitian charge operators of one representation."""
 
     t1: np.ndarray
@@ -167,8 +168,7 @@ def charge_operators(rep: GeneratorSet, p: ElectroweakParams, tol: float = 1e-10
     )
 
 
-@dataclass(frozen=True)
-class DecomposedGauge:
+class DecomposedGauge(NamedTuple):
     """Physical combinations of a gauge coefficient field.
 
     w_plus/w_minus are complex; z and photon stay real for real input.

@@ -9,8 +9,8 @@ real calculus.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,18 +56,17 @@ class VacuumSolveError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class QuarticPotential:
+class QuarticPotential(namedtuple("QuarticPotential", "mu lam")):
     """Rotation-invariant quartic potential with analytic derivatives."""
 
-    mu: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.lam) and self.lam > 0):
+    def __new__(cls, mu: float, lam: float):
+        if not (np.isfinite(mu) and np.isfinite(lam) and lam > 0):
             raise PotentialError(
-                f"quartic potential needs finite mu and lambda > 0, got mu={self.mu}, lambda={self.lam}"
+                f"quartic potential needs finite mu and lambda > 0, got mu={mu}, lambda={lam}"
             )
+        return super().__new__(cls, mu, lam)
 
     @property
     def vacuum_radius(self) -> float:
@@ -89,8 +88,7 @@ class QuarticPotential:
         return (-self.mu + 2.0 * self.lam * s) * np.eye(x.size) + 4.0 * self.lam * np.outer(x, x)
 
 
-@dataclass(frozen=True)
-class CustomPotential:
+class CustomPotential(NamedTuple):
     """User-supplied potential with finite-difference fallbacks.
 
     value_fn takes a complex vector; gradient_fn/hessian_fn, when given,
@@ -150,39 +148,35 @@ def potential_hessian(p, v: np.ndarray) -> np.ndarray:
     return p.hessian(np.asarray(v, dtype=complex))
 
 
-@dataclass(frozen=True)
-class HiggsModel:
+class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
     """Generator set, invariant potential, and (optionally) a pinned vacuum.
 
-    When a vacuum is supplied it is verified at construction: the
-    gradient must vanish and the Hessian must be positive semidefinite,
-    both to tol_vac scaled tolerances.
+    When a vacuum is supplied it is stored as a read-only copy and verified
+    at construction: the gradient must vanish and the Hessian must be
+    positive semidefinite, both to tol_vac scaled tolerances.
     """
 
-    generators: GeneratorSet
-    potential: object
-    vacuum: np.ndarray | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vacuum is None:
-            return
-        v = np.array(self.vacuum, dtype=complex)
-        if v.shape != (self.generators.n,):
-            raise NotAVacuumError(
-                f"vacuum must have shape ({self.generators.n},), got {v.shape}"
-            )
-        v.setflags(write=False)
-        object.__setattr__(self, "vacuum", v)
-        grad = potential_gradient(self.potential, v)
-        hess = potential_hessian(self.potential, v)
-        scale = 1.0 + float(np.max(np.abs(hess)))
-        if float(np.linalg.norm(grad)) > TOL_VAC * scale:
-            raise NotAVacuumError(
-                f"gradient norm {np.linalg.norm(grad):.3e} at the supplied vacuum"
-            )
-        lo = float(np.linalg.eigvalsh(hess).min())
-        if lo < -TOL_VAC * scale:
-            raise NotAVacuumError(f"Hessian has negative eigenvalue {lo:.3e} at the supplied vacuum")
+    def __new__(cls, generators: GeneratorSet, potential: object, vacuum: np.ndarray | None = None):
+        if vacuum is not None:
+            vacuum = np.array(vacuum, dtype=complex)
+            if vacuum.shape != (generators.n,):
+                raise NotAVacuumError(
+                    f"vacuum must have shape ({generators.n},), got {vacuum.shape}"
+                )
+            vacuum.setflags(write=False)
+            grad = potential_gradient(potential, vacuum)
+            hess = potential_hessian(potential, vacuum)
+            scale = 1.0 + float(np.max(np.abs(hess)))
+            if float(np.linalg.norm(grad)) > TOL_VAC * scale:
+                raise NotAVacuumError(
+                    f"gradient norm {np.linalg.norm(grad):.3e} at the supplied vacuum"
+                )
+            lo = float(np.linalg.eigvalsh(hess).min())
+            if lo < -TOL_VAC * scale:
+                raise NotAVacuumError(f"Hessian has negative eigenvalue {lo:.3e} at the supplied vacuum")
+        return super().__new__(cls, generators, potential, vacuum)
 
 
 def find_vacuum(

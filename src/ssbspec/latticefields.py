@@ -10,7 +10,9 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
+
 import numpy as np
 
 from .breaking import SpectrumResult
@@ -58,27 +60,28 @@ class NotUnitaryGaugeError(LatticeError):
     """A perturbation has components along the orbit directions."""
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Periodic uniform grid with a diagonal metric."""
+class Grid(namedtuple("Grid", "dim shape spacing metric")):
+    """Periodic uniform grid with a diagonal metric.
 
-    dim: int
-    shape: tuple[int, ...]
-    spacing: float
-    metric: str = "euclidean"
+    shape is stored as a tuple of ints, one extent per dimension; metric is
+    "euclidean" or "lorentzian".
+    """
 
-    def __post_init__(self):
-        if self.dim < 1:
+    __slots__ = ()
+
+    def __new__(cls, dim: int, shape: tuple[int, ...], spacing: float, metric: str = "euclidean"):
+        if dim < 1:
             raise LatticeError("grid dimension must be at least 1")
-        object.__setattr__(self, "shape", tuple(int(m) for m in self.shape))
-        if len(self.shape) != self.dim:
-            raise LatticeError(f"expected {self.dim} extents, got {len(self.shape)}")
-        if any(m < 4 for m in self.shape):
+        shape = tuple(int(m) for m in shape)
+        if len(shape) != dim:
+            raise LatticeError(f"expected {dim} extents, got {len(shape)}")
+        if any(m < 4 for m in shape):
             raise LatticeError("each extent must be at least 4")
-        if not (np.isfinite(self.spacing) and self.spacing > 0):
-            raise LatticeError(f"spacing must be finite and positive, got {self.spacing}")
-        if self.metric not in ("euclidean", "lorentzian"):
-            raise LatticeError(f"unknown metric {self.metric!r}")
+        if not (np.isfinite(spacing) and spacing > 0):
+            raise LatticeError(f"spacing must be finite and positive, got {spacing}")
+        if metric not in ("euclidean", "lorentzian"):
+            raise LatticeError(f"unknown metric {metric!r}")
+        return super().__new__(cls, dim, shape, spacing, metric)
 
     @property
     def signs(self) -> np.ndarray:
@@ -171,8 +174,7 @@ def gauge_matrices(gs: GeneratorSet, a: np.ndarray) -> np.ndarray:
     return (a.reshape(-1, gs.r) @ gs.matrices.reshape(gs.r, -1)).reshape(a.shape[:-1] + (gs.n, gs.n))
 
 
-@dataclass(frozen=True)
-class TransformedGauge:
+class TransformedGauge(NamedTuple):
     coefficients: np.ndarray  # (*shape, D, r)
     projection_defect: float  # worst site defect of the span projection
 
@@ -189,8 +191,9 @@ def gauge_transform_gauge(
     The derivative term is a central difference, so for a smooth group
     valued sigma the result leaves the generator span by O(h^2); the
     projection defect records how much.  Passing tol_proj makes a larger
-    defect an error.  A sigma that is not sitewise unitary is rejected; the
-    error gives the worst site defect over the whole field.
+    defect an error.  A sigma that is not sitewise unitary, or has a NaN
+    entry, is rejected; the error gives the worst site defect over the whole
+    field.
 
     The work runs one direction at a time: d_mu sigma needs neighbours, so
     it is taken over the whole field, and only one direction's is held.
@@ -216,7 +219,8 @@ def gauge_transform_gauge(
     unitary_defect = np.max(
         [np.max(np.abs(_matmul(flat_sigma[b], inverse(b)) - np.eye(n))) for b in site_blocks(sites)]
     )
-    if unitary_defect > 1e-8:
+    # written as not (defect <= tol) so that a NaN defect fails, here and below
+    if not (unitary_defect <= 1e-8):
         raise NonGroupTransformError(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
@@ -231,7 +235,7 @@ def gauge_transform_gauge(
             coeffs[block, mu], defect = gs.project(moved)
             block_worst.append(np.max(defect))
     worst = float(np.max(block_worst))
-    if tol_proj is not None and worst > tol_proj:
+    if tol_proj is not None and not (worst <= tol_proj):
         raise NonGroupTransformError(
             f"transformed field leaves the generator span (defect {worst:.3e} > {tol_proj:.3e})"
         )
@@ -322,8 +326,7 @@ def higgs_density(
     return _add_kinetic(gs, grid, a, phi, -_potential_field(potential, phi))
 
 
-@dataclass(frozen=True)
-class ActionConfig:
+class ActionConfig(NamedTuple):
     """Field content entering the total action; omitted pieces contribute 0."""
 
     grid: Grid
@@ -482,8 +485,7 @@ def covariance_defects(
     )
 
 
-@dataclass(frozen=True)
-class OrderMeasurement:
+class OrderMeasurement(NamedTuple):
     defects: tuple[float, ...]  # per grid, coarse to fine
 
     @property
@@ -529,8 +531,7 @@ def convergence_orders(
 # quadratic expansion of the combined higgs + gauge action
 
 
-@dataclass(frozen=True)
-class ExpansionCheck:
+class ExpansionCheck(NamedTuple):
     eps: float
     remainder: float  # max-norm density gap at eps
     remainder_half: float  # the same at eps/2

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class GeneratorError(ValueError):
     """Structural problem with a generator set or an algebra element."""
 
 
-@dataclass(frozen=True)
-class FactorLabel:
+class FactorLabel(NamedTuple):
     """Tags a block of generator indices as one group factor (metadata only)."""
 
     name: str
@@ -66,23 +66,22 @@ class FactorLabel:
     coupling: float
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
     """Basis of a compact symmetry algebra acting on C^n.
 
     Parameters
     ----------
     matrices : (r, n, n) complex ndarray
         One skew-Hermitian matrix per basis element, couplings folded in.
+        Stored as a read-only copy.
     factors : tuple of FactorLabel, optional
         Partition of the basis indices into group factors.
     """
 
-    matrices: np.ndarray
-    factors: tuple[FactorLabel, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = np.array(self.matrices, dtype=complex)
+    def __new__(cls, matrices: np.ndarray, factors: tuple[FactorLabel, ...] | None = None):
+        m = np.array(matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise GeneratorError(
                 f"generators must form an (r, n, n) stack, got shape {m.shape}"
@@ -90,16 +89,16 @@ class GeneratorSet:
         if m.shape[0] == 0 or m.shape[1] == 0:
             raise GeneratorError("generator stack must be nonempty")
         m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
-        if self.factors is not None:
+        if factors is not None:
             seen: set[int] = set()
-            for f in self.factors:
+            for f in factors:
                 for i in f.indices:
-                    if not 0 <= i < self.r or i in seen:
+                    if not 0 <= i < m.shape[0] or i in seen:
                         raise GeneratorError(
                             f"factor {f.name!r} has an out-of-range or repeated index {i}"
                         )
                     seen.add(i)
+        return super().__new__(cls, m, factors)
 
     @property
     def r(self) -> int:
@@ -180,8 +179,7 @@ class GeneratorSet:
         return float(np.max(self._brackets()[2]))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     skew_defect: float
     closure_defect: float
     tol_alg: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*) = (.+)$")
 Document = dict  # section name -> {key -> value}
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     line: int  # 1-based, 0 for document-level issues
     section: str
     message: str
@@ -164,15 +163,13 @@ def emit_document(doc: Document) -> str:
 # model assembly
 
 
-@dataclass(frozen=True)
-class YukawaSection:
+class YukawaSection(NamedTuple):
     product: TripleProduct
     slots: tuple[str, str, str]
     g_y: float
 
 
-@dataclass(frozen=True)
-class ModelBundle:
+class ModelBundle(NamedTuple):
     model: HiggsModel
     representations: dict
     yukawa: YukawaSection | None

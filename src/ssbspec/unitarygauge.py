@@ -34,7 +34,7 @@ returned point.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class DegeneratePointError(RuntimeError):
     """The solver cannot make progress from this field value."""
 
 
-@dataclass(frozen=True)
-class UnitaryGaugeConfig:
+class UnitaryGaugeConfig(NamedTuple):
     tol: float = 1e-10
     max_iter: int = 50
     endgame: float = 1e-6  # defect level below which steps backtrack on |s| only
@@ -78,8 +77,7 @@ def fiber_derivative(gs: GeneratorSet, v0: np.ndarray, phi: np.ndarray) -> np.nd
     return np.real(acted @ np.conj(np.asarray(phi, dtype=complex)))
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """Broken-direction data at a fixed vacuum."""
 
     broken: np.ndarray  # (d, r)
@@ -120,15 +118,13 @@ def goldstone_vanish_check(
     return GoldstoneCheck(ok=defect < tol, defect=defect, xi=xi)
 
 
-@dataclass(frozen=True)
-class GoldstoneCheck:
+class GoldstoneCheck(NamedTuple):
     ok: bool
     defect: float
     xi: np.ndarray
 
 
-@dataclass(frozen=True)
-class BrokenHessian:
+class BrokenHessian(NamedTuple):
     """Symmetrized matrix B_ij = Re <phi, a_i a_j v0> on broken directions.
 
     Exactly symmetric on the unitary gauge slice; the recorded asymmetry
@@ -152,8 +148,7 @@ def broken_hessian(
     return BrokenHessian(matrix=0.5 * (B + B.T), asymmetry=asym)
 
 
-@dataclass(frozen=True)
-class GaugePointResult:
+class GaugePointResult(NamedTuple):
     transform: np.ndarray  # (n, n) unitary, exp over broken directions
     point: np.ndarray  # transform @ phi
     coeffs: np.ndarray  # (d,) exponential coordinates on the broken basis
@@ -652,8 +647,7 @@ def solve_unitary_gauge_point(
     )
 
 
-@dataclass(frozen=True)
-class GaugeFieldResult:
+class GaugeFieldResult(NamedTuple):
     transforms: np.ndarray  # (*shape, n, n)
     transformed: np.ndarray  # (*shape, n)
     defects: np.ndarray  # (*shape,)

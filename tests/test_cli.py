@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def test_electroweak_machine_values():
     assert doc["derived"]["weinberg_angle"] == pytest.approx(math.atan(0.5), abs=1e-15)
     assert doc["derived"]["charge_diagonal"] == [1.0, 0.0]
     assert doc["validation"]["pass"] is True
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag, name", [("--g", "g"), ("--gp", "gp"), ("--mu", "mu"), ("--lambda", "lambda")])
+def test_electroweak_rejects_non_finite_parameters(flag, name, value, capsys):
+    # --g inf passed the > 0 check, warned, and ended in a bare "SVD did not converge"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run("electroweak", flag, value)
+    assert (code, text) == (2, f"error: electroweak parameter {name} must be finite, got {value}\n")
+    assert caught == []
+    assert capsys.readouterr().err == ""
 
 
 def test_spectrum_is_byte_identical_across_runs():
@@ -247,6 +260,16 @@ def test_commands_load_no_scipy():
         f"main(['spectrum', '--model', {MODEL!r}, '--format', 'machine'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ssbspec.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_loads_neither_dataclasses_nor_scipy():
+    # records are named tuples: generating the methods of 34 dataclasses took
+    # about 40 ms of every command's start
+    code = "import sys\nimport ssbspec.cli\nprint(sorted({'dataclasses', 'scipy'} & set(sys.modules)))\n"
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ssbspec.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -117,6 +117,27 @@ def test_non_unitary_transform_rejected():
         gauge_transform_gauge(U1, grid, sigma, a)
 
 
+def test_nan_transform_site_is_rejected():
+    # NaN compares False against the unitarity tolerance, so the check is
+    # written as not (defect <= tol)
+    grid = Grid(dim=2, shape=(4, 4), spacing=0.25)
+    sigma = smooth_transform_field(GS, grid, seed=4)
+    a = smooth_gauge_field(grid, GS.r, seed=5)
+    sigma[1, 2, 0, 1] = np.nan
+    with pytest.raises(NonGroupTransformError, match=r"not unitary \(defect nan\)"):
+        gauge_transform_gauge(GS, grid, sigma, a)
+
+
+def test_nan_gauge_coefficient_fails_the_projection_tolerance():
+    grid = Grid(dim=2, shape=(4, 4), spacing=0.25)
+    sigma = smooth_transform_field(GS, grid, seed=4)
+    a = smooth_gauge_field(grid, GS.r, seed=5)
+    assert gauge_transform_gauge(GS, grid, sigma, a, tol_proj=1.0).projection_defect < 0.5
+    a[2, 3, 1, 0] = np.nan
+    with pytest.raises(NonGroupTransformError, match=r"leaves the generator span \(defect nan > 1\.000e\+00\)"):
+        gauge_transform_gauge(GS, grid, sigma, a, tol_proj=1.0)
+
+
 def test_field_strength_antisymmetric_exactly():
     grid = Grid(dim=2, shape=(8, 8), spacing=0.25)
     a = smooth_gauge_field(grid, SU2.r, seed=5)

@@ -5,7 +5,6 @@ couplings (g, gp), the fiber derivative at phi = (c, 0) is
 (0, c*g*w/2, 0, 0), and the canonical transverse representative of any
 phi is (0, |phi|) up to tolerance.
 """
-import dataclasses
 import warnings
 
 import numpy as np
@@ -345,8 +344,7 @@ def test_tangents_match_scipy_frechet():
             cases.append((frame, t * (norm / np.linalg.norm(A, 2))))
     # directions whose sums have exactly and nearly equal eigenvalues
     skew = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    diagonal = dataclasses.replace(
-        spin1,
+    diagonal = spin1._replace(
         alpha=np.stack(
             [1j * np.diag([1.0, 1.0, -2.0]), 1j * np.diag([0.0, 1e-9, 0.0]), skew - skew.conj().T]
         ),
