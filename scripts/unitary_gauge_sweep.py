@@ -2,8 +2,8 @@
 
 Synthesizes fields as vacuum plus a smooth perturbation of growing
 amplitude and records residual Goldstone defects, iteration counts, and
-norm preservation per site.  Large amplitudes probe the globalization
-fallbacks far from the identity chart.
+norm preservation per site.  Large amplitudes start the climb far from
+the transverse slice, where it needs more trust-region steps.
 """
 import argparse
 

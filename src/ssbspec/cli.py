@@ -316,6 +316,7 @@ def _cmd_unitary_gauge(args, out) -> int:
     if args.out:
         write_field(args.out, grid, "multiplet", result.transformed)
     ok = result.max_defect < tol
+    worst = np.unravel_index(int(np.argmax(result.defects)), result.defects.shape)
     doc = {
         "report": {"command": "unitary-gauge", "seed": seed, "tolerance": tol},
         "input": {
@@ -326,7 +327,9 @@ def _cmd_unitary_gauge(args, out) -> int:
         },
         "result": {
             "max_defect": result.max_defect,
+            "worst_site": [int(i) for i in worst],
             "total_iterations": int(np.sum(result.iterations)),
+            "max_iterations": int(np.max(result.iterations)),
             "pass": ok,
         },
     }

@@ -60,8 +60,8 @@ class ElectroweakParams(namedtuple("ElectroweakParams", "g gp mu lam")):
         for name, value in (("g", g), ("gp", gp), ("mu", mu), ("lambda", lam)):
             if not math.isfinite(value):
                 raise ValueError(f"electroweak parameter {name} must be finite, got {value}")
-        if not (g > 0 and gp > 0 and mu > 0 and lam > 0):
-            raise ValueError("all electroweak parameters must be positive")
+            if not value > 0:
+                raise ValueError(f"electroweak parameter {name} must be positive, got {value}")
         return super().__new__(cls, g, gp, mu, lam)
 
 

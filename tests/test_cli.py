@@ -18,6 +18,7 @@ from ssbspec.gridfile import read_field, write_field
 from ssbspec.higgsmodel import VacuumSolveError
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec.modelfile import parse_document
+from ssbspec.unitarygauge import apply_unitary_gauge_field
 
 MODEL = "models/electroweak.model"
 
@@ -56,6 +57,14 @@ def test_electroweak_rejects_non_finite_parameters(flag, name, value, capsys):
         code, text = run("electroweak", flag, value)
     assert (code, text) == (2, f"error: electroweak parameter {name} must be finite, got {value}\n")
     assert caught == []
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag, name", [("--g", "g"), ("--gp", "gp"), ("--mu", "mu"), ("--lambda", "lambda")])
+def test_electroweak_names_a_non_positive_parameter(flag, name, value, capsys):
+    code, text = run("electroweak", flag, value)
+    assert (code, text) == (2, f"error: electroweak parameter {name} must be positive, got {float(value)}\n")
     assert capsys.readouterr().err == ""
 
 
@@ -146,6 +155,14 @@ def test_unitary_gauge_reads_field_file(tmp_path):
     norms_in = np.linalg.norm(phi, axis=-1)
     norms_out = np.linalg.norm(moved, axis=-1)
     assert np.allclose(norms_in, norms_out, atol=1e-12)
+    # the counters: the site of the largest defect and the largest iteration count
+    model = modelfile.parse_model_file(pathlib.Path(MODEL).read_text()).model
+    swept = apply_unitary_gauge_field(model.generators, model.vacuum, phi)
+    doc = parse_document(text)["result"]
+    assert doc["max_defect"] == swept.max_defect
+    assert doc["worst_site"] == [int(i) for i in np.unravel_index(np.argmax(swept.defects), (4, 4))]
+    assert swept.defects[tuple(doc["worst_site"])] == swept.max_defect
+    assert doc["max_iterations"] == swept.iterations.max() > 0
 
 
 @pytest.mark.parametrize("bad", [1e-300, float("nan")])

@@ -118,7 +118,7 @@ def _old_project(gs, mats):
 def test_project_matches_its_einsum_form(gs):
     rng = np.random.default_rng(gs.n)
     n = gs.n
-    # the unitary-gauge fallback lift projects a (1, n, n) stack: bit for bit
+    # a single matrix, as a (1, n, n) stack, projects bit for bit
     for _ in range(200):
         one = rng.normal(size=(1, n, n)) + 1j * rng.normal(size=(1, n, n))
         for new, old in zip(gs.project(one), _old_project(gs, one)):

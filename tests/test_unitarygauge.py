@@ -5,20 +5,20 @@ couplings (g, gp), the fiber derivative at phi = (c, 0) is
 (0, c*g*w/2, 0, 0), and the canonical transverse representative of any
 phi is (0, |phi|) up to tolerance.
 """
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbspec.breaking import spectrum
+from ssbspec.breaking import orbit_frame, spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec import liecore, unitarygauge
-from ssbspec.liecore import GeneratorSet, skew_eigh
+from ssbspec.liecore import GeneratorSet
 from ssbspec.modelfile import parse_model_file
 from test_goldens import TWIST_PHI
 from ssbspec.unitarygauge import (
@@ -176,19 +176,28 @@ def test_first_of_two_degenerate_sites_is_named():
         apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
 
 
-def test_first_of_two_failing_fallbacks_is_named(monkeypatch):
-    # (0, -1) is a critical point of the overlap away from the target: the
-    # chart stalls there and the orbit climb, made to fail here, takes over
+@pytest.mark.parametrize(
+    "shrink, message",
+    [(1.0, "no convergence in 50 iterations"), (0.25, "trust radius collapsed")],
+    ids=["budget", "radius"],
+)
+def test_first_of_two_failing_sites_is_named(monkeypatch, shrink, message):
+    # the step helper, patched to never accept a trial at the two sites with
+    # value (0, -1), leaves them to use up max_iter or, with their radius
+    # shrunk on every rejection, to let it collapse
     field = np.tile(np.array([0.1, 1.0], dtype=complex), (3, 4, 1))
     field[2, 1] = field[1, 3] = [0.0, -1.0]
+    step = unitarygauge._trust_step
 
-    def climb(frame, phi, config):
-        raise DegeneratePointError("orbit climb did not converge")
+    def stuck(frame, work, cur, radius, fscale):
+        accept, trial, new_radius = step(frame, work, cur, radius, fscale)
+        held = work[:, 1].real < 0
+        return accept & ~held, trial, np.where(held, shrink * radius, new_radius)
 
-    monkeypatch.setattr(unitarygauge, "_group_normalize", climb)
+    monkeypatch.setattr(unitarygauge, "_trust_step", stuck)
     # both sites in the second block of five: the name counts from the field's start
     monkeypatch.setattr(liecore, "SITE_BLOCK", 5)
-    with pytest.raises(DegeneratePointError, match=r"^site \(1, 3\): orbit climb did not converge$"):
+    with pytest.raises(DegeneratePointError, match=rf"^site \(1, 3\): {message} \(goldstone defect 0\.000e\+00"):
         apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
 
 
@@ -199,9 +208,8 @@ SPIN1_V0 = np.ones(3) / np.sqrt(3.0)
 @pytest.mark.parametrize("gs, v0", [(GS, V0), (SPIN1, SPIN1_V0)], ids=["doublet", "spin1"])
 def test_sweep_is_independent_of_site_order(gs, v0, monkeypatch):
     # rough values: the spin-1 slice meets an orbit at several points, which
-    # a start from a neighbour's coefficients could pick differently; -1.3 v0
-    # is a critical point of the overlap away from the target, where the
-    # chart stalls and the fallback runs
+    # a climb that depended on other sites could pick differently; -1.3 v0 is
+    # a critical point of the overlap away from the target (the hard case)
     rng = np.random.default_rng(41)
     n = gs.n
     field = v0 + rng.uniform(0.5, 2.5, size=(5, 6, 1)) * (
@@ -213,179 +221,126 @@ def test_sweep_is_independent_of_site_order(gs, v0, monkeypatch):
     # and in blocks of seven sites instead of one block
     monkeypatch.setattr(liecore, "SITE_BLOCK", 7)
     shuffled = apply_unitary_gauge_field(gs, v0, field.reshape(30, n)[perm].reshape(5, 6, n))
-    assert out.fallback.any()
     for name in ("transformed", "transforms", "defects"):
         got = getattr(shuffled, name).reshape(30, -1)
         np.testing.assert_allclose(got, getattr(out, name).reshape(30, -1)[perm], rtol=0, atol=1e-12)
     np.testing.assert_array_equal(shuffled.iterations.ravel(), out.iterations.ravel()[perm])
-    np.testing.assert_array_equal(shuffled.fallback.ravel(), out.fallback.ravel()[perm])
     for idx in np.ndindex(5, 6):
-        cold = solve_unitary_gauge_point(gs, v0, field[idx], t0=None)
+        cold = solve_unitary_gauge_point(gs, v0, field[idx])
         np.testing.assert_allclose(out.transformed[idx], cold.point, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.transforms[idx], cold.transform, rtol=0, atol=1e-12)
         assert out.iterations[idx] == cold.iterations
 
 
-def test_one_stalled_site_inside_a_batch(monkeypatch):
-    # only the TWIST_PHI site stalls in the chart; it alone takes the orbit
-    # climb and the lift, and counts their iterations as the point solver does
+def test_hard_sites_inside_a_batch(monkeypatch):
+    # TWIST_PHI starts near the antipode of the vacuum ray, and -1.3 v0 on it,
+    # where the gradient vanishes and only the hard case of the trust-region
+    # step climbs; inside a smooth field they get what the point solver gives
     grid = Grid(dim=2, shape=(4, 5), spacing=0.25)
     field = V0 + 0.35 * smooth_multiplet_field(grid, 2, 3)
     field[2, 3] = TWIST_PHI
-    point = solve_unitary_gauge_point(GS, V0, TWIST_PHI, spec=SPEC)
-    climbs = _spy_climb(monkeypatch)
-    lifts = []
-    lift = unitarygauge._lift
-    monkeypatch.setattr(
-        unitarygauge, "_lift", lambda *a: lifts.append(lift(*a)) or lifts[-1]
-    )
-    calls = _spy_gauss_newton(monkeypatch)
+    field[0, 4] = -1.3 * V0
+    hard = []
+    subproblem = unitarygauge._subproblem
+
+    def spy(H, s, radius, tiny):
+        hard.append(int(np.sum(np.all(np.abs(s) <= tiny, axis=-1))))
+        return subproblem(H, s, radius, tiny)
+
+    monkeypatch.setattr(unitarygauge, "_subproblem", spy)
     out = apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
-    assert np.argwhere(out.fallback).tolist() == [[2, 3]]
-    assert len(climbs) == 1 and len(lifts) == 1
-    np.testing.assert_allclose(climbs[0][0], TWIST_PHI * W / np.linalg.norm(TWIST_PHI), atol=1e-15)
-    expected = UnitaryGaugeConfig().max_iter + climbs[0][1][2] + lifts[0][1]
-    assert lifts[0][1] == sum(used for _, used in calls)
-    assert out.iterations[2, 3] == expected == point.iterations
-    np.testing.assert_allclose(out.transformed[2, 3], point.point, rtol=0, atol=1e-12)
+    assert hard[0] == 1
+    for idx, phi in (((2, 3), TWIST_PHI), ((0, 4), -1.3 * V0)):
+        point = solve_unitary_gauge_point(GS, V0, phi, spec=SPEC)
+        assert out.iterations[idx] == point.iterations
+        np.testing.assert_allclose(out.transformed[idx], point.point, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(point.point, [0.0, np.linalg.norm(phi)], atol=1e-10)
     assert out.max_defect < 1e-10
 
 
 def test_tight_iteration_budget_raises():
     cfg = UnitaryGaugeConfig(max_iter=0)
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError, match="no convergence in 0 iterations"):
         solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), spec=SPEC, config=cfg)
+    # a value already in unitary gauge needs no iteration
+    assert solve_unitary_gauge_point(GS, V0, np.array([0.0, 2.0]), spec=SPEC, config=cfg).iterations == 0
 
 
-def _spy_gauss_newton(monkeypatch) -> list:
-    calls = []
-    gauss_newton = unitarygauge._gauss_newton_to
-
-    def spy(*args, **kwargs):
-        t, ok, used = gauss_newton(*args, **kwargs)
-        calls.append((ok, used))
-        return t, ok, used
-
-    monkeypatch.setattr(unitarygauge, "_gauss_newton_to", spy)
-    return calls
-
-
-def _spy_climb(monkeypatch) -> list:
-    """Records (phi, (psi, U_acc, iterations)) for each orbit climb."""
-    climbs = []
-    climb = unitarygauge._group_normalize
-
-    def spy(frame, phi, config):
-        climbs.append((phi, climb(frame, phi, config)))
-        return climbs[-1][1]
-
-    monkeypatch.setattr(unitarygauge, "_group_normalize", spy)
-    return climbs
-
-
-def test_twist_scan_lifts_when_log_start_fails(monkeypatch):
-    # measured: the chart Newton stalls from t = 0, Gauss-Newton from the
-    # broken part of log U_acc fails, and the stabilizer twist finds the
-    # chart coefficients; the failed attempt counts toward the iterations
-    calls = _spy_gauss_newton(monkeypatch)
-    climbs = _spy_climb(monkeypatch)
-    res = solve_unitary_gauge_point(GS, V0, TWIST_PHI, t0=np.zeros(3))
-    assert [ok for ok, _ in calls] == [False, True]
-    spent = sum(used for _, used in calls)
-    assert res.iterations == UnitaryGaugeConfig().max_iter + climbs[0][1][2] + spent
-    assert res.goldstone_defect < 1e-10
-
-
-def test_orbit_climb_escapes_a_saddle(monkeypatch):
-    # measured on a rough spin-1 field: from this warm start the chart
-    # Newton stalls and the orbit climb reaches a saddle of the overlap
-    # (Hessian eigenvalues about -0.81, -0.77, +0.045), where gradient
-    # steps only creep; the curvature escape climbs off it
-    gs = GeneratorSet(su2_irrep(3))
-    v0 = np.ones(3) / np.sqrt(3.0)
+def test_orbit_climb_escapes_a_saddle():
+    # a spin-1 value on the slice (its fiber derivative is rounding) where the
+    # overlap, -0.79, has a saddle: the Hessian has eigenvalues of both signs
+    # and the gradient gives no direction; the step along the top eigenvector
+    # climbs off it, to the overlap no other start improves on
     phi = np.array(
         [
-            2.3876259581138664 + 0.22773390136058455j,
-            -0.2054962117266912 + 0.26975429554669805j,
-            2.1700268594051133 - 0.46106043194305646j,
+            -0.701465127698973 - 0.07074212252603461j,
+            0.02966488742700595 + 0.07074212252603461j,
+            -0.7014651276989728 - 0.07074212252603462j,
         ]
     )
-    t0 = np.array([-8.544742152622002, -0.009735825034667472, 10.52419072212499])
-    calls = _spy_gauss_newton(monkeypatch)
-    res = solve_unitary_gauge_point(gs, v0, phi, t0=t0)
-    assert calls and calls[0][0]
-    assert res.goldstone_defect < 1e-12
-    assert res.overlap.real > 0
+    curvature = np.linalg.eigvalsh(broken_hessian(SPIN1, SPIN1_V0, phi).matrix)
+    assert curvature[0] < 0 < curvature[-1]
+    assert np.max(np.abs(fiber_derivative(SPIN1, SPIN1_V0, phi))) < 1e-16
+    assert np.vdot(SPIN1_V0, phi).real < -0.79
+    res = solve_unitary_gauge_point(SPIN1, SPIN1_V0, phi)
+    assert res.goldstone_defect < 1e-10
+    assert res.overlap.real > 0.8
+    np.testing.assert_allclose(np.linalg.norm(res.point), np.linalg.norm(phi), rtol=1e-12)
+    for start in _starts(SPIN1, SPIN1_V0):
+        other = solve_unitary_gauge_point(SPIN1, SPIN1_V0, start @ phi)
+        assert other.overlap.real <= res.overlap.real + 1e-10
+
+
+def _starts(gs: GeneratorSet, v0: np.ndarray) -> list:
+    """exp(pi a_j) and exp(pi a_j / 2) along each broken direction a_j."""
+    frame = orbit_frame(gs, v0)
+    broken = np.einsum("dr,rij->dij", frame.vt[: frame.rank], gs.matrices)
+    return [liecore.expm_skew(c * a) for a in broken for c in (np.pi, np.pi / 2)]
+
+
+EW_MODEL = pathlib.Path(__file__).resolve().parent.parent / "models" / "electroweak.model"
+
+
+@pytest.mark.parametrize(
+    "which, phi",
+    [
+        ("doublet", [-0.7441907604546026 + 0.16553747198110644j, -1.6167786908213881 - 0.09931042630428247j]),
+        (
+            "spin1",
+            [
+                4.29834815097103 - 2.101227626654608j,
+                0.8544413702145945 + 5.081040073393113j,
+                5.37765305865649 - 0.44390740008801755j,
+            ],
+        ),
+    ],
+    ids=["doublet", "spin1"],
+)
+def test_rough_values_that_used_to_fail(which, phi):
+    # rough-field sites (benchmark seed 1103) where the former solver, a
+    # Newton iteration in exponential coordinates with a fallback, failed
+    if which == "doublet":
+        model = parse_model_file(EW_MODEL.read_text()).model
+        gs, v0 = model.generators, model.vacuum
+        np.testing.assert_array_equal(v0, [0.0, 1.0])
+    else:
+        gs, v0 = SPIN1, SPIN1_V0
+    phi = np.array(phi)
+    res = solve_unitary_gauge_point(gs, v0, phi)
+    assert res.goldstone_defect < 1e-10
+    assert res.overlap.real >= 0
     np.testing.assert_allclose(np.linalg.norm(res.point), np.linalg.norm(phi), rtol=1e-12)
 
 
-def test_log_of_unitary_matches_scipy_logm():
-    rng = np.random.default_rng(20)
-    for n in (2, 3, 4):
-        for _ in range(20):
-            H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            H = 0.5 * (H + H.conj().T)
-            H *= rng.uniform(0.1, 0.99) * np.pi / np.max(np.abs(np.linalg.eigvalsh(H)))
-            U = scipy.linalg.expm(1j * H)
-            X = unitarygauge._log_unitary(U)
-            np.testing.assert_allclose(X, scipy.linalg.logm(U), atol=1e-10)
-            np.testing.assert_allclose(scipy.linalg.expm(X), U, atol=1e-12)
-
-
-def test_tangents_match_scipy_frechet():
-    rng = np.random.default_rng(31)
-    spin1 = unitarygauge._build_frame(GeneratorSet(su2_irrep(3)), np.ones(3) / np.sqrt(3.0), None)
-    doublet = unitarygauge._build_frame(GS, V0, SPEC)
-    cases = [(frame, np.zeros(len(frame.alpha))) for frame in (doublet, spin1)]
-    for norm in np.logspace(-9, 1, 11):
-        for frame in (doublet, spin1):
-            t = rng.normal(size=len(frame.alpha))
-            A = np.einsum("d,dij->ij", t, frame.alpha)
-            cases.append((frame, t * (norm / np.linalg.norm(A, 2))))
-    # directions whose sums have exactly and nearly equal eigenvalues
-    skew = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    diagonal = spin1._replace(
-        alpha=np.stack(
-            [1j * np.diag([1.0, 1.0, -2.0]), 1j * np.diag([0.0, 1e-9, 0.0]), skew - skew.conj().T]
-        ),
-    )
-    cases += [(diagonal, np.array([1.0, 0.0, 0.0])), (diagonal, np.array([1.0, 1.0, 0.0]))]
-    for frame, t in cases:
-        n = frame.alpha.shape[1]
-        phi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        A = np.einsum("d,dij->ij", t, frame.alpha)
-        want = np.stack(
-            [scipy.linalg.expm_frechet(A, a, compute_expm=False) @ phi for a in frame.alpha]
-        )
-        got = unitarygauge._tangents(frame, skew_eigh(A), phi)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
-
-
-def test_orbit_climb_converges_below_rounding():
-    # measured on a rough doublet field (sweep-rough seed 602, doublet field 1,
-    # site (17, 17)): near the target the rounding of each step moves the
-    # overlap by more than the Armijo gain of a converging Newton step, so the
-    # climb backtracks on |s| instead, as the chart does
-    with open("models/electroweak.model") as fh:
-        bundle = parse_model_file(fh.read())
-    frame = unitarygauge._build_frame(bundle.model.generators, bundle.model.vacuum, None)
-    phi = np.array(
-        [-1.2369512352161733 - 0.15013864946833777j, 1.346640666947669 + 1.1242892477152149j]
-    )
-    phi *= np.linalg.norm(frame.v0) / np.linalg.norm(phi)
-    psi, U_acc, iterations = unitarygauge._group_normalize(frame, phi, UnitaryGaugeConfig())
-    assert iterations == 5
-    assert unitarygauge._defect_of(frame, psi) < 0.05 * UnitaryGaugeConfig().tol
-    np.testing.assert_allclose(U_acc @ phi, psi, rtol=0, atol=1e-14)
-
-
 def test_huge_newton_direction_does_not_overflow():
-    # the chart Newton solve at this nearly singular Jacobian gives a
-    # direction whose squared norm overflows
+    # the Hessian at this value is singular along its gradient, where the
+    # Newton direction would be unbounded, and the gradient's other parts are
+    # 1e-253; a step model nearly singular along its gradient gives a boundary step
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = solve_unitary_gauge_point(GS, V0, np.array([0.0, 9.4e-253 + 1j]), spec=SPEC)
-        capped = unitarygauge._capped(np.array([1e200, -1e200]), 2.0)
+        H = np.array([[[-1e-300, 0.0], [0.0, -1.0]]])
+        step, gain = unitarygauge._subproblem(H, np.array([[1.0, 0.0]]), np.array([2.0]), 0.0)
     np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-10)
-    np.testing.assert_allclose(capped, [np.sqrt(2.0), -np.sqrt(2.0)])
-    np.testing.assert_array_equal(unitarygauge._capped(np.array([np.inf, 1.0]), 2.0), 0.0)
+    np.testing.assert_allclose(step, [[-2.0, 0.0]], rtol=1e-12)
+    np.testing.assert_allclose(gain, [2.0], rtol=1e-12)
