@@ -13,7 +13,6 @@ from .breaking import (
     stabilizer_split,
 )
 from .higgsmodel import (
-    CustomPotential,
     HiggsModel,
     QuarticPotential,
     check_potential_invariance,

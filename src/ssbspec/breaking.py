@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .higgsmodel import HiggsModel, NotAVacuumError, potential_hessian, potential_value
+from .higgsmodel import HiggsModel, NotAVacuumError
 from .liecore import GeneratorSet, realify, unrealify
 
 __all__ = [
@@ -289,7 +289,7 @@ def spectrum(model: HiggsModel) -> SpectrumResult:
     frame = orbit_frame(gs, v0)
     split = _stabilizer_split(frame)
     basis, masses = boson_spectrum(mf, split)
-    osplit = _orbit_split(frame, potential_hessian(model.potential, v0))
+    osplit = _orbit_split(frame, model.potential.hessian(v0))
     d = split.d
     return SpectrumResult(
         vacuum=v0,
@@ -342,7 +342,7 @@ def quadratic_lagrangian(
     v0 = np.asarray(at, dtype=complex) if at is not None else model.vacuum
     if v0 is None:
         raise NotAVacuumError("model has no vacuum; run find_vacuum first")
-    const = potential_value(model.potential, v0)
+    const = model.potential.value(v0)
     if spec is None or at is not None:
         try:
             spec = spectrum(HiggsModel(model.generators, model.potential, v0))
@@ -350,7 +350,7 @@ def quadratic_lagrangian(
             gs = model.generators
             split = stabilizer_split(gs, v0)
             _, masses = boson_spectrum(mass_form(gs, v0), split)
-            eigs = np.sort(np.linalg.eigvalsh(potential_hessian(model.potential, v0)))
+            eigs = np.sort(np.linalg.eigvalsh(model.potential.hessian(v0)))
             return QuadraticReport(
                 is_vacuum=False,
                 constant=const,

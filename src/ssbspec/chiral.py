@@ -11,13 +11,13 @@ complex conjugate matrices.
 """
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .electroweak import PAULI
+from .liecore import TOL_ALG
 
 __all__ = [
     "IntertwinerBasis",
@@ -29,7 +29,6 @@ __all__ = [
     "fermion_mass_after_breaking",
     "fermion_mass_matrix",
     "intertwiner_basis",
-    "mass_form_exists",
     "su2_irrep",
     "triple_invariance_defect",
 ]
@@ -57,7 +56,7 @@ class Representation(namedtuple("Representation", "matrices")):
                 f"representation must be an (r, dim, dim) stack, got {m.shape}"
             )
         skew = float(np.max(np.abs(m + np.conj(np.transpose(m, (0, 2, 1))))))
-        if skew > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
+        if skew > TOL_ALG * max(1.0, float(np.max(np.abs(m)))):
             raise RepresentationError(f"matrices are not skew-Hermitian (defect {skew:.3e})")
         m.setflags(write=False)
         return super().__new__(cls, m)
@@ -82,9 +81,7 @@ class IntertwinerBasis(NamedTuple):
         return len(self.matrices)
 
 
-def intertwiner_basis(
-    rep_left: Representation, rep_right: Representation, threshold: float = NULL_THRESHOLD
-) -> IntertwinerBasis:
+def intertwiner_basis(rep_left: Representation, rep_right: Representation) -> IntertwinerBasis:
     """Null space of the stacked system {L_i K - K R_i = 0}.
 
     Row-major vectorization turns each equation into
@@ -106,7 +103,7 @@ def intertwiner_basis(
     kept = []
     for k in range(dl * dr):
         sv = s[k] if k < s.size else 0.0
-        if sv <= threshold * smax:
+        if sv <= NULL_THRESHOLD * smax:
             kept.append(np.conj(vh[k]).reshape(dl, dr))
     for K in kept:
         worst = max(
@@ -118,11 +115,6 @@ def intertwiner_basis(
                 f"null-space vector fails the commutation identity ({worst:.3e})"
             )
     return IntertwinerBasis(matrices=tuple(kept), singular_values=s)
-
-
-def mass_form_exists(rep_left: Representation, rep_right: Representation) -> bool:
-    """Whether any equivariant pairing of the two representations exists."""
-    return intertwiner_basis(rep_left, rep_right).dimension > 0
 
 
 class TripleProduct(namedtuple("TripleProduct", "tensor conjugated")):
@@ -231,19 +223,12 @@ def fermion_mass_matrix(tau: TripleProduct, v0: np.ndarray, g_y: float) -> np.nd
     return np.abs(g_y * np.einsum("abc,b->ac", tau.tensor, v))
 
 
-def fermion_mass_after_breaking(
-    tau: TripleProduct, v0: np.ndarray, g_y: float, potential=None
-) -> float:
+def fermion_mass_after_breaking(tau: TripleProduct, v0: np.ndarray, g_y: float) -> float:
     """Dirac mass produced by freezing the scalar slot at the vacuum.
 
     Returns the largest singular value of the frozen coupling matrix;
     rows of fermion_mass_matrix that vanish are the modes left massless.
     """
-    if potential is not None:
-        grad = potential.gradient(np.asarray(v0, dtype=complex))
-        scale = max(1.0, float(np.linalg.norm(v0)))
-        if float(np.linalg.norm(grad)) > 1e-6 * scale:
-            warnings.warn("scalar value is not a critical point of the potential")
     v = np.asarray(v0, dtype=complex)
     if tau.conjugated[1]:
         v = np.conj(v)

@@ -36,8 +36,6 @@ from .higgsmodel import (
     NotAVacuumError,
     VacuumSolveError,
     check_potential_invariance,
-    potential_gradient,
-    potential_hessian,
 )
 from .latticefields import (
     Grid,
@@ -51,7 +49,7 @@ from .latticefields import (
     yang_mills_density,
     field_strength,
 )
-from .liecore import GeneratorError, act, exponentiate, validate_generators
+from .liecore import TOL_ALG, GeneratorError, act, exponentiate, validate_generators
 from .modelfile import ModelFileError, emit_document, parse_model_file
 from .unitarygauge import DegeneratePointError, UnitaryGaugeConfig, apply_unitary_gauge_field
 
@@ -130,8 +128,8 @@ def _cmd_electroweak(args, out) -> int:
     ok = (
         mass_gap < tol
         and higgs_gap < tol
-        and report.skew_defect < 1e-10
-        and report.closure_defect < 1e-10
+        and report.skew_defect < TOL_ALG
+        and report.closure_defect < TOL_ALG
         and unbroken_norm < 1e-12
     )
     doc = {
@@ -172,7 +170,7 @@ def _cmd_spectrum(args, out) -> int:
     seed = _resolve_seed(args)
     spec = spectrum(model)
     report = validate_generators(model.generators)
-    grad = float(np.linalg.norm(potential_gradient(model.potential, model.vacuum)))
+    grad = float(np.linalg.norm(model.potential.gradient(model.vacuum)))
     invariance = check_potential_invariance(model, samples=50, seed=seed)
     tol = args.tol if args.tol is not None else 1e-8
     ok = report.skew_defect < tol and report.closure_defect < tol and grad < tol and invariance < tol
@@ -209,8 +207,8 @@ def _cmd_validate(args, out) -> int:
     model = bundle.model
     seed = _resolve_seed(args)
     report = validate_generators(model.generators)
-    grad = float(np.linalg.norm(potential_gradient(model.potential, model.vacuum)))
-    hess_min = float(np.linalg.eigvalsh(potential_hessian(model.potential, model.vacuum)).min())
+    grad = float(np.linalg.norm(model.potential.gradient(model.vacuum)))
+    hess_min = float(np.linalg.eigvalsh(model.potential.hessian(model.vacuum)).min())
     invariance = check_potential_invariance(model, samples=100, seed=seed)
     tol = args.tol if args.tol is not None else 1e-8
     checks = {

@@ -1,6 +1,6 @@
-"""Invariant scalar potentials and vacuum finding.
+"""The invariant quartic potential and vacuum finding.
 
-The built-in quartic potential is V(v) = -mu/2 |v|^2 + lambda/2 |v|^4 with
+The potential is V(v) = -mu/2 |v|^2 + lambda/2 |v|^4 with
 lambda > 0.  For mu > 0 it is minimized on the sphere
 |v| = sqrt(mu / (2 lambda)); for mu <= 0 (the symmetric phase) at the origin.
 Gradients and Hessians are taken in realified coordinates (interleaved
@@ -10,7 +10,6 @@ real calculus.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .liecore import (
 )
 
 __all__ = [
-    "CustomPotential",
     "HiggsModel",
     "NotAVacuumError",
     "PotentialError",
@@ -31,9 +29,6 @@ __all__ = [
     "VacuumSolveError",
     "check_potential_invariance",
     "find_vacuum",
-    "potential_gradient",
-    "potential_hessian",
-    "potential_value",
 ]
 
 TOL_VAC = 1e-9
@@ -88,66 +83,6 @@ class QuarticPotential(namedtuple("QuarticPotential", "mu lam")):
         return (-self.mu + 2.0 * self.lam * s) * np.eye(x.size) + 4.0 * self.lam * np.outer(x, x)
 
 
-class CustomPotential(NamedTuple):
-    """User-supplied potential with finite-difference fallbacks.
-
-    value_fn takes a complex vector; gradient_fn/hessian_fn, when given,
-    must work in realified coordinates.  Missing derivatives are filled
-    in by central differences with step fd_step.
-    """
-
-    value_fn: Callable[[np.ndarray], float]
-    gradient_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-5
-
-    def value(self, v: np.ndarray) -> float:
-        return float(self.value_fn(np.asarray(v, dtype=complex)))
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        if self.gradient_fn is not None:
-            return np.asarray(self.gradient_fn(v), dtype=float)
-        x = realify(v)
-        h = self.fd_step * max(1.0, float(np.linalg.norm(x)))
-        grad = np.empty(x.size)
-        for k in range(x.size):
-            step = np.zeros(x.size)
-            step[k] = h
-            grad[k] = (
-                self.value(unrealify(x + step)) - self.value(unrealify(x - step))
-            ) / (2.0 * h)
-        return grad
-
-    def hessian(self, v: np.ndarray) -> np.ndarray:
-        if self.hessian_fn is not None:
-            return np.asarray(self.hessian_fn(v), dtype=float)
-        # central differences of the (possibly finite-difference) gradient
-        x = realify(v)
-        h = self.fd_step * max(1.0, float(np.linalg.norm(x)))
-        H = np.empty((x.size, x.size))
-        for k in range(x.size):
-            step = np.zeros(x.size)
-            step[k] = h
-            gp = self.gradient(unrealify(x + step))
-            gm = self.gradient(unrealify(x - step))
-            H[:, k] = (gp - gm) / (2.0 * h)
-        return 0.5 * (H + H.T)
-
-
-def potential_value(p, v: np.ndarray) -> float:
-    return p.value(np.asarray(v, dtype=complex))
-
-
-def potential_gradient(p, v: np.ndarray) -> np.ndarray:
-    """Realified gradient, shape (2n,)."""
-    return p.gradient(np.asarray(v, dtype=complex))
-
-
-def potential_hessian(p, v: np.ndarray) -> np.ndarray:
-    """Realified Hessian, shape (2n, 2n)."""
-    return p.hessian(np.asarray(v, dtype=complex))
-
-
 class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
     """Generator set, invariant potential, and (optionally) a pinned vacuum.
 
@@ -158,7 +93,7 @@ class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
 
     __slots__ = ()
 
-    def __new__(cls, generators: GeneratorSet, potential: object, vacuum: np.ndarray | None = None):
+    def __new__(cls, generators: GeneratorSet, potential: QuarticPotential, vacuum: np.ndarray | None = None):
         if vacuum is not None:
             vacuum = np.array(vacuum, dtype=complex)
             if vacuum.shape != (generators.n,):
@@ -166,8 +101,8 @@ class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
                     f"vacuum must have shape ({generators.n},), got {vacuum.shape}"
                 )
             vacuum.setflags(write=False)
-            grad = potential_gradient(potential, vacuum)
-            hess = potential_hessian(potential, vacuum)
+            grad = potential.gradient(vacuum)
+            hess = potential.hessian(vacuum)
             scale = 1.0 + float(np.max(np.abs(hess)))
             if float(np.linalg.norm(grad)) > TOL_VAC * scale:
                 raise NotAVacuumError(
@@ -198,14 +133,14 @@ def find_vacuum(
         raise PotentialError("seed point must be nonzero")
 
     def val(xr):
-        return potential_value(p, unrealify(xr))
+        return p.value(unrealify(xr))
 
     f = val(x)
     for it in range(max_iter):
         v = unrealify(x)
-        g = potential_gradient(p, v)
+        g = p.gradient(v)
         gn = float(np.linalg.norm(g))
-        H = potential_hessian(p, v)
+        H = p.hessian(v)
         scale = 1.0 + float(np.max(np.abs(H)))
         if gn < tol_vac:
             lo = float(np.linalg.eigvalsh(H).min())
@@ -241,8 +176,8 @@ def find_vacuum(
     # one least-squares Newton polish; the Hessian is singular along the
     # vacuum orbit, so use a pseudoinverse
     v = unrealify(x)
-    g = potential_gradient(p, v)
-    H = potential_hessian(p, v)
+    g = p.gradient(v)
+    H = p.hessian(v)
     x = x - np.linalg.pinv(H, rcond=1e-10, hermitian=True) @ g
     return unrealify(x)
 
@@ -251,7 +186,6 @@ def check_potential_invariance(
     model: HiggsModel,
     samples: int = 100,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> float:
     """Worst |V(exp(X) v) - V(v)| over seeded random X and v.
 
@@ -262,10 +196,10 @@ def check_potential_invariance(
     gs = model.generators
     worst = 0.0
     for _ in range(samples):
-        coeffs = random_algebra_element(gs, rng, scale)
+        coeffs = random_algebra_element(gs, rng)
         v = rng.normal(size=gs.n) + 1j * rng.normal(size=gs.n)
         U = exponentiate(gs, coeffs)
-        defect = abs(potential_value(model.potential, U @ v) - potential_value(model.potential, v))
+        defect = abs(model.potential.value(U @ v) - model.potential.value(v))
         worst = max(worst, defect)
     return worst
 

@@ -20,7 +20,6 @@ from .higgsmodel import HiggsModel
 from .liecore import GeneratorSet, expm_skew, realify, site_blocks, unrealify
 
 __all__ = [
-    "ActionConfig",
     "ExpansionCheck",
     "Grid",
     "LatticeError",
@@ -43,7 +42,6 @@ __all__ = [
     "smooth_multiplet_field",
     "smooth_scalar_field",
     "smooth_transform_field",
-    "total_action",
     "yang_mills_density",
 ]
 
@@ -263,9 +261,7 @@ def covariant_derivative(
     return dpsi
 
 
-def field_strength(
-    gs: GeneratorSet, grid: Grid, a: np.ndarray, tol_alg: float = 1e-10
-) -> np.ndarray:
+def field_strength(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
     """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], in coefficients.
 
     The bracket is evaluated through the structure constants, so closure
@@ -274,7 +270,7 @@ def field_strength(
     """
     a = np.asarray(a, dtype=float)
     _check_grid_axes(grid, a, 2, "gauge field")
-    c = gs.structure_constants(tol_alg=tol_alg)
+    c = gs.structure_constants()
     D, r = grid.dim, gs.r
     F = np.zeros(grid.shape + (D, D, r))
     for mu in range(D):
@@ -326,50 +322,19 @@ def higgs_density(
     return _add_kinetic(gs, grid, a, phi, -_potential_field(potential, phi))
 
 
-class ActionConfig(NamedTuple):
-    """Field content entering the total action; omitted pieces contribute 0."""
-
-    grid: Grid
-    generators: GeneratorSet | None = None
-    gauge: np.ndarray | None = None  # (*shape, D, r)
-    matter: np.ndarray | None = None  # (*shape, n), Klein-Gordon
-    matter_mass: float = 0.0
-    higgs: np.ndarray | None = None  # (*shape, n)
-    potential: object | None = None
-
-
-def total_action(config: ActionConfig) -> float:
-    """h^D weighted sum of the selected densities over all sites."""
-    grid = config.grid
-    total = np.zeros(grid.shape)
-    if config.gauge is not None:
-        if config.generators is None:
-            raise LatticeError("gauge sector requires generators")
-        total = total + yang_mills_density(
-            grid, field_strength(config.generators, grid, config.gauge)
-        )
-    if config.matter is not None:
-        total = total + klein_gordon_density(
-            config.generators, grid, config.gauge, config.matter, config.matter_mass
-        )
-    if config.higgs is not None:
-        if config.potential is None:
-            raise LatticeError("higgs sector requires a potential")
-        total = total + higgs_density(
-            config.generators, grid, config.gauge, config.higgs, config.potential
-        )
-    return grid.volume_element * float(np.sum(total))
-
-
 # ---------------------------------------------------------------------------
 # smooth test fields, resolution independent for fixed seed
 
 
-def _wave_set(rng: np.random.Generator, dim: int, terms: int):
+# waves per smooth component
+WAVE_TERMS = 3
+
+
+def _wave_set(rng: np.random.Generator, dim: int):
     # lowest nonzero wavevectors only; higher harmonics would push the
     # h^2 error constants up and blur order measurements on coarse grids
     waves = []
-    for _ in range(terms):
+    for _ in range(WAVE_TERMS):
         k = rng.integers(-1, 2, size=dim)
         if not np.any(k):
             k[rng.integers(dim)] = 1
@@ -386,39 +351,35 @@ def _eval_waves(frac: np.ndarray, waves, scale: float) -> np.ndarray:
     return scale * out / max(1, len(waves))
 
 
-def smooth_scalar_field(grid: Grid, seed: int, terms: int = 3, scale: float = 1.0) -> np.ndarray:
+def smooth_scalar_field(grid: Grid, seed: int, scale: float = 1.0) -> np.ndarray:
     """Periodic band-limited random field; refining the grid resamples
     the same continuum function."""
     rng = np.random.default_rng(seed)
-    return _eval_waves(grid.fractions(), _wave_set(rng, grid.dim, terms), scale)
+    return _eval_waves(grid.fractions(), _wave_set(rng, grid.dim), scale)
 
 
-def smooth_multiplet_field(
-    grid: Grid, n: int, seed: int, terms: int = 3, scale: float = 1.0
-) -> np.ndarray:
+def smooth_multiplet_field(grid: Grid, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     frac = grid.fractions()
     parts = []
     for _ in range(2 * n):
-        parts.append(_eval_waves(frac, _wave_set(rng, grid.dim, terms), scale))
+        parts.append(_eval_waves(frac, _wave_set(rng, grid.dim), scale))
     stacked = np.stack(parts, axis=-1)
     return stacked[..., :n] + 1j * stacked[..., n:]
 
 
-def smooth_gauge_field(
-    grid: Grid, r: int, seed: int, terms: int = 3, scale: float = 1.0
-) -> np.ndarray:
+def smooth_gauge_field(grid: Grid, r: int, seed: int, scale: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     frac = grid.fractions()
     comps = [
-        [_eval_waves(frac, _wave_set(rng, grid.dim, terms), scale) for _ in range(r)]
+        [_eval_waves(frac, _wave_set(rng, grid.dim), scale) for _ in range(r)]
         for _ in range(grid.dim)
     ]
     return np.stack([np.stack(row, axis=-1) for row in comps], axis=-2)
 
 
 def smooth_transform_field(
-    gs: GeneratorSet, grid: Grid, seed: int, terms: int = 3, scale: float = 0.4
+    gs: GeneratorSet, grid: Grid, seed: int, scale: float = 0.4
 ) -> np.ndarray:
     """sigma(x) = exp(sum_i c_i(x) g_i) with smooth coefficient fields.
 
@@ -428,7 +389,7 @@ def smooth_transform_field(
     rng = np.random.default_rng(seed)
     frac = grid.fractions()
     coeffs = np.stack(
-        [_eval_waves(frac, _wave_set(rng, grid.dim, terms), scale) for _ in range(gs.r)],
+        [_eval_waves(frac, _wave_set(rng, grid.dim), scale) for _ in range(gs.r)],
         axis=-1,
     ).reshape(-1, gs.r)
     sigma = np.empty((len(coeffs), gs.n, gs.n), dtype=complex)

@@ -27,7 +27,6 @@ __all__ = [
     "expm_skew",
     "exponentiate",
     "random_algebra_element",
-    "real_action_matrix",
     "realify",
     "unrealify",
     "validate_generators",
@@ -35,6 +34,9 @@ __all__ = [
 
 # Real coefficient vector with respect to a GeneratorSet basis.
 AlgebraElement = np.ndarray
+
+# Tolerance of the algebra checks: skew-Hermiticity and bracket closure.
+TOL_ALG = 1e-10
 
 # Sites per call of a stacked kernel (the unitary-gauge sweep, the lattice
 # transforms): the (sites, n, n) temporaries scale with this, not with the grid.
@@ -156,7 +158,7 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         brackets = prod - np.transpose(prod, (1, 0, 2, 3))
         return (brackets, *self.project(brackets))
 
-    def structure_constants(self, tol_alg: float = 1e-10) -> np.ndarray:
+    def structure_constants(self) -> np.ndarray:
         """c with [g_i, g_j] = sum_k c[i, j, k] g_k.
 
         Raises GeneratorError if some bracket leaves the span (the basis
@@ -165,7 +167,7 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         brackets, c, defect = self._brackets()
         scale = max(1.0, float(np.max(np.abs(brackets))))
         worst = float(np.max(defect))
-        if worst > tol_alg * scale:
+        if worst > TOL_ALG * scale:
             raise GeneratorError(f"brackets leave the generator span (defect {worst:.3e})")
         return c
 
@@ -182,16 +184,11 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
 class ValidationReport(NamedTuple):
     skew_defect: float
     closure_defect: float
-    tol_alg: float
-
-    @property
-    def ok(self) -> bool:
-        return self.skew_defect <= self.tol_alg and self.closure_defect <= self.tol_alg
 
 
-def validate_generators(gs: GeneratorSet, tol_alg: float = 1e-10) -> ValidationReport:
-    """Check skew-Hermiticity and bracket closure of the basis."""
-    return ValidationReport(gs.skew_defect(), gs.closure_defect(), tol_alg)
+def validate_generators(gs: GeneratorSet) -> ValidationReport:
+    """Skew-Hermiticity and bracket closure defects of the basis."""
+    return ValidationReport(gs.skew_defect(), gs.closure_defect())
 
 
 def act(gs: GeneratorSet, coeffs: AlgebraElement, v: np.ndarray) -> np.ndarray:
@@ -224,7 +221,7 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
 
 def exponentiate(gs: GeneratorSet, coeffs: AlgebraElement) -> np.ndarray:
     """Group element exp(X) of X; the basis must be skew-Hermitian (model files
-    are checked to 1e-10), since `expm_skew` drops any non-skew part."""
+    are checked to TOL_ALG), since `expm_skew` drops any non-skew part."""
     return expm_skew(gs.matrix_of(coeffs))
 
 
@@ -246,22 +243,6 @@ def unrealify(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] % 2:
         raise GeneratorError("realified vectors have even length")
     return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-def real_action_matrix(gs: GeneratorSet, index: int) -> np.ndarray:
-    """The 2n x 2n real matrix of generator `index` on realified vectors.
-
-    Satisfies realify(g_i v) = R @ realify(v); antisymmetric when g_i is
-    skew-Hermitian.
-    """
-    M = gs.matrices[index]
-    n = gs.n
-    R = np.zeros((2 * n, 2 * n))
-    R[0::2, 0::2] = M.real
-    R[0::2, 1::2] = -M.imag
-    R[1::2, 0::2] = M.imag
-    R[1::2, 1::2] = M.real
-    return R
 
 
 def random_algebra_element(

@@ -25,7 +25,7 @@ import numpy as np
 from .chiral import Representation, RepresentationError, TripleProduct
 from .higgsmodel import HiggsModel, NotAVacuumError, QuarticPotential, find_vacuum
 from .latticefields import Grid, LatticeError
-from .liecore import FactorLabel, GeneratorSet, GeneratorError
+from .liecore import TOL_ALG, FactorLabel, GeneratorSet, GeneratorError
 
 __all__ = [
     "Document",
@@ -44,6 +44,9 @@ _SECTION_RE = re.compile(r"^\[([a-z][a-z0-9_]*)\]$")
 _ENTRY_RE = re.compile(r"^([a-z][a-z0-9_]*) = (.+)$")
 
 Document = dict  # section name -> {key -> value}
+
+# the [grid] key behind each of Grid's errors, by a word of the error message
+_GRID_FIELDS = (("dimension", "dim"), ("extent", "shape"), ("spacing", "h"), ("metric", "metric"))
 
 
 class ParseIssue(NamedTuple):
@@ -245,19 +248,18 @@ def parse_model_file(text: str) -> ModelBundle:
                             issue("algebra", "factors entries must be [name, indices, coupling]", "factors")
                             continue
                         name, indices, coupling = item
+                        if not all(_is_int(i) for i in indices):
+                            issue("algebra", f"non-integer index for factor {name!r}", "factors")
+                            continue
                         if not (_is_number(coupling) and coupling > 0):
                             issue("algebra", f"non-positive coupling for factor {name!r}", "factors")
                             continue
-                        factors += (
-                            FactorLabel(
-                                name=name, indices=tuple(int(i) for i in indices), coupling=float(coupling)
-                            ),
-                        )
+                        factors += (FactorLabel(name=name, indices=tuple(indices), coupling=float(coupling)),)
                     try:
                         gs = GeneratorSet(matrices=gens, factors=factors)
                         skew = gs.skew_defect()
                         scale = max(1.0, float(np.max(np.abs(gens))))
-                        if skew > 1e-10 * scale:
+                        if skew > TOL_ALG * scale:
                             issue(
                                 "algebra", f"generators not skew-Hermitian (defect {skew:.3e})", "generators"
                             )
@@ -375,14 +377,25 @@ def parse_model_file(text: str) -> ModelBundle:
         dim = _take(gd, "dim", issue, "grid")
         shape = _take(gd, "shape", issue, "grid")
         h = _take(gd, "h", issue, "grid")
-        metric = _take(gd, "metric", issue, "grid", required=False) or "euclidean"
+        metric = gd.pop("metric", "euclidean")
         for key in gd:
             issue("grid", f"unknown key {key!r}", key)
-        if dim is not None and shape is not None and h is not None:
+        typed = {
+            "dim": (_is_int(dim), "an integer"),
+            "shape": (isinstance(shape, list) and all(_is_int(m) for m in shape), "a list of integers"),
+            "h": (_is_number(h), "a number"),
+            "metric": (isinstance(metric, str), "a string"),
+        }
+        present = doc["grid"]
+        mistyped = [key for key, (ok, _) in typed.items() if key in present and not ok]
+        for key in mistyped:
+            issue("grid", f"{key} must be {typed[key][1]}", key)
+        if not mistyped and all(key in present for key in ("dim", "shape", "h")):
             try:
-                grid = Grid(dim=int(dim), shape=tuple(shape), spacing=float(h), metric=metric)
-            except (LatticeError, TypeError, ValueError) as err:
-                issue("grid", str(err))
+                grid = Grid(dim=dim, shape=tuple(shape), spacing=float(h), metric=metric)
+            except LatticeError as err:
+                key = next((k for word, k in _GRID_FIELDS if word in str(err)), None)
+                issue("grid", str(err), key)
 
     if issues:
         raise ModelFileError(issues)

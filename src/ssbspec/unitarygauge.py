@@ -42,14 +42,12 @@ from .breaking import SpectrumResult, orbit_frame
 from .liecore import GeneratorSet, expm_skew, realify, site_blocks
 
 __all__ = [
-    "BrokenHessian",
     "DegeneratePointError",
     "GaugeFieldResult",
     "GaugePointResult",
     "GoldstoneCheck",
     "UnitaryGaugeConfig",
     "apply_unitary_gauge_field",
-    "broken_hessian",
     "fiber_derivative",
     "goldstone_vanish_check",
     "solve_unitary_gauge_point",
@@ -91,7 +89,6 @@ def fiber_derivative(gs: GeneratorSet, v0: np.ndarray, phi: np.ndarray) -> np.nd
 class _Frame(NamedTuple):
     """Broken-direction data at a fixed vacuum."""
 
-    broken: np.ndarray  # (d, r)
     orbit: np.ndarray  # (d, 2n)
     alpha: np.ndarray  # (d, n, n)
     av0: np.ndarray  # (d, n)
@@ -112,7 +109,7 @@ def _build_frame(gs: GeneratorSet, v0: np.ndarray, spec: SpectrumResult | None) 
     trust = np.pi / (2.0 * anorm) if anorm > 0 else 1.0
     av0 = alpha @ v0
     pair = np.einsum("aij,bj->abi", alpha, av0)
-    return _Frame(broken=broken, orbit=orbit, alpha=alpha, av0=av0, pair=pair, v0=v0, trust=trust)
+    return _Frame(orbit=orbit, alpha=alpha, av0=av0, pair=pair, v0=v0, trust=trust)
 
 
 def goldstone_vanish_check(
@@ -136,33 +133,6 @@ class GoldstoneCheck(NamedTuple):
     ok: bool
     defect: float
     xi: np.ndarray
-
-
-class BrokenHessian(NamedTuple):
-    """Symmetrized matrix B_ij = Re <phi, a_i a_j v0> on broken directions.
-
-    Exactly symmetric on the unitary gauge slice; the recorded asymmetry
-    is a diagnostic for how far off the slice the point sits.
-    """
-
-    matrix: np.ndarray
-    asymmetry: float
-
-
-def _pair_form(frame: _Frame, psi: np.ndarray) -> np.ndarray:
-    """B_ij = Re <psi, a_i a_j v0> per site of a stack psi (..., n)."""
-    return np.real(np.einsum("...k,abk->...ab", np.conj(psi), frame.pair))
-
-
-def broken_hessian(
-    gs: GeneratorSet,
-    v0: np.ndarray,
-    phi: np.ndarray,
-    spec: SpectrumResult | None = None,
-) -> BrokenHessian:
-    B = _pair_form(_build_frame(gs, v0, spec), np.asarray(phi, dtype=complex))
-    asym = float(np.max(np.abs(B - B.T))) if B.size else 0.0
-    return BrokenHessian(matrix=0.5 * (B + B.T), asymmetry=asym)
 
 
 class GaugePointResult(NamedTuple):
@@ -199,8 +169,8 @@ def _residual(frame: _Frame, psi: np.ndarray) -> np.ndarray:
 
 def _overlap_hessian(frame: _Frame, psi: np.ndarray) -> np.ndarray:
     """Hessian Re <v0, (a_i a_j + a_j a_i) psi> / 2 of that overlap at d = 0,
-    per site; it equals the symmetric part of `_pair_form`."""
-    B = _pair_form(frame, psi)
+    per site: the symmetric part of B_ij = Re <psi, a_i a_j v0>."""
+    B = np.real(np.einsum("...k,abk->...ab", np.conj(psi), frame.pair))
     return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 

@@ -15,7 +15,7 @@ from ssbspec.breaking import (
     stabilizer_split,
 )
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
-from ssbspec.higgsmodel import NotAVacuumError, QuarticPotential, potential_hessian
+from ssbspec.higgsmodel import NotAVacuumError, QuarticPotential
 from ssbspec.liecore import exponentiate, random_algebra_element, realify
 
 
@@ -126,7 +126,7 @@ def test_orbit_split_structure():
     p = ElectroweakParams()
     model = build_model(p)
     gs, v0 = model.generators, model.vacuum
-    split = orbit_split(gs, v0, potential_hessian(model.potential, v0))
+    split = orbit_split(gs, v0, model.potential.hessian(v0))
     assert split.orbit.shape == (3, 4)
     assert split.transverse.shape == (1, 4)
     # the transverse direction is the real-radial one, realify((0, 1))
@@ -144,7 +144,7 @@ def test_orbit_split_rejects_non_minimum():
     pot = QuarticPotential(2.0, 1.0)
     v = np.array([0.0, 0.4], dtype=complex)  # inside the sphere: indefinite Hessian
     with pytest.raises(NotAVacuumError):
-        orbit_split(gs, v, potential_hessian(pot, v))
+        orbit_split(gs, v, pot.hessian(v))
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,7 +152,7 @@ def test_orbit_split_rejects_non_minimum():
 def test_shift_round_trip(seed):
     model = build_model()
     gs, v0 = model.generators, model.vacuum
-    split = orbit_split(gs, v0, potential_hessian(model.potential, v0))
+    split = orbit_split(gs, v0, model.potential.hessian(v0))
     rng = np.random.default_rng(seed)
     phi = rng.normal(size=2) + 1j * rng.normal(size=2)
     dec = decompose_shift(split, v0, phi)

@@ -18,11 +18,9 @@ from ssbspec.chiral import (
     fermion_mass_after_breaking,
     fermion_mass_matrix,
     intertwiner_basis,
-    mass_form_exists,
     su2_irrep,
     triple_invariance_defect,
 )
-from ssbspec.higgsmodel import QuarticPotential
 from ssbspec.liecore import GeneratorSet
 
 G, GP = 2.0, 1.0
@@ -45,7 +43,6 @@ def test_representation_validation():
 def test_doublet_vs_singlet_has_no_intertwiner():
     basis = intertwiner_basis(LEFT, SINGLET)
     assert basis.dimension == 0
-    assert not mass_form_exists(LEFT, SINGLET)
 
 
 def test_rep_against_itself_contains_identity():
@@ -79,8 +76,8 @@ def test_su2_irrep_closes_with_fixed_structure():
 
 
 def test_unequal_charges_do_not_intertwine():
-    assert not mass_form_exists(charge_rep(1.0), charge_rep(2.0))
-    assert mass_form_exists(charge_rep(1.5), charge_rep(1.5))
+    assert intertwiner_basis(charge_rep(1.0), charge_rep(2.0)).dimension == 0
+    assert intertwiner_basis(charge_rep(1.5), charge_rep(1.5)).dimension == 1
 
 
 def test_intertwiner_dimension_is_basis_independent():
@@ -159,13 +156,3 @@ def test_mass_follows_the_vacuum_direction():
     assert m[0, 0] == pytest.approx(0.7)
     assert m[1, 0] == 0.0
     assert fermion_mass_after_breaking(tau, rotated, g_y=1.0) == pytest.approx(0.7)
-
-
-def test_non_vacuum_warns():
-    tau = electroweak_yukawa_tensor()
-    pot = QuarticPotential(mu=2.0, lam=1.0)  # vacuum radius 1
-    with pytest.warns(UserWarning, match="not a critical point"):
-        fermion_mass_after_breaking(tau, np.array([0.0, 0.5]), g_y=1.0, potential=pot)
-    good = np.array([0.0, pot.vacuum_radius], dtype=complex)
-    m = fermion_mass_after_breaking(tau, good, g_y=1.0, potential=pot)
-    assert m == pytest.approx(float(pot.vacuum_radius))

@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from ssbspec.electroweak import build_generators, build_model
 from ssbspec.higgsmodel import (
-    CustomPotential,
     HiggsModel,
     NotAVacuumError,
     PotentialError,
     QuarticPotential,
     check_potential_invariance,
     find_vacuum,
-    potential_gradient,
-    potential_hessian,
-    potential_value,
 )
 from ssbspec.liecore import realify, unrealify
 
@@ -27,7 +23,7 @@ def fd_gradient(p, v, h=1e-6):
     for k in range(x.size):
         e = np.zeros(x.size)
         e[k] = h
-        out[k] = (potential_value(p, unrealify(x + e)) - potential_value(p, unrealify(x - e))) / (2 * h)
+        out[k] = (p.value(unrealify(x + e)) - p.value(unrealify(x - e))) / (2 * h)
     return out
 
 
@@ -38,7 +34,7 @@ def fd_hessian(p, v, h=1e-5):
         e = np.zeros(x.size)
         e[k] = h
         out[:, k] = (
-            potential_gradient(p, unrealify(x + e)) - potential_gradient(p, unrealify(x - e))
+            p.gradient(unrealify(x + e)) - p.gradient(unrealify(x - e))
         ) / (2 * h)
     return 0.5 * (out + out.T)
 
@@ -52,8 +48,8 @@ def test_parameter_validation():
 def test_vacuum_radius_and_curvature():
     assert QUARTIC.vacuum_radius == pytest.approx(1.0)
     v0 = np.array([0.0, 1.0], dtype=complex)
-    np.testing.assert_array_equal(potential_gradient(QUARTIC, v0), np.zeros(4))
-    H = potential_hessian(QUARTIC, v0)
+    np.testing.assert_array_equal(QUARTIC.gradient(v0), np.zeros(4))
+    H = QUARTIC.hessian(v0)
     # the radial realified direction carries curvature 2 mu, the rest is flat
     assert H[2, 2] == pytest.approx(2 * QUARTIC.mu)
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(H)), [0, 0, 0, 2 * QUARTIC.mu], atol=1e-12)
@@ -64,19 +60,11 @@ def test_vacuum_radius_and_curvature():
 def test_analytic_derivatives_match_finite_differences(seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    g, H = potential_gradient(QUARTIC, v), potential_hessian(QUARTIC, v)
+    g, H = QUARTIC.gradient(v), QUARTIC.hessian(v)
     scale_g = max(1.0, np.linalg.norm(g))
     scale_h = max(1.0, np.abs(H).max())
     assert np.linalg.norm(g - fd_gradient(QUARTIC, v)) / scale_g < 1e-6
     assert np.abs(H - fd_hessian(QUARTIC, v)).max() / scale_h < 1e-6
-
-
-def test_custom_potential_fd_defaults_track_quartic():
-    custom = CustomPotential(value_fn=lambda v: QUARTIC.value(v))
-    rng = np.random.default_rng(7)
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    np.testing.assert_allclose(custom.gradient(v), QUARTIC.gradient(v), rtol=1e-7, atol=1e-7)
-    np.testing.assert_allclose(custom.hessian(v), QUARTIC.hessian(v), rtol=1e-4, atol=1e-4)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -96,13 +84,6 @@ def test_find_vacuum_general_parameters():
         assert abs(np.linalg.norm(v0) - pot.vacuum_radius) < 1e-9 * max(1.0, pot.vacuum_radius)
 
 
-def test_find_vacuum_with_finite_difference_potential():
-    custom = CustomPotential(value_fn=lambda v: QUARTIC.value(v))
-    model = HiggsModel(build_generators(2.0, 1.0), custom)
-    v0 = find_vacuum(model, np.array([0.3, 0.4 - 0.1j]), tol_vac=1e-7)
-    assert abs(np.linalg.norm(v0) - 1.0) < 1e-6
-
-
 def test_find_vacuum_rejects_zero_seed():
     model = HiggsModel(build_generators(2.0, 1.0), QUARTIC)
     with pytest.raises(PotentialError):
@@ -118,11 +99,16 @@ def test_model_verifies_supplied_vacuum():
         HiggsModel(gens, QUARTIC, np.array([0.0, 1.0, 0.0]))
 
 
+class Lopsided:
+    """V(v) = <v, D v> for D = diag(1, 2); only its value is used."""
+
+    def value(self, v):
+        return float(np.vdot(v, np.diag([1.0, 2.0]) @ v).real)
+
+
 def test_invariance_check_quartic_and_broken():
     model = build_model()
     assert check_potential_invariance(model, samples=100, seed=3) < 1e-9
     # a non-scalar diagonal quadratic form is not invariant under the action
-    D = np.diag([1.0, 2.0])
-    lopsided = CustomPotential(value_fn=lambda v: float(np.vdot(v, D @ v).real))
-    skewed = HiggsModel(model.generators, lopsided)
+    skewed = HiggsModel(model.generators, Lopsided())
     assert check_potential_invariance(skewed, samples=100, seed=3) > 0.01

@@ -17,7 +17,6 @@ from ssbspec.breaking import spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec.latticefields import (
-    ActionConfig,
     Grid,
     LatticeError,
     NonGroupTransformError,
@@ -37,7 +36,6 @@ from ssbspec.latticefields import (
     smooth_multiplet_field,
     smooth_scalar_field,
     smooth_transform_field,
-    total_action,
     yang_mills_density,
 )
 from ssbspec.liecore import GeneratorSet, expm_skew, exponentiate
@@ -164,10 +162,6 @@ def test_yang_mills_density_constant_commutator():
         assert np.allclose(f[..., 0, 1, :], [0.0, 0.0, -(c**2)], atol=1e-14)
         dens = yang_mills_density(grid, f)
         assert np.allclose(dens, sign * 0.5 * c**4, atol=1e-13)
-    action = total_action(
-        ActionConfig(grid=Grid(dim=2, shape=(6, 6), spacing=0.5), generators=SU2, gauge=a)
-    )
-    assert action == pytest.approx(0.25 * 36 * (-0.5 * c**4))
 
 
 def test_covariant_derivative_constant_field():
@@ -291,18 +285,6 @@ def test_quadratic_expansion_rejects_orbit_perturbation():
     bad = np.broadcast_to(GS.matrices[0] @ SPEC.vacuum, grid.shape + (GS.n,)).copy()
     with pytest.raises(NotUnitaryGaugeError):
         quadratic_expansion_check(MODEL, SPEC, eps=0.01, grid=grid, delta_phi=bad)
-
-
-def test_total_action_deterministic():
-    grid = Grid(dim=2, shape=(10, 10), spacing=0.2)
-    cfg = ActionConfig(
-        grid=grid,
-        generators=GS,
-        gauge=smooth_gauge_field(grid, GS.r, seed=21),
-        higgs=SPEC.vacuum + 0.1 * smooth_multiplet_field(grid, GS.n, seed=22),
-        potential=MODEL.potential,
-    )
-    assert total_action(cfg) == total_action(cfg)
 
 
 def test_derivative_covariance_small_on_smooth_data():

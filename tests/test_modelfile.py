@@ -163,6 +163,13 @@ YUKAWA_TAIL = (
 )
 
 
+def _with_factor(indices: str) -> str:
+    return MINIMAL.replace("[potential]", f'factors = [["u1", {indices}, 1.0]]\n\n[potential]')
+
+
+GRID_TAIL = '\n[grid]\ndim = 2\nshape = [4, 4]\nh = 0.5\nmetric = "euclidean"\n'
+
+
 @pytest.mark.parametrize(
     "bad, line, section, message",
     [
@@ -180,11 +187,26 @@ YUKAWA_TAIL = (
         (MINIMAL + YUKAWA_TAIL, 12, "representations", "'higgs' is reserved"),
         (MINIMAL + YUKAWA_TAIL, 18, "yukawa", "g_y must be a number"),
         (MINIMAL.split("[potential]")[0], 0, "potential", "missing [potential] section"),
+        (_with_factor('["x"]'), 7, "algebra", "non-integer index"),
+        (_with_factor('[2.9]'), 7, "algebra", "non-integer index"),
+        (_with_factor('[true]'), 7, "algebra", "non-integer index"),
+        (MINIMAL + GRID_TAIL.replace("h = 0.5", "h = true"), 14, "grid", "h must be a number"),
+        (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 2.7"), 12, "grid", "dim must be an integer"),
+        (MINIMAL + GRID_TAIL.replace("dim = 2", 'dim = "2"'), 12, "grid", "dim must be an integer"),
+        (MINIMAL + GRID_TAIL.replace("[4, 4]", "[4.5, 4]"), 13, "grid", "shape must be a list of integers"),
+        (MINIMAL + GRID_TAIL.replace('"euclidean"', "3"), 15, "grid", "metric must be a string"),
+        (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 0"), 12, "grid", "dimension must be at least 1"),
+        (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 3"), 13, "grid", "expected 3 extents"),
+        (MINIMAL + GRID_TAIL.replace("[4, 4]", "[4, 3]"), 13, "grid", "at least 4"),
+        (MINIMAL + GRID_TAIL.replace("h = 0.5", "h = 0.0"), 14, "grid", "spacing must be"),
+        (MINIMAL + GRID_TAIL.replace('"euclidean"', '"minkowski"'), 15, "grid", "unknown metric"),
     ],
     ids=[
         "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged", "factor-index",
         "missing-key", "lambda", "unknown-key", "vacuum", "unknown-section", "reserved-name",
-        "g_y", "missing-section",
+        "g_y", "missing-section", "factor-index-string", "factor-index-float", "factor-index-boolean",
+        "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-metric-number",
+        "grid-dim-zero", "grid-extent-count", "grid-extent-small", "grid-h-zero", "grid-metric-unknown",
     ],
 )
 def test_assembly_issue_carries_the_entry_line(bad, line, section, message):

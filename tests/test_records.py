@@ -11,7 +11,6 @@ from ssbspec.breaking import MassForm, quadratic_lagrangian, spectrum
 from ssbspec.chiral import Representation, RepresentationError, TripleProduct
 from ssbspec.electroweak import ElectroweakParams, build_model
 from ssbspec.higgsmodel import (
-    CustomPotential,
     HiggsModel,
     NotAVacuumError,
     PotentialError,
@@ -106,6 +105,19 @@ def test_records_refuse_assignment(record):
         record.extra = None
 
 
+class Tilted:
+    """V(v) = Re v_1: a constant gradient and a flat Hessian."""
+
+    def value(self, v):
+        return float(v[0].real)
+
+    def gradient(self, v):
+        return np.eye(4)[0]
+
+    def hessian(self, v):
+        return np.zeros((4, 4))
+
+
 def test_model_at_a_point_off_the_vacuum_is_refused():
     # quadratic_lagrangian(model, at=v) builds this model to try the point as a vacuum
     with pytest.raises(NotAVacuumError, match="gradient norm"):
@@ -114,10 +126,4 @@ def test_model_at_a_point_off_the_vacuum_is_refused():
         HiggsModel(generators=GS, potential=QUARTIC, vacuum=np.array([0.0, 1.7]))
     # a flat Hessian passes every check spectrum() makes; only the construction
     # check sees the gradient, so a _replace that skipped it would report a vacuum
-    tilted = CustomPotential(
-        value_fn=lambda v: float(v[0].real),
-        gradient_fn=lambda v: np.eye(4)[0],
-        hessian_fn=lambda v: np.zeros((4, 4)),
-    )
-    assert not quadratic_lagrangian(HiggsModel(GS, tilted), at=np.array([0.0, 1.0])).is_vacuum
-
+    assert not quadratic_lagrangian(HiggsModel(GS, Tilted()), at=np.array([0.0, 1.0])).is_vacuum
