@@ -9,7 +9,6 @@ import argparse
 
 import numpy as np
 
-from ssbspec.breaking import spectrum
 from ssbspec.electroweak import build_model
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec.unitarygauge import apply_unitary_gauge_field
@@ -25,7 +24,6 @@ def main():
     args = ap.parse_args()
 
     model = build_model()
-    spec = spectrum(model)
     grid = Grid(dim=2, shape=(args.grid, args.grid), spacing=1.0 / args.grid)
     n = model.vacuum.size
 
@@ -38,7 +36,7 @@ def main():
         drift = 0.0
         for seed in range(args.seeds):
             field = model.vacuum + scale * smooth_multiplet_field(grid, n, seed=seed)
-            result = apply_unitary_gauge_field(model.generators, model.vacuum, field, spec=spec)
+            result = apply_unitary_gauge_field(model.generators, model.vacuum, field)
             max_defect = max(max_defect, float(np.max(result.defects)))
             max_iter = max(max_iter, int(np.max(result.iterations)))
             total_iter += int(np.sum(result.iterations))

@@ -4,7 +4,6 @@ from .breaking import (
     MassForm,
     QuadraticReport,
     SpectrumResult,
-    boson_spectrum,
     decompose_shift,
     mass_form,
     orbit_split,

@@ -1,8 +1,10 @@
 """Symmetry breaking spectra: boson masses, Goldstone counting, Higgs modes.
 
 Given a generator basis acting on C^n and a vacuum v0, the central object
-is the mass form m(A, B) = Re <A v0, B v0>.  Its kernel is the unbroken
-subalgebra; its nonzero eigenvalues give the boson masses M = sqrt(2 eig).
+is the orbit map X -> X v0.  Its mass form m(A, B) = Re <A v0, B v0> is the
+map's Gram matrix, so one singular value decomposition of the map gives
+both the unbroken subalgebra (its kernel) and the boson masses M = sqrt(2) s
+(its singular values s above TOL_RANK).
 The realified potential Hessian at v0 splits into the orbit tangent
 directions (flat, one per broken generator) and transverse directions
 whose eigenvalues 2 m^2 give the scalar masses.
@@ -18,7 +20,6 @@ from .higgsmodel import HiggsModel, NotAVacuumError
 from .liecore import GeneratorSet, realify, unrealify
 
 __all__ = [
-    "InconsistentSpectrumError",
     "MassForm",
     "OrbitFrame",
     "OrbitSplit",
@@ -26,7 +27,6 @@ __all__ = [
     "ShiftDecomposition",
     "SpectrumResult",
     "StabilizerSplit",
-    "boson_spectrum",
     "decompose_shift",
     "mass_form",
     "orbit_frame",
@@ -39,10 +39,7 @@ __all__ = [
 TOL_RANK = 1e-8
 TOL_FLAT = 1e-8  # Hessian flatness on the orbit, PSD on the complement
 CLUSTER_GAP = 1e-8
-
-
-class InconsistentSpectrumError(RuntimeError):
-    """Rank decisions from different routes disagree."""
+TOL_SIGN = 1e-8  # relative size of the entry that fixes a row's sign
 
 
 def _acted(gs: GeneratorSet, v0: np.ndarray) -> np.ndarray:
@@ -53,11 +50,11 @@ def _acted(gs: GeneratorSet, v0: np.ndarray) -> np.ndarray:
     return realify(gs.matrices @ v)
 
 
-def _canonical_rows(rows: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Fix each row's sign so its first significant entry is positive."""
     rows = np.array(rows)
     for row in rows:
-        big = np.flatnonzero(np.abs(row) > tol * max(1.0, np.abs(row).max()))
+        big = np.flatnonzero(np.abs(row) > TOL_SIGN * max(1.0, np.abs(row).max()))
         if big.size and row[big[0]] < 0:
             row *= -1.0
     return rows + 0.0  # flush negative zeros
@@ -135,7 +132,6 @@ class StabilizerSplit(NamedTuple):
 
     unbroken: np.ndarray  # (r - d, r)
     broken: np.ndarray  # (d, r)
-    singular_values: np.ndarray
 
     @property
     def d(self) -> int:
@@ -147,49 +143,28 @@ def stabilizer_split(gs: GeneratorSet, v0: np.ndarray) -> StabilizerSplit:
 
     v0 = 0 gives an all-unbroken split.
     """
-    return _stabilizer_split(orbit_frame(gs, v0))
-
-
-def _stabilizer_split(frame: OrbitFrame) -> StabilizerSplit:
-    sv = np.zeros(frame.vt.shape[0])
-    sv[: frame.s.size] = frame.s
+    frame = orbit_frame(gs, v0)
     return StabilizerSplit(
         unbroken=_canonical_rows(frame.vt[frame.rank :]),
         broken=_canonical_rows(frame.vt[: frame.rank]),
-        singular_values=sv,
     )
 
 
-def boson_spectrum(mf: MassForm, split: StabilizerSplit) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize the mass form.
+def _bosons(frame: OrbitFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-diagonal broken rows and the r boson masses M = sqrt(2) s.
 
-    Returns (basis, masses): basis rows are an orthonormal eigenbasis of
-    coefficient space ordered broken-first by descending mass, and masses
-    are M_i = sqrt(2 eig_i), zero on the unbroken tail.  The number of
-    nonzero masses is pinned to split.d; a PSD violation or a rank
-    mismatch with the eigenvalue gaps raises.
+    The broken rows are the frame's first rank rows of vt, which
+    diagonalize the mass form; masses descend and are zero past the rank.
+    Within a cluster of masses equal to CLUSTER_GAP relative to the largest,
+    the rows are sign-fixed and sorted lexicographically for determinism,
+    so a row's own mass matches its entry only to within that gap.
     """
-    eigvals, eigvecs = np.linalg.eigh(mf.matrix)
-    scale = max(1.0, float(eigvals.max(initial=0.0)))
-    if eigvals.min(initial=0.0) < -1e-10 * scale:
-        raise InconsistentSpectrumError(
-            f"mass form has negative eigenvalue {eigvals.min():.3e}"
-        )
-    d = split.d
-    r = eigvals.size
-    # eigenvalues of the mass form are squared singular values of the
-    # orbit map, so the stabilizer rank must match the near-zero count;
-    # the squared threshold would undershoot machine noise, hence the floor
-    thr = max((TOL_RANK * split.singular_values.max(initial=0.0)) ** 2, 5e-14 * scale)
-    near_zero = int(np.sum(eigvals <= thr))
-    if r - near_zero != d:
-        raise InconsistentSpectrumError(
-            f"mass-form rank {r - near_zero} disagrees with stabilizer rank {d}"
-        )
-    vals, rows = _sort_clusters(eigvals, eigvecs.T, CLUSTER_GAP)
-    masses = np.sqrt(2.0 * np.clip(vals, 0.0, None))
-    masses[d:] = 0.0
-    return rows, masses
+    d = frame.rank
+    masses = np.zeros(frame.vt.shape[0])
+    masses[:d] = np.sqrt(2.0) * frame.s[:d]
+    scale = frame.s[0] if d else 1.0
+    _, broken = _sort_clusters(frame.s[:d] / scale, frame.vt[:d], CLUSTER_GAP)
+    return broken, masses
 
 
 class OrbitSplit(NamedTuple):
@@ -281,23 +256,20 @@ class SpectrumResult(NamedTuple):
 
 
 def spectrum(model: HiggsModel) -> SpectrumResult:
-    """Run the whole pipeline: mass form, splits, boson and scalar masses."""
+    """Run the whole pipeline: orbit frame, splits, boson and scalar masses."""
     if model.vacuum is None:
         raise NotAVacuumError("model has no vacuum; run find_vacuum first")
     gs, v0 = model.generators, model.vacuum
-    mf = mass_form(gs, v0)
     frame = orbit_frame(gs, v0)
-    split = _stabilizer_split(frame)
-    basis, masses = boson_spectrum(mf, split)
+    broken, masses = _bosons(frame)
     osplit = _orbit_split(frame, model.potential.hessian(v0))
-    d = split.d
     return SpectrumResult(
         vacuum=v0,
-        mass_form_matrix=mf.matrix,
-        unbroken=split.unbroken,
-        broken=basis[:d],
+        mass_form_matrix=mass_form(gs, v0).matrix,
+        unbroken=_canonical_rows(frame.vt[frame.rank :]),
+        broken=broken,
         boson_masses=masses,
-        goldstone_count=d,
+        goldstone_count=frame.rank,
         orbit_basis=osplit.orbit,
         transverse_basis=osplit.transverse,
         higgs_masses=osplit.higgs_masses,
@@ -313,7 +285,7 @@ class QuadraticReport(NamedTuple):
     (2 x mass-form eigenvalue = M^2), and the massless boson count.
     When the point is not a vacuum the report instead carries the raw
     realified Hessian eigenvalues as scalar_mass_squared and flags
-    is_vacuum False; the bosons are reported from the mass form as usual.
+    is_vacuum False; the bosons are reported from the orbit frame as usual.
     """
 
     is_vacuum: bool
@@ -337,7 +309,7 @@ def quadratic_lagrangian(
     `at` expands around a trial point instead of the model's vacuum;
     points that fail the stationarity or curvature conditions fall into a
     guard branch reporting raw realified Hessian eigenvalues, with the
-    (always well-defined) mass form still dictating the boson masses.
+    (always well-defined) orbit frame still giving the boson masses.
     """
     v0 = np.asarray(at, dtype=complex) if at is not None else model.vacuum
     if v0 is None:
@@ -347,16 +319,15 @@ def quadratic_lagrangian(
         try:
             spec = spectrum(HiggsModel(model.generators, model.potential, v0))
         except NotAVacuumError:
-            gs = model.generators
-            split = stabilizer_split(gs, v0)
-            _, masses = boson_spectrum(mass_form(gs, v0), split)
+            frame = orbit_frame(model.generators, v0)
+            _, masses = _bosons(frame)
             eigs = np.sort(np.linalg.eigvalsh(model.potential.hessian(v0)))
             return QuadraticReport(
                 is_vacuum=False,
                 constant=const,
                 boson_masses=tuple(masses),
                 massless_boson_count=int(np.sum(masses == 0.0)),
-                goldstone_count=split.d,
+                goldstone_count=frame.rank,
                 higgs_masses=(),
                 scalar_mass_squared=tuple(eigs),
             )

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .breaking import InconsistentSpectrumError, spectrum
+from .breaking import spectrum
 from .chiral import Representation, triple_invariance_defect
 from .electroweak import (
     ElectroweakParams,
@@ -31,15 +31,10 @@ from .electroweak import (
     elementary_charge,
     weinberg_angle,
 )
-from .gridfile import GridFileError, read_field, write_field
-from .higgsmodel import (
-    NotAVacuumError,
-    VacuumSolveError,
-    check_potential_invariance,
-)
+from .gridfile import read_field, write_field
+from .higgsmodel import VacuumSolveError, check_potential_invariance
 from .latticefields import (
     Grid,
-    LatticeError,
     convergence_orders,
     gauge_transform_gauge,
     gauge_transform_matter,
@@ -49,7 +44,7 @@ from .latticefields import (
     yang_mills_density,
     field_strength,
 )
-from .liecore import TOL_ALG, GeneratorError, act, exponentiate, validate_generators
+from .liecore import TOL_ALG, act, exponentiate, validate_generators
 from .modelfile import ModelFileError, emit_document, parse_model_file
 from .unitarygauge import DegeneratePointError, UnitaryGaugeConfig, apply_unitary_gauge_field
 
@@ -504,15 +499,6 @@ def main(argv=None, stdout=None) -> int:
     except OSError as err:
         out.write(f"error: {err}\n")
         return 2
-    except (
-        GridFileError,
-        LatticeError,
-        GeneratorError,
-        NotAVacuumError,
-        DegeneratePointError,
-        VacuumSolveError,
-        InconsistentSpectrumError,
-        ValueError,
-    ) as err:
+    except (ValueError, DegeneratePointError, VacuumSolveError) as err:
         out.write(f"error: {err}\n")
         return 2

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .higgsmodel import HiggsModel, QuarticPotential
-from .liecore import FactorLabel, GeneratorSet
+from .liecore import TOL_ALG, FactorLabel, GeneratorSet
 
 __all__ = [
     "ChargeError",
@@ -140,7 +140,7 @@ class ChargeOperators(NamedTuple):
     t_minus: np.ndarray  # T1 + i T2
 
 
-def charge_operators(rep: GeneratorSet, p: ElectroweakParams, tol: float = 1e-10) -> ChargeOperators:
+def charge_operators(rep: GeneratorSet, p: ElectroweakParams) -> ChargeOperators:
     """Extract T_l = b_l / (i g) and Y = 2 b_4 / (i g') from a representation.
 
     The representation must use the same index layout as build_generators:
@@ -153,9 +153,9 @@ def charge_operators(rep: GeneratorSet, p: ElectroweakParams, tol: float = 1e-10
     y = -2j * rep.matrices[3] / p.gp
     scale = 1.0 + max(float(np.max(np.abs(m))) for m in (*t, y))
     for name, m in (("t1", t[0]), ("t2", t[1]), ("t3", t[2]), ("hypercharge", y)):
-        if float(np.max(np.abs(m - np.conj(m.T)))) > tol * scale:
+        if float(np.max(np.abs(m - np.conj(m.T)))) > TOL_ALG * scale:
             raise ChargeError(f"{name} is not Hermitian; generators are not skew-Hermitian")
-    if float(np.max(np.abs(t[2] @ y - y @ t[2]))) > tol * scale:
+    if float(np.max(np.abs(t[2] @ y - y @ t[2]))) > TOL_ALG * scale:
         raise ChargeError("T3 and hypercharge do not commute")
     return ChargeOperators(
         t1=t[0],

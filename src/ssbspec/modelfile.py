@@ -74,6 +74,15 @@ def _finite(text: str) -> float:
     return value
 
 
+def _float_range_int(text: str) -> int:
+    """JSON integer hook: a literal beyond the float range is an error, so
+    that converting a coupling or spacing to float cannot overflow."""
+    if math.isinf(float(text)):
+        digits = len(text.lstrip("-"))
+        raise json.JSONDecodeError(f"integer of {digits} digits is beyond the float range", text, 0)
+    return int(text)
+
+
 def _is_int(value) -> bool:
     """JSON integer; true and false are booleans even though bool subclasses int."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -118,7 +127,9 @@ def _parse_lines(text: str) -> tuple[Document, dict]:
             issues.append(ParseIssue(lineno, section, f"duplicate key {key!r}"))
             continue
         try:
-            doc[section][key] = json.loads(value_text, parse_float=_finite, parse_constant=_finite)
+            doc[section][key] = json.loads(
+                value_text, parse_float=_finite, parse_int=_float_range_int, parse_constant=_finite
+            )
         except json.JSONDecodeError as err:
             issues.append(ParseIssue(lineno, section, f"bad value for {key!r}: {err.msg}"))
         lines[(section, key)] = lineno

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .breaking import SpectrumResult, orbit_frame
+from .breaking import orbit_frame
 from .liecore import GeneratorSet, expm_skew, realify, site_blocks
 
 __all__ = [
@@ -97,13 +97,11 @@ class _Frame(NamedTuple):
     trust: float  # largest step radius, keeping exp of the broken span well conditioned
 
 
-def _build_frame(gs: GeneratorSet, v0: np.ndarray, spec: SpectrumResult | None) -> _Frame:
+def _build_frame(gs: GeneratorSet, v0: np.ndarray, _unused: object = None) -> _Frame:
+    # the third argument is ignored; perfbench/test_perfbench.py still passes one
     v0 = np.asarray(v0, dtype=complex)
-    if spec is not None:
-        broken, orbit = spec.broken, spec.orbit_basis
-    else:
-        of = orbit_frame(gs, v0)
-        broken, orbit = of.vt[: of.rank], of.u[:, : of.rank].T
+    of = orbit_frame(gs, v0)
+    broken, orbit = of.vt[: of.rank], of.u[:, : of.rank].T
     alpha = np.einsum("dr,rij->dij", broken, gs.matrices)
     anorm = max((np.linalg.norm(a, 2) for a in alpha), default=0.0)
     trust = np.pi / (2.0 * anorm) if anorm > 0 else 1.0
@@ -117,13 +115,12 @@ def goldstone_vanish_check(
     v0: np.ndarray,
     phi: np.ndarray,
     tol: float = 1e-10,
-    spec: SpectrumResult | None = None,
 ) -> "GoldstoneCheck":
     """Do the orbit-tangent coordinates of phi - v0 vanish?
 
     Equivalent to the fiber derivative vanishing along broken directions.
     """
-    frame = _build_frame(gs, v0, spec)
+    frame = _build_frame(gs, v0)
     xi = np.sqrt(2.0) * frame.orbit @ realify(np.asarray(phi, dtype=complex) - frame.v0)
     defect = float(np.max(np.abs(xi))) if xi.size else 0.0
     return GoldstoneCheck(ok=defect < tol, defect=defect, xi=xi)
@@ -338,7 +335,6 @@ def solve_unitary_gauge_point(
     gs: GeneratorSet,
     v0: np.ndarray,
     phi: np.ndarray,
-    spec: SpectrumResult | None = None,
     config: UnitaryGaugeConfig = UnitaryGaugeConfig(),
 ) -> GaugePointResult:
     """Rotate one field value into unitary gauge.
@@ -352,7 +348,7 @@ def solve_unitary_gauge_point(
     """
     phi = np.asarray(phi, dtype=complex)[None]
     pnrm = _site_norms(phi, lambda k: "")
-    frame = _build_frame(gs, v0, spec)
+    frame = _build_frame(gs, v0)
     U, point, defect, iterations = _solve_stack(frame, phi, pnrm, config, lambda k: "")
     return GaugePointResult(
         transform=U[0],
@@ -378,7 +374,6 @@ def apply_unitary_gauge_field(
     gs: GeneratorSet,
     v0: np.ndarray,
     field: np.ndarray,
-    spec: SpectrumResult | None = None,
     config: UnitaryGaugeConfig = UnitaryGaugeConfig(),
 ) -> GaugeFieldResult:
     """Solve the pointwise problem across a grid field.
@@ -399,7 +394,7 @@ def apply_unitary_gauge_field(
         return f"site {tuple(int(i) for i in np.unravel_index(k, shape))}: "
 
     pnrm = _site_norms(flat, site)
-    frame = _build_frame(gs, v0, spec)
+    frame = _build_frame(gs, v0)
     m, n = flat.shape
     transforms = np.empty((m, n, n), dtype=complex)
     transformed = np.empty((m, n), dtype=complex)

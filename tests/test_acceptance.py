@@ -210,7 +210,7 @@ def test_08_unitary_gauge_solver_reaches_the_canonical_ray():
     rng = np.random.default_rng(8)
     for _ in range(100):
         phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        res = solve_unitary_gauge_point(gs, v0, phi, spec=spec)
+        res = solve_unitary_gauge_point(gs, v0, phi)
         norm = np.linalg.norm(phi)
         assert res.goldstone_defect < TOL_GOLDSTONE
         assert abs(np.linalg.norm(res.point) - norm) <= TOL_NORM_PRESERVED
@@ -225,13 +225,13 @@ def test_08_unitary_gauge_solver_reaches_the_canonical_ray():
     for k in range(500):
         w = rng.uniform(-0.4, 0.4, size=transverse.shape[0])
         phi = v0 + unrealify(w @ transverse)
-        check = goldstone_vanish_check(gs, v0, phi, tol=TOL_GOLDSTONE, spec=spec)
+        check = goldstone_vanish_check(gs, v0, phi, tol=TOL_GOLDSTONE)
         s_broken = broken @ fiber_derivative(gs, v0, phi)
         assert check.ok and np.max(np.abs(s_broken)) < TOL_GOLDSTONE
     for k in range(500):
         xi = rng.uniform(0.05, 0.5, size=spec.orbit_basis.shape[0]) * rng.choice([-1.0, 1.0], size=spec.orbit_basis.shape[0])
         phi = v0 + unrealify(xi @ spec.orbit_basis)
-        check = goldstone_vanish_check(gs, v0, phi, tol=TOL_GOLDSTONE, spec=spec)
+        check = goldstone_vanish_check(gs, v0, phi, tol=TOL_GOLDSTONE)
         s_broken = broken @ fiber_derivative(gs, v0, phi)
         assert not check.ok and np.max(np.abs(s_broken)) > 1e-6
 

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbspec.breaking import (
-    InconsistentSpectrumError,
-    boson_spectrum,
     decompose_shift,
     mass_form,
     orbit_split,
@@ -14,9 +12,9 @@ from ssbspec.breaking import (
     spectrum,
     stabilizer_split,
 )
-from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
+from ssbspec.electroweak import ElectroweakParams, boson_mass_predictions, build_generators, build_model
 from ssbspec.higgsmodel import NotAVacuumError, QuarticPotential
-from ssbspec.liecore import exponentiate, random_algebra_element, realify
+from ssbspec.liecore import act, exponentiate, random_algebra_element, realify
 
 
 def closed_form_mass_matrix(g, gp, radius):
@@ -90,16 +88,39 @@ def test_boson_spectrum_matches_closed_forms():
 
 
 def test_broken_masses_diagonalize_the_form():
-    gs = build_generators(1.1, 0.7)
-    v0 = doublet_vacuum(0.9)
-    mf = mass_form(gs, v0)
-    split = stabilizer_split(gs, v0)
-    basis, masses = boson_spectrum(mf, split)
+    model = build_model(ElectroweakParams(g=1.1, gp=0.7))
+    s = spectrum(model)
+    mf = mass_form(model.generators, s.vacuum)
+    np.testing.assert_array_equal(s.mass_form_matrix, mf.matrix)
+    d = s.goldstone_count
+    basis = np.vstack([s.broken, s.unbroken])
     D = basis @ mf.matrix @ basis.T
     np.testing.assert_allclose(D, np.diag(np.diag(D)), atol=1e-12)
-    np.testing.assert_allclose(np.diag(D)[: split.d], 0.5 * masses[: split.d] ** 2, atol=1e-12)
+    np.testing.assert_allclose(np.diag(D)[:d], 0.5 * s.boson_masses[:d] ** 2, atol=1e-12)
+    np.testing.assert_allclose(np.diag(D)[d:], 0.0, atol=1e-12)
     # rows are orthonormal
     np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-5.0, 2.0), st.floats(-5.0, 2.0))
+def test_spectrum_across_coupling_scales(log_g, log_gp):
+    # the W pair and the photon were once sorted into one cluster, so a broken
+    # row could be the photon direction once g fell below about 1e-4
+    p = ElectroweakParams(g=10.0**log_g, gp=10.0**log_gp)
+    model = build_model(p)
+    s = spectrum(model)
+    pred = boson_mass_predictions(p).as_array()
+    atol = 1e-12 * pred.max()
+    np.testing.assert_allclose(s.boson_masses, pred, rtol=1e-9, atol=atol)
+    assert np.all(np.diff(s.boson_masses) <= 0.0)
+    assert np.count_nonzero(s.boson_masses) == s.goldstone_count == 3
+    gs, v0 = model.generators, model.vacuum
+    # |a v0| = M / sqrt 2 on every broken row, and 0 on every unbroken one
+    moved = [np.linalg.norm(act(gs, row, v0)) for row in s.broken]
+    np.testing.assert_allclose(moved, s.boson_masses[:3] / np.sqrt(2.0), rtol=1e-9, atol=atol)
+    still = [np.linalg.norm(act(gs, row, v0)) for row in s.unbroken]
+    np.testing.assert_allclose(still, 0.0, atol=atol)
 
 
 def test_mass_form_transforms_under_vacuum_rotation():

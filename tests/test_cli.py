@@ -1,8 +1,10 @@
 """End-to-end command tests, run in process through main()."""
+import importlib
 import io
 import math
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,6 @@ import pytest
 
 import ssbspec
 from ssbspec import cli, modelfile
-from ssbspec.breaking import InconsistentSpectrumError
 from ssbspec.cli import main
 from ssbspec.gridfile import read_field, write_field
 from ssbspec.higgsmodel import VacuumSolveError
@@ -46,6 +47,18 @@ def test_electroweak_machine_values():
     assert doc["derived"]["weinberg_angle"] == pytest.approx(math.atan(0.5), abs=1e-15)
     assert doc["derived"]["charge_diagonal"] == [1.0, 0.0]
     assert doc["validation"]["pass"] is True
+
+
+@pytest.mark.parametrize("g", ["1e-4", "1e-5", "1e-7"])
+def test_electroweak_small_weak_coupling(g):
+    # a second rank rule on the mass form's eigenvalues once lost a W mass
+    # here (exit 1) or disagreed with the orbit rank (exit 2)
+    code, text = run("electroweak", "--g", g, "--format", "machine")
+    assert code == 0
+    masses = parse_document(text)["masses"]
+    expected = [masses["z"], masses["w"], masses["w"], masses["photon"]]
+    assert masses["numerical_bosons"] == pytest.approx(expected, rel=1e-9, abs=1e-12 * masses["z"])
+    assert masses["numerical_bosons"][3] == 0.0
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -225,16 +238,33 @@ def test_solver_runtime_errors_exit_2(monkeypatch, capsys):
     def no_vacuum(model, start):
         raise VacuumSolveError("vacuum search did not converge", start, 7)
 
-    def inconsistent(model):
-        raise InconsistentSpectrumError("orbit rank 3 disagrees with Goldstone count 2")
-
     monkeypatch.setattr(modelfile, "find_vacuum", no_vacuum)
     code, text = run("spectrum", "--model", "tests/goldens/spin1.model")
     assert (code, text) == (2, "error: vacuum search did not converge\n")
-    monkeypatch.setattr(cli, "spectrum", inconsistent)
-    code, text = run("spectrum", "--model", MODEL)
-    assert (code, text) == (2, "error: orbit rank 3 disagrees with Goldstone count 2\n")
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _ssbspec_errors():
+    """Every exception class defined in an ssbspec module."""
+    for info in pkgutil.iter_modules(ssbspec.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"ssbspec.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                yield obj
+
+
+@pytest.mark.parametrize("error", sorted(set(_ssbspec_errors()), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_every_ssbspec_error_exits_2(error, monkeypatch):
+    def fail(args, out):
+        err = error.__new__(error)  # bypass constructors that need more than a message
+        Exception.__init__(err, "boom")
+        err.issues = ("boom",)  # what main prints for a ModelFileError
+        raise err
+
+    monkeypatch.setattr(cli, "_cmd_electroweak", fail)
+    assert run("electroweak") == (2, "error: boom\n")
 
 
 def test_bad_model_reports_located_issue(tmp_path):

@@ -169,6 +169,9 @@ def _with_factor(indices: str) -> str:
 
 GRID_TAIL = '\n[grid]\ndim = 2\nshape = [4, 4]\nh = 0.5\nmetric = "euclidean"\n'
 
+# a JSON integer beyond the float range: float() of it raised OverflowError
+HUGE = "1" + "0" * 400
+
 
 @pytest.mark.parametrize(
     "bad, line, section, message",
@@ -200,6 +203,16 @@ GRID_TAIL = '\n[grid]\ndim = 2\nshape = [4, 4]\nh = 0.5\nmetric = "euclidean"\n'
         (MINIMAL + GRID_TAIL.replace("[4, 4]", "[4, 3]"), 13, "grid", "at least 4"),
         (MINIMAL + GRID_TAIL.replace("h = 0.5", "h = 0.0"), 14, "grid", "spacing must be"),
         (MINIMAL + GRID_TAIL.replace('"euclidean"', '"minkowski"'), 15, "grid", "unknown metric"),
+        (MINIMAL.replace("mu = 2.0", f"mu = {HUGE}"), 8, "potential", "beyond the float range"),
+        (MINIMAL.replace("lambda = 1.0", f"lambda = -{HUGE}"), 9, "potential", "beyond the float range"),
+        (MINIMAL + YUKAWA_TAIL.replace("g_y = true", f"g_y = {HUGE}"), 18, "yukawa", "beyond the float range"),
+        (MINIMAL + GRID_TAIL.replace("h = 0.5", f"h = {HUGE}"), 14, "grid", "beyond the float range"),
+        (
+            MINIMAL.replace("[potential]", f'factors = [["u1", [0], {HUGE}]]\n\n[potential]'),
+            7,
+            "algebra",
+            "beyond the float range",
+        ),
     ],
     ids=[
         "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged", "factor-index",
@@ -207,6 +220,8 @@ GRID_TAIL = '\n[grid]\ndim = 2\nshape = [4, 4]\nh = 0.5\nmetric = "euclidean"\n'
         "g_y", "missing-section", "factor-index-string", "factor-index-float", "factor-index-boolean",
         "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-metric-number",
         "grid-dim-zero", "grid-extent-count", "grid-extent-small", "grid-h-zero", "grid-metric-unknown",
+        "mu-huge-integer", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
+        "factor-coupling-huge-integer",
     ],
 )
 def test_assembly_issue_carries_the_entry_line(bad, line, section, message):

@@ -51,21 +51,21 @@ def test_fiber_derivative_swapped_component_closed_form():
 
 
 def test_goldstone_check_flags_off_slice_point():
-    good = goldstone_vanish_check(GS, V0, np.array([0.0, 1.3]), spec=SPEC)
-    bad = goldstone_vanish_check(GS, V0, np.array([0.2, 1.0]), spec=SPEC)
+    good = goldstone_vanish_check(GS, V0, np.array([0.0, 1.3]))
+    bad = goldstone_vanish_check(GS, V0, np.array([0.2, 1.0]))
     assert good.ok and good.defect < 1e-12
     assert not bad.ok and bad.defect > 0.1
 
 
 def test_broken_hessian_at_vacuum_is_minus_mass_diagonal():
-    hessian = unitarygauge._overlap_hessian(unitarygauge._build_frame(GS, V0, SPEC), V0)
+    hessian = unitarygauge._overlap_hessian(unitarygauge._build_frame(GS, V0), V0)
     eigs = 0.5 * SPEC.boson_masses[: SPEC.goldstone_count] ** 2
     np.testing.assert_allclose(hessian, -np.diag(eigs), atol=1e-12)
 
 
 def test_solver_rotates_swapped_point_to_canonical_ray():
     c = 0.9
-    res = solve_unitary_gauge_point(GS, V0, np.array([c, 0.0]), spec=SPEC)
+    res = solve_unitary_gauge_point(GS, V0, np.array([c, 0.0]))
     np.testing.assert_allclose(res.point, [0.0, c], atol=1e-10)
     assert res.goldstone_defect < 1e-10
     # the transform is unitary and exactly reproduces the point
@@ -81,7 +81,7 @@ def test_solver_escapes_antipodal_start():
     # must not cost more iterations than the exact critical point
     iterations = []
     for phi in ([0.0, -1.1], [0.0, -1.1 + 5e-146j]):
-        res = solve_unitary_gauge_point(GS, V0, np.array(phi), spec=SPEC)
+        res = solve_unitary_gauge_point(GS, V0, np.array(phi))
         np.testing.assert_allclose(res.point, [0.0, 1.1], atol=1e-9)
         assert res.overlap.real > 0
         iterations.append(res.iterations)
@@ -89,7 +89,7 @@ def test_solver_escapes_antipodal_start():
 
 
 def test_solver_identity_on_already_canonical_point():
-    res = solve_unitary_gauge_point(GS, V0, np.array([0.0, 0.55]), spec=SPEC)
+    res = solve_unitary_gauge_point(GS, V0, np.array([0.0, 0.55]))
     assert res.iterations == 0
     np.testing.assert_allclose(res.transform, np.eye(2), atol=1e-14)
 
@@ -98,7 +98,7 @@ def test_solver_random_points_reach_canonical_ray():
     rng = np.random.default_rng(7)
     for _ in range(100):
         phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        res = solve_unitary_gauge_point(GS, V0, phi, spec=SPEC)
+        res = solve_unitary_gauge_point(GS, V0, phi)
         r = np.linalg.norm(phi)
         np.testing.assert_allclose(res.point, [0.0, r], atol=1e-9 * max(1.0, r))
         assert res.goldstone_defect < 1e-10
@@ -111,12 +111,12 @@ def test_vanishing_goldstone_equivalent_to_vanishing_fiber_derivative():
     scale = 1.0
     for _ in range(200):
         phi = rng.normal(size=2) + 1j * rng.normal(size=2)
-        res = solve_unitary_gauge_point(GS, V0, phi, spec=SPEC)
+        res = solve_unitary_gauge_point(GS, V0, phi)
         s = fiber_derivative(GS, V0, res.point)
         broken_s = SPEC.broken @ s
         assert np.max(np.abs(broken_s)) < 1e-9 * scale
         # and conversely a generic off-slice point fails both ways
-        check = goldstone_vanish_check(GS, V0, phi, spec=SPEC)
+        check = goldstone_vanish_check(GS, V0, phi)
         if not check.ok and check.defect > 1e-3:
             assert np.max(np.abs(SPEC.broken @ fiber_derivative(GS, V0, phi))) > 1e-8
 
@@ -133,14 +133,14 @@ def test_solver_property_canonical_form(re0, im0, re1, im1):
     r = np.linalg.norm(phi)
     if r < 1e-3:
         return
-    res = solve_unitary_gauge_point(GS, V0, phi, spec=SPEC)
+    res = solve_unitary_gauge_point(GS, V0, phi)
     np.testing.assert_allclose(res.point, [0.0, r], atol=1e-8 * max(1.0, r))
 
 
 def test_field_sweep_small_grid():
     rng = np.random.default_rng(3)
     field = rng.normal(size=(4, 4, 2)) + 1j * rng.normal(size=(4, 4, 2))
-    out = apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+    out = apply_unitary_gauge_field(GS, V0, field)
     assert out.max_defect < 1e-10
     radii = np.linalg.norm(field, axis=-1)
     np.testing.assert_allclose(out.transformed[..., 0], 0.0, atol=1e-9)
@@ -153,8 +153,8 @@ def test_field_sweep_small_grid():
 def test_field_sweep_is_deterministic():
     rng = np.random.default_rng(5)
     field = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
-    a = apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
-    b = apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+    a = apply_unitary_gauge_field(GS, V0, field)
+    b = apply_unitary_gauge_field(GS, V0, field)
     np.testing.assert_array_equal(a.transformed, b.transformed)
     np.testing.assert_array_equal(a.transforms, b.transforms)
 
@@ -163,7 +163,7 @@ def test_zero_site_reports_its_location():
     field = np.ones((2, 2, 2), dtype=complex)
     field[1, 0] = 0.0
     with pytest.raises(DegeneratePointError, match=r"site \(1, 0\)"):
-        apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+        apply_unitary_gauge_field(GS, V0, field)
 
 
 def test_first_of_two_degenerate_sites_is_named():
@@ -171,7 +171,7 @@ def test_first_of_two_degenerate_sites_is_named():
     field[2, 1] = np.nan
     field[0, 3] = 0.0
     with pytest.raises(DegeneratePointError, match=r"^site \(0, 3\): field value has norm 0\.0"):
-        apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+        apply_unitary_gauge_field(GS, V0, field)
 
 
 @pytest.mark.parametrize(
@@ -196,7 +196,7 @@ def test_first_of_two_failing_sites_is_named(monkeypatch, shrink, message):
     # both sites in the second block of five: the name counts from the field's start
     monkeypatch.setattr(liecore, "SITE_BLOCK", 5)
     with pytest.raises(DegeneratePointError, match=rf"^site \(1, 3\): {message} \(goldstone defect 0\.000e\+00"):
-        apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+        apply_unitary_gauge_field(GS, V0, field)
 
 
 SPIN1 = GeneratorSet(su2_irrep(3))
@@ -246,10 +246,10 @@ def test_hard_sites_inside_a_batch(monkeypatch):
         return subproblem(H, s, radius, tiny)
 
     monkeypatch.setattr(unitarygauge, "_subproblem", spy)
-    out = apply_unitary_gauge_field(GS, V0, field, spec=SPEC)
+    out = apply_unitary_gauge_field(GS, V0, field)
     assert hard[0] == 1
     for idx, phi in (((2, 3), TWIST_PHI), ((0, 4), -1.3 * V0)):
-        point = solve_unitary_gauge_point(GS, V0, phi, spec=SPEC)
+        point = solve_unitary_gauge_point(GS, V0, phi)
         assert out.iterations[idx] == point.iterations
         np.testing.assert_allclose(out.transformed[idx], point.point, rtol=0, atol=1e-12)
         np.testing.assert_allclose(point.point, [0.0, np.linalg.norm(phi)], atol=1e-10)
@@ -259,9 +259,9 @@ def test_hard_sites_inside_a_batch(monkeypatch):
 def test_tight_iteration_budget_raises():
     cfg = UnitaryGaugeConfig(max_iter=0)
     with pytest.raises(DegeneratePointError, match="no convergence in 0 iterations"):
-        solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), spec=SPEC, config=cfg)
+        solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), config=cfg)
     # a value already in unitary gauge needs no iteration
-    assert solve_unitary_gauge_point(GS, V0, np.array([0.0, 2.0]), spec=SPEC, config=cfg).iterations == 0
+    assert solve_unitary_gauge_point(GS, V0, np.array([0.0, 2.0]), config=cfg).iterations == 0
 
 
 def test_orbit_climb_escapes_a_saddle():
@@ -276,7 +276,7 @@ def test_orbit_climb_escapes_a_saddle():
             -0.7014651276989728 - 0.07074212252603462j,
         ]
     )
-    frame = unitarygauge._build_frame(SPIN1, SPIN1_V0, None)
+    frame = unitarygauge._build_frame(SPIN1, SPIN1_V0)
     curvature = np.linalg.eigvalsh(unitarygauge._overlap_hessian(frame, phi))
     assert curvature[0] < 0 < curvature[-1]
     assert np.max(np.abs(fiber_derivative(SPIN1, SPIN1_V0, phi))) < 1e-16
@@ -337,7 +337,7 @@ def test_huge_newton_direction_does_not_overflow():
     # 1e-253; a step model nearly singular along its gradient gives a boundary step
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = solve_unitary_gauge_point(GS, V0, np.array([0.0, 9.4e-253 + 1j]), spec=SPEC)
+        res = solve_unitary_gauge_point(GS, V0, np.array([0.0, 9.4e-253 + 1j]))
         H = np.array([[[-1e-300, 0.0], [0.0, -1.0]]])
         step, gain = unitarygauge._subproblem(H, np.array([[1.0, 0.0]]), np.array([2.0]), 0.0)
     np.testing.assert_allclose(res.point, [0.0, 1.0], atol=1e-10)
