@@ -208,11 +208,13 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
             f"Hessian eigenvalue {lam.min():.3e} on the transverse space; not a minimum"
         )
     vals, rows = _sort_clusters(lam, (P @ W).T, CLUSTER_GAP)
+    # flat directions are massless, not the square root of rounding noise
+    vals[np.abs(vals) <= TOL_FLAT * scale] = 0.0
     eigs = np.concatenate([vals, np.zeros(d)])
     return OrbitSplit(
         orbit=_canonical_rows(e),
         transverse=rows,
-        higgs_masses=np.sqrt(np.clip(vals, 0.0, None) / 2.0),
+        higgs_masses=np.sqrt(vals / 2.0),
         hessian_eigenvalues=eigs,
     )
 

@@ -12,9 +12,10 @@ from ssbspec.breaking import (
     spectrum,
     stabilizer_split,
 )
+from ssbspec.chiral import su2_irrep
 from ssbspec.electroweak import ElectroweakParams, boson_mass_predictions, build_generators, build_model
-from ssbspec.higgsmodel import NotAVacuumError, QuarticPotential
-from ssbspec.liecore import act, exponentiate, random_algebra_element, realify
+from ssbspec.higgsmodel import HiggsModel, NotAVacuumError, QuarticPotential
+from ssbspec.liecore import GeneratorSet, act, exponentiate, random_algebra_element, realify
 
 
 def closed_form_mass_matrix(g, gp, radius):
@@ -212,3 +213,15 @@ def test_spectrum_requires_vacuum():
     stripped = type(model)(model.generators, model.potential, None)
     with pytest.raises(NotAVacuumError):
         spectrum(stripped)
+
+
+@pytest.mark.parametrize("direction", [[1, 0, 0, 0], [1, 1, 1, 1]], ids=["e0", "diagonal"])
+def test_flat_higgs_directions_are_exactly_massless(direction):
+    # spin 3/2: every transverse direction but the radial one is flat, and
+    # its Hessian eigenvalue comes out at rounding level, not at 0
+    pot = QuarticPotential(2.0, 1.0)
+    v = np.array(direction, dtype=complex)
+    model = HiggsModel(GeneratorSet(su2_irrep(4)), pot, pot.vacuum_radius * v / np.linalg.norm(v))
+    masses = spectrum(model).higgs_masses
+    assert np.count_nonzero(masses) == 1
+    assert masses[0] == pytest.approx(np.sqrt(pot.mu), rel=1e-12)

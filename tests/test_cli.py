@@ -61,6 +61,23 @@ def test_electroweak_small_weak_coupling(g):
     assert masses["numerical_bosons"][3] == 0.0
 
 
+@pytest.mark.parametrize("g", ["1e6", "1e8"])
+def test_electroweak_large_weak_coupling(g):
+    # --tol scales with the largest mass above 1: at 7e7 one ulp is 1.5e-8
+    code, text = run("electroweak", "--g", g, "--format", "machine")
+    assert code == 0
+    doc = parse_document(text)
+    assert doc["report"]["tolerance"] == 1e-9
+    assert doc["validation"]["mass_gap"] <= 1e-15 * doc["masses"]["w"]
+
+
+def test_electroweak_relative_tolerance_still_fails(monkeypatch):
+    predict = cli.boson_mass_predictions
+    monkeypatch.setattr(cli, "boson_mass_predictions", lambda p: predict(p)._replace(w=predict(p).w * (1 + 1e-8)))
+    assert run("electroweak", "--g", "1e8")[0] == 1
+    assert run("electroweak", "--g", "1e8", "--tol", "1e-7")[0] == 0
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flag, name", [("--g", "g"), ("--gp", "gp"), ("--mu", "mu"), ("--lambda", "lambda")])
 def test_electroweak_rejects_non_finite_parameters(flag, name, value, capsys):
@@ -247,8 +264,6 @@ def test_solver_runtime_errors_exit_2(monkeypatch, capsys):
 def _ssbspec_errors():
     """Every exception class defined in an ssbspec module."""
     for info in pkgutil.iter_modules(ssbspec.__path__):
-        if info.name == "__main__":
-            continue
         module = importlib.import_module(f"ssbspec.{info.name}")
         for obj in vars(module).values():
             if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
