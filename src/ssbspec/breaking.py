@@ -65,7 +65,7 @@ def _sort_clusters(values: np.ndarray, rows: np.ndarray, gap: float) -> tuple[np
     rows are sign-fixed and sorted lexicographically for determinism."""
     order = np.argsort(-values, kind="stable")
     values, rows = values[order], _canonical_rows(rows[order])
-    scale = max(1.0, float(np.abs(values).max())) if values.size else 1.0
+    scale = float(np.abs(values).max()) if values.size else 0.0
     out_vals, out_rows, start = [], [], 0
     for k in range(1, values.size + 1):
         if k == values.size or values[start] - values[k] > gap * scale:
@@ -208,8 +208,9 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
             f"Hessian eigenvalue {lam.min():.3e} on the transverse space; not a minimum"
         )
     vals, rows = _sort_clusters(lam, (P @ W).T, CLUSTER_GAP)
-    # flat directions are massless, not the square root of rounding noise
-    vals[np.abs(vals) <= TOL_FLAT * scale] = 0.0
+    # flat directions are massless, not the square root of rounding noise;
+    # relative to the Hessian itself, so a small mu keeps its Higgs mass
+    vals[np.abs(vals) <= TOL_FLAT * float(np.max(np.abs(H)))] = 0.0
     eigs = np.concatenate([vals, np.zeros(d)])
     return OrbitSplit(
         orbit=_canonical_rows(e),

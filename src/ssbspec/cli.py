@@ -120,11 +120,10 @@ def _cmd_electroweak(args, out) -> int:
         for row in spec.unbroken
     )
     tol = args.tol if args.tol is not None else 1e-9
-    # relative above unit mass: at a mass of 7e7 one ulp is already 1.5e-8
-    allowed = tol * max(1.0, float(np.max(pred.as_array())), pred.higgs)
+    # each gap relative to its own masses above 1: at 7e7 one ulp is 1.5e-8
     ok = (
-        mass_gap < allowed
-        and higgs_gap < allowed
+        mass_gap < tol * max(1.0, float(np.max(pred.as_array())))
+        and higgs_gap < tol * max(1.0, pred.higgs)
         and report.skew_defect < TOL_ALG
         and report.closure_defect < TOL_ALG
         and unbroken_norm < 1e-12

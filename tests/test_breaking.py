@@ -215,11 +215,13 @@ def test_spectrum_requires_vacuum():
         spectrum(stripped)
 
 
+@pytest.mark.parametrize("mu", [2.0, 1e-9, 1e-12])
 @pytest.mark.parametrize("direction", [[1, 0, 0, 0], [1, 1, 1, 1]], ids=["e0", "diagonal"])
-def test_flat_higgs_directions_are_exactly_massless(direction):
+def test_flat_higgs_directions_are_exactly_massless(direction, mu):
     # spin 3/2: every transverse direction but the radial one is flat, and
-    # its Hessian eigenvalue comes out at rounding level, not at 0
-    pot = QuarticPotential(2.0, 1.0)
+    # its Hessian eigenvalue comes out at rounding level, not at 0; the
+    # radial one keeps its mass however small mu is
+    pot = QuarticPotential(mu, 1.0)
     v = np.array(direction, dtype=complex)
     model = HiggsModel(GeneratorSet(su2_irrep(4)), pot, pot.vacuum_radius * v / np.linalg.norm(v))
     masses = spectrum(model).higgs_masses

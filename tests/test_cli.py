@@ -61,9 +61,18 @@ def test_electroweak_small_weak_coupling(g):
     assert masses["numerical_bosons"][3] == 0.0
 
 
+@pytest.mark.parametrize("mu", ["1e-9", "1e-12"])
+def test_electroweak_small_mu(mu):
+    # the Higgs eigenvalue 2 mu sits far below 1 but is not a flat direction
+    code, text = run("electroweak", "--mu", mu, "--format", "machine")
+    assert code == 0
+    higgs = parse_document(text)["masses"]["numerical_higgs"][0]
+    assert higgs == pytest.approx(float(mu) ** 0.5, rel=1e-9)
+
+
 @pytest.mark.parametrize("g", ["1e6", "1e8"])
 def test_electroweak_large_weak_coupling(g):
-    # --tol scales with the largest mass above 1: at 7e7 one ulp is 1.5e-8
+    # each gap scales with its own masses above 1: at 7e7 one ulp is 1.5e-8
     code, text = run("electroweak", "--g", g, "--format", "machine")
     assert code == 0
     doc = parse_document(text)
@@ -71,10 +80,14 @@ def test_electroweak_large_weak_coupling(g):
     assert doc["validation"]["mass_gap"] <= 1e-15 * doc["masses"]["w"]
 
 
-def test_electroweak_relative_tolerance_still_fails(monkeypatch):
+@pytest.mark.parametrize("field", ["w", "higgs"])
+def test_electroweak_relative_tolerance_still_fails(monkeypatch, field):
+    # a large W mass must not loosen the Higgs check, nor the reverse
     predict = cli.boson_mass_predictions
-    monkeypatch.setattr(cli, "boson_mass_predictions", lambda p: predict(p)._replace(w=predict(p).w * (1 + 1e-8)))
+    off = lambda p: predict(p)._replace(**{field: getattr(predict(p), field) * (1 + 1e-8)})
+    monkeypatch.setattr(cli, "boson_mass_predictions", off)
     assert run("electroweak", "--g", "1e8")[0] == 1
+    assert run("electroweak", "--mu", "1e8", "--g", "1e-4", "--gp", "1e-4")[0] == 1
     assert run("electroweak", "--g", "1e8", "--tol", "1e-7")[0] == 0
 
 
