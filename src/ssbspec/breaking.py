@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .higgsmodel import HiggsModel, NotAVacuumError
-from .liecore import GeneratorSet, realify, unrealify
+from .liecore import TOL_RANK, GeneratorSet, realify, unrealify
 
 __all__ = [
     "MassForm",
@@ -36,7 +36,6 @@ __all__ = [
     "stabilizer_split",
 ]
 
-TOL_RANK = 1e-8
 TOL_FLAT = 1e-8  # Hessian flatness on the orbit, PSD on the complement
 CLUSTER_GAP = 1e-8
 TOL_SIGN = 1e-8  # relative size of the entry that fixes a row's sign

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .electroweak import PAULI
-from .liecore import TOL_ALG
+from .liecore import TOL_ALG, TOL_RANK
 
 __all__ = [
     "IntertwinerBasis",
@@ -32,8 +32,6 @@ __all__ = [
     "su2_irrep",
     "triple_invariance_defect",
 ]
-
-NULL_THRESHOLD = 1e-8  # singular values below this times sigma_max count as zero
 
 
 class RepresentationError(ValueError):
@@ -103,7 +101,7 @@ def intertwiner_basis(rep_left: Representation, rep_right: Representation) -> In
     kept = []
     for k in range(dl * dr):
         sv = s[k] if k < s.size else 0.0
-        if sv <= NULL_THRESHOLD * smax:
+        if sv <= TOL_RANK * smax:
             kept.append(np.conj(vh[k]).reshape(dl, dr))
     for K in kept:
         worst = max(

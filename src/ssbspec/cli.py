@@ -32,7 +32,7 @@ from .electroweak import (
     weinberg_angle,
 )
 from .gridfile import read_field, write_field
-from .higgsmodel import VacuumSolveError, check_potential_invariance
+from .higgsmodel import check_potential_invariance
 from .latticefields import (
     Grid,
     convergence_orders,
@@ -500,6 +500,6 @@ def main(argv=None, stdout=None) -> int:
     except OSError as err:
         out.write(f"error: {err}\n")
         return 2
-    except (ValueError, DegeneratePointError, VacuumSolveError) as err:
+    except (ValueError, DegeneratePointError) as err:
         out.write(f"error: {err}\n")
         return 2

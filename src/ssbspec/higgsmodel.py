@@ -18,7 +18,6 @@ from .liecore import (
     exponentiate,
     random_algebra_element,
     realify,
-    unrealify,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "NotAVacuumError",
     "PotentialError",
     "QuarticPotential",
-    "VacuumSolveError",
     "check_potential_invariance",
     "find_vacuum",
 ]
@@ -40,15 +38,6 @@ class PotentialError(ValueError):
 
 class NotAVacuumError(ValueError):
     """A supplied point fails the stationarity or curvature conditions."""
-
-
-class VacuumSolveError(RuntimeError):
-    """Minimization did not converge; carries the last iterate."""
-
-    def __init__(self, message: str, last_point: np.ndarray, iterations: int):
-        super().__init__(message)
-        self.last_point = last_point
-        self.iterations = iterations
 
 
 class QuarticPotential(namedtuple("QuarticPotential", "mu lam")):
@@ -88,7 +77,7 @@ class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
 
     When a vacuum is supplied it is stored as a read-only copy and verified
     at construction: the gradient must vanish and the Hessian must be
-    positive semidefinite, both to tol_vac scaled tolerances.
+    positive semidefinite, both to TOL_VAC relative to max|H|.
     """
 
     __slots__ = ()
@@ -103,83 +92,33 @@ class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
             vacuum.setflags(write=False)
             grad = potential.gradient(vacuum)
             hess = potential.hessian(vacuum)
-            scale = 1.0 + float(np.max(np.abs(hess)))
-            if float(np.linalg.norm(grad)) > TOL_VAC * scale:
+            # the Hessian scales as mu and the gradient as mu |v|, so both
+            # checks are relative and hold at any mu and lambda
+            curvature = float(np.max(np.abs(hess)))
+            if float(np.linalg.norm(grad)) > TOL_VAC * curvature * (1.0 + float(np.linalg.norm(vacuum))):
                 raise NotAVacuumError(
                     f"gradient norm {np.linalg.norm(grad):.3e} at the supplied vacuum"
                 )
             lo = float(np.linalg.eigvalsh(hess).min())
-            if lo < -TOL_VAC * scale:
+            if lo < -TOL_VAC * curvature:
                 raise NotAVacuumError(f"Hessian has negative eigenvalue {lo:.3e} at the supplied vacuum")
         return super().__new__(cls, generators, potential, vacuum)
 
 
-def find_vacuum(
-    model: HiggsModel,
-    seed_point: np.ndarray,
-    *,
-    tol_vac: float = TOL_VAC,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Minimize the potential from a nonzero seed point.
+def find_vacuum(model: HiggsModel, seed_point: np.ndarray) -> np.ndarray:
+    """The minimum of the potential on the ray through a nonzero seed point.
 
-    Damped Newton with backtracking in realified coordinates; indefinite
-    Hessians are shifted toward gradient descent.  Returns the vacuum as
-    a complex vector; raises VacuumSolveError on non-convergence.
+    V depends on |v| alone, so its minima are the sphere
+    |v| = vacuum_radius (the origin when mu <= 0), which meets every ray
+    from the origin once: the vacuum is the seed rescaled to that radius.
+    Raises PotentialError for a zero or non-finite seed.
     """
-    p = model.potential
-    x = realify(np.asarray(seed_point, dtype=complex))
-    if not np.any(x):
-        raise PotentialError("seed point must be nonzero")
-
-    def val(xr):
-        return p.value(unrealify(xr))
-
-    f = val(x)
-    for it in range(max_iter):
-        v = unrealify(x)
-        g = p.gradient(v)
-        gn = float(np.linalg.norm(g))
-        H = p.hessian(v)
-        scale = 1.0 + float(np.max(np.abs(H)))
-        if gn < tol_vac:
-            lo = float(np.linalg.eigvalsh(H).min())
-            if lo >= -tol_vac * scale:
-                break
-            # stationary but not a minimum: slide off along the most
-            # negative curvature direction
-            w, W = np.linalg.eigh(H)
-            x = x + 0.1 * max(1.0, float(np.linalg.norm(x))) * W[:, 0]
-            f = val(x)
-            continue
-        lo = float(np.linalg.eigvalsh(H).min())
-        if lo < 1e-12 * scale:
-            H = H + (abs(lo) + 1e-8 * scale) * np.eye(x.size)
-        step = -np.linalg.solve(H, g)
-        if step @ g >= 0.0:
-            step = -g
-        t, slope = 1.0, float(step @ g)
-        while val(x + t * step) > f + 1e-4 * t * slope:
-            t *= 0.5
-            if t < 1e-14:
-                step, t = -g, 1.0 / scale
-                break
-        x = x + t * step
-        f = val(x)
-    else:
-        raise VacuumSolveError(
-            f"no vacuum within {max_iter} iterations (gradient norm {gn:.3e})",
-            unrealify(x),
-            max_iter,
-        )
-
-    # one least-squares Newton polish; the Hessian is singular along the
-    # vacuum orbit, so use a pseudoinverse
-    v = unrealify(x)
-    g = p.gradient(v)
-    H = p.hessian(v)
-    x = x - np.linalg.pinv(H, rcond=1e-10, hermitian=True) @ g
-    return unrealify(x)
+    seed = np.asarray(seed_point, dtype=complex)
+    peak = float(np.max(np.abs(seed), initial=0.0))
+    if not (np.isfinite(peak) and peak > 0):
+        raise PotentialError(f"seed point must be nonzero and finite, got largest entry {peak}")
+    unit = seed / peak  # the norm of a tiny or huge seed would under- or overflow
+    return unit * (model.potential.vacuum_radius / float(np.linalg.norm(unit)))
 
 
 def check_potential_invariance(

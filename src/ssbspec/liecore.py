@@ -38,6 +38,9 @@ AlgebraElement = np.ndarray
 # Tolerance of the algebra checks: skew-Hermiticity and bracket closure.
 TOL_ALG = 1e-10
 
+# Rank cut: singular values at or below TOL_RANK times the largest count as zero.
+TOL_RANK = 1e-8
+
 # Sites per call of a stacked kernel (the unitary-gauge sweep, the lattice
 # transforms): the (sites, n, n) temporaries scale with this, not with the grid.
 SITE_BLOCK = 4096

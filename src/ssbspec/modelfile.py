@@ -307,11 +307,7 @@ def parse_model_file(text: str) -> ModelBundle:
             if vec_raw is not None:
                 vacuum = _complex_array(vec_raw, issue, "vacuum", "vector")
         if vacuum is None and "vacuum" not in doc:
-            if potential.vacuum_radius > 0:
-                probe = HiggsModel(generators=gs, potential=potential)
-                vacuum = find_vacuum(probe, np.ones(gs.n) / np.sqrt(gs.n))
-            else:
-                vacuum = np.zeros(gs.n, dtype=complex)
+            vacuum = find_vacuum(HiggsModel(generators=gs, potential=potential), np.ones(gs.n))
         if vacuum is not None:
             try:
                 model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)

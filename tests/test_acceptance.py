@@ -123,7 +123,7 @@ def test_04_vacuum_search_converges_from_random_seeds():
     rng = np.random.default_rng(4)
     for _ in range(50):
         seed_point = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = find_vacuum(model, seed_point, tol_vac=TOL_RADIUS, max_iter=200)
+        v = find_vacuum(model, seed_point)
         assert abs(np.linalg.norm(v) - radius) <= TOL_RADIUS
 
 

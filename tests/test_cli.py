@@ -16,7 +16,6 @@ import ssbspec
 from ssbspec import cli, modelfile
 from ssbspec.cli import main
 from ssbspec.gridfile import read_field, write_field
-from ssbspec.higgsmodel import VacuumSolveError
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec.modelfile import parse_document
 from ssbspec.unitarygauge import apply_unitary_gauge_field
@@ -262,16 +261,6 @@ def test_parse_errors_exit_2():
         code, text = run("spectrum", "--model", path)
         assert code == 2
         assert text.startswith("error:") and repr(path) in text
-
-
-def test_solver_runtime_errors_exit_2(monkeypatch, capsys):
-    def no_vacuum(model, start):
-        raise VacuumSolveError("vacuum search did not converge", start, 7)
-
-    monkeypatch.setattr(modelfile, "find_vacuum", no_vacuum)
-    code, text = run("spectrum", "--model", "tests/goldens/spin1.model")
-    assert (code, text) == (2, "error: vacuum search did not converge\n")
-    assert "Traceback" not in capsys.readouterr().err
 
 
 def _ssbspec_errors():

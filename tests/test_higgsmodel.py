@@ -1,8 +1,14 @@
+import io
+import math
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssbspec.chiral import su2_irrep
+from ssbspec.cli import main
 from ssbspec.electroweak import build_generators, build_model
 from ssbspec.higgsmodel import (
     HiggsModel,
@@ -13,8 +19,10 @@ from ssbspec.higgsmodel import (
     find_vacuum,
 )
 from ssbspec.liecore import realify, unrealify
+from ssbspec.modelfile import emit_document, parse_document, parse_model_file
 
 QUARTIC = QuarticPotential(mu=2.0, lam=1.0)
+SPIN1 = pathlib.Path(__file__).resolve().parent / "goldens" / "spin1.model"
 
 
 def fd_gradient(p, v, h=1e-6):
@@ -88,6 +96,17 @@ def test_find_vacuum_rejects_zero_seed():
     model = HiggsModel(build_generators(2.0, 1.0), QUARTIC)
     with pytest.raises(PotentialError):
         find_vacuum(model, np.zeros(2, dtype=complex))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PotentialError):
+            find_vacuum(model, np.array([1.0, bad]))
+
+
+@pytest.mark.parametrize("size", [1e-200, 1e200])
+def test_find_vacuum_takes_seeds_of_any_size(size):
+    # |seed|^2 would under- or overflow; only the direction may matter
+    model = HiggsModel(build_generators(2.0, 1.0), QUARTIC)
+    v0 = find_vacuum(model, size * np.array([3.0, 4.0j]))
+    np.testing.assert_allclose(v0, [0.6, 0.8j], rtol=1e-15)
 
 
 def test_model_verifies_supplied_vacuum():
@@ -97,6 +116,90 @@ def test_model_verifies_supplied_vacuum():
         HiggsModel(gens, QUARTIC, np.array([0.0, 1.7]))
     with pytest.raises(NotAVacuumError):
         HiggsModel(gens, QUARTIC, np.array([0.0, 1.0, 0.0]))
+
+
+def _model_text(generators: np.ndarray, mu: float, lam: float, vacuum=None) -> str:
+    doc = {
+        "algebra": {
+            "n": generators.shape[1],
+            "r": generators.shape[0],
+            "generators": np.stack([generators.real, generators.imag], -1),
+        },
+        "potential": {"mu": mu, "lambda": lam},
+    }
+    if vacuum is not None:
+        doc["vacuum"] = {"vector": np.stack([vacuum.real, vacuum.imag], -1)}
+    return emit_document(doc)
+
+
+def _spectrum(tmp_path, text: str) -> tuple[int, str]:
+    path = tmp_path / "probe.model"
+    path.write_text(text)
+    out = io.StringIO()
+    return main(["spectrum", "--model", str(path), "--format", "machine"], stdout=out), out.getvalue()
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_vacuum_off_the_sphere_is_rejected_at_any_scale(scale, tmp_path):
+    # |v| is 1e-6 too long; the bound must shrink with mu and lambda, or a
+    # shallow potential lets any point through
+    vacuum = np.array([0.0, math.sqrt(0.5) * (1 + 1e-6)], dtype=complex)  # radius sqrt(mu / 2 lambda)
+    code, text = _spectrum(tmp_path, _model_text(build_generators(2.0, 1.0).matrices, scale, scale, vacuum))
+    assert code == 2
+    assert "gradient norm" in text
+
+
+@pytest.mark.parametrize("extra", [[], ["--g", "1e8"]])
+def test_electroweak_at_large_mu_is_a_vacuum(extra):
+    # the rounding of the gradient grows as mu |v|, so its bound must too
+    out = io.StringIO()
+    assert main(["electroweak", "--mu", "1e16", *extra], stdout=out) == 0, out.getvalue()
+
+
+def test_origin_is_no_vacuum_at_tiny_positive_mu():
+    # the Hessian there is -mu I, a maximum at any mu > 0
+    with pytest.raises(NotAVacuumError):
+        HiggsModel(build_generators(2.0, 1.0), QuarticPotential(mu=1e-10, lam=1.0), np.zeros(2))
+
+
+def _spin1_spectrum(tmp_path, mu: float, lam: float) -> tuple[int, str]:
+    text = SPIN1.read_text().replace("mu = 2.0", f"mu = {mu!r}").replace("lambda = 1.0", f"lambda = {lam!r}")
+    return _spectrum(tmp_path, text)
+
+
+def test_spin1_vacuum_sits_on_the_sphere(tmp_path):
+    # a vacuum 5e-3 from the origin: a point a little off the sphere still
+    # passed the report's absolute checks, with two false Higgs masses
+    mu, lam = 1.395298591907157e-06, 0.02817135803262835
+    code, text = _spin1_spectrum(tmp_path, mu, lam)
+    assert code == 0, text
+    doc = parse_document(text)
+    radius = math.sqrt(mu / (2 * lam))
+    assert abs(doc["model"]["vacuum_norm"] - radius) <= 4 * math.ulp(radius)
+    higgs = doc["spectrum"]["higgs_masses"]
+    assert higgs[0] == pytest.approx(math.sqrt(mu), rel=1e-13)
+    assert higgs[1:] == [0.0, 0.0]
+
+
+def test_spin1_vacuum_at_a_large_radius(tmp_path):
+    # a vacuum 1e4 from the origin, with a flat potential (lambda = 3e-8)
+    code, text = _spin1_spectrum(tmp_path, 6.215828204666023, 2.7602334328549775e-08)
+    assert code == 0, text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.floats(-8.0, 8.0),
+    st.floats(-8.0, 8.0),
+)
+def test_parsed_vacuum_is_the_closed_form(n, log_mu, log_lam):
+    mu, lam = 10.0**log_mu, 10.0**log_lam
+    vacuum = parse_model_file(_model_text(su2_irrep(n), mu, lam)).model.vacuum
+    # parallel to (1, ..., 1): every entry the same positive real
+    assert np.all(vacuum == vacuum[0]) and vacuum[0].imag == 0 and vacuum[0].real > 0
+    radius = math.sqrt(mu / (2 * lam))
+    assert abs(float(np.linalg.norm(vacuum)) - radius) <= 4 * math.ulp(radius)
 
 
 class Lopsided:
