@@ -4,7 +4,7 @@ Given a generator basis acting on C^n and a vacuum v0, the central object
 is the orbit map X -> X v0.  Its mass form m(A, B) = Re <A v0, B v0> is the
 map's Gram matrix, so one singular value decomposition of the map gives
 both the unbroken subalgebra (its kernel) and the boson masses M = sqrt(2) s
-(its singular values s above TOL_RANK).
+(its singular values s, as many as the map's rank at unit couplings).
 The realified potential Hessian at v0 splits into the orbit tangent
 directions (flat, one per broken generator) and transverse directions
 whose eigenvalues 2 m^2 give the scalar masses.
@@ -53,7 +53,7 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Fix each row's sign so its first significant entry is positive."""
     rows = np.array(rows)
     for row in rows:
-        big = np.flatnonzero(np.abs(row) > TOL_SIGN * max(1.0, np.abs(row).max()))
+        big = np.flatnonzero(np.abs(row) > TOL_SIGN * np.abs(row).max())
         if big.size and row[big[0]] < 0:
             row *= -1.0
     return rows + 0.0  # flush negative zeros
@@ -115,12 +115,20 @@ class OrbitFrame(NamedTuple):
 
 
 def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
-    """The one rank decision on X -> X v: singular values above
-    TOL_RANK times the largest; v = 0 has rank 0."""
-    u, s, vt = np.linalg.svd(_acted(gs, v).T)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > TOL_RANK * smax)) if smax > 0 else 0
-    return OrbitFrame(u=u, s=s, vt=vt, rank=rank)
+    """The one rank decision on X -> X v: singular values above TOL_RANK
+    times the largest, v = 0 having rank 0.
+
+    Couplings are folded into the generators, so the coupled map is the
+    map of the unit generators g_i / |g_i| (a zero generator keeps its zero
+    column) times an invertible diagonal, and has the same rank.  The rank
+    is read off that coupling-free map; the masses and the frame come from
+    the coupled one.
+    """
+    acted = _acted(gs, v)
+    norms = np.linalg.norm(gs.matrices, axis=(1, 2))
+    free = np.linalg.svd(acted / np.where(norms > 0, norms, 1.0)[:, None], compute_uv=False)
+    u, s, vt = np.linalg.svd(acted.T)
+    return OrbitFrame(u=u, s=s, vt=vt, rank=int(np.sum(free > TOL_RANK * free[0])))
 
 
 class StabilizerSplit(NamedTuple):
@@ -192,7 +200,7 @@ def orbit_split(gs: GeneratorSet, v0: np.ndarray, hessian: np.ndarray) -> OrbitS
 def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
     d = frame.rank
     H = np.asarray(hessian, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(H)))
+    scale = float(np.max(np.abs(H)))
     e = frame.u[:, :d].T
     P = frame.u[:, d:]
     if d and float(np.max(np.abs(e @ H @ e.T))) > TOL_FLAT * scale:
@@ -209,7 +217,7 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
     vals, rows = _sort_clusters(lam, (P @ W).T, CLUSTER_GAP)
     # flat directions are massless, not the square root of rounding noise;
     # relative to the Hessian itself, so a small mu keeps its Higgs mass
-    vals[np.abs(vals) <= TOL_FLAT * float(np.max(np.abs(H)))] = 0.0
+    vals[np.abs(vals) <= TOL_FLAT * scale] = 0.0
     eigs = np.concatenate([vals, np.zeros(d)])
     return OrbitSplit(
         orbit=_canonical_rows(e),

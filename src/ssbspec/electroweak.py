@@ -151,7 +151,7 @@ def charge_operators(rep: GeneratorSet, p: ElectroweakParams) -> ChargeOperators
         raise ChargeError(f"need a four-generator representation, got r={rep.r}")
     t = [-1j * rep.matrices[l] / p.g for l in range(3)]
     y = -2j * rep.matrices[3] / p.gp
-    scale = 1.0 + max(float(np.max(np.abs(m))) for m in (*t, y))
+    scale = max(float(np.max(np.abs(m))) for m in (*t, y))
     for name, m in (("t1", t[0]), ("t2", t[1]), ("t3", t[2]), ("hypercharge", y)):
         if float(np.max(np.abs(m - np.conj(m.T)))) > TOL_ALG * scale:
             raise ChargeError(f"{name} is not Hermitian; generators are not skew-Hermitian")

@@ -125,20 +125,22 @@ def check_potential_invariance(
     model: HiggsModel,
     samples: int = 100,
     seed: int = 0,
-) -> float:
-    """Worst |V(exp(X) v) - V(v)| over seeded random X and v.
+) -> tuple[float, float]:
+    """Worst |V(exp(X) v) - V(v)| over seeded random X and v, and the
+    largest |V| evaluated, the scale that defect rounds against.
 
     Order-of-draw is fixed, so the result is deterministic for a given
     seed and sample count.
     """
     rng = np.random.default_rng(seed)
     gs = model.generators
-    worst = 0.0
+    worst = scale = 0.0
     for _ in range(samples):
         coeffs = random_algebra_element(gs, rng)
         v = rng.normal(size=gs.n) + 1j * rng.normal(size=gs.n)
         U = exponentiate(gs, coeffs)
-        defect = abs(model.potential.value(U @ v) - model.potential.value(v))
-        worst = max(worst, defect)
-    return worst
+        moved, still = model.potential.value(U @ v), model.potential.value(v)
+        worst = max(worst, abs(moved - still))
+        scale = max(scale, abs(moved), abs(still))
+    return worst, scale
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .breaking import SpectrumResult
 from .higgsmodel import HiggsModel
-from .liecore import GeneratorSet, expm_skew, realify, site_blocks, unrealify
+from .liecore import TOL_ALG, TOL_RANK, GeneratorSet, expm_skew, realify, site_blocks, unrealify
 
 __all__ = [
     "ExpansionCheck",
@@ -217,8 +217,9 @@ def gauge_transform_gauge(
     unitary_defect = np.max(
         [np.max(np.abs(_matmul(flat_sigma[b], inverse(b)) - np.eye(n))) for b in site_blocks(sites)]
     )
+    # unitarity is the group side of skew-Hermiticity, so it shares TOL_ALG;
     # written as not (defect <= tol) so that a NaN defect fails, here and below
-    if not (unitary_defect <= 1e-8):
+    if not (unitary_defect <= TOL_ALG):
         raise NonGroupTransformError(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
@@ -538,7 +539,7 @@ def quadratic_expansion_check(
             "ok,...k->...o", spec.orbit_basis, realify(delta_phi)
         )
         worst = float(np.max(np.abs(orbit_components))) if orbit_components.size else 0.0
-        if worst > 1e-8 * max(1.0, float(np.max(np.abs(delta_phi)))):
+        if worst > TOL_RANK * float(np.max(np.abs(delta_phi))):
             raise NotUnitaryGaugeError(
                 f"perturbation has orbit components up to {worst:.3e}"
             )

@@ -35,7 +35,8 @@ __all__ = [
 # Real coefficient vector with respect to a GeneratorSet basis.
 AlgebraElement = np.ndarray
 
-# Tolerance of the algebra checks: skew-Hermiticity and bracket closure.
+# Relative tolerance of the algebra checks: skew-Hermiticity against max|X|,
+# bracket closure against the brackets' own size, unitarity against 1.
 TOL_ALG = 1e-10
 
 # Rank cut: singular values at or below TOL_RANK times the largest count as zero.
@@ -168,9 +169,8 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         does not close under commutators).
         """
         brackets, c, defect = self._brackets()
-        scale = max(1.0, float(np.max(np.abs(brackets))))
         worst = float(np.max(defect))
-        if worst > TOL_ALG * scale:
+        if worst > TOL_ALG * float(np.max(np.abs(brackets))):
             raise GeneratorError(f"brackets leave the generator span (defect {worst:.3e})")
         return c
 

@@ -269,8 +269,7 @@ def parse_model_file(text: str) -> ModelBundle:
                     try:
                         gs = GeneratorSet(matrices=gens, factors=factors)
                         skew = gs.skew_defect()
-                        scale = max(1.0, float(np.max(np.abs(gens))))
-                        if skew > TOL_ALG * scale:
+                        if skew > TOL_ALG * float(np.max(np.abs(gens))):
                             issue(
                                 "algebra", f"generators not skew-Hermitian (defect {skew:.3e})", "generators"
                             )

@@ -48,13 +48,16 @@ def test_electroweak_machine_values():
     assert doc["validation"]["pass"] is True
 
 
-@pytest.mark.parametrize("g", ["1e-4", "1e-5", "1e-7"])
+@pytest.mark.parametrize("g", ["1e-4", "1e-5", "1e-7", "1e-12"])
 def test_electroweak_small_weak_coupling(g):
     # a second rank rule on the mass form's eigenvalues once lost a W mass
-    # here (exit 1) or disagreed with the orbit rank (exit 2)
+    # here (exit 1) or disagreed with the orbit rank (exit 2); a rank cut
+    # relative to the largest coupled singular value dropped both W masses
+    # at 1e-12 and still printed pass
     code, text = run("electroweak", "--g", g, "--format", "machine")
     assert code == 0
     masses = parse_document(text)["masses"]
+    assert masses["goldstone_count"] == 3
     expected = [masses["z"], masses["w"], masses["w"], masses["photon"]]
     assert masses["numerical_bosons"] == pytest.approx(expected, rel=1e-9, abs=1e-12 * masses["z"])
     assert masses["numerical_bosons"][3] == 0.0
@@ -236,6 +239,14 @@ def test_gauge_check_without_refinement_measures_nothing(refine):
     code, text = run("gauge-check", "--grid", "8", "--refine", refine)
     assert code == 2
     assert text == f"error: refinements must be at least 1 to measure an order, got {refine}\n"
+
+
+def test_gauge_check_has_no_tolerance_flag(capsys):
+    # its invariance check is relative to the largest density and reads no --tol
+    with pytest.raises(SystemExit) as exit_:
+        run("gauge-check", "--tol", "1e-9")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extent", ["0", "3", "-8", "abc"])
