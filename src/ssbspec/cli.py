@@ -308,6 +308,14 @@ def _cmd_unitary_gauge(args, out) -> int:
         field = model.vacuum + 0.35 * smooth_multiplet_field(
             grid, model.generators.n, seed
         )
+    if args.out:
+        # the error the write would raise for a missing directory, before the
+        # sweep rather than after; the trailing separator makes a file in the
+        # directory's place ENOTDIR, as the write would
+        try:
+            os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+        except OSError as err:
+            raise type(err)(err.errno, err.strerror, args.out) from None
     tol = args.tol if args.tol is not None else 1e-10
     config = UnitaryGaugeConfig(tol=tol)
     result = apply_unitary_gauge_field(

@@ -150,7 +150,9 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         basis = self.matrices.reshape(self.r, -1)
         flat = M.reshape(-1, basis.shape[1])
         b = flat.view(float) @ basis.view(float).T
-        coeffs = np.linalg.solve(self.gram(), b.T).T
+        gram = self.gram()
+        _require_independent(gram)
+        coeffs = np.linalg.solve(gram, b.T).T
         resid = coeffs @ basis
         np.subtract(flat, resid, out=resid)
         lead = M.shape[:-2]
@@ -182,6 +184,28 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
     def closure_defect(self) -> float:
         """Largest Frobenius distance of a bracket from the span."""
         return float(np.max(self._brackets()[2]))
+
+
+def _require_independent(gram: np.ndarray) -> None:
+    """Raise GeneratorError naming the first generator that is zero or lies in
+    the span of those before it.
+
+    Singular means an eigenvalue at or below TOL_RANK times the largest, judged
+    on the coupling-free Gram matrix (each generator divided by its Frobenius
+    norm), so couplings decades apart do not read as dependence.
+    """
+    norms = np.sqrt(np.diag(gram))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise GeneratorError(f"generator {zero[0]} is zero")
+    unit = gram / np.outer(norms, norms)
+    w = np.linalg.eigvalsh(unit)
+    cut = TOL_RANK * w[-1]
+    if w[0] > cut:
+        return
+    # the leading minors' smallest eigenvalues only fall as generators join
+    first = next(i for i in range(1, len(unit)) if np.linalg.eigvalsh(unit[: i + 1, : i + 1])[0] <= cut)
+    raise GeneratorError(f"generator {first} lies in the span of the generators before it")
 
 
 class ValidationReport(NamedTuple):

@@ -266,12 +266,31 @@ def test_bad_tolerance_is_rejected_at_the_flag(tol, capsys):
     assert f"argument --tol: expected a finite positive number, got '{tol}'" in capsys.readouterr().err
 
 
-def test_parse_errors_exit_2():
-    # a missing file and a directory: both name the path, neither raises
-    for path in (MODEL.replace(".model", ".missing"), "models"):
-        code, text = run("spectrum", "--model", path)
+def test_parse_errors_exit_2(tmp_path, monkeypatch):
+    # a missing file, a directory, a zero generator (once a bare "Singular
+    # matrix") and an --out in a missing directory or under a file (once found
+    # only after the whole sweep): each exits 2 naming what is wrong, none raises
+    doc = parse_document(pathlib.Path(MODEL).read_text())
+    doc["algebra"]["generators"][3] = np.zeros((2, 2, 2)).tolist()
+    del doc["algebra"]["factors"], doc["representations"], doc["yukawa"]
+    zero = tmp_path / "zero_generator.model"
+    zero.write_text(modelfile.emit_document(doc))
+    missing = MODEL.replace(".model", ".missing")
+    out = str(tmp_path / "no_such_dir" / "canonical.field")
+    under_file = str(zero / "canonical.field")
+    monkeypatch.setattr(cli, "apply_unitary_gauge_field", None)  # the sweep must not start
+    cases = [
+        (["spectrum", "--model", missing], repr(missing)),
+        (["spectrum", "--model", "models"], repr("models")),
+        (["spectrum", "--model", str(zero)], "error: generator 3 is zero\n"),
+        (["validate", "--model", str(zero)], "error: generator 3 is zero\n"),
+        (["unitary-gauge", "--model", MODEL, "--out", out], f"error: [Errno 2] No such file or directory: {out!r}\n"),
+        (["unitary-gauge", "--model", MODEL, "--out", under_file], f"error: [Errno 20] Not a directory: {under_file!r}\n"),
+    ]
+    for argv, named in cases:
+        code, text = run(*argv)
         assert code == 2
-        assert text.startswith("error:") and repr(path) in text
+        assert text.startswith("error:") and named in text
 
 
 def _ssbspec_errors():

@@ -104,6 +104,19 @@ def test_projection_detects_outside_span():
     assert defect < 1e-12
 
 
+def test_projection_names_a_dependent_generator():
+    m = EW.matrices
+    for stack, message in (
+        ([m[0], m[1], 3e5 * m[0] - 2e-5 * m[1], m[3]], "generator 2 lies in the span of the generators before it"),
+        ([m[0], np.zeros_like(m[0]), m[2]], "generator 1 is zero"),
+    ):
+        with pytest.raises(GeneratorError, match=message):
+            GeneratorSet(stack).closure_defect()
+    # couplings decades apart are not dependence: the decision is coupling-free
+    scaled = GeneratorSet([1e-12 * m[0], 1e12 * m[1], m[2], m[3]])
+    np.testing.assert_allclose(scaled.project(m[3])[0], [0, 0, 0, 1], atol=1e-15)
+
+
 def _old_project(gs, mats):
     """The einsum form project replaced, one Gram solve per matrix."""
     b = np.real(np.einsum("rij,...ij->...r", np.conj(gs.matrices), mats))

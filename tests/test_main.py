@@ -2,7 +2,9 @@
 
 ``ssbspec.__main__.run`` asks OpenBLAS for one thread before numpy loads,
 unless the caller chose a count; ``import ssbspec`` must load no numpy so
-that ``python -m ssbspec`` reaches it first.
+that ``python -m ssbspec`` reaches it first.  It also keeps the cyclic
+garbage collector off for the whole command, freezes the heap and hands
+the caller back its collector state.
 """
 import os
 import pathlib
@@ -25,6 +27,11 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
 COUNT_TASKS = (
     "import atexit, os, sys\n"
     "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+)
+# prints the collector state and the frozen object count as the process exits
+REPORT_GC = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
 )
 ENTRY_POINTS = {
     # what the [project.scripts] wrapper runs
@@ -91,3 +98,59 @@ def test_pyproject_script_is_run():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts == {"ssbspec": "ssbspec.__main__:run"}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_freezes_the_heap_and_restores_the_collector(entry):
+    run = _child(["-c", REPORT_GC + ENTRY_POINTS[entry]])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == GOLDEN.read_bytes()
+    assert run.stderr.decode().split()[-2:] == ["True", "True"]
+
+
+def test_run_keeps_a_disabled_collector_disabled():
+    code = (
+        "import gc\n"
+        "from ssbspec.__main__ import run\n"
+        "states = []\n"
+        f"for enabled, argv in [(False, {ARGV!r}), (False, ['--no-such-flag']), (True, ['--no-such-flag'])]:\n"
+        "    gc.enable() if enabled else gc.disable()\n"
+        "    try:\n"
+        "        run(argv)\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        "    states.append(gc.isenabled())\n"
+        "print(states)\n"
+    )
+    run = _child(["-c", code])
+    assert run.returncode == 0, run.stderr
+    golden = GOLDEN.read_bytes()
+    assert run.stdout[: len(golden)] == golden
+    assert run.stdout[len(golden) :].decode().split("\n")[0] == "[False, False, True]"
+
+
+def test_garbage_does_not_grow_with_the_grid(tmp_path):
+    # with the collector off for a whole command, its cyclic garbage must be
+    # a fixed amount (the argparse parser), not a per-site one
+    text = (ROOT / "models" / "electroweak.model").read_text()
+    models = []
+    for extent in (8, 96):
+        path = tmp_path / f"grid{extent}.model"
+        path.write_text(text.replace("shape = [16, 16]", f"shape = [{extent}, {extent}]"))
+        models.append(str(path))
+    code = (
+        "import gc, io\n"
+        "from ssbspec.cli import main\n"
+        "gc.disable()\n"
+        "def garbage(model):\n"
+        "    argv = ['unitary-gauge', '--model', model, '--format', 'machine']\n"
+        "    assert main(argv, stdout=io.StringIO()) == 0\n"
+        "    return gc.collect()\n"
+        f"small, large = {models!r}\n"
+        "garbage(small)  # the first command's lazy imports leave their own garbage\n"
+        "print(garbage(small), garbage(large))\n"
+    )
+    run = _child(["-c", code])
+    assert run.returncode == 0, run.stderr
+    small, large = map(int, run.stdout.split())
+    assert small == large > 0
