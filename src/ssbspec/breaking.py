@@ -36,10 +36,6 @@ __all__ = [
     "stabilizer_split",
 ]
 
-TOL_FLAT = 1e-8  # Hessian flatness on the orbit, PSD on the complement
-CLUSTER_GAP = 1e-8
-TOL_SIGN = 1e-8  # relative size of the entry that fixes a row's sign
-
 
 def _acted(gs: GeneratorSet, v0: np.ndarray) -> np.ndarray:
     """Rows realify(g_i v0), shape (r, 2n)."""
@@ -53,21 +49,22 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """Fix each row's sign so its first significant entry is positive."""
     rows = np.array(rows)
     for row in rows:
-        big = np.flatnonzero(np.abs(row) > TOL_SIGN * np.abs(row).max())
+        big = np.flatnonzero(np.abs(row) > TOL_RANK * np.abs(row).max())
         if big.size and row[big[0]] < 0:
             row *= -1.0
     return rows + 0.0  # flush negative zeros
 
 
-def _sort_clusters(values: np.ndarray, rows: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Order rows by descending value; within near-degenerate clusters the
-    rows are sign-fixed and sorted lexicographically for determinism."""
+def _sort_clusters(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order rows by descending value; within clusters of values equal to
+    TOL_RANK relative to the largest, the rows are sign-fixed and sorted
+    lexicographically for determinism."""
     order = np.argsort(-values, kind="stable")
     values, rows = values[order], _canonical_rows(rows[order])
     scale = float(np.abs(values).max()) if values.size else 0.0
     out_vals, out_rows, start = [], [], 0
     for k in range(1, values.size + 1):
-        if k == values.size or values[start] - values[k] > gap * scale:
+        if k == values.size or values[start] - values[k] > TOL_RANK * scale:
             block = rows[start:k]
             vals = values[start:k]
             idx = np.lexsort(block.T[::-1])
@@ -162,7 +159,7 @@ def _bosons(frame: OrbitFrame) -> tuple[np.ndarray, np.ndarray]:
 
     The broken rows are the frame's first rank rows of vt, which
     diagonalize the mass form; masses descend and are zero past the rank.
-    Within a cluster of masses equal to CLUSTER_GAP relative to the largest,
+    Within a cluster of masses equal to TOL_RANK relative to the largest,
     the rows are sign-fixed and sorted lexicographically for determinism,
     so a row's own mass matches its entry only to within that gap.
     """
@@ -170,7 +167,7 @@ def _bosons(frame: OrbitFrame) -> tuple[np.ndarray, np.ndarray]:
     masses = np.zeros(frame.vt.shape[0])
     masses[:d] = np.sqrt(2.0) * frame.s[:d]
     scale = frame.s[0] if d else 1.0
-    _, broken = _sort_clusters(frame.s[:d] / scale, frame.vt[:d], CLUSTER_GAP)
+    _, broken = _sort_clusters(frame.s[:d] / scale, frame.vt[:d])
     return broken, masses
 
 
@@ -203,21 +200,21 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
     scale = float(np.max(np.abs(H)))
     e = frame.u[:, :d].T
     P = frame.u[:, d:]
-    if d and float(np.max(np.abs(e @ H @ e.T))) > TOL_FLAT * scale:
+    if d and float(np.max(np.abs(e @ H @ e.T))) > TOL_RANK * scale:
         raise NotAVacuumError(
             "Hessian does not vanish along the vacuum orbit; the point is not a group minimum"
         )
     Hp = P.T @ H @ P
     Hp = 0.5 * (Hp + Hp.T)
     lam, W = np.linalg.eigh(Hp)
-    if lam.size and lam.min() < -TOL_FLAT * scale:
+    if lam.size and lam.min() < -TOL_RANK * scale:
         raise NotAVacuumError(
             f"Hessian eigenvalue {lam.min():.3e} on the transverse space; not a minimum"
         )
-    vals, rows = _sort_clusters(lam, (P @ W).T, CLUSTER_GAP)
+    vals, rows = _sort_clusters(lam, (P @ W).T)
     # flat directions are massless, not the square root of rounding noise;
     # relative to the Hessian itself, so a small mu keeps its Higgs mass
-    vals[np.abs(vals) <= TOL_FLAT * scale] = 0.0
+    vals[np.abs(vals) <= TOL_RANK * scale] = 0.0
     eigs = np.concatenate([vals, np.zeros(d)])
     return OrbitSplit(
         orbit=_canonical_rows(e),

@@ -1,5 +1,10 @@
 """Equivariant maps between representations and trilinear invariants.
 
+A representation of the symmetry algebra on one multiplet is a
+liecore.GeneratorSet, the skew-Hermitian image of the model's one basis:
+every representation of a model has the same generator count r, and its
+dimension is the set's n.
+
 The obstruction to a fermion bilinear mass term is Schur's lemma in
 computational form: the pairing exists iff the space of equivariant maps
 between the two representations is nonzero, and that space is the null
@@ -17,11 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .electroweak import PAULI
-from .liecore import TOL_ALG, TOL_RANK
+from .liecore import TOL_RANK, GeneratorSet
 
 __all__ = [
     "IntertwinerBasis",
-    "Representation",
     "RepresentationError",
     "TripleProduct",
     "electroweak_fermion_representations",
@@ -35,37 +39,7 @@ __all__ = [
 
 
 class RepresentationError(ValueError):
-    pass
-
-
-class Representation(namedtuple("Representation", "matrices")):
-    """Action of the abstract generator basis on one multiplet space.
-
-    matrices is an (r, dim, dim) complex stack of skew-Hermitian matrices,
-    stored as a read-only copy.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, matrices: np.ndarray):
-        m = np.array(matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[0] == 0:
-            raise RepresentationError(
-                f"representation must be an (r, dim, dim) stack, got {m.shape}"
-            )
-        skew = float(np.max(np.abs(m + np.conj(np.transpose(m, (0, 2, 1))))))
-        if skew > TOL_ALG * float(np.max(np.abs(m))):
-            raise RepresentationError(f"matrices are not skew-Hermitian (defect {skew:.3e})")
-        m.setflags(write=False)
-        return super().__new__(cls, m)
-
-    @property
-    def r(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
+    """Bad trilinear tensor, mismatched representations or irrep dimension."""
 
 
 class IntertwinerBasis(NamedTuple):
@@ -79,7 +53,7 @@ class IntertwinerBasis(NamedTuple):
         return len(self.matrices)
 
 
-def intertwiner_basis(rep_left: Representation, rep_right: Representation) -> IntertwinerBasis:
+def intertwiner_basis(rep_left: GeneratorSet, rep_right: GeneratorSet) -> IntertwinerBasis:
     """Null space of the stacked system {L_i K - K R_i = 0}.
 
     Row-major vectorization turns each equation into
@@ -90,7 +64,7 @@ def intertwiner_basis(rep_left: Representation, rep_right: Representation) -> In
         raise RepresentationError(
             f"generator counts differ: {rep_left.r} vs {rep_right.r}"
         )
-    dl, dr = rep_left.dim, rep_right.dim
+    dl, dr = rep_left.n, rep_right.n
     blocks = [
         np.kron(li, np.eye(dr)) - np.kron(np.eye(dl), ri.T)
         for li, ri in zip(rep_left.matrices, rep_right.matrices)
@@ -131,16 +105,16 @@ class TripleProduct(namedtuple("TripleProduct", "tensor conjugated")):
         return complex(np.einsum("abc,a,b,c->", self.tensor, *args))
 
 
-def _slot_action(rep: Representation, i: int, conjugated: bool) -> np.ndarray:
+def _slot_action(rep: GeneratorSet, i: int, conjugated: bool) -> np.ndarray:
     m = rep.matrices[i]
     return np.conj(m) if conjugated else m
 
 
 def triple_invariance_defect(
     tau: TripleProduct,
-    rep_a: Representation,
-    rep_b: Representation,
-    rep_c: Representation,
+    rep_a: GeneratorSet,
+    rep_b: GeneratorSet,
+    rep_c: GeneratorSet,
 ) -> float:
     """Largest norm over generators of the summed slot action on the tensor.
 
@@ -148,10 +122,10 @@ def triple_invariance_defect(
     use the conjugate matrices.
     """
     reps = (rep_a, rep_b, rep_c)
-    if tau.tensor.shape != tuple(rp.dim for rp in reps):
+    if tau.tensor.shape != tuple(rp.n for rp in reps):
         raise RepresentationError(
             f"tensor shape {tau.tensor.shape} does not match representation "
-            f"dimensions {tuple(rp.dim for rp in reps)}"
+            f"dimensions {tuple(rp.n for rp in reps)}"
         )
     if len({rp.r for rp in reps}) != 1:
         raise RepresentationError("representations must share one generator count")
@@ -171,7 +145,7 @@ def triple_invariance_defect(
 
 def electroweak_fermion_representations(
     g: float, gp: float
-) -> tuple[Representation, Representation, Representation]:
+) -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
     """Left lepton doublet, scalar doublet, right electron singlet.
 
     Hypercharge factors: -gp/2 on the left doublet, +gp/2 on the scalar,
@@ -180,9 +154,9 @@ def electroweak_fermion_representations(
     """
     su2 = 0.5j * g * PAULI
     eye2 = np.eye(2)
-    left = Representation(np.concatenate([su2, [-0.5j * gp * eye2]]))
-    scalar = Representation(np.concatenate([su2, [0.5j * gp * eye2]]))
-    singlet = Representation(
+    left = GeneratorSet(np.concatenate([su2, [-0.5j * gp * eye2]]))
+    scalar = GeneratorSet(np.concatenate([su2, [0.5j * gp * eye2]]))
+    singlet = GeneratorSet(
         np.concatenate([np.zeros((3, 1, 1), dtype=complex), [[[-1j * gp]]]])
     )
     return left, scalar, singlet

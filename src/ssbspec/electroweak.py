@@ -144,17 +144,14 @@ def charge_operators(rep: GeneratorSet, p: ElectroweakParams) -> ChargeOperators
     """Extract T_l = b_l / (i g) and Y = 2 b_4 / (i g') from a representation.
 
     The representation must use the same index layout as build_generators:
-    three weak generators then one hypercharge generator.  Hermiticity and
-    [T3, Y] = 0 are verified.
+    three weak generators then one hypercharge generator.  The operators are
+    Hermitian because a GeneratorSet is skew-Hermitian; [T3, Y] = 0 is verified.
     """
     if rep.r != 4:
         raise ChargeError(f"need a four-generator representation, got r={rep.r}")
     t = [-1j * rep.matrices[l] / p.g for l in range(3)]
     y = -2j * rep.matrices[3] / p.gp
     scale = max(float(np.max(np.abs(m))) for m in (*t, y))
-    for name, m in (("t1", t[0]), ("t2", t[1]), ("t3", t[2]), ("hypercharge", y)):
-        if float(np.max(np.abs(m - np.conj(m.T)))) > TOL_ALG * scale:
-            raise ChargeError(f"{name} is not Hermitian; generators are not skew-Hermitian")
     if float(np.max(np.abs(t[2] @ y - y @ t[2]))) > TOL_ALG * scale:
         raise ChargeError("T3 and hypercharge do not commute")
     return ChargeOperators(

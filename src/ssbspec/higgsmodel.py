@@ -9,6 +9,7 @@ real calculus.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -18,6 +19,7 @@ from .liecore import (
     exponentiate,
     random_algebra_element,
     realify,
+    safe_norm,
 )
 
 __all__ = [
@@ -49,6 +51,12 @@ class QuarticPotential(namedtuple("QuarticPotential", "mu lam")):
         if not (np.isfinite(mu) and np.isfinite(lam) and lam > 0):
             raise PotentialError(
                 f"quartic potential needs finite mu and lambda > 0, got mu={mu}, lambda={lam}"
+            )
+        # the squared vacuum radius and the Hessian's scale; Python floats
+        # overflow to inf without a warning
+        if not (math.isfinite(float(mu) / (2.0 * float(lam))) and math.isfinite(2.0 * float(mu))):
+            raise PotentialError(
+                f"quartic potential overflows: mu/(2 lambda) or 2 mu is not finite at mu={mu}, lambda={lam}"
             )
         return super().__new__(cls, mu, lam)
 
@@ -95,10 +103,9 @@ class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
             # the Hessian scales as mu and the gradient as mu |v|, so both
             # checks are relative and hold at any mu and lambda
             curvature = float(np.max(np.abs(hess)))
-            if float(np.linalg.norm(grad)) > TOL_VAC * curvature * (1.0 + float(np.linalg.norm(vacuum))):
-                raise NotAVacuumError(
-                    f"gradient norm {np.linalg.norm(grad):.3e} at the supplied vacuum"
-                )
+            slope = float(safe_norm(grad))
+            if slope > TOL_VAC * curvature * (1.0 + float(safe_norm(realify(vacuum)))):
+                raise NotAVacuumError(f"gradient norm {slope:.3e} at the supplied vacuum")
             lo = float(np.linalg.eigvalsh(hess).min())
             if lo < -TOL_VAC * curvature:
                 raise NotAVacuumError(f"Hessian has negative eigenvalue {lo:.3e} at the supplied vacuum")

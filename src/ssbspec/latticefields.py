@@ -352,31 +352,27 @@ def _eval_waves(frac: np.ndarray, waves, scale: float) -> np.ndarray:
     return scale * out / max(1, len(waves))
 
 
-def smooth_scalar_field(grid: Grid, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Periodic band-limited random field; refining the grid resamples
-    the same continuum function."""
+def _smooth_components(grid: Grid, count: int, seed: int, scale: float) -> np.ndarray:
+    """count periodic band-limited random fields, shape grid.shape + (count,),
+    drawn in order from one seeded generator; refining the grid resamples
+    the same continuum functions."""
     rng = np.random.default_rng(seed)
-    return _eval_waves(grid.fractions(), _wave_set(rng, grid.dim), scale)
+    frac = grid.fractions()
+    return np.stack([_eval_waves(frac, _wave_set(rng, grid.dim), scale) for _ in range(count)], axis=-1)
+
+
+def smooth_scalar_field(grid: Grid, seed: int, scale: float = 1.0) -> np.ndarray:
+    return _smooth_components(grid, 1, seed, scale)[..., 0]
 
 
 def smooth_multiplet_field(grid: Grid, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    frac = grid.fractions()
-    parts = []
-    for _ in range(2 * n):
-        parts.append(_eval_waves(frac, _wave_set(rng, grid.dim), scale))
-    stacked = np.stack(parts, axis=-1)
-    return stacked[..., :n] + 1j * stacked[..., n:]
+    parts = _smooth_components(grid, 2 * n, seed, scale)
+    return parts[..., :n] + 1j * parts[..., n:]
 
 
 def smooth_gauge_field(grid: Grid, r: int, seed: int, scale: float = 1.0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    frac = grid.fractions()
-    comps = [
-        [_eval_waves(frac, _wave_set(rng, grid.dim), scale) for _ in range(r)]
-        for _ in range(grid.dim)
-    ]
-    return np.stack([np.stack(row, axis=-1) for row in comps], axis=-2)
+    """Coefficient field of shape grid.shape + (dim, r)."""
+    return _smooth_components(grid, grid.dim * r, seed, scale).reshape(grid.shape + (grid.dim, r))
 
 
 def smooth_transform_field(
@@ -387,12 +383,7 @@ def smooth_transform_field(
     The exponential runs in blocks of liecore.SITE_BLOCK sites, written into
     one result, so its stacked eigh temporaries do not grow with the grid.
     """
-    rng = np.random.default_rng(seed)
-    frac = grid.fractions()
-    coeffs = np.stack(
-        [_eval_waves(frac, _wave_set(rng, grid.dim), scale) for _ in range(gs.r)],
-        axis=-1,
-    ).reshape(-1, gs.r)
+    coeffs = _smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r)
     sigma = np.empty((len(coeffs), gs.n, gs.n), dtype=complex)
     for block in site_blocks(len(coeffs)):
         sigma[block] = expm_skew(gauge_matrices(gs, coeffs[block]))

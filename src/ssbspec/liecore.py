@@ -2,10 +2,11 @@
 
 Conventions used throughout the package:
 
-* A symmetry algebra is stored as a stack of r skew-Hermitian n x n
-  matrices.  Coupling constants are folded into the matrices themselves,
-  and the stored basis is declared orthonormal: inner products between
-  algebra elements are plain Euclidean dot products of coefficient
+* A symmetry algebra acts on each multiplet as a stack of r skew-Hermitian
+  n x n matrices, a GeneratorSet: the Higgs multiplet and every fermion
+  representation alike.  Coupling constants are folded into the matrices
+  themselves, and the stored basis is declared orthonormal: inner products
+  between algebra elements are plain Euclidean dot products of coefficient
   vectors.
 * Complex vectors realify to interleaved real vectors,
   (v1, v2, ...) -> (Re v1, Im v1, Re v2, Im v2, ...).
@@ -79,7 +80,9 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
     ----------
     matrices : (r, n, n) complex ndarray
         One skew-Hermitian matrix per basis element, couplings folded in.
-        Stored as a read-only copy.
+        Stored as a read-only copy.  Construction raises GeneratorError
+        unless the skew defect is at most TOL_ALG times `scale`, which
+        also refuses NaN and infinite entries.
     factors : tuple of FactorLabel, optional
         Partition of the basis indices into group factors.
     """
@@ -104,7 +107,12 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
                             f"factor {f.name!r} has an out-of-range or repeated index {i}"
                         )
                     seen.add(i)
-        return super().__new__(cls, m, factors)
+        gs = super().__new__(cls, m, factors)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect or scale is refused below
+            skew, scale = gs.skew_defect(), gs.scale
+        if not skew <= TOL_ALG * scale < np.inf:
+            raise GeneratorError(f"generators not skew-Hermitian (defect {skew:.3e})")
+        return gs
 
     @property
     def r(self) -> int:
@@ -113,6 +121,11 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
     @property
     def n(self) -> int:
         return self.matrices.shape[1]
+
+    @property
+    def scale(self) -> float:
+        """max|X| over the generator entries, the scale of every algebra defect."""
+        return float(np.max(np.abs(self.matrices)))
 
     def matrix_of(self, coeffs: AlgebraElement) -> np.ndarray:
         """The n x n matrix of the element with the given real coefficients."""
@@ -226,6 +239,15 @@ def act(gs: GeneratorSet, coeffs: AlgebraElement, v: np.ndarray) -> np.ndarray:
     return gs.matrix_of(coeffs) @ vec
 
 
+def safe_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of real vectors over the last axis, scaled so that huge
+    entries do not overflow; an infinite entry gives an infinite norm."""
+    big = np.max(np.abs(x), axis=-1, initial=0.0)
+    ok = np.isfinite(big) & (big > 0)
+    unit = x / np.where(ok, big, 1.0)[..., None]
+    return np.where(np.isfinite(big), big * np.sqrt(np.sum(unit * unit, axis=-1)), np.inf)
+
+
 def skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, V) of H = -iA, so that A = V diag(iw) V^dagger, for a stack
     of skew-Hermitian A.  H is symmetrised in place, (H + H^dagger) / 2, which
@@ -247,8 +269,8 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
 
 
 def exponentiate(gs: GeneratorSet, coeffs: AlgebraElement) -> np.ndarray:
-    """Group element exp(X) of X; the basis must be skew-Hermitian (model files
-    are checked to TOL_ALG), since `expm_skew` drops any non-skew part."""
+    """Group element exp(X) of X.  A GeneratorSet is skew-Hermitian to TOL_ALG
+    by construction, so the non-skew part that `expm_skew` drops is rounding."""
     return expm_skew(gs.matrix_of(coeffs))
 
 

@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chiral import Representation, RepresentationError, TripleProduct
-from .higgsmodel import HiggsModel, NotAVacuumError, QuarticPotential, find_vacuum
+from .chiral import TripleProduct
+from .higgsmodel import HiggsModel, NotAVacuumError, PotentialError, QuarticPotential, find_vacuum
 from .latticefields import Grid, LatticeError
-from .liecore import TOL_ALG, FactorLabel, GeneratorSet, GeneratorError
+from .liecore import FactorLabel, GeneratorSet, GeneratorError
 
 __all__ = [
     "Document",
@@ -268,15 +268,8 @@ def parse_model_file(text: str) -> ModelBundle:
                         factors += (FactorLabel(name=name, indices=tuple(indices), coupling=float(coupling)),)
                     try:
                         gs = GeneratorSet(matrices=gens, factors=factors)
-                        skew = gs.skew_defect()
-                        if skew > TOL_ALG * float(np.max(np.abs(gens))):
-                            issue(
-                                "algebra", f"generators not skew-Hermitian (defect {skew:.3e})", "generators"
-                            )
-                            gs = None
                     except GeneratorError as err:
-                        # the shape checks above leave only factor indices to reject
-                        issue("algebra", str(err), "factors")
+                        issue("algebra", str(err), "factors" if str(err).startswith("factor") else "generators")
 
     potential = None
     pot_entries = dict(doc.get("potential", {}))
@@ -293,7 +286,10 @@ def parse_model_file(text: str) -> ModelBundle:
             elif not lam > 0:
                 issue("potential", f"non-positive coupling lambda = {lam}", "lambda")
             else:
-                potential = QuarticPotential(mu=float(mu), lam=float(lam))
+                try:
+                    potential = QuarticPotential(mu=float(mu), lam=float(lam))
+                except PotentialError as err:
+                    issue("potential", str(err), "mu")
 
     model = None
     if gs is not None and potential is not None:
@@ -329,8 +325,8 @@ def parse_model_file(text: str) -> ModelBundle:
             )
             continue
         try:
-            representations[name] = Representation(mats)
-        except RepresentationError as err:
+            representations[name] = GeneratorSet(mats)
+        except GeneratorError as err:
             issue("representations", f"{name}: {err}", name)
 
     yukawa = None
@@ -354,22 +350,14 @@ def parse_model_file(text: str) -> ModelBundle:
             ok = False
         tensor = _complex_array(tensor_raw, issue, "yukawa", "tensor") if tensor_raw is not None else None
         if ok and tensor is not None and gs is not None:
-            dims = []
+            reps = {RESERVED_SLOT: gs, **representations}
             for s in slots:
-                if s == RESERVED_SLOT:
-                    dims.append(gs.n)
-                elif s in representations:
-                    dims.append(representations[s].dim)
-                else:
+                if s not in reps:
                     issue("yukawa", f"unknown representation {s!r}", "slots")
-                    dims.append(None)
-            if None not in dims:
-                if tensor.ndim != 3 or tensor.shape != tuple(dims):
-                    issue(
-                        "yukawa",
-                        f"tensor shape {tensor.shape} does not match slot dimensions {tuple(dims)}",
-                        "tensor",
-                    )
+            if all(s in reps for s in slots):
+                dims = tuple(reps[s].n for s in slots)
+                if tensor.shape != dims:
+                    issue("yukawa", f"tensor shape {tensor.shape} does not match slot dimensions {dims}", "tensor")
                 else:
                     yukawa = YukawaSection(
                         product=TripleProduct(tensor=tensor, conjugated=tuple(flags)),

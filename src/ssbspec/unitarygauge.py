@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .breaking import orbit_frame
-from .liecore import GeneratorSet, expm_skew, realify, site_blocks
+from .liecore import GeneratorSet, expm_skew, realify, safe_norm, site_blocks
 
 __all__ = [
     "DegeneratePointError",
@@ -171,15 +171,6 @@ def _overlap_hessian(frame: _Frame, psi: np.ndarray) -> np.ndarray:
     return 0.5 * (B + np.swapaxes(B, -1, -2))
 
 
-def _length(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, scaled so that huge entries do not
-    overflow; an infinite entry gives an infinite norm."""
-    big = np.max(np.abs(x), axis=-1, initial=0.0)
-    ok = np.isfinite(big) & (big > 0)
-    unit = x / np.where(ok, big, 1.0)[..., None]
-    return np.where(np.isfinite(big), big * np.sqrt(np.sum(unit * unit, axis=-1)), np.inf)
-
-
 def _subproblem(H: np.ndarray, s: np.ndarray, radius: np.ndarray, tiny: float) -> tuple[np.ndarray, np.ndarray]:
     """Maximise the model m(d) = -s.d + d.H.d / 2 over |d| <= radius, per site.
 
@@ -204,7 +195,7 @@ def _subproblem(H: np.ndarray, s: np.ndarray, radius: np.ndarray, tiny: float) -
     pole = (t == 0) & np.any((g != 0) & (gap == 0), axis=-1)
     den = t[:, None] + gap
     x = g / np.where(den > 0, den, 1.0)
-    norm = _length(x)
+    norm = safe_norm(x)
     inside = ~pole & (norm <= radius)
     hard = inside & (w[:, -1] > tiny)
     x[hard, -1] = np.sqrt(radius[hard] ** 2 - norm[hard] ** 2)
@@ -262,7 +253,7 @@ def _trust_step(
     rounding = _below_rounding(gain, fscale)
     ratio = (trial.z - cur.z) / np.where(rounding, 1.0, gain)
     accept = np.where(rounding, trial.defect < cur.defect, ratio >= ACCEPT)
-    at_edge = _length(step) >= (1 - 1e-6) * radius
+    at_edge = safe_norm(step) >= (1 - 1e-6) * radius
     grown = np.where((ratio > GROW) & at_edge, np.minimum(2.0 * radius, frame.trust), radius)
     radius = np.where(rounding, np.where(accept, radius, 0.25 * radius), np.where(ratio < SHRINK, 0.25 * radius, grown))
     return accept, trial, radius

@@ -13,7 +13,6 @@ import numpy as np
 
 from ssbspec.breaking import mass_form, spectrum, stabilizer_split
 from ssbspec.chiral import (
-    Representation,
     electroweak_fermion_representations,
     electroweak_yukawa_tensor,
     fermion_mass_after_breaking,
@@ -38,7 +37,7 @@ from ssbspec.latticefields import (
     smooth_multiplet_field,
     yang_mills_density,
 )
-from ssbspec.liecore import exponentiate, realify, unrealify
+from ssbspec.liecore import GeneratorSet, exponentiate, realify, unrealify
 from ssbspec.unitarygauge import (
     fiber_derivative,
     goldstone_vanish_check,
@@ -240,7 +239,7 @@ def test_09_intertwiner_dimensions_follow_schur():
     left, _, right = electroweak_fermion_representations(PARAMS.g, PARAMS.gp)
     assert intertwiner_basis(left, right).dimension == 0
     for dim in (1, 2, 3):
-        rep = Representation(su2_irrep(dim))
+        rep = GeneratorSet(su2_irrep(dim))
         assert intertwiner_basis(rep, rep).dimension == 1
 
 

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from ssbspec.chiral import (
-    Representation,
-    RepresentationError,
     TripleProduct,
     electroweak_fermion_representations,
     electroweak_yukawa_tensor,
@@ -21,23 +19,24 @@ from ssbspec.chiral import (
     su2_irrep,
     triple_invariance_defect,
 )
-from ssbspec.liecore import GeneratorSet
+from ssbspec.liecore import GeneratorError, GeneratorSet
 
 G, GP = 2.0, 1.0
 LEFT, SCALAR, SINGLET = electroweak_fermion_representations(G, GP)
 
 
-def charge_rep(q: float, r: int = 1) -> Representation:
+def charge_rep(q: float, r: int = 1) -> GeneratorSet:
     mats = np.zeros((r, 1, 1), dtype=complex)
     mats[-1, 0, 0] = 1j * q
-    return Representation(mats)
+    return GeneratorSet(mats)
 
 
 def test_representation_validation():
-    with pytest.raises(RepresentationError, match="skew"):
-        Representation(np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=complex))
-    with pytest.raises(RepresentationError):
-        Representation(np.zeros((2, 2, 3), dtype=complex))
+    # a representation is a GeneratorSet, which refuses a non-skew stack when built
+    with pytest.raises(GeneratorError, match="skew"):
+        GeneratorSet(np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=complex))
+    with pytest.raises(GeneratorError):
+        GeneratorSet(np.zeros((2, 2, 3), dtype=complex))
 
 
 def test_doublet_vs_singlet_has_no_intertwiner():
@@ -61,7 +60,7 @@ def test_trivial_vs_trivial():
 
 def test_schur_dimension_one_for_su2_irreps():
     for dim in (1, 2, 3):
-        rep = Representation(su2_irrep(dim))
+        rep = GeneratorSet(su2_irrep(dim))
         assert intertwiner_basis(rep, rep).dimension == 1
 
 
@@ -84,7 +83,7 @@ def test_intertwiner_dimension_is_basis_independent():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     u, _ = np.linalg.qr(x)
-    conj = Representation(
+    conj = GeneratorSet(
         np.einsum("ij,rjk,kl->ril", u.conj().T, LEFT.matrices, u)
     )
     assert intertwiner_basis(LEFT, conj).dimension == intertwiner_basis(LEFT, LEFT).dimension

@@ -113,6 +113,22 @@ def test_electroweak_names_a_non_positive_parameter(flag, name, value, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--mu", "1e308", "--lambda", "1e-308"], ["--mu", "1e200", "--lambda", "1e-200"], ["--mu", "1.7e308"]],
+    ids=["ratio", "ratio-200", "twice-mu"],
+)
+def test_electroweak_overflowing_potential_is_one_error_line(argv, capsys):
+    # these warned, then ended in a bare "Eigenvalues did not converge"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run("electroweak", *argv)
+    assert code == 2
+    assert text.startswith("error: quartic potential overflows") and text.count("\n") == 1
+    assert caught == []
+    assert capsys.readouterr().err == ""
+
+
 def test_spectrum_is_byte_identical_across_runs():
     code1, text1 = run("spectrum", "--model", MODEL, "--format", "machine", "--seed", "5")
     code2, text2 = run("spectrum", "--model", MODEL, "--format", "machine", "--seed", "5")
@@ -312,6 +328,24 @@ def test_every_ssbspec_error_exits_2(error, monkeypatch):
 
     monkeypatch.setattr(cli, "_cmd_electroweak", fail)
     assert run("electroweak") == (2, "error: boom\n")
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 1.00 TiB for an array"), "error: Unable to allocate 1.00 TiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_2(error, line, monkeypatch):
+    # a large --grid or --refine ended in a MemoryError traceback (exit 1);
+    # the stand-in raises before anything large is allocated
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "convergence_orders", exhausted)
+    assert run("gauge-check", "--grid", "100000") == (2, line)
 
 
 def test_bad_model_reports_located_issue(tmp_path):

@@ -17,7 +17,7 @@ from ssbspec.electroweak import (
     recompose_gauge_field,
     weinberg_angle,
 )
-from ssbspec.liecore import GeneratorSet
+from ssbspec.liecore import GeneratorError, GeneratorSet
 
 PARAMS = ElectroweakParams(g=2.0, gp=1.0, mu=2.0, lam=1.0)
 
@@ -89,7 +89,8 @@ def test_charge_operators_singlet():
 def test_charge_operators_reject_bad_reps():
     mats = np.zeros((4, 2, 2), dtype=complex)
     mats[0] = np.array([[0.0, 1.0], [0.0, 0.0]])  # not skew-Hermitian
-    with pytest.raises(ChargeError):
+    # the GeneratorSet refuses it before charge_operators could see it
+    with pytest.raises(GeneratorError, match="not skew-Hermitian"):
         charge_operators(GeneratorSet(mats), PARAMS)
     with pytest.raises(ChargeError):
         charge_operators(GeneratorSet(np.zeros((3, 2, 2), dtype=complex)), PARAMS)

@@ -53,6 +53,14 @@ def test_parameter_validation():
         QuarticPotential(mu=1.0, lam=0.0)
 
 
+@pytest.mark.parametrize("mu, lam", [(1e308, 1e-308), (1e200, 1e-200), (1.7e308, 1.0), (-1e308, 1e-308)])
+def test_overflowing_potential_is_refused(mu, lam):
+    # mu / (2 lambda) or 2 mu overflowed into an inf radius or Hessian, and
+    # the spectrum ended in "Eigenvalues did not converge"
+    with pytest.raises(PotentialError, match="overflows"):
+        QuarticPotential(mu, lam)
+
+
 def test_vacuum_radius_and_curvature():
     assert QUARTIC.vacuum_radius == pytest.approx(1.0)
     v0 = np.array([0.0, 1.0], dtype=complex)
@@ -179,6 +187,20 @@ def test_spin1_vacuum_sits_on_the_sphere(tmp_path):
     higgs = doc["spectrum"]["higgs_masses"]
     assert higgs[0] == pytest.approx(math.sqrt(mu), rel=1e-13)
     assert higgs[1:] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("mu", [1e110, 1e115, 1e120, 1e150, 1e200])
+def test_spin1_gradient_norm_does_not_overflow(tmp_path, mu):
+    # a gradient of about 1e156 squared to inf in np.linalg.norm, so the
+    # closed-form vacuum read as "gradient norm inf" at mu = 1e115
+    path = tmp_path / "spin1.model"
+    path.write_text(SPIN1.read_text().replace("mu = 2.0", f"mu = {mu!r}"))
+    for command in ("spectrum", "validate"):
+        out = io.StringIO()
+        assert main([command, "--model", str(path), "--format", "machine"], stdout=out) == 0, out.getvalue()
+        doc = parse_document(out.getvalue())
+        checks = doc["validation" if command == "spectrum" else "checks"]
+        assert math.isfinite(checks["vacuum_gradient"]) and checks["pass"] is True
 
 
 def test_spin1_vacuum_at_a_large_radius(tmp_path):

@@ -4,10 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbspec.chiral import su2_irrep
+from ssbspec.chiral import electroweak_fermion_representations, su2_irrep
 from ssbspec import liecore
 from ssbspec.electroweak import build_generators
 from ssbspec.liecore import (
+    TOL_ALG,
     GeneratorError,
     GeneratorSet,
     act,
@@ -15,11 +16,13 @@ from ssbspec.liecore import (
     exponentiate,
     random_algebra_element,
     realify,
+    safe_norm,
     unrealify,
     validate_generators,
 )
 
 EW = build_generators(2.0, 1.0)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 coeff_vectors = st.lists(
     st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False), min_size=4, max_size=4
@@ -206,3 +209,50 @@ def test_site_blocks_cover_every_site_once(block, monkeypatch):
         assert sizes[:-1] == [block] * (len(sizes) - 1)
         assert 1 <= sizes[-1] <= block + 1
         assert sizes[-1] > 1 or count == 1
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.floats(-12.0, 12.0),
+    st.floats(-6.0, 0.0),
+)
+def test_generator_set_refuses_a_non_skew_part_nan_and_inf(r, n, seed, log_scale, log_part):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(r, n, n)) + 1j * rng.normal(size=(r, n, n))
+    skew = 10.0**log_scale * (x - np.conj(np.swapaxes(x, 1, 2)))
+    gs = GeneratorSet(skew)
+    assert gs.scale == np.max(np.abs(skew))
+    # a Hermitian part far above TOL_ALG times the scale, at any scale
+    herm = x + np.conj(np.swapaxes(x, 1, 2))
+    with pytest.raises(GeneratorError, match=r"not skew-Hermitian \(defect"):
+        GeneratorSet(skew + 10.0**log_part * gs.scale * herm / np.max(np.abs(herm)))
+    i, a, b = rng.integers(r), rng.integers(n), rng.integers(n)
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)):
+        bad = skew.copy()
+        bad[i, a, b] = value
+        with pytest.raises(GeneratorError, match="not skew-Hermitian"):
+            GeneratorSet(bad)
+    # an infinite entry with its skew partner: inf - inf is no defect of 0
+    bad = skew.copy()
+    bad[i, a, b], bad[i, b, a] = np.inf, -np.inf
+    with pytest.raises(GeneratorError, match="not skew-Hermitian"):
+        GeneratorSet(bad)
+
+
+@PROPERTY
+@given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.integers(1, 5), st.integers(1, 5))
+def test_generator_set_accepts_every_stack_the_package_builds(log_g, log_gp, r, n):
+    g, gp = 10.0**log_g, 10.0**log_gp
+    stacks = [build_generators(g, gp), *electroweak_fermion_representations(g, gp)]
+    stacks += [GeneratorSet(su2_irrep(dim)) for dim in range(1, 6)]
+    stacks.append(GeneratorSet(np.zeros((r, n, n))))  # a trivial representation
+    for gs in stacks:
+        assert gs.skew_defect() <= TOL_ALG * gs.scale
+
+
+def test_safe_norm_does_not_overflow():
+    x = np.array([[3e200, 4e200], [3.0, 4.0], [0.0, 0.0], [np.inf, 1.0]])
+    np.testing.assert_allclose(safe_norm(x), [5e200, 5.0, 0.0, np.inf], rtol=1e-15)

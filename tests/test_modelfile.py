@@ -204,6 +204,14 @@ HUGE = "1" + "0" * 400
         (MINIMAL + GRID_TAIL.replace("h = 0.5", "h = 0.0"), 14, "grid", "spacing must be"),
         (MINIMAL + GRID_TAIL.replace('"euclidean"', '"minkowski"'), 15, "grid", "unknown metric"),
         (MINIMAL.replace("mu = 2.0", f"mu = {HUGE}"), 8, "potential", "beyond the float range"),
+        (MINIMAL.replace("mu = 2.0", "mu = 1e308").replace("lambda = 1.0", "lambda = 1e-308"), 8, "potential", "overflows"),
+        (MINIMAL.replace("mu = 2.0", "mu = 1.7e308"), 8, "potential", "overflows"),
+        (
+            MINIMAL + YUKAWA_TAIL.replace("higgs = [[[[0.0, 1.0]]]]", "lepton = [[[[1.0, 0.0]]]]"),
+            12,
+            "representations",
+            "lepton: generators not skew-Hermitian (defect 2.000e+00)",
+        ),
         (MINIMAL.replace("lambda = 1.0", f"lambda = -{HUGE}"), 9, "potential", "beyond the float range"),
         (MINIMAL + YUKAWA_TAIL.replace("g_y = true", f"g_y = {HUGE}"), 18, "yukawa", "beyond the float range"),
         (MINIMAL + GRID_TAIL.replace("h = 0.5", f"h = {HUGE}"), 14, "grid", "beyond the float range"),
@@ -220,7 +228,7 @@ HUGE = "1" + "0" * 400
         "g_y", "missing-section", "factor-index-string", "factor-index-float", "factor-index-boolean",
         "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-metric-number",
         "grid-dim-zero", "grid-extent-count", "grid-extent-small", "grid-h-zero", "grid-metric-unknown",
-        "mu-huge-integer", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
+        "mu-huge-integer", "mu-overflow", "mu-twice-overflows", "representation-not-skew", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
         "factor-coupling-huge-integer",
     ],
 )

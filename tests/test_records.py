@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ssbspec.breaking import MassForm, quadratic_lagrangian, spectrum
-from ssbspec.chiral import Representation, RepresentationError, TripleProduct
+from ssbspec.chiral import RepresentationError, TripleProduct
 from ssbspec.electroweak import ElectroweakParams, build_model
 from ssbspec.higgsmodel import (
     HiggsModel,
@@ -28,7 +28,7 @@ SKEW = 0.5j * np.array([[[1, 0], [0, -1]]], dtype=complex)
 # (type, valid arguments in field order)
 VALIDATED = [
     (MassForm, ([[2.0, 0.0], [0.0, 1.0]],)),
-    (Representation, (SKEW,)),
+    (GeneratorSet, (SKEW, None)),
     (TripleProduct, (np.zeros((2, 2, 1)), (1, 0, 0))),
     (ElectroweakParams, (2.0, 1.0, 2.0, 1.0)),
     (QuarticPotential, (2.0, 1.0)),
@@ -40,7 +40,7 @@ VALIDATED = [
 # (type, bad arguments in field order, error, message)
 INVALID = [
     (MassForm, (["a"],), ValueError, "could not convert"),
-    (Representation, (np.ones((1, 2, 2)),), RepresentationError, "not skew-Hermitian"),
+    (GeneratorSet, (np.ones((1, 2, 2)), None), GeneratorError, "not skew-Hermitian"),
     (TripleProduct, (np.zeros((2, 2)), (0, 0, 0)), RepresentationError, "three slots"),
     (TripleProduct, (np.full((1, 1, 1), np.nan), (0, 0, 0)), RepresentationError, "finite"),
     (ElectroweakParams, (2.0, -1.0, 2.0, 1.0), ValueError, "must be positive"),
@@ -82,7 +82,6 @@ def test_validated_types_normalise_their_input():
     assert TripleProduct(np.zeros((1, 1, 1)), [1, 0, 0]).conjugated == (True, False, False)
     for array in (
         MassForm([[1, 0], [0, 1]]).matrix,
-        Representation(SKEW).matrices,
         TripleProduct(np.zeros((1, 1, 1)), (0, 0, 0)).tensor,
         HiggsModel(GS, QUARTIC, [0.0, 1.0]).vacuum,
         GeneratorSet(SKEW).matrices,
@@ -92,7 +91,9 @@ def test_validated_types_normalise_their_input():
 
 def _records():
     gaugefield = apply_unitary_gauge_field(GS, MODEL.vacuum, np.tile(MODEL.vacuum, (4, 4, 1)))
-    return [cls(*args) for cls, args in VALIDATED] + [spectrum(MODEL), gaugefield, UnitaryGaugeConfig()]
+    # one record per type
+    validated = {cls: cls(*args) for cls, args in VALIDATED}
+    return list(validated.values()) + [spectrum(MODEL), gaugefield, UnitaryGaugeConfig()]
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
