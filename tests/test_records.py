@@ -40,7 +40,11 @@ VALIDATED = [
 # (type, bad arguments in field order, error, message)
 INVALID = [
     (MassForm, (["a"],), ValueError, "could not convert"),
-    (GeneratorSet, (np.ones((1, 2, 2)), None), GeneratorError, "not skew-Hermitian"),
+    # representations are GeneratorSets; this row keeps the id it had under chiral.Representation
+    pytest.param(
+        GeneratorSet, (np.ones((1, 2, 2)), None), GeneratorError, "not skew-Hermitian",
+        id="Representation-args1-GeneratorError-not skew-Hermitian",
+    ),
     (TripleProduct, (np.zeros((2, 2)), (0, 0, 0)), RepresentationError, "three slots"),
     (TripleProduct, (np.full((1, 1, 1), np.nan), (0, 0, 0)), RepresentationError, "finite"),
     (ElectroweakParams, (2.0, -1.0, 2.0, 1.0), ValueError, "must be positive"),
