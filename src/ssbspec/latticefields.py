@@ -10,6 +10,8 @@ Conventions:
 """
 from __future__ import annotations
 
+import itertools
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -143,27 +145,85 @@ def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
     return out
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y over the last two axes, one broadcast product per inner index.
+def _site_product(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """out = x y on site-last stacks, summed over the inner index in order.
 
-    On stacks of tiny matrices this beats both einsum and @, which pay a
-    per-matrix overhead the 2x2 and 3x3 products here cannot amortize.
+    x is (n, m, ...) and y is (m, k, ...); their trailing axes, the sites
+    last and contiguous, broadcast into out, (n, k, ...).  term is a buffer
+    of the shape of one row of out.  Each call multiplies whole site
+    vectors, so the per-matrix overhead that einsum and @ pay on stacks of
+    2x2 and 3x3 matrices is paid once per entry instead.
     """
-    out = x[..., :, :1] * y[..., :1, :]
-    for j in range(1, x.shape[-1]):
-        out += x[..., :, j : j + 1] * y[..., j : j + 1, :]
+    for i in range(len(out)):
+        np.multiply(x[i, 0], y[0], out=out[i])
+        for j in range(1, len(y)):
+            np.multiply(x[i, j], y[j], out=term)
+            out[i] += term
     return out
 
 
+def _site_workspace(sites: int, *shapes: tuple[int, ...]) -> list[tuple[slice, list[np.ndarray]]]:
+    """The site blocks of range(sites), each with contiguous site-last
+    complex buffers of shape + (block length,), one per shape.
+
+    One allocation, sized for the longest block, backs the buffers of every
+    block, so a kernel that fills them with out= allocates nothing per block.
+    """
+    blocks = site_blocks(sites)
+    width = max((b.stop - b.start for b in blocks), default=0)
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(sum(sizes) * width, dtype=complex)
+    starts = [width * k for k in itertools.accumulate(sizes, initial=0)]
+    return [
+        (block, [
+            flat[lo : lo + size * (block.stop - block.start)].reshape(shape + (block.stop - block.start,))
+            for lo, size, shape in zip(starts, sizes, shapes)
+        ])
+        for block in blocks
+    ]
+
+
+def _real(buf: np.ndarray) -> np.ndarray:
+    """A float array of buf's shape in the first half of the contiguous buf's memory."""
+    return buf.reshape(-1).view(float)[: buf.size].reshape(buf.shape)
+
+
+def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray) -> np.ndarray:
+    """dest = gauge_matrices(gs, coeffs) with the sites moved last.
+
+    coeffs is (sites, ..., r) and dest a contiguous (n, n, ..., sites).  The
+    matmul is gauge_matrices' transposed: the same products of each site,
+    which BLAS sums in the same order.
+    """
+    np.matmul(
+        gs.matrices.reshape(gs.r, -1).T, coeffs.T.reshape(gs.r, -1), out=dest.reshape(gs.n * gs.n, -1)
+    )
+    return dest
+
+
+def _load_transform(s: np.ndarray, s_inv: np.ndarray, sigma: np.ndarray):
+    """s = sigma and s_inv = sigma^dagger, both site-last, from a (sites, n, n) block."""
+    np.copyto(s, sigma.transpose(1, 2, 0))
+    np.conjugate(s.transpose(1, 0, 2), out=s_inv)
+
+
 def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Pointwise sigma(x) psi(x)."""
+    """Pointwise sigma(x) psi(x), in site blocks."""
     sigma = np.asarray(sigma, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     if sigma.shape[:-2] != psi.shape[:-1] or sigma.shape[-1] != psi.shape[-1]:
         raise LatticeError(
             f"transform shape {sigma.shape} does not match matter shape {psi.shape}"
         )
-    return _matmul(sigma, psi[..., None])[..., 0]
+    n = psi.shape[-1]
+    flat_sigma, flat_psi = sigma.reshape(-1, n, n), psi.reshape(-1, n)
+    out = np.empty(psi.shape, dtype=complex)
+    flat_out = out.reshape(-1, n)
+    for block, (s, v, moved, term) in _site_workspace(len(flat_psi), (n, n), (n, 1), (n, 1), (1,)):
+        np.copyto(s, flat_sigma[block].transpose(1, 2, 0))
+        np.copyto(v[:, 0], flat_psi[block].T)
+        np.copyto(flat_out[block], _site_product(s, v, moved, term)[:, 0].T)
+    return out
 
 
 def gauge_matrices(gs: GeneratorSet, a: np.ndarray) -> np.ndarray:
@@ -197,9 +257,7 @@ def gauge_transform_gauge(
     it is taken over the whole field, and only one direction's is held.
     Everything else is site local and runs in blocks of liecore.SITE_BLOCK
     sites (the unitarity check, both conjugation products, the derivative
-    term and GeneratorSet.project), so its (sites, n, n) temporaries do not
-    grow with the grid.  Every site product is an unrolled sum over the
-    short inner axis (_matmul).
+    term and GeneratorSet.project), in one site-last workspace for the call.
     """
     sigma = np.asarray(sigma, dtype=complex)
     a = np.asarray(a, dtype=float)
@@ -210,13 +268,15 @@ def gauge_transform_gauge(
     sites, n = grid.site_count, gs.n
     flat_sigma = sigma.reshape(sites, n, n)
     flat_a = a.reshape(sites, grid.dim, gs.r)
+    blocks = _site_workspace(sites, (n, n), (n, n), (n, n), (n, n), (n,))
 
-    def inverse(block):
-        return flat_sigma[block].conj().swapaxes(-1, -2)
-
-    unitary_defect = np.max(
-        [np.max(np.abs(_matmul(flat_sigma[b], inverse(b)) - np.eye(n))) for b in site_blocks(sites)]
-    )
+    unitary_worst = []
+    for block, (s, s_inv, free, prod, term) in blocks:
+        _load_transform(s, s_inv, flat_sigma[block])
+        _site_product(s, s_inv, prod, term)
+        prod -= np.eye(n)[..., None]
+        unitary_worst.append(np.max(np.abs(prod, out=_real(free))))
+    unitary_defect = np.max(unitary_worst)
     # unitarity is the group side of skew-Hermiticity, so it shares TOL_ALG;
     # written as not (defect <= tol) so that a NaN defect fails, here and below
     if not (unitary_defect <= TOL_ALG):
@@ -227,12 +287,20 @@ def gauge_transform_gauge(
     block_worst = []
     for mu in range(grid.dim):
         d_sigma = central_difference(grid, sigma, mu).reshape(sites, n, n)
-        for block in site_blocks(sites):
-            sigma_inv = inverse(block)
-            moved = _matmul(_matmul(flat_sigma[block], gauge_matrices(gs, flat_a[block, mu])), sigma_inv)
-            moved -= _matmul(d_sigma[block], sigma_inv)
-            coeffs[block, mu], defect = gs.project(moved)
+        for block, (s, s_inv, m, prod, term) in blocks:
+            _load_transform(s, s_inv, flat_sigma[block])
+            _load_matrices(gs, flat_a[block, mu], m)
+            # each buffer is overwritten once its value is used: sigma A_mu
+            # sigma^-1 goes into m, (d_mu sigma) sigma^-1 into s
+            moved = _site_product(_site_product(s, m, prod, term), s_inv, m, term)
+            np.copyto(prod, d_sigma[block].transpose(1, 2, 0))
+            moved -= _site_product(prod, s_inv, s, term)
+            # project reads (sites, n, n); prod's memory holds that copy
+            stage = prod.reshape(-1, n, n)
+            np.copyto(stage, moved.transpose(2, 0, 1))
+            coeffs[block, mu], defect = gs.project(stage)
             block_worst.append(np.max(defect))
+        del d_sigma  # so that it is not held beside the next direction's
     worst = float(np.max(block_worst))
     if tol_proj is not None and not (worst <= tol_proj):
         raise NonGroupTransformError(
@@ -255,10 +323,13 @@ def covariant_derivative(
     if psi.shape[-1] != gs.n:
         raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
     # A_mu psi in site blocks, so the (sites, n, n) matrix field stays one block
+    n = gs.n
     a_mu = a[..., mu, :].reshape(-1, gs.r)
-    flat_psi, flat_out = psi.reshape(-1, gs.n, 1), dpsi.reshape(-1, gs.n)
-    for block in site_blocks(len(flat_out)):
-        flat_out[block] += _matmul(gauge_matrices(gs, a_mu[block]), flat_psi[block])[..., 0]
+    flat_psi, flat_out = psi.reshape(-1, n), dpsi.reshape(-1, n)
+    for block, (m, v, moved, term) in _site_workspace(len(flat_out), (n, n), (n, 1), (n, 1), (1,)):
+        _load_matrices(gs, a_mu[block], m)
+        np.copyto(v[:, 0], flat_psi[block].T)
+        flat_out[block] += _site_product(m, v, moved, term)[:, 0].T
     return dpsi
 
 
@@ -410,14 +481,22 @@ def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     sites, n = grid.site_count, gs.n
     f_prime = field_strength(gs, grid, a_prime)[..., mu, nu, :].reshape(sites, len(mu), gs.r)
     f = field_strength(gs, grid, a)[..., mu, nu, :].reshape(sites, len(mu), gs.r)
-    flat_sigma = sigma.reshape(sites, 1, n, n)
+    flat_sigma = sigma.reshape(sites, n, n)
+    planes = (n, n, len(mu))
     # the matrices are built and conjugated in site blocks; the squared gaps
-    # fill one array, summed once, so the summation order is the grid's
+    # fill one array in (sites, planes, n, n) order, summed once, so the
+    # summation order is the grid's
     gap = np.empty((sites, len(mu), n, n))
-    for block in site_blocks(sites):
-        s = flat_sigma[block]
-        conj = _matmul(_matmul(s, gauge_matrices(gs, f[block])), s.conj().swapaxes(-1, -2))
-        gap[block] = np.abs(gauge_matrices(gs, f_prime[block]) - conj) ** 2
+    for block, (s, s_inv, f_mat, prod, conj, term) in _site_workspace(
+        sites, (n, n), (n, n), planes, planes, planes, planes[1:]
+    ):
+        _load_transform(s, s_inv, flat_sigma[block])
+        _load_matrices(gs, f[block], f_mat)
+        _site_product(_site_product(s[:, :, None], f_mat, prod, term), s_inv[:, :, None], conj, term)
+        _load_matrices(gs, f_prime[block], f_mat)
+        np.subtract(f_mat, conj, out=conj)
+        block_gap = gap[block].transpose(2, 3, 1, 0)
+        np.square(np.abs(conj, out=block_gap), out=block_gap)
     return float(np.sqrt(2.0 * np.sum(gap) / (sites * grid.dim**2 * n**2)))
 
 

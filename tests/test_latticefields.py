@@ -316,6 +316,20 @@ def _assert_rel(new, ref, rel=1e-13):
     assert np.max(np.abs(new - ref)) <= rel * np.max(np.abs(ref))
 
 
+def _unrolled_matmul(x, y):
+    """x @ y over the last two axes, one broadcast product per inner index:
+    the site-first product the lattice kernels used before the site-last one."""
+    out = x[..., :, :1] * y[..., :1, :]
+    for j in range(1, x.shape[-1]):
+        out += x[..., :, j : j + 1] * y[..., j : j + 1, :]
+    return out
+
+
+def _site_last(a):
+    """(sites, ..., n, k) to (n, k, ..., sites), as a view."""
+    return np.moveaxis(np.moveaxis(a, 0, -1), (-3, -2), (0, 1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_unrolled_matmul_matches_einsum(n):
     rng = np.random.default_rng(n)
@@ -323,18 +337,26 @@ def test_unrolled_matmul_matches_einsum(n):
     def cplx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    x, y = cplx(5, 4, n, n), cplx(5, 4, n, n)
-    _assert_rel(latticefields._matmul(x, y), np.einsum("...ij,...jk->...ik", x, y))
+    def check(x, y):
+        """The site-last kernel equals the site-first unrolled sum bit for bit."""
+        ref = _unrolled_matmul(x, y)
+        out = np.empty(_site_last(ref).shape, dtype=complex)
+        got = latticefields._site_product(_site_last(x), _site_last(y), out, np.empty(out.shape[1:], dtype=complex))
+        assert np.array_equal(got, _site_last(ref))
+        return ref
+
+    x, y = cplx(20, n, n), cplx(20, n, n)
+    _assert_rel(check(x, y), np.einsum("...ij,...jk->...ik", x, y))
     # the conjugation shapes: one matrix per site against one per direction
-    sites, dirs = cplx(5, 4, 1, n, n), cplx(5, 4, 3, n, n)
+    sites, dirs = cplx(20, 1, n, n), cplx(20, 3, n, n)
     ref = np.einsum("...ij,...djk->...dik", sites[..., 0, :, :], dirs)
-    _assert_rel(latticefields._matmul(sites, dirs), ref)
-    adjoint = sites.conj().swapaxes(-1, -2)  # a strided view, as sigma^-1 is
+    _assert_rel(check(sites, dirs), ref)
+    adjoint = sites.conj().swapaxes(-1, -2)  # a strided view
     ref = np.einsum("...dij,...jk->...dik", dirs, adjoint[..., 0, :, :])
-    _assert_rel(latticefields._matmul(dirs, adjoint), ref)
+    _assert_rel(check(dirs, adjoint), ref)
     # the matrix-vector shape
-    psi = cplx(5, 4, n, 1)
-    _assert_rel(latticefields._matmul(x, psi), np.einsum("...ij,...jk->...ik", x, psi))
+    psi = cplx(20, n, 1)
+    _assert_rel(check(x, psi), np.einsum("...ij,...jk->...ik", x, psi))
 
 
 def _old_field_strength(gs, grid, a):
