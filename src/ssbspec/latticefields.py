@@ -446,19 +446,78 @@ def smooth_gauge_field(grid: Grid, r: int, seed: int, scale: float = 1.0) -> np.
     return _smooth_components(grid, grid.dim * r, seed, scale).reshape(grid.shape + (grid.dim, r))
 
 
+# The transform field's exponential: Higham's scaling and squaring ("The
+# scaling and squaring method for the matrix exponential revisited", SIAM J.
+# Matrix Anal. Appl. 26, 2005) on the degree-12 Taylor polynomial, whose
+# remainder at 1-norm TAYLOR_THETA, 0.25^13 / 13!, is 2e-18.  Each squaring
+# about doubles the rounding error, so beyond MAX_SQUARINGS (a 1-norm above
+# 16) unitarity would be lost past about 1e-13; such sites go to expm_skew.
+TAYLOR_THETA = 0.25
+MAX_SQUARINGS = 6
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
+
+
+def _add_taylor_terms(out, c, x, x2, term):
+    """out += c[0] + c[1] x + c[2] x^2 on site-last stacks, a row at a time through term."""
+    for i in range(len(out)):
+        out[i] += np.multiply(x[i], c[1], out=term)
+        out[i] += np.multiply(x2[i], c[2], out=term)
+        out[i, i] += c[0]
+
+
+def _taylor(x, x2, x3, acc, out, term):
+    """out = sum_{k <= 12} x^k / k! for a site-last stack x, by Paterson-Stockmeyer
+    in powers of x^3 in five products:
+
+        P0 + x^3 (P1 + x^3 (P2 + x^3 (P3 + x^3 / 12!))),  P_j = sum_{i < 3} x^i / (3j + i)!
+
+    x2, x3 and acc are overwritten.
+    """
+    c = _TAYLOR
+    _site_product(x, x, x2, term)
+    _site_product(x2, x, x3, term)
+    np.multiply(x3, c[12], out=acc)
+    _add_taylor_terms(acc, c[9:12], x, x2, term)
+    for k in (6, 3, 0):
+        _site_product(x3, acc, out, term)
+        _add_taylor_terms(out, c[k : k + 3], x, x2, term)
+        acc, out = out, acc
+    return acc
+
+
 def smooth_transform_field(
     gs: GeneratorSet, grid: Grid, seed: int, scale: float = 0.4
 ) -> np.ndarray:
     """sigma(x) = exp(sum_i c_i(x) g_i) with smooth coefficient fields.
 
-    The exponential runs in blocks of liecore.SITE_BLOCK sites, written into
-    one result, so its stacked eigh temporaries do not grow with the grid.
+    The exponential of each site's A is a degree-12 Taylor polynomial of
+    A / 2^s, squared s times, with s = max(0, ceil(log2(|A|_1 / TAYLOR_THETA)))
+    from that site alone, so no site's result depends on the others.  A site
+    with s > MAX_SQUARINGS (|A|_1 > 16) takes liecore.expm_skew instead.  The
+    work runs in blocks of liecore.SITE_BLOCK sites on site-last stacks, in
+    one workspace for the call, written into one result.
     """
     coeffs = _smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r)
-    sigma = np.empty((len(coeffs), gs.n, gs.n), dtype=complex)
-    for block in site_blocks(len(coeffs)):
-        sigma[block] = expm_skew(gauge_matrices(gs, coeffs[block]))
-    return sigma.reshape(grid.shape + (gs.n, gs.n))
+    sites, n = len(coeffs), gs.n
+    sigma = np.empty((sites, n, n), dtype=complex)
+    for block, (x, x2, x3, acc, out, term) in _site_workspace(sites, *[(n, n)] * 5, (n,)):
+        _load_matrices(gs, coeffs[block], x)
+        norm = np.sum(np.abs(x, out=_real(acc)), axis=0).max(axis=0)
+        mantissa, exponent = np.frexp(norm / TAYLOR_THETA)
+        squarings = np.maximum(exponent - (mantissa == 0.5), 0)  # the ceil of log2, exactly
+        far = squarings > MAX_SQUARINGS
+        far_sigma = expm_skew(x[..., far].transpose(2, 0, 1))
+        squarings[far] = 0
+        # scaling by a power of two is exact; the far sites drop out as zeros
+        x *= np.where(far, 0.0, np.ldexp(1.0, -squarings))
+        power = _taylor(x, x2, x3, acc, out, term)
+        spare = out if power is acc else acc
+        for k in range(1, squarings.max(initial=0) + 1):
+            _site_product(power, power, spare, term)
+            np.copyto(power, spare, where=squarings >= k)
+        sigma[block] = power.transpose(2, 0, 1)
+        sigma[block][far] = far_sigma
+    return sigma.reshape(grid.shape + (n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,64 @@ def test_derivative_covariance_small_on_smooth_data():
 
 
 # ---------------------------------------------------------------------------
+# the two routes of the transform field's exponential: Taylor with per-site
+# scaling and squaring, and expm_skew for the sites with a 1-norm above 16
+
+
+PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
+
+
+def _transform_route_inputs(gs, grid, seed, scale=0.4):
+    """The matrices smooth_transform_field exponentiates, (sites, n, n), and their 1-norms."""
+    a = gauge_matrices(gs, latticefields._smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r))
+    return a, np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _unitary_defects(sigma):
+    return np.max(np.abs(sigma @ sigma.conj().swapaxes(-1, -2) - np.eye(sigma.shape[-1])), axis=(-1, -2))
+
+
+@pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
+def test_transform_field_taylor_route_matches_expm_skew(gs):
+    a, norm = _transform_route_inputs(gs, PLANE128, seed=2)
+    assert np.max(norm) <= 16.0  # every site takes the Taylor route
+    sigma = smooth_transform_field(gs, PLANE128, seed=2).reshape(a.shape)
+    assert np.max(_unitary_defects(sigma)) <= 1e-14
+    assert np.max(np.abs(sigma - expm_skew(a))) <= 1e-14
+
+
+def test_transform_field_far_sites_take_expm_skew():
+    gs = GeneratorSet(1e6 * su2_irrep(3))
+    grid = Grid(dim=2, shape=(16, 16), spacing=1.0 / 16)
+    a, norm = _transform_route_inputs(gs, grid, seed=4)
+    assert np.min(norm) > 16.0
+    assert np.array_equal(smooth_transform_field(gs, grid, seed=4).reshape(a.shape), expm_skew(a))
+
+
+def test_transform_field_route_is_chosen_per_site(monkeypatch):
+    gs = GeneratorSet(40 * su2_irrep(3))
+    grid = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
+    a, norm = _transform_route_inputs(gs, grid, seed=5)
+    far = norm > 16.0
+    assert 0 < np.count_nonzero(far) < len(far)  # sites on both sides of the bound
+    handed = []
+
+    def counted(mats):
+        handed.append(len(mats))
+        return expm_skew(mats)
+
+    monkeypatch.setattr(latticefields, "expm_skew", counted)
+    sigma = smooth_transform_field(gs, grid, seed=5).reshape(a.shape)
+    assert sum(handed) == np.count_nonzero(far)
+    ref = expm_skew(a)
+    assert np.array_equal(sigma[far], ref[far])
+    # up to six squarings below the bound, each about doubling the rounding
+    assert not np.any(np.all(sigma[~far] == ref[~far], axis=(-1, -2)))
+    assert np.max(_unitary_defects(sigma[~far])) <= 1e-13
+    assert np.max(np.abs(sigma[~far] - ref[~far])) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # the matmul kernels against the einsum expressions they replaced, on a 3-D
 # grid, so that three planes mu < nu enter the field strength
 
@@ -415,26 +473,23 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-# Measured peaks (numpy 2.4, x86-64), spin-1, with about 20 % headroom in each
+# Measured peaks (numpy 2.4, x86-64), spin-1, with 15-20 % headroom in each
 # bound.  Over the whole grid at once (no site blocks) they were 18.6, 12.6
 # and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB.
-PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
-
-
 def test_covariance_defects_peak_memory_at_128():
     a = smooth_gauge_field(PLANE128, SPIN1.r, seed=0)
     psi = smooth_multiplet_field(PLANE128, SPIN1.n, seed=1)
     sigma = smooth_transform_field(SPIN1, PLANE128, seed=2)
-    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 8.5e6  # 7.1 MB
+    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 8.5e6  # 7.2 MB
 
 
 def test_smooth_transform_field_peak_memory_at_128():
-    assert _traced_peak(lambda: smooth_transform_field(SPIN1, PLANE128, seed=2)) < 7.3e6  # 6.1 MB
+    assert _traced_peak(lambda: smooth_transform_field(SPIN1, PLANE128, seed=2)) < 7.3e6  # 6.2 MB
 
 
 def test_convergence_orders_peak_memory_at_32_refined_twice():
     base = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
-    assert _traced_peak(lambda: convergence_orders(SPIN1, base, seed=0, refinements=2)) < 13.3e6  # 11.0 MB
+    assert _traced_peak(lambda: convergence_orders(SPIN1, base, seed=0, refinements=2)) < 13.3e6  # 11.1 MB
 
 
 # ---------------------------------------------------------------------------
