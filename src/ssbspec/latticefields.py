@@ -7,6 +7,19 @@ Conventions:
   - gauge fields are stored as real generator coefficients; contraction
     of algebra indices is the plain Euclidean coefficient product.
   - the metric is diagonal: all +1, or (+1, -1, ..., -1).
+
+Kernels:
+  - site-local work runs in blocks of liecore.SITE_BLOCK sites.  Each
+    kernel call allocates one workspace for the longest block
+    (_site_workspace) and fills it with out=, so no block allocates.
+  - per-site matrix products run on site-last stacks, (n, n, sites) with
+    the sites contiguous, through _site_product: whole site vectors are
+    multiplied per entry and inner index and summed in a fixed order, so
+    a site's result does not depend on its block.
+  - the transform field is exp(A) by a degree-12 Taylor polynomial of
+    A / 2^s on that kernel, squared s times, s chosen per site from
+    |A|_1 / TAYLOR_THETA; a site needing more than MAX_SQUARINGS squarings
+    takes liecore.expm_skew instead.
 """
 from __future__ import annotations
 
@@ -174,13 +187,12 @@ def _site_workspace(sites: int, *shapes: tuple[int, ...]) -> list[tuple[slice, l
     sizes = [math.prod(shape) for shape in shapes]
     flat = np.empty(sum(sizes) * width, dtype=complex)
     starts = [width * k for k in itertools.accumulate(sizes, initial=0)]
-    return [
-        (block, [
-            flat[lo : lo + size * (block.stop - block.start)].reshape(shape + (block.stop - block.start,))
-            for lo, size, shape in zip(starts, sizes, shapes)
-        ])
-        for block in blocks
-    ]
+    workspace = []
+    for block in blocks:
+        length = block.stop - block.start
+        buffers = [flat[lo : lo + size * length].reshape(shape + (length,)) for lo, size, shape in zip(starts, sizes, shapes)]
+        workspace.append((block, buffers))
+    return workspace
 
 
 def _real(buf: np.ndarray) -> np.ndarray:
@@ -188,7 +200,7 @@ def _real(buf: np.ndarray) -> np.ndarray:
     return buf.reshape(-1).view(float)[: buf.size].reshape(buf.shape)
 
 
-def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray) -> np.ndarray:
+def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray):
     """dest = gauge_matrices(gs, coeffs) with the sites moved last.
 
     coeffs is (sites, ..., r) and dest a contiguous (n, n, ..., sites).  The
@@ -198,7 +210,6 @@ def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray) -> np
     np.matmul(
         gs.matrices.reshape(gs.r, -1).T, coeffs.T.reshape(gs.r, -1), out=dest.reshape(gs.n * gs.n, -1)
     )
-    return dest
 
 
 def _load_transform(s: np.ndarray, s_inv: np.ndarray, sigma: np.ndarray):
@@ -333,6 +344,22 @@ def covariant_derivative(
     return dpsi
 
 
+def _strength_planes(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
+    """F_{mu nu} on the planes mu < nu, in np.triu_indices order: (*grid, planes, r)."""
+    a = np.asarray(a, dtype=float)
+    _check_grid_axes(grid, a, 2, "gauge field")
+    c = gs.structure_constants()
+    r = gs.r
+    mus, nus = np.triu_indices(grid.dim, 1)
+    out = np.empty(grid.shape + (len(mus), r))
+    for p, (mu, nu) in enumerate(zip(mus, nus)):
+        curl = central_difference(grid, a[..., nu, :], mu) - central_difference(grid, a[..., mu, :], nu)
+        outer = a[..., mu, :, None] * a[..., nu, None, :]
+        bracket = (outer.reshape(-1, r * r) @ c.reshape(r * r, r)).reshape(curl.shape)
+        np.add(curl, bracket, out=out[..., p, :])
+    return out
+
+
 def field_strength(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
     """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], in coefficients.
 
@@ -340,20 +367,11 @@ def field_strength(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
     is exact; generator sets that do not close raise here.
     Returns shape (*grid, D, D, r), antisymmetric in (mu, nu).
     """
-    a = np.asarray(a, dtype=float)
-    _check_grid_axes(grid, a, 2, "gauge field")
-    c = gs.structure_constants()
-    D, r = grid.dim, gs.r
-    F = np.zeros(grid.shape + (D, D, r))
-    for mu in range(D):
-        for nu in range(mu + 1, D):
-            curl = central_difference(grid, a[..., nu, :], mu) - central_difference(
-                grid, a[..., mu, :], nu
-            )
-            outer = a[..., mu, :, None] * a[..., nu, None, :]
-            bracket = (outer.reshape(-1, r * r) @ c.reshape(r * r, r)).reshape(curl.shape)
-            F[..., mu, nu, :] = curl + bracket
-            F[..., nu, mu, :] = -(curl + bracket)
+    planes = _strength_planes(gs, grid, a)
+    F = np.zeros(grid.shape + (grid.dim, grid.dim, gs.r))
+    for p, (mu, nu) in enumerate(zip(*np.triu_indices(grid.dim, 1))):
+        F[..., mu, nu, :] = planes[..., p, :]
+        F[..., nu, mu, :] = -planes[..., p, :]
     return F
 
 
@@ -478,11 +496,10 @@ def _taylor(x, x2, x3, acc, out, term):
     _site_product(x2, x, x3, term)
     np.multiply(x3, c[12], out=acc)
     _add_taylor_terms(acc, c[9:12], x, x2, term)
-    for k in (6, 3, 0):
-        _site_product(x3, acc, out, term)
-        _add_taylor_terms(out, c[k : k + 3], x, x2, term)
-        acc, out = out, acc
-    return acc
+    _add_taylor_terms(_site_product(x3, acc, out, term), c[6:9], x, x2, term)
+    _add_taylor_terms(_site_product(x3, out, acc, term), c[3:6], x, x2, term)
+    _add_taylor_terms(_site_product(x3, acc, out, term), c[0:3], x, x2, term)
+    return out
 
 
 def smooth_transform_field(
@@ -511,10 +528,8 @@ def smooth_transform_field(
         # scaling by a power of two is exact; the far sites drop out as zeros
         x *= np.where(far, 0.0, np.ldexp(1.0, -squarings))
         power = _taylor(x, x2, x3, acc, out, term)
-        spare = out if power is acc else acc
         for k in range(1, squarings.max(initial=0) + 1):
-            _site_product(power, power, spare, term)
-            np.copyto(power, spare, where=squarings >= k)
+            np.copyto(power, _site_product(power, power, acc, term), where=squarings >= k)
         sigma[block] = power.transpose(2, 0, 1)
         sigma[block][far] = far_sigma
     return sigma.reshape(grid.shape + (n, n))
@@ -536,16 +551,15 @@ def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
 
 def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     # F is antisymmetric: the planes mu < nu hold half the mean square over (D, D)
-    mu, nu = np.triu_indices(grid.dim, 1)
-    sites, n = grid.site_count, gs.n
-    f_prime = field_strength(gs, grid, a_prime)[..., mu, nu, :].reshape(sites, len(mu), gs.r)
-    f = field_strength(gs, grid, a)[..., mu, nu, :].reshape(sites, len(mu), gs.r)
+    sites, n, count = grid.site_count, gs.n, grid.dim * (grid.dim - 1) // 2
+    f_prime = _strength_planes(gs, grid, a_prime).reshape(sites, count, gs.r)
+    f = _strength_planes(gs, grid, a).reshape(sites, count, gs.r)
     flat_sigma = sigma.reshape(sites, n, n)
-    planes = (n, n, len(mu))
+    planes = (n, n, count)
     # the matrices are built and conjugated in site blocks; the squared gaps
     # fill one array in (sites, planes, n, n) order, summed once, so the
     # summation order is the grid's
-    gap = np.empty((sites, len(mu), n, n))
+    gap = np.empty((sites, count, n, n))
     for block, (s, s_inv, f_mat, prod, conj, term) in _site_workspace(
         sites, (n, n), (n, n), planes, planes, planes, planes[1:]
     ):
