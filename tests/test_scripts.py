@@ -16,6 +16,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
     [
         ["electroweak_demo.py"],
         ["gauge_covariance_study.py", "--grid", "8", "--refine", "1", "--seeds", "1"],
+        pytest.param(
+            ["gauge_covariance_study.py", "--grid", "8", "--refine", "1", "--seeds", "1",
+             "--model", str(ROOT / "tests" / "goldens" / "spin1.model")],
+            id="gauge_covariance_study.py-spin1",
+        ),
         ["unitary_gauge_sweep.py", "--grid", "4", "--seeds", "1"],
     ],
     ids=lambda argv: argv[0],
