@@ -190,7 +190,10 @@ def _site_workspace(sites: int, *shapes: tuple[int, ...]) -> list[tuple[slice, l
     workspace = []
     for block in blocks:
         length = block.stop - block.start
-        buffers = [flat[lo : lo + size * length].reshape(shape + (length,)) for lo, size, shape in zip(starts, sizes, shapes)]
+        buffers = [
+            flat[lo : lo + size * length].reshape(shape + (length,))
+            for lo, size, shape in zip(starts, sizes, shapes)
+        ]
         workspace.append((block, buffers))
     return workspace
 

@@ -432,6 +432,12 @@ def _old_field_strength(gs, grid, a):
 def test_matmul_kernels_match_their_einsum_forms(gs):
     a, psi, sigma = _random_fields(gs, GRID3, seed=gs.n)
     _assert_rel(gauge_matrices(gs, a), np.einsum("...r,rij->...ij", a, gs.matrices))
+    # the site-last matrices equal gauge_matrices' bit for bit, per site and per direction
+    flat = a.reshape(-1, GRID3.dim, gs.r)
+    for coeffs in (flat[:, 1], flat):
+        dest = np.empty(_site_last(gauge_matrices(gs, coeffs)).shape, dtype=complex)
+        latticefields._load_matrices(gs, coeffs, dest)
+        assert np.array_equal(dest, _site_last(gauge_matrices(gs, coeffs)))
     for mu in range(GRID3.dim):
         ref = central_difference(GRID3, psi, mu) + np.einsum(
             "...r,rij,...j->...i", a[..., mu, :], gs.matrices, psi
