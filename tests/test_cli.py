@@ -257,6 +257,47 @@ def test_gauge_check_without_refinement_measures_nothing(refine):
     assert text == f"error: refinements must be at least 1 to measure an order, got {refine}\n"
 
 
+def test_gauge_check_defaults_to_grid_16_refine_2():
+    code, text = run("gauge-check", "--format", "machine")
+    assert code == 0
+    report = parse_document(text)["report"]
+    assert (report["grid"], report["refine"]) == (16, 2)
+
+
+def test_yukawa_without_a_yukawa_section_exits_2():
+    assert run("yukawa", "--model", "tests/goldens/spin1.model") == (
+        2,
+        "error: model file has no [yukawa] section\n",
+    )
+
+
+def test_unitary_gauge_without_field_or_grid_exits_2():
+    assert run("unitary-gauge", "--model", "tests/goldens/spin1.model") == (
+        2,
+        "error: no --field given and the model file has no [grid] section\n",
+    )
+
+
+def test_unitary_gauge_refuses_a_gauge_field_file(tmp_path):
+    grid = Grid(dim=2, shape=(4, 4), spacing=0.5)
+    path = tmp_path / "a.field"
+    write_field(path, grid, "gauge", np.zeros((4, 4, 2, 4)))
+    assert run("unitary-gauge", "--model", MODEL, "--field", str(path)) == (
+        2,
+        "error: expected a multiplet field file, got kind 'gauge'\n",
+    )
+
+
+def test_unitary_gauge_refuses_a_field_of_the_wrong_length(tmp_path):
+    grid = Grid(dim=2, shape=(4, 4), spacing=0.5)
+    path = tmp_path / "phi3.field"
+    write_field(path, grid, "multiplet", smooth_multiplet_field(grid, 3, seed=9))
+    assert run("unitary-gauge", "--model", MODEL, "--field", str(path)) == (
+        2,
+        "error: field has 3 components, model multiplet has 2\n",
+    )
+
+
 def test_gauge_check_has_no_tolerance_flag(capsys):
     # its invariance check is relative to the largest density and reads no --tol
     with pytest.raises(SystemExit) as exit_:

@@ -1,9 +1,9 @@
-"""Byte-exact `--format machine` reports for every subcommand.
+"""Byte-exact reports, in both formats, for every subcommand.
 
-Each case runs main() in process and compares its output with the file
-tests/goldens/<name>.machine byte for byte, so a refactor that must keep
-behaviour cannot move a single digit.  After a deliberate change of
-output, rewrite the goldens with
+Each case runs main() in process and compares its output with the files
+tests/goldens/<name>.machine and tests/goldens/<name>.table byte for
+byte, so a refactor that must keep behaviour cannot move a single digit.
+After a deliberate change of output, rewrite the goldens with
 
     PYTHONPATH=src python tests/test_goldens.py
 
@@ -67,17 +67,29 @@ CASES = {
 }
 
 
-def _report(name: str, tmp: pathlib.Path) -> tuple[int, str]:
+FORMATS = ("machine", "table")
+
+
+def _report(name: str, fmt: str, tmp: pathlib.Path) -> tuple[int, str]:
     out = io.StringIO()
-    code = main(CASES[name](tmp) + ["--format", "machine"], stdout=out)
+    code = main(CASES[name](tmp) + ["--format", fmt], stdout=out)
     return code, out.getvalue()
+
+
+def _assert_matches_golden(name: str, fmt: str, tmp: pathlib.Path) -> None:
+    code, text = _report(name, fmt, tmp)
+    assert code == 0
+    assert text == (GOLDENS / f"{name}.{fmt}").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_machine_report_matches_golden(name, tmp_path):
-    code, text = _report(name, tmp_path)
-    assert code == 0
-    assert text == (GOLDENS / f"{name}.machine").read_text()
+    _assert_matches_golden(name, "machine", tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_table_report_matches_golden(name, tmp_path):
+    _assert_matches_golden(name, "table", tmp_path)
 
 
 if __name__ == "__main__":
@@ -85,6 +97,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            code, text = _report(name, pathlib.Path(tmp))
-            (GOLDENS / f"{name}.machine").write_text(text)
-            print(f"{name}: exit {code}", file=sys.stderr)
+            for fmt in FORMATS:
+                code, text = _report(name, fmt, pathlib.Path(tmp))
+                (GOLDENS / f"{name}.{fmt}").write_text(text)
+                print(f"{name}.{fmt}: exit {code}", file=sys.stderr)
