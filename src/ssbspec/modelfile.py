@@ -203,14 +203,6 @@ def _complex_array(value, issue, section, key):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _take(entries, key, issue, section, required=True):
-    if key not in entries:
-        if required:
-            issue(section, f"missing key {key!r}")
-        return None
-    return entries.pop(key)
-
-
 def parse_model_file(text: str) -> ModelBundle:
     doc, lines = _parse_lines(text)
     issues = []
@@ -220,22 +212,34 @@ def parse_model_file(text: str) -> ModelBundle:
         line = lines.get((section, key), lines.get((section, None), 0))
         issues.append(ParseIssue(line, section, message))
 
+    def entries_of(name, required, optional=None, needed=False):
+        """The values of a section's required keys (None if missing), then of
+        its optional keys (their default if missing), after an issue for each
+        missing or unknown key.  None for an absent section, which is an
+        issue when the section is needed."""
+        if name not in doc:
+            if needed:
+                issue(name, f"missing [{name}] section")
+            return None
+        optional = optional or {}
+        present = doc[name]
+        for key in required:
+            if key not in present:
+                issue(name, f"missing key {key!r}")
+        for key in present:
+            if key not in required and key not in optional:
+                issue(name, f"unknown key {key!r}", key)
+        return [present.get(key) for key in required] + [present.get(key, v) for key, v in optional.items()]
+
     known = {"algebra", "potential", "vacuum", "representations", "yukawa", "grid"}
     for section in doc:
         if section not in known:
             issue(section, "unknown section")
 
     gs = None
-    algebra = dict(doc.get("algebra", {}))
-    if "algebra" not in doc:
-        issue("algebra", "missing [algebra] section")
-    else:
-        n = _take(algebra, "n", issue, "algebra")
-        r = _take(algebra, "r", issue, "algebra")
-        gens_raw = _take(algebra, "generators", issue, "algebra")
-        factors_raw = _take(algebra, "factors", issue, "algebra", required=False)
-        for key in algebra:
-            issue("algebra", f"unknown key {key!r}", key)
+    algebra = entries_of("algebra", ("n", "r", "generators"), {"factors": None}, needed=True)
+    if algebra is not None:
+        n, r, gens_raw, factors_raw = algebra
         if n is not None and r is not None and not (_is_int(n) and _is_int(r)):
             issue("algebra", "n and r must be integers", "r" if _is_int(n) else "n")
         if gens_raw is not None:
@@ -272,14 +276,9 @@ def parse_model_file(text: str) -> ModelBundle:
                         issue("algebra", str(err), "factors" if str(err).startswith("factor") else "generators")
 
     potential = None
-    pot_entries = dict(doc.get("potential", {}))
-    if "potential" not in doc:
-        issue("potential", "missing [potential] section")
-    else:
-        mu = _take(pot_entries, "mu", issue, "potential")
-        lam = _take(pot_entries, "lambda", issue, "potential")
-        for key in pot_entries:
-            issue("potential", f"unknown key {key!r}", key)
+    couplings = entries_of("potential", ("mu", "lambda"), needed=True)
+    if couplings is not None:
+        mu, lam = couplings
         if mu is not None and lam is not None:
             if not (_is_number(mu) and _is_number(lam)):
                 issue("potential", "mu and lambda must be numbers", "lambda" if _is_number(mu) else "mu")
@@ -293,16 +292,12 @@ def parse_model_file(text: str) -> ModelBundle:
 
     model = None
     if gs is not None and potential is not None:
-        vac_entries = dict(doc.get("vacuum", {}))
-        vacuum = None
-        if "vacuum" in doc:
-            vec_raw = _take(vac_entries, "vector", issue, "vacuum")
-            for key in vac_entries:
-                issue("vacuum", f"unknown key {key!r}", key)
-            if vec_raw is not None:
-                vacuum = _complex_array(vec_raw, issue, "vacuum", "vector")
-        if vacuum is None and "vacuum" not in doc:
+        pinned = entries_of("vacuum", ("vector",))
+        if pinned is None:
             vacuum = find_vacuum(HiggsModel(generators=gs, potential=potential), np.ones(gs.n))
+        else:
+            (vector,) = pinned
+            vacuum = None if vector is None else _complex_array(vector, issue, "vacuum", "vector")
         if vacuum is not None:
             try:
                 model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)
@@ -330,14 +325,9 @@ def parse_model_file(text: str) -> ModelBundle:
             issue("representations", f"{name}: {err}", name)
 
     yukawa = None
-    yk = dict(doc.get("yukawa", {}))
-    if "yukawa" in doc:
-        slots = _take(yk, "slots", issue, "yukawa")
-        flags = _take(yk, "conjugated", issue, "yukawa")
-        tensor_raw = _take(yk, "tensor", issue, "yukawa")
-        g_y = _take(yk, "g_y", issue, "yukawa")
-        for key in yk:
-            issue("yukawa", f"unknown key {key!r}", key)
+    coupling = entries_of("yukawa", ("slots", "conjugated", "tensor", "g_y"))
+    if coupling is not None:
+        slots, flags, tensor_raw, g_y = coupling
         ok = True
         if not (isinstance(slots, list) and len(slots) == 3 and all(isinstance(s, str) for s in slots)):
             issue("yukawa", "slots must be three representation names", "slots")
@@ -366,14 +356,9 @@ def parse_model_file(text: str) -> ModelBundle:
                     )
 
     grid = None
-    gd = dict(doc.get("grid", {}))
-    if "grid" in doc:
-        dim = _take(gd, "dim", issue, "grid")
-        shape = _take(gd, "shape", issue, "grid")
-        h = _take(gd, "h", issue, "grid")
-        metric = gd.pop("metric", "euclidean")
-        for key in gd:
-            issue("grid", f"unknown key {key!r}", key)
+    lattice = entries_of("grid", ("dim", "shape", "h"), {"metric": "euclidean"})
+    if lattice is not None:
+        dim, shape, h, metric = lattice
         typed = {
             "dim": (_is_int(dim), "an integer"),
             "shape": (isinstance(shape, list) and all(_is_int(m) for m in shape), "a list of integers"),
