@@ -173,9 +173,9 @@ def electroweak_yukawa_tensor() -> TripleProduct:
     return TripleProduct(tensor=t, conjugated=(True, False, False))
 
 
-def fermion_mass_matrix(tau: TripleProduct, v0: np.ndarray, g_y: float) -> np.ndarray:
-    """|coupling matrix| between the two fermion slots after freezing the
-    scalar slot at v0; entry magnitudes, shape (dim_a, dim_c)."""
+def _frozen_coupling(tau: TripleProduct, v0: np.ndarray, g_y: float) -> np.ndarray:
+    """g_y tau(., v0, .), the coupling matrix between the two fermion slots
+    with the scalar slot frozen at v0, shape (dim_a, dim_c)."""
     v = np.asarray(v0, dtype=complex)
     if v.shape != (tau.tensor.shape[1],):
         raise RepresentationError(
@@ -183,7 +183,13 @@ def fermion_mass_matrix(tau: TripleProduct, v0: np.ndarray, g_y: float) -> np.nd
         )
     if tau.conjugated[1]:
         v = np.conj(v)
-    return np.abs(g_y * np.einsum("abc,b->ac", tau.tensor, v))
+    return g_y * np.einsum("abc,b->ac", tau.tensor, v)
+
+
+def fermion_mass_matrix(tau: TripleProduct, v0: np.ndarray, g_y: float) -> np.ndarray:
+    """|coupling matrix| between the two fermion slots after freezing the
+    scalar slot at v0; entry magnitudes, shape (dim_a, dim_c)."""
+    return np.abs(_frozen_coupling(tau, v0, g_y))
 
 
 def fermion_mass_after_breaking(tau: TripleProduct, v0: np.ndarray, g_y: float) -> float:
@@ -192,11 +198,7 @@ def fermion_mass_after_breaking(tau: TripleProduct, v0: np.ndarray, g_y: float) 
     Returns the largest singular value of the frozen coupling matrix;
     rows of fermion_mass_matrix that vanish are the modes left massless.
     """
-    v = np.asarray(v0, dtype=complex)
-    if tau.conjugated[1]:
-        v = np.conj(v)
-    frozen = g_y * np.einsum("abc,b->ac", tau.tensor, v)
-    return float(np.linalg.norm(frozen, ord=2))
+    return float(np.linalg.norm(_frozen_coupling(tau, v0, g_y), ord=2))
 
 
 def su2_irrep(dim: int) -> np.ndarray:

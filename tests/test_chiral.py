@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ssbspec.chiral import (
+    RepresentationError,
     TripleProduct,
     electroweak_fermion_representations,
     electroweak_yukawa_tensor,
@@ -155,3 +156,10 @@ def test_mass_follows_the_vacuum_direction():
     assert m[0, 0] == pytest.approx(0.7)
     assert m[1, 0] == 0.0
     assert fermion_mass_after_breaking(tau, rotated, g_y=1.0) == pytest.approx(0.7)
+
+
+@pytest.mark.parametrize("mass", [fermion_mass_matrix, fermion_mass_after_breaking], ids=lambda f: f.__name__)
+def test_frozen_scalar_slot_must_match_its_dimension(mass):
+    # fermion_mass_after_breaking once ended in numpy's bare broadcast error
+    with pytest.raises(RepresentationError, match=r"^scalar slot expects a vector of length 2$"):
+        mass(electroweak_yukawa_tensor(), np.ones(3, dtype=complex), 0.5)
