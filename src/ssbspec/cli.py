@@ -16,6 +16,11 @@ same at any coupling.  Exit status 0 only when every check passes; 1 on a
 failed check; 2 on input or usage errors, including a model file whose
 generators are not skew-Hermitian or whose vacuum is not a minimum, and
 when memory runs out.
+
+Each subcommand's handler only builds its report, a document and whether
+every check passed, and raises on bad input.  `main` alone renders the
+report, turns every error into `error: ...` lines and chooses the exit
+status.
 """
 from __future__ import annotations
 
@@ -63,30 +68,22 @@ def _fmt_table_value(value) -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, np.ndarray):
+        return _fmt_table_value(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt_table_value(v) for v in value) + "]"
     return str(value)
 
 
-def _print_report(doc, fmt: str, out) -> None:
+def _render(doc, fmt: str) -> str:
     if fmt == "machine":
-        out.write(emit_document(doc))
-        return
+        return emit_document(doc)
+    chunks = []
     for section, entries in doc.items():
-        out.write(f"{section}\n")
         width = max((len(k) for k in entries), default=0)
-        for key, value in entries.items():
-            out.write(f"  {key.ljust(width)}  {_fmt_table_value(value)}\n")
-        out.write("\n")
-
-
-def _floats(values) -> list:
-    return [float(v) for v in np.asarray(values).ravel()]
-
-
-def _nested(values) -> list:
-    arr = np.asarray(values, dtype=float)
-    return arr.tolist()
+        rows = "".join(f"  {key.ljust(width)}  {_fmt_table_value(value)}\n" for key, value in entries.items())
+        chunks.append(f"{section}\n{rows}\n")
+    return "".join(chunks)
 
 
 def _load_bundle(path):
@@ -110,7 +107,7 @@ def _resolve_seed(args) -> int:
 # subcommands
 
 
-def _cmd_electroweak(args, out) -> int:
+def _cmd_electroweak(args):
     p = ElectroweakParams(g=args.g, gp=args.gp, mu=args.mu, lam=args.lam)
     model = build_model(p)
     spec = spectrum(model)
@@ -124,7 +121,7 @@ def _cmd_electroweak(args, out) -> int:
         float(np.linalg.norm(act(model.generators, row, model.vacuum)))
         for row in spec.unbroken
     )
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol
     scale = model.generators.scale
     # each mass against its own prediction, so a lost small mass fails and
     # the photon must come out exactly 0; each defect against its own scale
@@ -142,16 +139,16 @@ def _cmd_electroweak(args, out) -> int:
             "z": pred.z,
             "photon": pred.photon,
             "higgs": pred.higgs,
-            "numerical_bosons": _floats(spec.boson_masses),
-            "numerical_higgs": _floats(spec.higgs_masses),
+            "numerical_bosons": spec.boson_masses,
+            "numerical_higgs": spec.higgs_masses,
             "goldstone_count": spec.goldstone_count,
         },
         "derived": {
             "weinberg_angle": weinberg_angle(p),
             "elementary_charge": elementary_charge(p),
-            "isospin_diagonal": _floats(np.diag(ops.t3).real),
-            "hypercharge_diagonal": _floats(np.diag(ops.hypercharge).real),
-            "charge_diagonal": _floats(np.diag(ops.charge).real),
+            "isospin_diagonal": np.diag(ops.t3).real,
+            "hypercharge_diagonal": np.diag(ops.hypercharge).real,
+            "charge_diagonal": np.diag(ops.charge).real,
         },
         "validation": {
             "skew_defect": report.skew_defect,
@@ -162,78 +159,70 @@ def _cmd_electroweak(args, out) -> int:
             "pass": ok,
         },
     }
-    _print_report(doc, args.format, out)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def _cmd_spectrum(args, out) -> int:
-    bundle = _load_bundle(args.model)
-    model = bundle.model
+def _model_checks(model, tol: float, seed: int, samples: int, hessian: bool = False) -> tuple[dict, bool]:
+    """The defects of a loaded model, and whether closure and invariance pass.
+
+    Skew, gradient and Hessian were judged when the model file loaded, so
+    the rule reads only closure against max|X|^2 and invariance against
+    the largest |V| evaluated.
+    """
+    report = validate_generators(model.generators)
+    checks = {
+        "skew_defect": report.skew_defect,
+        "closure_defect": report.closure_defect,
+        "vacuum_gradient": float(safe_norm(model.potential.gradient(model.vacuum))),
+    }
+    if hessian:
+        checks["hessian_min_eigenvalue"] = float(np.linalg.eigvalsh(model.potential.hessian(model.vacuum)).min())
+    invariance, v_scale = check_potential_invariance(model, samples=samples, seed=seed)
+    checks["potential_invariance"] = invariance
+    ok = report.closure_defect <= tol * model.generators.scale**2 and invariance <= tol * v_scale
+    return checks, ok
+
+
+def _cmd_spectrum(args):
+    model = _load_bundle(args.model).model
     seed = _resolve_seed(args)
     spec = spectrum(model)
-    report = validate_generators(model.generators)
-    grad = float(safe_norm(model.potential.gradient(model.vacuum)))
-    invariance, v_scale = check_potential_invariance(model, samples=50, seed=seed)
-    tol = args.tol if args.tol is not None else 1e-8
-    # skew, gradient and Hessian were judged when the model file loaded
-    ok = report.closure_defect <= tol * model.generators.scale**2 and invariance <= tol * v_scale
+    checks, ok = _model_checks(model, args.tol, seed, samples=50)
     r = model.generators.r
     d = spec.goldstone_count
     doc = {
-        "report": {"command": "spectrum", "seed": seed, "tolerance": tol},
+        "report": {"command": "spectrum", "seed": seed, "tolerance": args.tol},
         "model": {
             "n": model.generators.n,
             "r": r,
             "vacuum_norm": float(np.linalg.norm(model.vacuum)),
         },
         "spectrum": {
-            "boson_masses": _floats(spec.boson_masses),
+            "boson_masses": spec.boson_masses,
             "goldstone_count": d,
             "unbroken_dimension": r - d,
             "unbroken": "H = G" if d == 0 else f"{r - d} of {r} generators",
-            "higgs_masses": _floats(spec.higgs_masses),
+            "higgs_masses": spec.higgs_masses,
         },
-        "validation": {
-            "skew_defect": report.skew_defect,
-            "closure_defect": report.closure_defect,
-            "vacuum_gradient": grad,
-            "potential_invariance": invariance,
-            "pass": ok,
-        },
+        "validation": {**checks, "pass": ok},
     }
-    _print_report(doc, args.format, out)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def _cmd_validate(args, out) -> int:
+def _cmd_validate(args):
     bundle = _load_bundle(args.model)
-    model = bundle.model
     seed = _resolve_seed(args)
-    report = validate_generators(model.generators)
-    grad = float(safe_norm(model.potential.gradient(model.vacuum)))
-    hess_min = float(np.linalg.eigvalsh(model.potential.hessian(model.vacuum)).min())
-    invariance, v_scale = check_potential_invariance(model, samples=100, seed=seed)
-    tol = args.tol if args.tol is not None else 1e-8
-    checks = {
-        "skew_defect": report.skew_defect,
-        "closure_defect": report.closure_defect,
-        "vacuum_gradient": grad,
-        "hessian_min_eigenvalue": hess_min,
-        "potential_invariance": invariance,
-    }
-    # skew, gradient and Hessian were judged when the model file loaded
-    ok = report.closure_defect <= tol * model.generators.scale**2 and invariance <= tol * v_scale
+    checks, ok = _model_checks(bundle.model, args.tol, seed, samples=100, hessian=True)
     if bundle.yukawa is not None:
         defect, y_scale = _yukawa_invariance(bundle)
         checks["yukawa_invariance"] = defect
-        ok = ok and defect <= tol * y_scale
+        ok = ok and defect <= args.tol * y_scale
     checks["pass"] = ok
     doc = {
-        "report": {"command": "validate", "seed": seed, "tolerance": tol},
+        "report": {"command": "validate", "seed": seed, "tolerance": args.tol},
         "checks": checks,
     }
-    _print_report(doc, args.format, out)
-    return 0 if ok else 1
+    return doc, ok
 
 
 def _yukawa_invariance(bundle) -> tuple[float, float]:
@@ -245,11 +234,10 @@ def _yukawa_invariance(bundle) -> tuple[float, float]:
     return triple_invariance_defect(tau, *reps), scale
 
 
-def _cmd_yukawa(args, out) -> int:
+def _cmd_yukawa(args):
     bundle = _load_bundle(args.model)
     if bundle.yukawa is None:
-        out.write("error: model file has no [yukawa] section\n")
-        return 2
+        raise ValueError("model file has no [yukawa] section")
     from .chiral import fermion_mass_after_breaking, fermion_mass_matrix
 
     tau = bundle.yukawa.product
@@ -260,44 +248,36 @@ def _cmd_yukawa(args, out) -> int:
     dirac = fermion_mass_after_breaking(tau, v0, g_y)
     cut = TOL_RANK * float(np.max(matrix))
     massless = [int(i) for i in range(matrix.shape[0]) if np.all(matrix[i] <= cut)]
-    tol = args.tol if args.tol is not None else 1e-10
-    ok = defect <= tol * y_scale
+    ok = defect <= args.tol * y_scale
     doc = {
-        "report": {"command": "yukawa", "tolerance": tol},
+        "report": {"command": "yukawa", "tolerance": args.tol},
         "yukawa": {
-            "slots": list(bundle.yukawa.slots),
+            "slots": bundle.yukawa.slots,
             "g_y": g_y,
             "invariance_defect": defect,
             "dirac_mass": dirac,
-            "mass_matrix": _nested(matrix),
+            "mass_matrix": matrix,
             "massless_rows": massless,
             "pass": ok,
         },
     }
-    _print_report(doc, args.format, out)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def _cmd_unitary_gauge(args, out) -> int:
+def _cmd_unitary_gauge(args):
     bundle = _load_bundle(args.model)
     model = bundle.model
     seed = _resolve_seed(args)
     if args.field:
         grid, kind, field = read_field(args.field)
         if kind != "multiplet":
-            out.write(f"error: expected a multiplet field file, got kind {kind!r}\n")
-            return 2
+            raise ValueError(f"expected a multiplet field file, got kind {kind!r}")
         if field.shape[-1] != model.generators.n:
-            out.write(
-                f"error: field has {field.shape[-1]} components, model multiplet has "
-                f"{model.generators.n}\n"
-            )
-            return 2
+            raise ValueError(f"field has {field.shape[-1]} components, model multiplet has {model.generators.n}")
     else:
         grid = bundle.grid
         if grid is None:
-            out.write("error: no --field given and the model file has no [grid] section\n")
-            return 2
+            raise ValueError("no --field given and the model file has no [grid] section")
         field = model.vacuum + 0.35 * smooth_multiplet_field(
             grid, model.generators.n, seed
         )
@@ -309,11 +289,8 @@ def _cmd_unitary_gauge(args, out) -> int:
             os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
         except OSError as err:
             raise type(err)(err.errno, err.strerror, args.out) from None
-    tol = args.tol if args.tol is not None else 1e-10
-    config = UnitaryGaugeConfig(tol=tol)
-    result = apply_unitary_gauge_field(
-        model.generators, model.vacuum, field, config=config
-    )
+    tol = args.tol
+    result = apply_unitary_gauge_field(model.generators, model.vacuum, field, config=UnitaryGaugeConfig(tol=tol))
     if args.out:
         write_field(args.out, grid, "multiplet", result.transformed)
     ok = result.max_defect < tol
@@ -322,32 +299,30 @@ def _cmd_unitary_gauge(args, out) -> int:
         "report": {"command": "unitary-gauge", "seed": seed, "tolerance": tol},
         "input": {
             "sites": int(np.prod(grid.shape)),
-            "shape": list(grid.shape),
+            "shape": grid.shape,
             "spacing": grid.spacing,
             "synthesized": not bool(args.field),
         },
         "result": {
             "max_defect": result.max_defect,
-            "worst_site": [int(i) for i in worst],
+            "worst_site": worst,
             "total_iterations": int(np.sum(result.iterations)),
             "max_iterations": int(np.max(result.iterations)),
             "pass": ok,
         },
     }
-    _print_report(doc, args.format, out)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def _cmd_gauge_check(args, out) -> int:
+def _cmd_gauge_check(args):
     if args.model:
         gs = _load_bundle(args.model).model.generators
     else:
         gs = build_model(ElectroweakParams()).generators
     seed = _resolve_seed(args)
-    extent = args.grid if args.grid is not None else 16
-    refine = args.refine if args.refine is not None else 2
+    extent = args.grid
     base = Grid(dim=2, shape=(extent, extent), spacing=1.0 / extent, metric=args.metric)
-    der, stren = convergence_orders(gs, base, seed=seed, refinements=refine)
+    der, stren = convergence_orders(gs, base, seed=seed, refinements=args.refine)
     lo, hi = ORDER_BAND
     orders_ok = all(lo <= o <= hi for o in der.orders + stren.orders)
 
@@ -372,27 +347,20 @@ def _cmd_gauge_check(args, out) -> int:
             "command": "gauge-check",
             "seed": seed,
             "grid": extent,
-            "refine": refine,
+            "refine": args.refine,
             "metric": args.metric,
         },
-        "derivative": {
-            "defects": _floats(der.defects),
-            "orders": _floats(der.orders),
-        },
-        "strength": {
-            "defects": _floats(stren.defects),
-            "orders": _floats(stren.orders),
-        },
+        "derivative": {"defects": der.defects, "orders": der.orders},
+        "strength": {"defects": stren.defects, "orders": stren.orders},
         "invariance": {"constant_transform_gap": gap},
         "result": {
-            "order_band": [lo, hi],
+            "order_band": ORDER_BAND,
             "orders_pass": orders_ok,
             "invariance_pass": invariance_ok,
             "pass": ok,
         },
     }
-    _print_report(doc, args.format, out)
-    return 0 if ok else 1
+    return doc, ok
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +389,15 @@ def _extent(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp, model_required=True, with_model=True, with_tol=True):
+def _add_common(sp, tol=None, model_required=True, with_model=True):
+    """The flags every subcommand shares; --tol, with its default, only where tol is given."""
     if with_model:
         sp.add_argument(
             "--model", required=model_required, help="model file path", default=None
         )
     sp.add_argument("--seed", type=_seed, default=None, help=f"rng seed (or ${ENV_SEED})")
-    if with_tol:
-        sp.add_argument("--tol", type=_tolerance, default=None, help="pass/fail tolerance")
+    if tol is not None:
+        sp.add_argument("--tol", type=_tolerance, default=tol, help="pass/fail tolerance (default: %(default)s)")
     sp.add_argument(
         "--format",
         choices=("table", "machine"),
@@ -445,34 +414,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="masses and splits for a model file")
-    _add_common(sp)
+    _add_common(sp, tol=1e-8)
     sp.set_defaults(handler=_cmd_spectrum)
 
     sp = sub.add_parser("validate", help="structural and invariance defects")
-    _add_common(sp)
+    _add_common(sp, tol=1e-8)
     sp.set_defaults(handler=_cmd_validate)
 
     sp = sub.add_parser("unitary-gauge", help="canonical gauge slice over a grid field")
-    _add_common(sp)
+    _add_common(sp, tol=1e-10)
     sp.add_argument("--field", default=None, help="input multiplet field file")
     sp.add_argument("--out", default=None, help="output field file")
     sp.set_defaults(handler=_cmd_unitary_gauge)
 
     sp = sub.add_parser("gauge-check", help="covariance discretization orders")
-    _add_common(sp, model_required=False, with_tol=False)
-    sp.add_argument("--grid", type=_extent, default=None, help="base grid extent, at least 4")
-    sp.add_argument("--refine", type=int, default=None, help="number of refinements")
+    _add_common(sp, model_required=False)
+    sp.add_argument("--grid", type=_extent, default=16, help="base grid extent, at least 4 (default: %(default)s)")
+    sp.add_argument("--refine", type=int, default=2, help="number of refinements (default: %(default)s)")
     sp.add_argument(
         "--metric", choices=("euclidean", "lorentzian"), default="euclidean"
     )
     sp.set_defaults(handler=_cmd_gauge_check)
 
     sp = sub.add_parser("yukawa", help="trilinear invariance and fermion masses")
-    _add_common(sp)
+    _add_common(sp, tol=1e-10)
     sp.set_defaults(handler=_cmd_yukawa)
 
     sp = sub.add_parser("electroweak", help="built-in preset report")
-    _add_common(sp, with_model=False)
+    _add_common(sp, tol=1e-9, with_model=False)
     sp.add_argument("--g", type=float, default=2.0)
     sp.add_argument("--gp", type=float, default=1.0)
     sp.add_argument("--mu", type=float, default=2.0)
@@ -484,21 +453,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, out)
+        doc, ok = args.handler(args)
+        text = _render(doc, args.format)
     except ModelFileError as err:
-        for issue in err.issues:
-            out.write(f"error: {issue}\n")
-        return 2
-    except OSError as err:
-        out.write(f"error: {err}\n")
-        return 2
-    except (ValueError, DegeneratePointError) as err:
-        out.write(f"error: {err}\n")
-        return 2
+        errors = err.issues
+    except (OSError, ValueError, DegeneratePointError) as err:
+        errors = [err]
     except MemoryError as err:
         # numpy's message names the allocation; a bare MemoryError has none
-        out.write(f"error: {str(err) or 'out of memory'}\n")
-        return 2
+        errors = [str(err) or "out of memory"]
+    else:
+        out.write(text)
+        return 0 if ok else 1
+    out.write("".join(f"error: {e}\n" for e in errors))
+    return 2

@@ -81,8 +81,9 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
     matrices : (r, n, n) complex ndarray
         One skew-Hermitian matrix per basis element, couplings folded in.
         Stored as a read-only copy.  Construction raises GeneratorError
-        unless the skew defect is at most TOL_ALG times `scale`, which
-        also refuses NaN and infinite entries.
+        unless the skew defect is at most TOL_ALG times a finite `scale`,
+        which also refuses NaN and infinite entries and finite entries
+        whose moduli overflow.
     factors : tuple of FactorLabel, optional
         Partition of the basis indices into group factors.
     """
@@ -111,6 +112,8 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect or scale is refused below
             skew, scale = gs.skew_defect(), gs.scale
         if not skew <= TOL_ALG * scale < np.inf:
+            if not scale < np.inf and np.all(np.isfinite(m)):
+                raise GeneratorError("generator entries have moduli beyond the float range")
             raise GeneratorError(f"generators not skew-Hermitian (defect {skew:.3e})")
         return gs
 

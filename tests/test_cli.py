@@ -264,38 +264,33 @@ def test_gauge_check_defaults_to_grid_16_refine_2():
     assert (report["grid"], report["refine"]) == (16, 2)
 
 
-def test_yukawa_without_a_yukawa_section_exits_2():
-    assert run("yukawa", "--model", "tests/goldens/spin1.model") == (
-        2,
-        "error: model file has no [yukawa] section\n",
-    )
+def _field_file(tmp: pathlib.Path, kind: str, field: np.ndarray) -> str:
+    path = tmp / f"{kind}.field"
+    write_field(path, Grid(dim=2, shape=(4, 4), spacing=0.5), kind, field)
+    return str(path)
 
 
-def test_unitary_gauge_without_field_or_grid_exits_2():
-    assert run("unitary-gauge", "--model", "tests/goldens/spin1.model") == (
-        2,
-        "error: no --field given and the model file has no [grid] section\n",
-    )
-
-
-def test_unitary_gauge_refuses_a_gauge_field_file(tmp_path):
-    grid = Grid(dim=2, shape=(4, 4), spacing=0.5)
-    path = tmp_path / "a.field"
-    write_field(path, grid, "gauge", np.zeros((4, 4, 2, 4)))
-    assert run("unitary-gauge", "--model", MODEL, "--field", str(path)) == (
-        2,
-        "error: expected a multiplet field file, got kind 'gauge'\n",
-    )
-
-
-def test_unitary_gauge_refuses_a_field_of_the_wrong_length(tmp_path):
-    grid = Grid(dim=2, shape=(4, 4), spacing=0.5)
-    path = tmp_path / "phi3.field"
-    write_field(path, grid, "multiplet", smooth_multiplet_field(grid, 3, seed=9))
-    assert run("unitary-gauge", "--model", MODEL, "--field", str(path)) == (
-        2,
-        "error: field has 3 components, model multiplet has 2\n",
-    )
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (lambda tmp: ["yukawa", "--model", "tests/goldens/spin1.model"], "model file has no [yukawa] section"),
+        (
+            lambda tmp: ["unitary-gauge", "--model", "tests/goldens/spin1.model"],
+            "no --field given and the model file has no [grid] section",
+        ),
+        (
+            lambda tmp: ["unitary-gauge", "--model", MODEL, "--field", _field_file(tmp, "gauge", np.zeros((4, 4, 2, 4)))],
+            "expected a multiplet field file, got kind 'gauge'",
+        ),
+        (
+            lambda tmp: ["unitary-gauge", "--model", MODEL, "--field", _field_file(tmp, "multiplet", np.ones((4, 4, 3)))],
+            "field has 3 components, model multiplet has 2",
+        ),
+    ],
+    ids=["no-yukawa", "no-field-no-grid", "gauge-field", "field-length"],
+)
+def test_unusable_input_is_one_error_line(argv, line, tmp_path):
+    assert run(*argv(tmp_path)) == (2, f"error: {line}\n")
 
 
 def test_gauge_check_has_no_tolerance_flag(capsys):
@@ -361,7 +356,7 @@ def _ssbspec_errors():
 
 @pytest.mark.parametrize("error", sorted(set(_ssbspec_errors()), key=lambda c: c.__name__), ids=lambda c: c.__name__)
 def test_every_ssbspec_error_exits_2(error, monkeypatch):
-    def fail(args, out):
+    def fail(args):
         err = error.__new__(error)  # bypass constructors that need more than a message
         Exception.__init__(err, "boom")
         err.issues = ("boom",)  # what main prints for a ModelFileError
@@ -387,6 +382,21 @@ def test_out_of_memory_exits_2(error, line, monkeypatch):
 
     monkeypatch.setattr(cli, "convergence_orders", exhausted)
     assert run("gauge-check", "--grid", "100000") == (2, line)
+
+
+def test_generator_moduli_beyond_the_float_range_are_named(tmp_path):
+    # a skew pair of finite entries whose moduli overflow was refused as
+    # "not skew-Hermitian (defect 0.000e+00)"
+    path = tmp_path / "huge.model"
+    path.write_text(
+        "[algebra]\nn = 2\nr = 1\n"
+        "generators = [[[[0.0, 0.0], [1.5e308, 1.5e308]], [[-1.5e308, 1.5e308], [0.0, 0.0]]]]\n"
+        "\n[potential]\nmu = 2.0\nlambda = 1.0\n"
+    )
+    code, text = run("spectrum", "--model", str(path))
+    assert code == 2
+    assert text == "error: line 4 [algebra]: generator entries have moduli beyond the float range\n"
+    assert "skew-Hermitian" not in text
 
 
 def test_bad_model_reports_located_issue(tmp_path):
