@@ -81,7 +81,9 @@ def _render(doc, fmt: str) -> str:
     chunks = []
     for section, entries in doc.items():
         width = max((len(k) for k in entries), default=0)
-        rows = "".join(f"  {key.ljust(width)}  {_fmt_table_value(value)}\n" for key, value in entries.items())
+        rows = "".join(
+            f"  {key.ljust(width)}  {_fmt_table_value(value)}\n" for key, value in entries.items()
+        )
         chunks.append(f"{section}\n{rows}\n")
     return "".join(chunks)
 
@@ -114,25 +116,23 @@ def _cmd_electroweak(args):
     pred = boson_mass_predictions(p)
     report = validate_generators(model.generators)
     gaps = np.abs(pred.as_array() - spec.boson_masses)
-    mass_gap = float(np.max(gaps))
     higgs_gap = abs(pred.higgs - float(spec.higgs_masses[0]))
     ops = charge_operators(model.generators, p)
     unbroken_norm = max(
         float(np.linalg.norm(act(model.generators, row, model.vacuum)))
         for row in spec.unbroken
     )
-    tol = args.tol
     scale = model.generators.scale
     # each mass against its own prediction, so a lost small mass fails and
     # the photon must come out exactly 0; each defect against its own scale
     ok = (
-        bool(np.all(gaps <= tol * pred.as_array()))
-        and higgs_gap <= tol * pred.higgs
+        bool(np.all(gaps <= args.tol * pred.as_array()))
+        and higgs_gap <= args.tol * pred.higgs
         and report.closure_defect <= TOL_ALG * scale**2
         and unbroken_norm <= TOL_ALG * float(np.linalg.norm(model.vacuum)) * scale
     )
     doc = {
-        "report": {"command": "electroweak", "tolerance": tol},
+        "report": {"command": "electroweak", "tolerance": args.tol},
         "parameters": {"g": p.g, "gp": p.gp, "mu": p.mu, "lambda": p.lam},
         "masses": {
             "w": pred.w,
@@ -153,7 +153,7 @@ def _cmd_electroweak(args):
         "validation": {
             "skew_defect": report.skew_defect,
             "closure_defect": report.closure_defect,
-            "mass_gap": mass_gap,
+            "mass_gap": float(np.max(gaps)),
             "higgs_gap": higgs_gap,
             "unbroken_action_norm": unbroken_norm,
             "pass": ok,
@@ -162,13 +162,10 @@ def _cmd_electroweak(args):
     return doc, ok
 
 
-def _model_checks(model, tol: float, seed: int, samples: int, hessian: bool = False) -> tuple[dict, bool]:
-    """The defects of a loaded model, and whether closure and invariance pass.
-
-    Skew, gradient and Hessian were judged when the model file loaded, so
-    the rule reads only closure against max|X|^2 and invariance against
-    the largest |V| evaluated.
-    """
+def _model_checks(model, tol, seed, samples, hessian=False) -> tuple[dict, bool]:
+    """A loaded model's defects, and the one pass rule of spectrum and validate:
+    skew, gradient and Hessian were judged when the model file loaded, so it
+    reads closure against max|X|^2 and invariance against the largest |V|."""
     report = validate_generators(model.generators)
     checks = {
         "skew_defect": report.skew_defect,
@@ -176,7 +173,8 @@ def _model_checks(model, tol: float, seed: int, samples: int, hessian: bool = Fa
         "vacuum_gradient": float(safe_norm(model.potential.gradient(model.vacuum))),
     }
     if hessian:
-        checks["hessian_min_eigenvalue"] = float(np.linalg.eigvalsh(model.potential.hessian(model.vacuum)).min())
+        hess = model.potential.hessian(model.vacuum)
+        checks["hessian_min_eigenvalue"] = float(np.linalg.eigvalsh(hess).min())
     invariance, v_scale = check_potential_invariance(model, samples=samples, seed=seed)
     checks["potential_invariance"] = invariance
     ok = report.closure_defect <= tol * model.generators.scale**2 and invariance <= tol * v_scale
@@ -273,7 +271,10 @@ def _cmd_unitary_gauge(args):
         if kind != "multiplet":
             raise ValueError(f"expected a multiplet field file, got kind {kind!r}")
         if field.shape[-1] != model.generators.n:
-            raise ValueError(f"field has {field.shape[-1]} components, model multiplet has {model.generators.n}")
+            raise ValueError(
+                f"field has {field.shape[-1]} components, model multiplet has "
+                f"{model.generators.n}"
+            )
     else:
         grid = bundle.grid
         if grid is None:
@@ -289,14 +290,16 @@ def _cmd_unitary_gauge(args):
             os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
         except OSError as err:
             raise type(err)(err.errno, err.strerror, args.out) from None
-    tol = args.tol
-    result = apply_unitary_gauge_field(model.generators, model.vacuum, field, config=UnitaryGaugeConfig(tol=tol))
+    config = UnitaryGaugeConfig(tol=args.tol)
+    result = apply_unitary_gauge_field(
+        model.generators, model.vacuum, field, config=config
+    )
     if args.out:
         write_field(args.out, grid, "multiplet", result.transformed)
-    ok = result.max_defect < tol
+    ok = result.max_defect < args.tol
     worst = np.unravel_index(int(np.argmax(result.defects)), result.defects.shape)
     doc = {
-        "report": {"command": "unitary-gauge", "seed": seed, "tolerance": tol},
+        "report": {"command": "unitary-gauge", "seed": seed, "tolerance": args.tol},
         "input": {
             "sites": int(np.prod(grid.shape)),
             "shape": grid.shape,
@@ -320,8 +323,7 @@ def _cmd_gauge_check(args):
     else:
         gs = build_model(ElectroweakParams()).generators
     seed = _resolve_seed(args)
-    extent = args.grid
-    base = Grid(dim=2, shape=(extent, extent), spacing=1.0 / extent, metric=args.metric)
+    base = Grid(dim=2, shape=(args.grid, args.grid), spacing=1.0 / args.grid, metric=args.metric)
     der, stren = convergence_orders(gs, base, seed=seed, refinements=args.refine)
     lo, hi = ORDER_BAND
     orders_ok = all(lo <= o <= hi for o in der.orders + stren.orders)
@@ -346,12 +348,18 @@ def _cmd_gauge_check(args):
         "report": {
             "command": "gauge-check",
             "seed": seed,
-            "grid": extent,
+            "grid": args.grid,
             "refine": args.refine,
             "metric": args.metric,
         },
-        "derivative": {"defects": der.defects, "orders": der.orders},
-        "strength": {"defects": stren.defects, "orders": stren.orders},
+        "derivative": {
+            "defects": der.defects,
+            "orders": der.orders,
+        },
+        "strength": {
+            "defects": stren.defects,
+            "orders": stren.orders,
+        },
         "invariance": {"constant_transform_gap": gap},
         "result": {
             "order_band": ORDER_BAND,
@@ -389,15 +397,22 @@ def _extent(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp, tol=None, model_required=True, with_model=True):
-    """The flags every subcommand shares; --tol, with its default, only where tol is given."""
+def _add_common(sp, handler, tol=None, model_required=True, with_model=True):
+    """The handler and the flags every subcommand shares; --tol, with its
+    default, only where tol is given."""
+    sp.set_defaults(handler=handler)
     if with_model:
         sp.add_argument(
             "--model", required=model_required, help="model file path", default=None
         )
     sp.add_argument("--seed", type=_seed, default=None, help=f"rng seed (or ${ENV_SEED})")
     if tol is not None:
-        sp.add_argument("--tol", type=_tolerance, default=tol, help="pass/fail tolerance (default: %(default)s)")
+        sp.add_argument(
+            "--tol",
+            type=_tolerance,
+            default=tol,
+            help="pass/fail tolerance (default: %(default)s)",
+        )
     sp.add_argument(
         "--format",
         choices=("table", "machine"),
@@ -414,46 +429,48 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="masses and splits for a model file")
-    _add_common(sp, tol=1e-8)
-    sp.set_defaults(handler=_cmd_spectrum)
+    _add_common(sp, _cmd_spectrum, tol=1e-8)
 
     sp = sub.add_parser("validate", help="structural and invariance defects")
-    _add_common(sp, tol=1e-8)
-    sp.set_defaults(handler=_cmd_validate)
+    _add_common(sp, _cmd_validate, tol=1e-8)
 
     sp = sub.add_parser("unitary-gauge", help="canonical gauge slice over a grid field")
-    _add_common(sp, tol=1e-10)
+    _add_common(sp, _cmd_unitary_gauge, tol=1e-10)
     sp.add_argument("--field", default=None, help="input multiplet field file")
     sp.add_argument("--out", default=None, help="output field file")
-    sp.set_defaults(handler=_cmd_unitary_gauge)
 
     sp = sub.add_parser("gauge-check", help="covariance discretization orders")
-    _add_common(sp, model_required=False)
-    sp.add_argument("--grid", type=_extent, default=16, help="base grid extent, at least 4 (default: %(default)s)")
-    sp.add_argument("--refine", type=int, default=2, help="number of refinements (default: %(default)s)")
+    _add_common(sp, _cmd_gauge_check, model_required=False)
+    sp.add_argument(
+        "--grid",
+        type=_extent,
+        default=16,
+        help="base grid extent, at least 4 (default: %(default)s)",
+    )
+    sp.add_argument(
+        "--refine", type=int, default=2, help="number of refinements (default: %(default)s)"
+    )
     sp.add_argument(
         "--metric", choices=("euclidean", "lorentzian"), default="euclidean"
     )
-    sp.set_defaults(handler=_cmd_gauge_check)
 
     sp = sub.add_parser("yukawa", help="trilinear invariance and fermion masses")
-    _add_common(sp, tol=1e-10)
-    sp.set_defaults(handler=_cmd_yukawa)
+    _add_common(sp, _cmd_yukawa, tol=1e-10)
 
     sp = sub.add_parser("electroweak", help="built-in preset report")
-    _add_common(sp, tol=1e-9, with_model=False)
+    _add_common(sp, _cmd_electroweak, tol=1e-9, with_model=False)
     sp.add_argument("--g", type=float, default=2.0)
     sp.add_argument("--gp", type=float, default=1.0)
     sp.add_argument("--mu", type=float, default=2.0)
     sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sp.set_defaults(handler=_cmd_electroweak)
 
     return parser
 
 
 def main(argv=None, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         doc, ok = args.handler(args)
         text = _render(doc, args.format)
