@@ -92,6 +92,41 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_triple(value, kind) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(isinstance(x, kind) for x in value)
+
+
+_INTEGER = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_ARRAY = (lambda v: isinstance(v, list), "an array")
+
+# every key of each fixed section: its type test, what its value must be and,
+# for an optional key, its default.  [representations] takes any key.  null
+# passes no test, so it is a value of the wrong type, never a missing key.
+_KEYS = {
+    "algebra": {"n": _INTEGER, "r": _INTEGER, "generators": _ARRAY, "factors": (*_ARRAY, ())},
+    "potential": {"mu": _NUMBER, "lambda": _NUMBER},
+    "vacuum": {"vector": _ARRAY},
+    "yukawa": {
+        "slots": (lambda v: _is_triple(v, str), "three representation names"),
+        "conjugated": (lambda v: _is_triple(v, bool), "three booleans"),
+        "tensor": _ARRAY,
+        "g_y": _NUMBER,
+    },
+    "grid": {
+        "dim": _INTEGER,
+        "shape": (lambda v: isinstance(v, list) and all(_is_int(m) for m in v), "a list of integers"),
+        "h": _NUMBER,
+        "metric": (lambda v: isinstance(v, str), "a string", "euclidean"),
+    },
+}
+
+
+def _no_object(pairs):
+    """JSON object hook: the dialect has no objects, and emit_document could not write one back."""
+    raise json.JSONDecodeError("objects are not allowed", "", 0)
+
+
 def parse_document(text: str) -> Document:
     return _parse_lines(text)[0]
 
@@ -128,7 +163,11 @@ def _parse_lines(text: str) -> tuple[Document, dict]:
             continue
         try:
             doc[section][key] = json.loads(
-                value_text, parse_float=_finite, parse_int=_float_range_int, parse_constant=_finite
+                value_text,
+                parse_float=_finite,
+                parse_int=_float_range_int,
+                parse_constant=_finite,
+                object_pairs_hook=_no_object,
             )
         except json.JSONDecodeError as err:
             issues.append(ParseIssue(lineno, section, f"bad value for {key!r}: {err.msg}"))
@@ -190,10 +229,12 @@ class ModelBundle(NamedTuple):
     grid: Grid | None
 
 
-def _complex_array(value, issue, section, key):
-    """Nested [re, im] lists to a complex ndarray; issues on ragged data."""
+def _complex_array(entries, key, issue, section):
+    """entries[key], nested [re, im] lists, to a complex ndarray; None if absent or ragged."""
+    if key not in entries:
+        return None
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.array(entries[key], dtype=float)
     except (ValueError, TypeError):
         issue(section, f"{key}: ragged or non-numeric array", key)
         return None
@@ -212,104 +253,83 @@ def parse_model_file(text: str) -> ModelBundle:
         line = lines.get((section, key), lines.get((section, None), 0))
         issues.append(ParseIssue(line, section, message))
 
-    def entries_of(name, required, optional=None, needed=False):
-        """The values of a section's required keys (None if missing), then of
-        its optional keys (their default if missing), after an issue for each
-        missing or unknown key.  None for an absent section, which is an
+    def entries_of(name, needed=False):
+        """The well-typed values of a fixed section's keys in _KEYS order, defaults
+        filled in, after an issue for each missing, mistyped or unknown key, so one
+        bad key hides no issue of another.  Empty for an absent section, which is an
         issue when the section is needed."""
         if name not in doc:
             if needed:
                 issue(name, f"missing [{name}] section")
-            return None
-        optional = optional or {}
+            return {}
         present = doc[name]
-        for key in required:
-            if key not in present:
+        values = {}
+        for key, (test, what, *default) in _KEYS[name].items():
+            if key not in present and not default:
                 issue(name, f"missing key {key!r}")
+            elif key in present and not test(present[key]):
+                issue(name, f"{key} must be {what}", key)
+            else:
+                values[key] = present.get(key, *default)
         for key in present:
-            if key not in required and key not in optional:
+            if key not in _KEYS[name]:
                 issue(name, f"unknown key {key!r}", key)
-        return [present.get(key) for key in required] + [present.get(key, v) for key, v in optional.items()]
+        return values
 
-    known = {"algebra", "potential", "vacuum", "representations", "yukawa", "grid"}
     for section in doc:
-        if section not in known:
+        if section not in _KEYS and section != "representations":
             issue(section, "unknown section")
 
     gs = None
-    algebra = entries_of("algebra", ("n", "r", "generators"), {"factors": None}, needed=True)
-    if algebra is not None:
-        n, r, gens_raw, factors_raw = algebra
-        if n is not None and r is not None and not (_is_int(n) and _is_int(r)):
-            issue("algebra", "n and r must be integers", "r" if _is_int(n) else "n")
-        if gens_raw is not None:
-            gens = _complex_array(gens_raw, issue, "algebra", "generators")
-            if gens is not None:
-                if _is_int(n) and _is_int(r) and gens.shape != (r, n, n):
-                    issue(
-                        "algebra",
-                        f"generators have shape {gens.shape}, expected ({r}, {n}, {n})",
-                        "generators",
-                    )
-                else:
-                    factors = ()
-                    for item in factors_raw or []:
-                        if (
-                            not isinstance(item, list)
-                            or len(item) != 3
-                            or not isinstance(item[0], str)
-                            or not isinstance(item[1], list)
-                        ):
-                            issue("algebra", "factors entries must be [name, indices, coupling]", "factors")
-                            continue
-                        name, indices, coupling = item
-                        if not all(_is_int(i) for i in indices):
-                            issue("algebra", f"non-integer index for factor {name!r}", "factors")
-                            continue
-                        if not (_is_number(coupling) and coupling > 0):
-                            issue("algebra", f"non-positive coupling for factor {name!r}", "factors")
-                            continue
-                        factors += (FactorLabel(name=name, indices=tuple(indices), coupling=float(coupling)),)
-                    try:
-                        gs = GeneratorSet(matrices=gens, factors=factors)
-                    except GeneratorError as err:
-                        issue("algebra", str(err), "factors" if str(err).startswith("factor") else "generators")
+    algebra = entries_of("algebra", needed=True)
+    gens = _complex_array(algebra, "generators", issue, "algebra")
+    expected = tuple(algebra[key] for key in ("r", "n", "n") if key in algebra)
+    if gens is not None and len(expected) == 3 and gens.shape != expected:
+        issue("algebra", f"generators have shape {gens.shape}, expected {expected}", "generators")
+    elif gens is not None:
+        factors = ()
+        for item in algebra.get("factors", ()):
+            if not (_is_triple(item, object) and isinstance(item[0], str) and isinstance(item[1], list)):
+                issue("algebra", "factors entries must be [name, indices, coupling]", "factors")
+            elif not all(_is_int(i) for i in item[1]):
+                issue("algebra", f"non-integer index for factor {item[0]!r}", "factors")
+            elif not (_is_number(item[2]) and item[2] > 0):
+                issue("algebra", f"non-positive coupling for factor {item[0]!r}", "factors")
+            else:
+                factors += (FactorLabel(name=item[0], indices=tuple(item[1]), coupling=float(item[2])),)
+        try:
+            gs = GeneratorSet(matrices=gens, factors=factors)
+        except GeneratorError as err:
+            issue("algebra", str(err), "factors" if str(err).startswith("factor") else "generators")
 
     potential = None
-    couplings = entries_of("potential", ("mu", "lambda"), needed=True)
-    if couplings is not None:
-        mu, lam = couplings
-        if mu is not None and lam is not None:
-            if not (_is_number(mu) and _is_number(lam)):
-                issue("potential", "mu and lambda must be numbers", "lambda" if _is_number(mu) else "mu")
-            elif not lam > 0:
-                issue("potential", f"non-positive coupling lambda = {lam}", "lambda")
-            else:
-                try:
-                    potential = QuarticPotential(mu=float(mu), lam=float(lam))
-                except PotentialError as err:
-                    issue("potential", str(err), "mu")
+    couplings = entries_of("potential", needed=True)
+    if couplings.keys() == _KEYS["potential"].keys():
+        mu, lam = couplings.values()
+        if not lam > 0:
+            issue("potential", f"non-positive coupling lambda = {lam}", "lambda")
+        else:
+            try:
+                potential = QuarticPotential(mu=float(mu), lam=float(lam))
+            except PotentialError as err:
+                issue("potential", str(err), "mu")
 
     model = None
-    if gs is not None and potential is not None:
-        pinned = entries_of("vacuum", ("vector",))
-        if pinned is None:
-            vacuum = find_vacuum(HiggsModel(generators=gs, potential=potential), np.ones(gs.n))
-        else:
-            (vector,) = pinned
-            vacuum = None if vector is None else _complex_array(vector, issue, "vacuum", "vector")
-        if vacuum is not None:
-            try:
-                model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)
-            except NotAVacuumError as err:
-                issue("vacuum", str(err), "vector")
+    vacuum = _complex_array(entries_of("vacuum"), "vector", issue, "vacuum")
+    if gs is not None and potential is not None and "vacuum" not in doc:
+        vacuum = find_vacuum(HiggsModel(generators=gs, potential=potential), np.ones(gs.n))
+    if gs is not None and potential is not None and vacuum is not None:
+        try:
+            model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)
+        except NotAVacuumError as err:
+            issue("vacuum", str(err), "vector")
 
     representations = {}
-    for name, raw in doc.get("representations", {}).items():
+    for name in doc.get("representations", {}):
         if name == RESERVED_SLOT:
             issue("representations", f"{RESERVED_SLOT!r} is reserved for the model multiplet", name)
             continue
-        mats = _complex_array(raw, issue, "representations", name)
+        mats = _complex_array(doc["representations"], name, issue, "representations")
         if mats is None:
             continue
         if mats.ndim != 3 or (gs is not None and mats.shape[0] != gs.r):
@@ -325,58 +345,35 @@ def parse_model_file(text: str) -> ModelBundle:
             issue("representations", f"{name}: {err}", name)
 
     yukawa = None
-    coupling = entries_of("yukawa", ("slots", "conjugated", "tensor", "g_y"))
-    if coupling is not None:
-        slots, flags, tensor_raw, g_y = coupling
-        ok = True
-        if not (isinstance(slots, list) and len(slots) == 3 and all(isinstance(s, str) for s in slots)):
-            issue("yukawa", "slots must be three representation names", "slots")
-            ok = False
-        if not (isinstance(flags, list) and len(flags) == 3 and all(isinstance(f, bool) for f in flags)):
-            issue("yukawa", "conjugated must be three booleans", "conjugated")
-            ok = False
-        if not _is_number(g_y):
-            issue("yukawa", "g_y must be a number", "g_y")
-            ok = False
-        tensor = _complex_array(tensor_raw, issue, "yukawa", "tensor") if tensor_raw is not None else None
-        if ok and tensor is not None and gs is not None:
-            reps = {RESERVED_SLOT: gs, **representations}
-            for s in slots:
-                if s not in reps:
-                    issue("yukawa", f"unknown representation {s!r}", "slots")
-            if all(s in reps for s in slots):
-                dims = tuple(reps[s].n for s in slots)
-                if tensor.shape != dims:
-                    issue("yukawa", f"tensor shape {tensor.shape} does not match slot dimensions {dims}", "tensor")
-                else:
-                    yukawa = YukawaSection(
-                        product=TripleProduct(tensor=tensor, conjugated=tuple(flags)),
-                        slots=tuple(slots),
-                        g_y=float(g_y),
-                    )
+    coupling = entries_of("yukawa")
+    tensor = _complex_array(coupling, "tensor", issue, "yukawa")
+    if tensor is not None and gs is not None and coupling.keys() == _KEYS["yukawa"].keys():
+        slots, flags, _, g_y = coupling.values()
+        reps = {RESERVED_SLOT: gs, **representations}
+        for s in slots:
+            if s not in reps:
+                issue("yukawa", f"unknown representation {s!r}", "slots")
+        if all(s in reps for s in slots):
+            dims = tuple(reps[s].n for s in slots)
+            if tensor.shape != dims:
+                issue("yukawa", f"tensor shape {tensor.shape} does not match slot dimensions {dims}", "tensor")
+            else:
+                yukawa = YukawaSection(
+                    product=TripleProduct(tensor=tensor, conjugated=tuple(flags)),
+                    slots=tuple(slots),
+                    g_y=float(g_y),
+                )
 
     grid = None
-    lattice = entries_of("grid", ("dim", "shape", "h"), {"metric": "euclidean"})
-    if lattice is not None:
-        dim, shape, h, metric = lattice
-        typed = {
-            "dim": (_is_int(dim), "an integer"),
-            "shape": (isinstance(shape, list) and all(_is_int(m) for m in shape), "a list of integers"),
-            "h": (_is_number(h), "a number"),
-            "metric": (isinstance(metric, str), "a string"),
-        }
-        present = doc["grid"]
-        mistyped = [key for key, (ok, _) in typed.items() if key in present and not ok]
-        for key in mistyped:
-            issue("grid", f"{key} must be {typed[key][1]}", key)
-        if not mistyped and all(key in present for key in ("dim", "shape", "h")):
-            try:
-                grid = Grid(dim=dim, shape=tuple(shape), spacing=float(h), metric=metric)
-            except LatticeError as err:
-                key = next((k for word, k in _GRID_FIELDS if word in str(err)), None)
-                issue("grid", str(err), key)
+    lattice = entries_of("grid")
+    if lattice.keys() == _KEYS["grid"].keys():
+        dim, shape, h, metric = lattice.values()
+        try:
+            grid = Grid(dim=dim, shape=tuple(shape), spacing=float(h), metric=metric)
+        except LatticeError as err:
+            key = next((k for word, k in _GRID_FIELDS if word in str(err)), None)
+            issue("grid", str(err), key)
 
     if issues:
         raise ModelFileError(issues)
-    assert model is not None
     return ModelBundle(model=model, representations=representations, yukawa=yukawa, grid=grid)

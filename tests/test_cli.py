@@ -408,6 +408,24 @@ def test_bad_model_reports_located_issue(tmp_path):
     assert "missing [algebra]" in text
 
 
+@pytest.mark.parametrize(
+    "key, value, line",
+    [
+        ("vector", "null", "line 16 [vacuum]: vector must be an array"),
+        ("g_y", '{"x": 1}', "line 28 [yukawa]: bad value for 'g_y': objects are not allowed"),
+    ],
+    ids=["null", "object"],
+)
+def test_wrong_value_is_a_located_error(key, value, line, tmp_path):
+    # null is a value of the wrong type and an object a bad value: each is one
+    # located error line at exit 2, never a traceback
+    text = pathlib.Path(MODEL).read_text()
+    (old,) = [row for row in text.splitlines() if row.startswith(f"{key} = ")]
+    path = tmp_path / "edited.model"
+    path.write_text(text.replace(old, f"{key} = {value}"))
+    assert run("spectrum", "--model", str(path)) == (2, f"error: {line}\n")
+
+
 def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("SSB_SPECTRUM_SEED", "17")
     code, text = run("spectrum", "--model", MODEL, "--format", "machine")

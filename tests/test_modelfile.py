@@ -1,4 +1,7 @@
 """Document dialect and model assembly tests."""
+import pathlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 from ssbspec.breaking import spectrum
 from ssbspec.electroweak import ElectroweakParams, build_model
 from ssbspec.modelfile import (
+    _KEYS,
     ModelFileError,
+    _emit_value,
     emit_document,
     parse_document,
     parse_model_file,
@@ -113,45 +118,13 @@ def test_located_syntax_errors():
 
 
 def test_bad_json_value_is_located():
-    for value in ("{oops", "NaN", "-Infinity", "[1.0, 1e999]"):
+    # the dialect has no objects: {"x": 1} parsed to a dict that emit_document refused
+    for value in ("{oops", "NaN", "-Infinity", "[1.0, 1e999]", '{"x": 1}'):
         with pytest.raises(ModelFileError) as err:
             parse_document(f"[algebra]\nn = {value}\n")
         (issue,) = err.value.issues
         assert issue.line == 2
         assert issue.section == "algebra"
-
-
-def test_non_integer_dimensions_rejected():
-    # JSON true is a bool, which Python counts as the integer 1
-    for value in ("1.0", "true"):
-        for bad in (MINIMAL.replace("n = 1", f"n = {value}"), MINIMAL.replace("r = 1", f"r = {value}")):
-            with pytest.raises(ModelFileError, match="n and r must be integers") as err:
-                parse_model_file(bad)
-            assert [i.section for i in err.value.issues] == ["algebra"]
-
-
-def test_boolean_couplings_rejected():
-    yukawa = (
-        "\n[representations]\nsinglet = [[[[0.0, 1.0]]]]\n"
-        + '\n[yukawa]\nslots = ["singlet", "higgs", "singlet"]\n'
-        + "conjugated = [true, false, false]\n"
-        + "tensor = [[[[1.0, 0.0]]]]\n"
-        + "g_y = true\n"
-    )
-    cases = [
-        (MINIMAL.replace("mu = 2.0", "mu = true"), "potential", "mu and lambda must be numbers"),
-        (MINIMAL.replace("lambda = 1.0", "lambda = true"), "potential", "mu and lambda must be numbers"),
-        (
-            MINIMAL.replace("[potential]", 'factors = [["u1", [0], true]]\n\n[potential]'),
-            "algebra",
-            "non-positive coupling for factor",
-        ),
-        (MINIMAL + yukawa, "yukawa", "g_y must be a number"),
-    ]
-    for bad, section, message in cases:
-        with pytest.raises(ModelFileError, match=message) as err:
-            parse_model_file(bad)
-        assert [i.section for i in err.value.issues] == [section]
 
 
 YUKAWA_TAIL = (
@@ -160,6 +133,14 @@ YUKAWA_TAIL = (
     + "conjugated = [true, false, false]\n"
     + "tensor = [[[[1.0, 0.0]]]]\n"
     + "g_y = true\n"
+)
+
+SINGLET_TAIL = (
+    "\n[representations]\nsinglet = [[[[0.0, 1.0]]]]\n"
+    + '\n[yukawa]\nslots = ["singlet", "higgs", "singlet"]\n'
+    + "conjugated = [true, false, false]\n"
+    + "tensor = [[[[1.0, 0.0]]]]\n"
+    + "g_y = 1.0\n"
 )
 
 
@@ -177,8 +158,8 @@ HUGE = "1" + "0" * 400
     "bad, line, section, message",
     [
         (MINIMAL.replace("r = 1", "r = 2"), 5, "algebra", "expected (2, 1, 1)"),
-        (MINIMAL.replace("n = 1", "n = 1.0"), 3, "algebra", "n and r must be integers"),
-        (MINIMAL.replace("r = 1", "r = true"), 4, "algebra", "n and r must be integers"),
+        (MINIMAL.replace("n = 1", "n = 1.0"), 3, "algebra", "n must be an integer"),
+        (MINIMAL.replace("r = 1", "r = true"), 4, "algebra", "r must be an integer"),
         (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[1.0, 0.0]]]]"), 5, "algebra", "not skew-Hermitian"),
         (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 1.0], [0.0]]]]"), 5, "algebra", "generators: ragged"),
         (MINIMAL.replace("[potential]", 'factors = [["u1", [3], 1.0]]\n\n[potential]'), 7, "algebra", "out-of-range"),
@@ -221,6 +202,65 @@ HUGE = "1" + "0" * 400
             "algebra",
             "beyond the float range",
         ),
+        # JSON true is a bool, which Python counts as the integer 1
+        (MINIMAL.replace("n = 1", "n = true"), 3, "algebra", "n must be an integer"),
+        (MINIMAL.replace("r = 1", "r = 1.0"), 4, "algebra", "r must be an integer"),
+        (MINIMAL.replace("mu = 2.0", "mu = true"), 8, "potential", "mu must be a number"),
+        (MINIMAL.replace("lambda = 1.0", "lambda = true"), 9, "potential", "lambda must be a number"),
+        (
+            MINIMAL.replace("[potential]", 'factors = [["u1", [0], true]]\n\n[potential]'),
+            7,
+            "algebra",
+            "non-positive coupling for factor 'u1'",
+        ),
+        (MINIMAL + SINGLET_TAIL.replace("g_y = 1.0", "g_y = true"), 18, "yukawa", "g_y must be a number"),
+        # null is a value of the wrong type, not a missing key
+        (MINIMAL.replace("n = 1", "n = null"), 3, "algebra", "n must be an integer"),
+        (MINIMAL.replace("r = 1", "r = null"), 4, "algebra", "r must be an integer"),
+        (MINIMAL.replace("[[[[0.0, 1.0]]]]", "null"), 5, "algebra", "generators must be an array"),
+        (MINIMAL.replace("[potential]", "factors = null\n\n[potential]"), 7, "algebra", "factors must be an array"),
+        # a number for factors ended in a TypeError traceback
+        (MINIMAL.replace("[potential]", "factors = 3\n\n[potential]"), 7, "algebra", "factors must be an array"),
+        (MINIMAL.replace("mu = 2.0", "mu = null"), 8, "potential", "mu must be a number"),
+        (MINIMAL + "\n[vacuum]\nvector = null\n", 12, "vacuum", "vector must be an array"),
+        (MINIMAL + SINGLET_TAIL.replace("[[[[1.0, 0.0]]]]", "null"), 17, "yukawa", "tensor must be an array"),
+        # a mistyped key hides no issue of another key in its section
+        (
+            MINIMAL.replace("n = 1", "n = 1.0").replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 1.0], [0.0]]]]"),
+            5,
+            "algebra",
+            "generators: ragged",
+        ),
+        (
+            MINIMAL.replace("n = 1", "n = 1.0").replace("[[[[0.0, 1.0]]]]", "[[[[1.0, 0.0]]]]"),
+            5,
+            "algebra",
+            "not skew",
+        ),
+        (
+            MINIMAL.replace("r = 1", "r = true").replace("[potential]", 'factors = [["u1", [0], -1.0]]\n\n[potential]'),
+            7,
+            "algebra",
+            "non-positive coupling for factor 'u1'",
+        ),
+        (
+            MINIMAL + SINGLET_TAIL.replace("g_y = 1.0", "g_y = true").replace("[[[[1.0, 0.0]]]]", "[[1.0]]"),
+            17,
+            "yukawa",
+            "pairs",
+        ),
+        (
+            MINIMAL + SINGLET_TAIL.replace('"singlet", "higgs"', '"singlet", 1').replace("[[[[1.0, 0.0]]]]", "[[[1.0]]]"),
+            17,
+            "yukawa",
+            "pairs",
+        ),
+        (
+            MINIMAL + SINGLET_TAIL.replace("g_y = 1.0\n", "").replace("[[[[1.0, 0.0]]]]", "[[[[1.0, 0.0], [1.0]]]]"),
+            17,
+            "yukawa",
+            "ragged",
+        ),
     ],
     ids=[
         "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged", "factor-index",
@@ -229,7 +269,11 @@ HUGE = "1" + "0" * 400
         "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-metric-number",
         "grid-dim-zero", "grid-extent-count", "grid-extent-small", "grid-h-zero", "grid-metric-unknown",
         "mu-huge-integer", "mu-overflow", "mu-twice-overflows", "representation-not-skew", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
-        "factor-coupling-huge-integer",
+        "factor-coupling-huge-integer", "n-boolean", "r-not-integer", "mu-boolean", "lambda-boolean",
+        "factor-coupling-boolean", "g_y-boolean", "n-null", "r-null", "generators-null", "factors-null",
+        "factors-number", "mu-null", "vector-null", "tensor-null", "n-float-and-ragged", "n-float-and-not-skew",
+        "r-boolean-and-bad-factor", "g_y-boolean-and-tensor-pairs", "slots-mistyped-and-tensor-pairs",
+        "g_y-missing-and-tensor-ragged",
     ],
 )
 def test_assembly_issue_carries_the_entry_line(bad, line, section, message):
@@ -240,6 +284,30 @@ def test_assembly_issue_carries_the_entry_line(bad, line, section, message):
     (issue,) = [i for i in err.value.issues if i.section == section and message in i.message]
     assert issue.line == line
     assert str(issue).startswith(f"line {line} [{section}]: " if line else f"document [{section}]: ")
+
+
+@pytest.mark.parametrize(
+    "bad, section",
+    [
+        (MINIMAL.replace("n = 1", "n = 1.0"), "algebra"),
+        (MINIMAL.replace("n = 1", "n = true"), "algebra"),
+        (MINIMAL.replace("r = 1", "r = 1.0"), "algebra"),
+        (MINIMAL.replace("r = 1", "r = true"), "algebra"),
+        (MINIMAL.replace("mu = 2.0", "mu = true"), "potential"),
+        (MINIMAL.replace("lambda = 1.0", "lambda = true"), "potential"),
+        (MINIMAL.replace("[potential]", 'factors = [["u1", [0], true]]\n\n[potential]'), "algebra"),
+        (MINIMAL + SINGLET_TAIL.replace("g_y = 1.0", "g_y = true"), "yukawa"),
+    ],
+    ids=[
+        "n-float", "n-boolean", "r-float", "r-boolean", "mu-boolean", "lambda-boolean", "factor-coupling-boolean",
+        "g_y-boolean",
+    ],
+)
+def test_mistyped_value_stays_in_its_section(bad, section):
+    # a bad number or boolean is reported in its own section only
+    with pytest.raises(ModelFileError) as err:
+        parse_model_file(bad)
+    assert {i.section for i in err.value.issues} == {section}
 
 
 def test_mismatched_generator_shape():
@@ -324,3 +392,23 @@ def test_yukawa_dimension_mismatch():
     )
     with pytest.raises(ModelFileError, match="does not match slot dimensions"):
         parse_model_file(bad)
+
+
+def test_readme_tables_list_every_key():
+    # README "Model files" gives each fixed section a table of key, type and
+    # "required" or default, and it must be the table the parser reads
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    body = readme.split("\n## Model files\n")[1].split("\n## ")[0]
+    tables = {}
+    for row in body.splitlines():
+        if m := re.match(r"`\[([a-z_]+)\]`", row):
+            section = tables.setdefault(m.group(1), {})
+        elif m := re.match(r"\| `([a-z_]+)` \| ([^|]+) \| ([^|]+) \|", row):
+            section[m.group(1)] = (m.group(2), m.group(3))
+    assert tables == {
+        name: {
+            key: (what, f"default `{_emit_value(default[0])}`" if default else "required")
+            for key, (_, what, *default) in keys.items()
+        }
+        for name, keys in _KEYS.items()
+    }
