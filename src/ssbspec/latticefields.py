@@ -8,23 +8,14 @@ Conventions:
     of algebra indices is the plain Euclidean coefficient product.
   - the metric is diagonal: all +1, or (+1, -1, ..., -1).
 
-Kernels:
-  - site-local work runs in blocks of liecore.SITE_BLOCK sites.  Each
-    kernel call allocates one workspace for the longest block
-    (_site_workspace) and fills it with out=, so no block allocates.
-  - per-site matrix products run on site-last stacks, (n, n, sites) with
-    the sites contiguous, through _site_product: whole site vectors are
-    multiplied per entry and inner index and summed in a fixed order, so
-    a site's result does not depend on its block.
-  - the transform field is exp(A) by a degree-12 Taylor polynomial of
-    A / 2^s on that kernel, squared s times, s chosen per site from
-    |A|_1 / TAYLOR_THETA; a site needing more than MAX_SQUARINGS squarings
-    takes liecore.expm_skew instead.
+Kernels: site-local work runs on liecore's site-last layer, in blocks of
+liecore.SITE_BLOCK sites.  Each kernel call allocates one workspace for the
+longest block (_site_workspace) and fills it with out=; per-site matrix
+products and the transform field's exponential run on (n, n, sites) stacks,
+so a site's result does not depend on its block.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -32,7 +23,8 @@ import numpy as np
 
 from .breaking import SpectrumResult
 from .higgsmodel import HiggsModel
-from .liecore import TOL_ALG, TOL_RANK, GeneratorSet, expm_skew, realify, site_blocks, unrealify
+from .liecore import TOL_ALG, TOL_RANK, GeneratorSet, realify, unrealify
+from .liecore import _expm_buffers, _expm_site_last, _real, _site_product, _site_workspace
 
 __all__ = [
     "ExpansionCheck",
@@ -118,12 +110,7 @@ class Grid(namedtuple("Grid", "dim shape spacing metric")):
 
     def refined(self, factor: int) -> "Grid":
         """Same physical box, factor times the resolution."""
-        return Grid(
-            dim=self.dim,
-            shape=tuple(m * factor for m in self.shape),
-            spacing=self.spacing / factor,
-            metric=self.metric,
-        )
+        return Grid(self.dim, tuple(m * factor for m in self.shape), self.spacing / factor, self.metric)
 
 
 def _check_grid_axes(grid: Grid, field: np.ndarray, trailing: int, what: str):
@@ -156,51 +143,6 @@ def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
     np.subtract(field[along(None, 1)], field[along(-2, -1)], out=out[along(-1, None)])
     out /= step
     return out
-
-
-def _site_product(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """out = x y on site-last stacks, summed over the inner index in order.
-
-    x is (n, m, ...) and y is (m, k, ...); their trailing axes, the sites
-    last and contiguous, broadcast into out, (n, k, ...).  term is a buffer
-    of the shape of one row of out.  Each call multiplies whole site
-    vectors, so the per-matrix overhead that einsum and @ pay on stacks of
-    2x2 and 3x3 matrices is paid once per entry instead.
-    """
-    for i in range(len(out)):
-        np.multiply(x[i, 0], y[0], out=out[i])
-        for j in range(1, len(y)):
-            np.multiply(x[i, j], y[j], out=term)
-            out[i] += term
-    return out
-
-
-def _site_workspace(sites: int, *shapes: tuple[int, ...]) -> list[tuple[slice, list[np.ndarray]]]:
-    """The site blocks of range(sites), each with contiguous site-last
-    complex buffers of shape + (block length,), one per shape.
-
-    One allocation, sized for the longest block, backs the buffers of every
-    block, so a kernel that fills them with out= allocates nothing per block.
-    """
-    blocks = site_blocks(sites)
-    width = max((b.stop - b.start for b in blocks), default=0)
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = np.empty(sum(sizes) * width, dtype=complex)
-    starts = [width * k for k in itertools.accumulate(sizes, initial=0)]
-    workspace = []
-    for block in blocks:
-        length = block.stop - block.start
-        buffers = [
-            flat[lo : lo + size * length].reshape(shape + (length,))
-            for lo, size, shape in zip(starts, sizes, shapes)
-        ]
-        workspace.append((block, buffers))
-    return workspace
-
-
-def _real(buf: np.ndarray) -> np.ndarray:
-    """A float array of buf's shape in the first half of the contiguous buf's memory."""
-    return buf.reshape(-1).view(float)[: buf.size].reshape(buf.shape)
 
 
 def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray):
@@ -403,16 +345,12 @@ def klein_gordon_density(
     return _add_kinetic(gs, grid, a, psi, mass_term)
 
 
-def _potential_field(potential, phi: np.ndarray) -> np.ndarray:
-    return np.apply_along_axis(lambda v: potential.value(v), -1, phi)
-
-
 def higgs_density(
     gs: GeneratorSet, grid: Grid, a: np.ndarray | None, phi: np.ndarray, potential
 ) -> np.ndarray:
     """(nabla^mu phi)^dag (nabla_mu phi) - V(phi)."""
     phi = np.asarray(phi, dtype=complex)
-    return _add_kinetic(gs, grid, a, phi, -_potential_field(potential, phi))
+    return _add_kinetic(gs, grid, a, phi, -np.apply_along_axis(potential.value, -1, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -467,74 +405,22 @@ def smooth_gauge_field(grid: Grid, r: int, seed: int, scale: float = 1.0) -> np.
     return _smooth_components(grid, grid.dim * r, seed, scale).reshape(grid.shape + (grid.dim, r))
 
 
-# The transform field's exponential: Higham's scaling and squaring ("The
-# scaling and squaring method for the matrix exponential revisited", SIAM J.
-# Matrix Anal. Appl. 26, 2005) on the degree-12 Taylor polynomial, whose
-# remainder at 1-norm TAYLOR_THETA, 0.25^13 / 13!, is 2e-18.  Each squaring
-# about doubles the rounding error, so beyond MAX_SQUARINGS (a 1-norm above
-# 16) unitarity would be lost past about 1e-13; such sites go to expm_skew.
-TAYLOR_THETA = 0.25
-MAX_SQUARINGS = 6
-_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
-
-
-def _add_taylor_terms(out, c, x, x2, term):
-    """out += c[0] + c[1] x + c[2] x^2 on site-last stacks, a row at a time through term."""
-    for i in range(len(out)):
-        out[i] += np.multiply(x[i], c[1], out=term)
-        out[i] += np.multiply(x2[i], c[2], out=term)
-        out[i, i] += c[0]
-
-
-def _taylor(x, x2, x3, acc, out, term):
-    """out = sum_{k <= 12} x^k / k! for a site-last stack x, by Paterson-Stockmeyer
-    in powers of x^3 in five products:
-
-        P0 + x^3 (P1 + x^3 (P2 + x^3 (P3 + x^3 / 12!))),  P_j = sum_{i < 3} x^i / (3j + i)!
-
-    x2, x3 and acc are overwritten.
-    """
-    c = _TAYLOR
-    _site_product(x, x, x2, term)
-    _site_product(x2, x, x3, term)
-    np.multiply(x3, c[12], out=acc)
-    _add_taylor_terms(acc, c[9:12], x, x2, term)
-    _add_taylor_terms(_site_product(x3, acc, out, term), c[6:9], x, x2, term)
-    _add_taylor_terms(_site_product(x3, out, acc, term), c[3:6], x, x2, term)
-    _add_taylor_terms(_site_product(x3, acc, out, term), c[0:3], x, x2, term)
-    return out
-
-
 def smooth_transform_field(
     gs: GeneratorSet, grid: Grid, seed: int, scale: float = 0.4
 ) -> np.ndarray:
     """sigma(x) = exp(sum_i c_i(x) g_i) with smooth coefficient fields.
 
-    The exponential of each site's A is a degree-12 Taylor polynomial of
-    A / 2^s, squared s times, with s = max(0, ceil(log2(|A|_1 / TAYLOR_THETA)))
-    from that site alone, so no site's result depends on the others.  A site
-    with s > MAX_SQUARINGS (|A|_1 > 16) takes liecore.expm_skew instead.  The
-    work runs in blocks of liecore.SITE_BLOCK sites on site-last stacks, in
-    one workspace for the call, written into one result.
+    Each site's exponential is liecore's, from that site alone, so no site's
+    result depends on the others.  The work runs in blocks of
+    liecore.SITE_BLOCK sites on site-last stacks, in one workspace for the
+    call, written into one result.
     """
     coeffs = _smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r)
     sites, n = len(coeffs), gs.n
     sigma = np.empty((sites, n, n), dtype=complex)
-    for block, (x, x2, x3, acc, out, term) in _site_workspace(sites, *[(n, n)] * 5, (n,)):
+    for block, (x, *work) in _site_workspace(sites, *_expm_buffers(n)):
         _load_matrices(gs, coeffs[block], x)
-        norm = np.sum(np.abs(x, out=_real(acc)), axis=0).max(axis=0)
-        mantissa, exponent = np.frexp(norm / TAYLOR_THETA)
-        squarings = np.maximum(exponent - (mantissa == 0.5), 0)  # the ceil of log2, exactly
-        far = squarings > MAX_SQUARINGS
-        far_sigma = expm_skew(x[..., far].transpose(2, 0, 1))
-        squarings[far] = 0
-        # scaling by a power of two is exact; the far sites drop out as zeros
-        x *= np.where(far, 0.0, np.ldexp(1.0, -squarings))
-        power = _taylor(x, x2, x3, acc, out, term)
-        for k in range(1, squarings.max(initial=0) + 1):
-            np.copyto(power, _site_product(power, power, acc, term), where=squarings >= k)
-        sigma[block] = power.transpose(2, 0, 1)
-        sigma[block][far] = far_sigma
+        _expm_site_last(x, *work, sigma[block])
     return sigma.reshape(grid.shape + (n, n))
 
 

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import itertools
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -59,6 +61,52 @@ def site_blocks(count: int) -> list[slice]:
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [count])]
+
+
+def _site_product(x: np.ndarray, y: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """out = x y on site-last stacks, summed over the inner index in order.
+
+    x is (n, m, ...) and y is (m, k, ...); their trailing axes, the sites
+    last and contiguous, broadcast into out, (n, k, ...).  term is a buffer
+    of the shape of one row of out.  Each call multiplies whole site
+    vectors, so the per-matrix overhead that einsum and @ pay on stacks of
+    2x2 and 3x3 matrices is paid once per entry instead, and a site's
+    result does not depend on its block.
+    """
+    for i in range(len(out)):
+        np.multiply(x[i, 0], y[0], out=out[i])
+        for j in range(1, len(y)):
+            np.multiply(x[i, j], y[j], out=term)
+            out[i] += term
+    return out
+
+
+def _site_workspace(sites: int, *shapes: tuple[int, ...]) -> list[tuple[slice, list[np.ndarray]]]:
+    """The site blocks of range(sites), each with contiguous site-last
+    complex buffers of shape + (block length,), one per shape.
+
+    One allocation, sized for the longest block, backs the buffers of every
+    block, so a kernel that fills them with out= allocates nothing per block.
+    """
+    blocks = site_blocks(sites)
+    width = max((b.stop - b.start for b in blocks), default=0)
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty(sum(sizes) * width, dtype=complex)
+    starts = [width * k for k in itertools.accumulate(sizes, initial=0)]
+    workspace = []
+    for block in blocks:
+        length = block.stop - block.start
+        buffers = [
+            flat[lo : lo + size * length].reshape(shape + (length,))
+            for lo, size, shape in zip(starts, sizes, shapes)
+        ]
+        workspace.append((block, buffers))
+    return workspace
+
+
+def _real(buf: np.ndarray) -> np.ndarray:
+    """A float array of buf's shape in the first half of the contiguous buf's memory."""
+    return buf.reshape(-1).view(float)[: buf.size].reshape(buf.shape)
 
 
 class GeneratorError(ValueError):
@@ -251,29 +299,100 @@ def safe_norm(x: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(big), big * np.sqrt(np.sum(unit * unit, axis=-1)), np.inf)
 
 
-def skew_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs (w, V) of H = -iA, so that A = V diag(iw) V^dagger, for a stack
-    of skew-Hermitian A.  H is symmetrised in place, (H + H^dagger) / 2, which
-    drops any non-skew part of A; the only temporary beside H is H^dagger."""
+# exp of a skew-Hermitian matrix: Higham's scaling and squaring ("The scaling
+# and squaring method for the matrix exponential revisited", SIAM J. Matrix
+# Anal. Appl. 26, 2005) on the degree-12 Taylor polynomial, whose remainder at
+# 1-norm TAYLOR_THETA, 0.25^13 / 13!, is 2e-18.  Each squaring about doubles
+# the rounding error, so beyond MAX_SQUARINGS (a 1-norm above 16) unitarity
+# would be lost past about 1e-13; such sites are diagonalised instead.
+TAYLOR_THETA = 0.25
+MAX_SQUARINGS = 6
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
+
+
+def _add_taylor_terms(out, c, x, x2, term):
+    """out += c[0] + c[1] x + c[2] x^2 on site-last stacks, a row at a time through term."""
+    for i in range(len(out)):
+        out[i] += np.multiply(x[i], c[1], out=term)
+        out[i] += np.multiply(x2[i], c[2], out=term)
+        out[i, i] += c[0]
+
+
+def _taylor(x, x2, x3, acc, out, term):
+    """out = sum_{k <= 12} x^k / k! for a site-last stack x, by Paterson-Stockmeyer
+    in powers of x^3 in five products:
+
+        P0 + x^3 (P1 + x^3 (P2 + x^3 (P3 + x^3 / 12!))),  P_j = sum_{i < 3} x^i / (3j + i)!
+
+    x2, x3 and acc are overwritten.
+    """
+    c = _TAYLOR
+    _site_product(x, x, x2, term)
+    _site_product(x2, x, x3, term)
+    np.multiply(x3, c[12], out=acc)
+    _add_taylor_terms(acc, c[9:12], x, x2, term)
+    _add_taylor_terms(_site_product(x3, acc, out, term), c[6:9], x, x2, term)
+    _add_taylor_terms(_site_product(x3, out, acc, term), c[3:6], x, x2, term)
+    _add_taylor_terms(_site_product(x3, acc, out, term), c[0:3], x, x2, term)
+    return out
+
+
+def _expm_eigh(A: np.ndarray) -> np.ndarray:
+    """exp(A) for a stack (..., n, n) of skew-Hermitian A: V diag(e^{iw}) V^dagger from
+    the eigenpairs of H = -iA, symmetrised in place, (H + H^dagger) / 2."""
     H = -1j * np.asarray(A, dtype=complex)
     H += np.conj(np.swapaxes(H, -1, -2))
     H *= 0.5
-    return np.linalg.eigh(H)
-
-
-def exp_of_eigh(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """V diag(e^{iw}) V^dagger, the exponential of V diag(iw) V^dagger; unitary to rounding."""
+    w, V = np.linalg.eigh(H)
     return (V * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
 
+def _expm_buffers(n: int) -> list[tuple[int, ...]]:
+    """_expm_site_last's _site_workspace shapes for n x n matrices, the stack first."""
+    return [(n, n)] * 5 + [(n,)]
+
+
+def _expm_site_last(x, x2, x3, acc, power, term, dest) -> None:
+    """dest = exp(x) for a site-last stack x (n, n, sites) of skew-Hermitian
+    matrices, written site-first into dest (sites, n, n).
+
+    Each site takes the Taylor polynomial of x / 2^s squared s times, with
+    s = max(0, ceil(log2(|x|_1 / TAYLOR_THETA))) from that site alone, so no
+    site's result depends on the others; a site with s > MAX_SQUARINGS
+    (|x|_1 > 16) is diagonalised instead.  The buffers are those of
+    _expm_buffers(n); all but dest are overwritten.
+    """
+    norm = np.sum(np.abs(x, out=_real(acc)), axis=0).max(axis=0)
+    mantissa, exponent = np.frexp(norm / TAYLOR_THETA)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)  # the ceil of log2, exactly
+    far = squarings > MAX_SQUARINGS
+    far_exp = _expm_eigh(x[..., far].transpose(2, 0, 1))
+    squarings[far] = 0
+    # scaling by a power of two is exact; the far sites drop out as zeros
+    x *= np.where(far, 0.0, np.ldexp(1.0, -squarings))
+    power = _taylor(x, x2, x3, acc, power, term)
+    for k in range(1, squarings.max(initial=0) + 1):
+        np.copyto(power, _site_product(power, power, acc, term), where=squarings >= k)
+    dest[...] = power.transpose(2, 0, 1)
+    dest[far] = far_exp
+
+
 def expm_skew(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a stack (..., n, n) of skew-Hermitian matrices, from `skew_eigh`."""
-    return exp_of_eigh(*skew_eigh(A))
+    """exp(A) for a stack (..., n, n) of skew-Hermitian matrices, by
+    _expm_site_last in blocks of SITE_BLOCK matrices, in one workspace."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[-1]
+    flat = A.reshape(-1, n, n)
+    out = np.empty(flat.shape, dtype=complex)
+    for block, (x, *work) in _site_workspace(len(flat), *_expm_buffers(n)):
+        np.copyto(x, flat[block].transpose(1, 2, 0))
+        _expm_site_last(x, *work, out[block])
+    return out.reshape(A.shape)
 
 
 def exponentiate(gs: GeneratorSet, coeffs: AlgebraElement) -> np.ndarray:
-    """Group element exp(X) of X.  A GeneratorSet is skew-Hermitian to TOL_ALG
-    by construction, so the non-skew part that `expm_skew` drops is rounding."""
+    """Group element exp(X) of X, by `expm_skew`.  A GeneratorSet is skew-Hermitian
+    to TOL_ALG by construction, so exp(X) is unitary to rounding and TOL_ALG |X|."""
     return expm_skew(gs.matrix_of(coeffs))
 
 

@@ -217,11 +217,6 @@ def _subproblem(H: np.ndarray, s: np.ndarray, radius: np.ndarray, tiny: float) -
     return np.einsum("mij,mj->mi", Q, x), gain
 
 
-def _below_rounding(gain: np.ndarray, fscale: float) -> np.ndarray:
-    """Predicted gains too small to measure, at overlaps of scale fscale."""
-    return gain < GAIN_ROUNDING * fscale
-
-
 class _Climb(NamedTuple):
     """The state of a stack of sites: group elements, points and measures."""
 
@@ -250,7 +245,7 @@ def _trust_step(
         EPS * fscale,
     )
     trial = _at(frame, work, expm_skew(np.einsum("md,dij->mij", step, frame.alpha)) @ cur.U)
-    rounding = _below_rounding(gain, fscale)
+    rounding = gain < GAIN_ROUNDING * fscale  # too small to measure
     ratio = (trial.z - cur.z) / np.where(rounding, 1.0, gain)
     accept = np.where(rounding, trial.defect < cur.defect, ratio >= ACCEPT)
     at_edge = safe_norm(step) >= (1 - 1e-6) * radius

@@ -296,8 +296,9 @@ def test_derivative_covariance_small_on_smooth_data():
 
 
 # ---------------------------------------------------------------------------
-# the two routes of the transform field's exponential: Taylor with per-site
-# scaling and squaring, and expm_skew for the sites with a 1-norm above 16
+# the transform field's exponential is liecore.expm_skew, site by site: its
+# Taylor route below a 1-norm of 16 and its eigh route above (tested in
+# tests/test_liecore.py)
 
 
 PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
@@ -319,7 +320,7 @@ def test_transform_field_taylor_route_matches_expm_skew(gs):
     assert np.max(norm) <= 16.0  # every site takes the Taylor route
     sigma = smooth_transform_field(gs, PLANE128, seed=2).reshape(a.shape)
     assert np.max(_unitary_defects(sigma)) <= 1e-14
-    assert np.max(np.abs(sigma - expm_skew(a))) <= 1e-14
+    assert np.array_equal(sigma, expm_skew(a))
 
 
 def test_transform_field_far_sites_take_expm_skew():
@@ -330,27 +331,16 @@ def test_transform_field_far_sites_take_expm_skew():
     assert np.array_equal(smooth_transform_field(gs, grid, seed=4).reshape(a.shape), expm_skew(a))
 
 
-def test_transform_field_route_is_chosen_per_site(monkeypatch):
+def test_transform_field_route_is_chosen_per_site():
     gs = GeneratorSet(40 * su2_irrep(3))
     grid = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
     a, norm = _transform_route_inputs(gs, grid, seed=5)
     far = norm > 16.0
     assert 0 < np.count_nonzero(far) < len(far)  # sites on both sides of the bound
-    handed = []
-
-    def counted(mats):
-        handed.append(len(mats))
-        return expm_skew(mats)
-
-    monkeypatch.setattr(latticefields, "expm_skew", counted)
     sigma = smooth_transform_field(gs, grid, seed=5).reshape(a.shape)
-    assert sum(handed) == np.count_nonzero(far)
-    ref = expm_skew(a)
-    assert np.array_equal(sigma[far], ref[far])
-    # up to six squarings below the bound, each about doubling the rounding
-    assert not np.any(np.all(sigma[~far] == ref[~far], axis=(-1, -2)))
-    assert np.max(_unitary_defects(sigma[~far])) <= 1e-13
-    assert np.max(np.abs(sigma[~far] - ref[~far])) <= 1e-13
+    # each side alone gives the same bits as the mixed field
+    assert np.array_equal(sigma[far], expm_skew(a[far]))
+    assert np.array_equal(sigma[~far], expm_skew(a[~far]))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +390,7 @@ def test_unrolled_matmul_matches_einsum(n):
         ref = _unrolled_matmul(x, y)
         out = np.empty(_site_last(ref).shape, dtype=complex)
         term = np.empty(out.shape[1:], dtype=complex)
-        assert np.array_equal(latticefields._site_product(_site_last(x), _site_last(y), out, term), _site_last(ref))
+        assert np.array_equal(liecore._site_product(_site_last(x), _site_last(y), out, term), _site_last(ref))
         return ref
 
     x, y = cplx(20, n, n), cplx(20, n, n)

@@ -87,6 +87,22 @@ def test_expm_skew_matches_scipy():
         np.testing.assert_allclose(U[idx], scipy.linalg.expm(stack[idx]), rtol=0, atol=1e-13)
 
 
+def test_expm_skew_takes_eigh_only_past_a_one_norm_of_16():
+    # 1-norms from about 0.05 to 60: every squaring count, and sites past the bound
+    rng = np.random.default_rng(31)
+    coeffs = rng.normal(size=(400, 3)) * np.logspace(-3, 0, 400)[:, None]
+    stack = np.einsum("mr,rij->mij", coeffs, 40 * su2_irrep(3))
+    far = np.abs(stack).sum(axis=-2).max(axis=-1) > 16.0
+    assert 0 < np.count_nonzero(far) < len(far)
+    U, ref = expm_skew(stack), liecore._expm_eigh(stack)
+    assert np.array_equal(U[far], ref[far])
+    # below the bound: Taylor with up to six squarings, each about doubling the rounding
+    near, ref = U[~far], ref[~far]
+    assert not np.any(np.all(near == ref, axis=(-1, -2)))
+    assert np.max(np.abs(near - ref)) <= 1e-13
+    assert np.max(np.abs(near @ near.conj().swapaxes(-1, -2) - np.eye(3))) <= 1e-13
+
+
 def test_structure_constants_su2_block():
     c = EW.structure_constants()
     # [b_1, b_2] = -g b_3 and cyclic; the u(1) generator commutes with everything
