@@ -18,6 +18,7 @@ values with zero imaginary parts; transform (*shape, n, n).
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -101,10 +102,12 @@ def read_field(path) -> tuple[Grid, str, np.ndarray]:
     kind = _KINDS[kind_idx]
     grid = Grid(dim=dim, shape=shape, spacing=h, metric=_METRICS[metric_idx])
     expected = _payload_shape(kind, grid, n, r)
-    count = int(np.prod(expected))
+    # Python ints, so that no header's count wraps
+    count = math.prod(expected)
     if len(blob) - off != 16 * count:
         raise GridFileError(
-            f"payload holds {(len(blob) - off) // 16} entries, header implies {count}"
+            f"payload holds {(len(blob) - off) // 16} entries, but header extents {grid.shape} "
+            f"with {math.prod(expected[dim:])} per site imply {count}"
         )
     field = np.frombuffer(blob, dtype="<c16", count=count, offset=off).reshape(expected)
     if kind == "gauge":

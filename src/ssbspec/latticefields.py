@@ -16,6 +16,7 @@ so a site's result does not depend on its block.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -97,7 +98,7 @@ class Grid(namedtuple("Grid", "dim shape spacing metric")):
 
     @property
     def site_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def volume_element(self) -> float:

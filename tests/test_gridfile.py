@@ -83,6 +83,12 @@ def test_payload_length_mismatch(tmp_path):
         read_field(path)
 
 
+def _unitary_gauge_on(path) -> tuple[int, str]:
+    out = io.StringIO()
+    code = main(["unitary-gauge", "--model", "models/electroweak.model", "--field", str(path)], stdout=out)
+    return code, out.getvalue()
+
+
 def test_infinite_spacing_exits_2_through_the_cli(tmp_path):
     # the header carries the spacing; patch a finite one to inf
     path = tmp_path / "x.field"
@@ -90,7 +96,46 @@ def test_infinite_spacing_exits_2_through_the_cli(tmp_path):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<d", blob, len(MAGIC) + 8 + 4 * GRID.dim, float("inf"))
     path.write_bytes(bytes(blob))
-    out = io.StringIO()
-    code = main(["unitary-gauge", "--model", "models/electroweak.model", "--field", str(path)], stdout=out)
-    assert code == 2
-    assert out.getvalue() == "error: spacing must be finite and positive, got inf\n"
+    assert _unitary_gauge_on(path) == (2, "error: spacing must be finite and positive, got inf\n")
+
+
+def _header(kind=0, dim=2, shape=(4, 4), metric=0, n=2) -> bytes:
+    """A grid-file header with no payload after it."""
+    extents = struct.pack(f"<{len(shape)}I", *shape)
+    return MAGIC + struct.pack("<II", kind, dim) + extents + struct.pack("<dIII", 0.25, metric, n, 0)
+
+
+@pytest.mark.parametrize(
+    "header, line",
+    [
+        (_header(kind=3), "unknown field kind index 3"),
+        (_header(dim=17, shape=()), "implausible grid dimension 17"),
+        (_header(metric=2), "unknown metric index 2"),
+        # int64 counts of these headers wrapped: to 0, which an empty payload
+        # matched, and to a negative count
+        (
+            _header(dim=4, shape=(2**16,) * 4),
+            "payload holds 0 entries, but header extents (65536, 65536, 65536, 65536) "
+            f"with 2 per site imply {2 * 2**64}",
+        ),
+        (
+            _header(dim=4, shape=(2**32 - 1,) * 4),
+            "payload holds 0 entries, but header extents (4294967295, 4294967295, 4294967295, 4294967295) "
+            f"with 2 per site imply {2 * (2**32 - 1) ** 4}",
+        ),
+    ],
+    ids=["kind", "dimension", "metric", "count-wraps-to-zero", "count-wraps-negative"],
+)
+def test_bad_header_exits_2_through_the_cli(tmp_path, header, line):
+    path = tmp_path / "x.field"
+    path.write_bytes(header)
+    assert _unitary_gauge_on(path) == (2, f"error: {line}\n")
+
+
+def test_gauge_payload_with_imaginary_parts_exits_2_through_the_cli(tmp_path):
+    path = tmp_path / "a.field"
+    write_field(path, GRID, "gauge", smooth_gauge_field(GRID, 4, seed=2))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, len(blob) - 8, 0.5)  # the last entry's imaginary part
+    path.write_bytes(bytes(blob))
+    assert _unitary_gauge_on(path) == (2, "error: gauge payload must have zero imaginary parts\n")
