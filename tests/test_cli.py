@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ssbspec
-from ssbspec import cli, modelfile
+from ssbspec import cli, latticefields, modelfile
 from ssbspec.cli import main
 from ssbspec.gridfile import read_field, write_field
 from ssbspec.latticefields import Grid, smooth_multiplet_field
@@ -262,6 +262,56 @@ def test_gauge_check_defaults_to_grid_16_refine_2():
     assert code == 0
     report = parse_document(text)["report"]
     assert (report["grid"], report["refine"]) == (16, 2)
+
+
+def test_gauge_check_judges_the_asymptotic_range():
+    # the coarsest pair's strength order, 1.896, failed the band; the
+    # distance from 2 then shrinks by 3.9 to the finest pair's 1.974
+    code, text = run("gauge-check", "--seed", "1991591921", "--format", "machine")
+    assert code == 0
+    doc = parse_document(text)
+    assert doc["strength"]["orders"][0] < cli.ORDER_BAND[0] <= doc["strength"]["orders"][1]
+    assert doc["result"]["orders_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "orders, ok",
+    [
+        ((1.95,), True),
+        ((1.896,), False),  # one pair: the band alone
+        ((1.896, 1.974), True),
+        ((1.95, 1.974), False),  # the distance from 2 shrinks by less than 2
+        ((2.1, 1.96), True),
+        ((1.9, 1.97, 1.99), True),
+        ((1.9, 1.97, 1.98), False),  # the last pair's shrink is 1.5
+        ((1.0, 1.0), False),  # first order
+        ((1.9, float("nan")), False),
+    ],
+)
+def test_orders_pass(orders, ok):
+    assert cli.orders_pass(orders) is ok
+
+
+def test_gauge_check_fails_a_first_order_scheme(monkeypatch):
+    # a stand-in whose defects halve with h, as a first-order difference's would
+    first_order = latticefields.OrderMeasurement((0.4, 0.2, 0.1))
+    monkeypatch.setattr(cli, "convergence_orders", lambda *args, **kwargs: (first_order, first_order))
+    code, text = run("gauge-check", "--format", "machine")
+    assert code == 1
+    assert parse_document(text)["result"]["orders_pass"] is False
+
+
+def test_gauge_check_fails_a_non_covariant_transform(monkeypatch):
+    # matter moves with sigma but the gauge field stays put: the defects no longer shrink
+    def unmoved(gs, grid, sigma, a, tol_proj=None):
+        return latticefields.TransformedGauge(coefficients=a, projection_defect=0.0)
+
+    monkeypatch.setattr(latticefields, "gauge_transform_gauge", unmoved)
+    code, text = run("gauge-check", "--format", "machine")
+    assert code == 1
+    doc = parse_document(text)
+    assert doc["result"]["orders_pass"] is False
+    assert doc["result"]["invariance_pass"] is True
 
 
 def _field_file(tmp: pathlib.Path, kind: str, field: np.ndarray) -> str:
