@@ -48,7 +48,7 @@ def main():
     print()
     print(f"goldstone modes  {result.goldstone_count}")
     ops = charge_operators(model.generators, p)
-    print(f"charge diagonal  {np.diag(ops.charge).real.tolist()}  (neutrino, electron-partner)")
+    print(f"charge diagonal  {np.diag(ops.charge).real.tolist()}  (φ⁺, φ⁰)")
     ratio = closed.w / closed.z
     print(f"m_W / m_Z        {ratio:.12g} = cos(theta_W) = {math.cos(weinberg_angle(p)):.12g}")
 

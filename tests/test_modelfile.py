@@ -1,4 +1,5 @@
 """Document dialect and model assembly tests."""
+import io
 import pathlib
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssbspec.breaking import spectrum
+from ssbspec.cli import main
 from ssbspec.electroweak import ElectroweakParams, build_model
 from ssbspec.modelfile import (
     _KEYS,
@@ -392,6 +394,35 @@ def test_yukawa_dimension_mismatch():
     )
     with pytest.raises(ModelFileError, match="does not match slot dimensions"):
         parse_model_file(bad)
+
+
+@pytest.mark.parametrize(
+    "tail, command, line",
+    [
+        (
+            "\n[representations]\nsinglet = [[[0.0, 1.0]]]\n",
+            "validate",
+            "line 12 [representations]: singlet: expected (1, dim, dim) generator stack, got (1, 1)",
+        ),
+        (
+            "\n[representations]\nsinglet = [[[[0.0, 1.0]]], [[[0.0, 1.0]]]]\n",
+            "validate",
+            "line 12 [representations]: singlet: expected (1, dim, dim) generator stack, got (2, 1, 1)",
+        ),
+        (
+            SINGLET_TAIL.replace('["singlet", "higgs"', '["lepton", "higgs"'),
+            "yukawa",
+            "line 15 [yukawa]: unknown representation 'lepton'",
+        ),
+    ],
+    ids=["representation-not-a-stack", "representation-count", "yukawa-unknown-slot"],
+)
+def test_section_issue_exits_2_at_its_key_line(tmp_path, tail, command, line):
+    path = tmp_path / "bad.model"
+    path.write_text(MINIMAL + tail)
+    out = io.StringIO()
+    assert main([command, "--model", str(path)], stdout=out) == 2
+    assert out.getvalue() == f"error: {line}\n"
 
 
 def test_readme_tables_list_every_key():
