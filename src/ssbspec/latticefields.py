@@ -25,7 +25,7 @@ import numpy as np
 from .breaking import SpectrumResult
 from .higgsmodel import HiggsModel
 from .liecore import TOL_ALG, TOL_RANK, GeneratorSet, realify, unrealify
-from .liecore import _expm_buffers, _expm_site_last, _real, _site_product, _site_workspace
+from .liecore import _expm_skew_into, _real, _site_product, _site_workspace
 
 __all__ = [
     "ExpansionCheck",
@@ -111,7 +111,12 @@ class Grid(namedtuple("Grid", "dim shape spacing metric")):
 
     def refined(self, factor: int) -> "Grid":
         """Same physical box, factor times the resolution."""
-        return Grid(self.dim, tuple(m * factor for m in self.shape), self.spacing / factor, self.metric)
+        return Grid(
+            dim=self.dim,
+            shape=tuple(m * factor for m in self.shape),
+            spacing=self.spacing / factor,
+            metric=self.metric,
+        )
 
 
 def _check_grid_axes(grid: Grid, field: np.ndarray, trailing: int, what: str):
@@ -417,12 +422,9 @@ def smooth_transform_field(
     call, written into one result.
     """
     coeffs = _smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r)
-    sites, n = len(coeffs), gs.n
-    sigma = np.empty((sites, n, n), dtype=complex)
-    for block, (x, *work) in _site_workspace(sites, *_expm_buffers(n)):
-        _load_matrices(gs, coeffs[block], x)
-        _expm_site_last(x, *work, sigma[block])
-    return sigma.reshape(grid.shape + (n, n))
+    sigma = np.empty((len(coeffs), gs.n, gs.n), dtype=complex)
+    _expm_skew_into(sigma, lambda block, x: _load_matrices(gs, coeffs[block], x))
+    return sigma.reshape(grid.shape + (gs.n, gs.n))
 
 
 # ---------------------------------------------------------------------------

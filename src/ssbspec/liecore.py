@@ -347,47 +347,41 @@ def _expm_eigh(A: np.ndarray) -> np.ndarray:
     return (V * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
 
 
-def _expm_buffers(n: int) -> list[tuple[int, ...]]:
-    """_expm_site_last's _site_workspace shapes for n x n matrices, the stack first."""
-    return [(n, n)] * 5 + [(n,)]
+def _expm_skew_into(dest: np.ndarray, load) -> np.ndarray:
+    """dest (sites, n, n) = exp(A) for a stack of skew-Hermitian A, which
+    load(block, x) writes site-last into x, (n, n, block length), for each
+    block of SITE_BLOCK sites in turn; one workspace serves the call.
 
-
-def _expm_site_last(x, x2, x3, acc, power, term, dest) -> None:
-    """dest = exp(x) for a site-last stack x (n, n, sites) of skew-Hermitian
-    matrices, written site-first into dest (sites, n, n).
-
-    Each site takes the Taylor polynomial of x / 2^s squared s times, with
-    s = max(0, ceil(log2(|x|_1 / TAYLOR_THETA))) from that site alone, so no
-    site's result depends on the others; a site with s > MAX_SQUARINGS
-    (|x|_1 > 16) is diagonalised instead.  The buffers are those of
-    _expm_buffers(n); all but dest are overwritten.
+    Each site takes the Taylor polynomial of A / 2^s squared s times, with
+    s = max(0, ceil(log2(|A|_1 / TAYLOR_THETA))) from that site alone, so no
+    site's result depends on the others or on its block; a site with
+    s > MAX_SQUARINGS (|A|_1 > 16) is diagonalised instead.
     """
-    norm = np.sum(np.abs(x, out=_real(acc)), axis=0).max(axis=0)
-    mantissa, exponent = np.frexp(norm / TAYLOR_THETA)
-    squarings = np.maximum(exponent - (mantissa == 0.5), 0)  # the ceil of log2, exactly
-    far = squarings > MAX_SQUARINGS
-    far_exp = _expm_eigh(x[..., far].transpose(2, 0, 1))
-    squarings[far] = 0
-    # scaling by a power of two is exact; the far sites drop out as zeros
-    x *= np.where(far, 0.0, np.ldexp(1.0, -squarings))
-    power = _taylor(x, x2, x3, acc, power, term)
-    for k in range(1, squarings.max(initial=0) + 1):
-        np.copyto(power, _site_product(power, power, acc, term), where=squarings >= k)
-    dest[...] = power.transpose(2, 0, 1)
-    dest[far] = far_exp
+    n = dest.shape[-1]
+    for block, (x, x2, x3, acc, power, term) in _site_workspace(len(dest), *[(n, n)] * 5, (n,)):
+        load(block, x)
+        norm = np.sum(np.abs(x, out=_real(acc)), axis=0).max(axis=0)
+        mantissa, exponent = np.frexp(norm / TAYLOR_THETA)
+        squarings = np.maximum(exponent - (mantissa == 0.5), 0)  # the ceil of log2, exactly
+        far = squarings > MAX_SQUARINGS
+        far_exp = _expm_eigh(x[..., far].transpose(2, 0, 1))
+        squarings[far] = 0
+        # scaling by a power of two is exact; the far sites drop out as zeros
+        x *= np.where(far, 0.0, np.ldexp(1.0, -squarings))
+        power = _taylor(x, x2, x3, acc, power, term)
+        for k in range(1, squarings.max(initial=0) + 1):
+            np.copyto(power, _site_product(power, power, acc, term), where=squarings >= k)
+        dest[block] = power.transpose(2, 0, 1)
+        dest[block][far] = far_exp
+    return dest
 
 
 def expm_skew(A: np.ndarray) -> np.ndarray:
-    """exp(A) for a stack (..., n, n) of skew-Hermitian matrices, by
-    _expm_site_last in blocks of SITE_BLOCK matrices, in one workspace."""
+    """exp(A) for a stack (..., n, n) of skew-Hermitian matrices (see _expm_skew_into)."""
     A = np.asarray(A, dtype=complex)
-    n = A.shape[-1]
-    flat = A.reshape(-1, n, n)
+    flat = A.reshape((-1,) + A.shape[-2:])
     out = np.empty(flat.shape, dtype=complex)
-    for block, (x, *work) in _site_workspace(len(flat), *_expm_buffers(n)):
-        np.copyto(x, flat[block].transpose(1, 2, 0))
-        _expm_site_last(x, *work, out[block])
-    return out.reshape(A.shape)
+    return _expm_skew_into(out, lambda block, x: np.copyto(x, flat[block].transpose(1, 2, 0))).reshape(A.shape)
 
 
 def exponentiate(gs: GeneratorSet, coeffs: AlgebraElement) -> np.ndarray:
