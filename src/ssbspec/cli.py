@@ -64,15 +64,10 @@ ORDER_BAND = (1.9, 2.1)
 
 
 def orders_pass(orders: tuple[float, ...]) -> bool:
-    """Do measured orders show a second-order scheme in its asymptotic range?
-
-    The finest pair's order must lie in ORDER_BAND, and over several pairs
-    each pair's distance from 2 must be at most half the coarser pair's:
-    Roache's asymptotic-range check ("Quantification of uncertainty in
-    computational fluid dynamics", Annu. Rev. Fluid Mech. 29, 1997), since
-    the h^2 correction of a second-order scheme shrinks that distance by
-    about 4 per halving.
-    """
+    """The finest pair's order lies in ORDER_BAND and each pair's distance from 2
+    is at most half the coarser pair's: Roache's asymptotic-range check (Annu.
+    Rev. Fluid Mech. 29, 1997).  A second-order scheme's h^2 correction shrinks
+    that distance about 4-fold per halving."""
     lo, hi = ORDER_BAND
     gaps = [abs(order - 2.0) for order in orders]
     return lo <= orders[-1] <= hi and all(2.0 * fine <= coarse for coarse, fine in zip(gaps, gaps[1:]))

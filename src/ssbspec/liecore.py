@@ -179,13 +179,14 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         return float(np.max(np.abs(self.matrices)))
 
     def matrix_of(self, coeffs: AlgebraElement) -> np.ndarray:
-        """The n x n matrix of the element with the given real coefficients."""
+        """The n x n matrices (..., n, n) of the elements with the given real
+        coefficients (..., r)."""
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (self.r,):
+        if c.shape[-1:] != (self.r,):
             raise GeneratorError(
-                f"coefficient vector must have shape ({self.r},), got {c.shape}"
+                f"coefficient vectors must have shape (..., {self.r}), got {c.shape}"
             )
-        return np.einsum("r,rij->ij", c, self.matrices)
+        return np.einsum("...r,rij->...ij", c, self.matrices)
 
     def gram(self) -> np.ndarray:
         """Real Frobenius Gram matrix of the basis matrices."""
@@ -385,8 +386,9 @@ def expm_skew(A: np.ndarray) -> np.ndarray:
 
 
 def exponentiate(gs: GeneratorSet, coeffs: AlgebraElement) -> np.ndarray:
-    """Group element exp(X) of X, by `expm_skew`.  A GeneratorSet is skew-Hermitian
-    to TOL_ALG by construction, so exp(X) is unitary to rounding and TOL_ALG |X|."""
+    """Group elements exp(X) of the elements with coefficients (..., r), by `expm_skew`.
+    A GeneratorSet is skew-Hermitian to TOL_ALG by construction, so exp(X) is
+    unitary to rounding and TOL_ALG |X|."""
     return expm_skew(gs.matrix_of(coeffs))
 
 
