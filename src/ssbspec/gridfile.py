@@ -19,6 +19,7 @@ values with zero imaginary parts; transform (*shape, n, n).
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = ["GridFileError", "read_field", "write_field"]
 MAGIC = b"SSBGRID\x01"
 _KINDS = ("multiplet", "gauge", "transform")
 _METRICS = ("euclidean", "lorentzian")
+# the longest header: 16 extents
+_HEADER_MAX = len(MAGIC) + struct.calcsize("<II16IdIII")
 
 
 class GridFileError(ValueError):
@@ -75,43 +78,48 @@ def write_field(path, grid: Grid, kind: str, field: np.ndarray) -> None:
 
 
 def read_field(path) -> tuple[Grid, str, np.ndarray]:
+    """The grid, kind and field of a grid file.  The header is checked against
+    the file's size before the payload is read, so a wrong size allocates
+    nothing."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
-        raise GridFileError("not a grid field file (bad magic)")
-    off = len(MAGIC)
+        blob = fh.read(_HEADER_MAX)
+        if not blob.startswith(MAGIC):
+            raise GridFileError("not a grid field file (bad magic)")
+        off = len(MAGIC)
 
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise GridFileError("truncated header")
-        out = struct.unpack_from(fmt, blob, off)
-        off += size
-        return out
+        def take(fmt):
+            nonlocal off
+            size = struct.calcsize(fmt)
+            if off + size > len(blob):
+                raise GridFileError("truncated header")
+            out = struct.unpack_from(fmt, blob, off)
+            off += size
+            return out
 
-    kind_idx, dim = take("<II")
-    if kind_idx >= len(_KINDS):
-        raise GridFileError(f"unknown field kind index {kind_idx}")
-    if not 1 <= dim <= 16:
-        raise GridFileError(f"implausible grid dimension {dim}")
-    shape = take(f"<{dim}I")
-    h, metric_idx, n, r = take("<dIII")
-    if metric_idx >= len(_METRICS):
-        raise GridFileError(f"unknown metric index {metric_idx}")
-    kind = _KINDS[kind_idx]
-    grid = Grid(dim=dim, shape=shape, spacing=h, metric=_METRICS[metric_idx])
-    expected = _payload_shape(kind, grid, n, r)
-    # Python ints, so that no header's count wraps
-    count = math.prod(expected)
-    if len(blob) - off != 16 * count:
-        raise GridFileError(
-            f"payload holds {(len(blob) - off) // 16} entries, but header extents {grid.shape} "
-            f"with {math.prod(expected[dim:])} per site imply {count}"
-        )
-    field = np.frombuffer(blob, dtype="<c16", count=count, offset=off).reshape(expected)
+        kind_idx, dim = take("<II")
+        if kind_idx >= len(_KINDS):
+            raise GridFileError(f"unknown field kind index {kind_idx}")
+        if not 1 <= dim <= 16:
+            raise GridFileError(f"implausible grid dimension {dim}")
+        shape = take(f"<{dim}I")
+        h, metric_idx, n, r = take("<dIII")
+        if metric_idx >= len(_METRICS):
+            raise GridFileError(f"unknown metric index {metric_idx}")
+        kind = _KINDS[kind_idx]
+        grid = Grid(dim=dim, shape=shape, spacing=h, metric=_METRICS[metric_idx])
+        expected = _payload_shape(kind, grid, n, r)
+        # Python ints, so that no header's count wraps
+        count = math.prod(expected)
+        have = os.fstat(fh.fileno()).st_size - off
+        if have != 16 * count:
+            raise GridFileError(
+                f"payload holds {have // 16} entries, but header extents {grid.shape} "
+                f"with {math.prod(expected[dim:])} per site imply {count}"
+            )
+        fh.seek(off)
+        field = np.fromfile(fh, dtype="<c16", count=count).reshape(expected)
     if kind == "gauge":
         if np.any(field.imag):
             raise GridFileError("gauge payload must have zero imaginary parts")
         return grid, kind, field.real.copy()
-    return grid, kind, field.copy()
+    return grid, kind, field
