@@ -178,6 +178,8 @@ def test_exponential_inverts(coeffs):
     U = exponentiate(EW, coeffs)
     Uinv = exponentiate(EW, -coeffs)
     np.testing.assert_allclose(U @ Uinv, np.eye(2), atol=1e-12)
+    # a stack of coefficient vectors exponentiates each one, bit for bit
+    assert np.array_equal(exponentiate(EW, np.stack([coeffs, -coeffs])), [U, Uinv])
 
 
 @settings(max_examples=50, deadline=None)
