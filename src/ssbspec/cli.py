@@ -444,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp, _cmd_validate, tol=1e-8)
 
     sp = sub.add_parser("unitary-gauge", help="canonical gauge slice over a grid field")
-    _add_common(sp, _cmd_unitary_gauge, tol=1e-10)
+    _add_common(sp, _cmd_unitary_gauge, tol=UnitaryGaugeConfig().tol)
     sp.add_argument("--field", default=None, help="input multiplet field file")
     sp.add_argument("--out", default=None, help="output field file")
 

@@ -52,11 +52,16 @@ class QuarticPotential(namedtuple("QuarticPotential", "mu lam")):
             raise PotentialError(
                 f"quartic potential needs finite mu and lambda > 0, got mu={mu}, lambda={lam}"
             )
-        # the squared vacuum radius and the Hessian's scale; Python floats
-        # overflow to inf without a warning
-        if not (math.isfinite(float(mu) / (2.0 * float(lam))) and math.isfinite(2.0 * float(mu))):
+        # the squared vacuum radius, the Hessian's scale and HiggsModel's bound
+        # TOL_VAC 2 mu (1 + |v|) on the vacuum gradient, which rounds to about
+        # eps mu |v|: where that bound overflows no gradient could fail it.
+        # Python floats overflow to inf without a warning
+        radius2 = float(mu) / (2.0 * float(lam))
+        bound = TOL_VAC * (2.0 * abs(float(mu))) * (1.0 + math.sqrt(max(radius2, 0.0)))
+        if not (math.isfinite(radius2) and math.isfinite(bound)):
             raise PotentialError(
-                f"quartic potential overflows: mu/(2 lambda) or 2 mu is not finite at mu={mu}, lambda={lam}"
+                "quartic potential overflows: mu/(2 lambda), 2 mu or the vacuum gradient's bound "
+                f"TOL_VAC 2 mu (1 + |v|) is not finite at mu={mu}, lambda={lam}"
             )
         return super().__new__(cls, mu, lam)
 
@@ -98,13 +103,16 @@ class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
                     f"vacuum must have shape ({generators.n},), got {vacuum.shape}"
                 )
             vacuum.setflags(write=False)
-            grad = potential.gradient(vacuum)
-            hess = potential.hessian(vacuum)
+            with np.errstate(over="ignore", invalid="ignore"):  # a vector too long to square fails below
+                grad = potential.gradient(vacuum)
+                hess = potential.hessian(vacuum)
             # the Hessian scales as mu and the gradient as mu |v|, so both
-            # checks are relative and hold at any mu and lambda
+            # checks are relative and hold at any mu and lambda; the bound is
+            # finite at the potential's own vacuum, and where it overflows
+            # off that sphere the gradient does too
             curvature = float(np.max(np.abs(hess)))
             slope = float(safe_norm(grad))
-            if slope > TOL_VAC * curvature * (1.0 + float(safe_norm(realify(vacuum)))):
+            if not slope <= TOL_VAC * curvature * (1.0 + float(safe_norm(realify(vacuum)))) < math.inf:
                 raise NotAVacuumError(f"gradient norm {slope:.3e} at the supplied vacuum")
             lo = float(np.linalg.eigvalsh(hess).min())
             if lo < -TOL_VAC * curvature:

@@ -40,7 +40,6 @@ __all__ = [
     "covariance_defects",
     "covariant_derivative",
     "field_strength",
-    "gauge_matrices",
     "gauge_transform_gauge",
     "gauge_transform_matter",
     "higgs_density",
@@ -152,10 +151,10 @@ def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
 
 
 def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray):
-    """dest = gauge_matrices(gs, coeffs) with the sites moved last.
+    """dest = gs.matrix_of(coeffs) with the sites moved last.
 
     coeffs is (sites, ..., r) and dest a contiguous (n, n, ..., sites).  The
-    matmul is gauge_matrices' transposed: the same products of each site,
+    matmul is matrix_of's transposed: the same products of each site,
     which BLAS sums in the same order.
     """
     np.matmul(
@@ -186,12 +185,6 @@ def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
         np.copyto(v[:, 0], flat_psi[block].T)
         np.copyto(flat_out[block], _site_product(s, v, moved, term)[:, 0].T)
     return out
-
-
-def gauge_matrices(gs: GeneratorSet, a: np.ndarray) -> np.ndarray:
-    """Coefficient field (..., r) to matrix field (..., n, n)."""
-    a = np.asarray(a, dtype=float)
-    return (a.reshape(-1, gs.r) @ gs.matrices.reshape(gs.r, -1)).reshape(a.shape[:-1] + (gs.n, gs.n))
 
 
 class TransformedGauge(NamedTuple):

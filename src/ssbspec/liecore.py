@@ -180,13 +180,15 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
 
     def matrix_of(self, coeffs: AlgebraElement) -> np.ndarray:
         """The n x n matrices (..., n, n) of the elements with the given real
-        coefficients (..., r)."""
+        coefficients (..., r): one matmul of the coefficient rows with the
+        flattened basis."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape[-1:] != (self.r,):
             raise GeneratorError(
                 f"coefficient vectors must have shape (..., {self.r}), got {c.shape}"
             )
-        return np.einsum("...r,rij->...ij", c, self.matrices)
+        flat = c.reshape(-1, self.r) @ self.matrices.reshape(self.r, -1)
+        return flat.reshape(c.shape[:-1] + (self.n, self.n))
 
     def gram(self) -> np.ndarray:
         """Real Frobenius Gram matrix of the basis matrices."""

@@ -101,27 +101,27 @@ def _build_frame(gs: GeneratorSet, v0: np.ndarray, _unused: object = None) -> _F
     # the third argument is ignored; perfbench/test_perfbench.py still passes one
     v0 = np.asarray(v0, dtype=complex)
     of = orbit_frame(gs, v0)
-    broken, orbit = of.vt[: of.rank], of.u[:, : of.rank].T
-    alpha = np.einsum("dr,rij->dij", broken, gs.matrices)
+    alpha = gs.matrix_of(of.vt[: of.rank])
     anorm = max((np.linalg.norm(a, 2) for a in alpha), default=0.0)
     trust = np.pi / (2.0 * anorm) if anorm > 0 else 1.0
     av0 = alpha @ v0
     pair = np.einsum("aij,bj->abi", alpha, av0)
-    return _Frame(orbit=orbit, alpha=alpha, av0=av0, pair=pair, v0=v0, trust=trust)
+    return _Frame(orbit=of.u[:, : of.rank].T, alpha=alpha, av0=av0, pair=pair, v0=v0, trust=trust)
 
 
 def goldstone_vanish_check(
     gs: GeneratorSet,
     v0: np.ndarray,
     phi: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = UnitaryGaugeConfig().tol,
 ) -> "GoldstoneCheck":
     """Do the orbit-tangent coordinates of phi - v0 vanish?
 
     Equivalent to the fiber derivative vanishing along broken directions.
     """
-    frame = _build_frame(gs, v0)
-    xi = np.sqrt(2.0) * frame.orbit @ realify(np.asarray(phi, dtype=complex) - frame.v0)
+    of = orbit_frame(gs, v0)
+    shift = np.asarray(phi, dtype=complex) - np.asarray(v0, dtype=complex)
+    xi = np.sqrt(2.0) * of.u[:, : of.rank].T @ realify(shift)
     defect = float(np.max(np.abs(xi))) if xi.size else 0.0
     return GoldstoneCheck(ok=defect < tol, defect=defect, xi=xi)
 
@@ -138,13 +138,6 @@ class GaugePointResult(NamedTuple):
     goldstone_defect: float
     overlap: complex  # <v0, point>
     iterations: int
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, summed as np.linalg.norm sums one
-    vector, so a stack of one rounds as the scalar code did."""
-    real, imag = x.real[..., None, :], x.imag[..., None, :]
-    return np.sqrt((real @ np.swapaxes(real, -1, -2) + imag @ np.swapaxes(imag, -1, -2))[..., 0, 0])
 
 
 def _defect_of(frame: _Frame, psi: np.ndarray) -> np.ndarray:
@@ -254,19 +247,6 @@ def _trust_step(
     return accept, trial, radius
 
 
-def _site_norms(phi: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
-    """|phi| per site of a stack (m, n); a zero or non-finite norm raises
-    DegeneratePointError, prefixed by where(k) for the first such site k."""
-    pnrm = _norms(phi)
-    bad = np.flatnonzero(~(np.isfinite(pnrm) & (pnrm > 0)))
-    if bad.size:
-        k = int(bad[0])
-        raise DegeneratePointError(
-            f"{where(k)}field value has norm {pnrm[k]}; it must be finite and nonzero"
-        )
-    return pnrm
-
-
 def _solve_stack(
     frame: _Frame,
     phi: np.ndarray,
@@ -330,18 +310,15 @@ def solve_unitary_gauge_point(
     tol), reached by climbing that overlap from U = I: for the doublet the
     one with Re <v0, point> maximal.  Where the slice meets an orbit at
     several such points (larger representations) the one reached depends
-    only on the value.  This is the field solver run on a stack of one site.
+    only on the value.  The value is solved as a field of one site, shape (n,).
     """
-    phi = np.asarray(phi, dtype=complex)[None]
-    pnrm = _site_norms(phi, lambda k: "")
-    frame = _build_frame(gs, v0)
-    U, point, defect, iterations = _solve_stack(frame, phi, pnrm, config, lambda k: "")
+    res = apply_unitary_gauge_field(gs, v0, phi, config)
     return GaugePointResult(
-        transform=U[0],
-        point=point[0],
-        goldstone_defect=float(defect[0]),
-        overlap=complex(np.vdot(frame.v0, point[0])),
-        iterations=int(iterations[0]),
+        transform=res.transforms,
+        point=res.transformed,
+        goldstone_defect=float(res.defects),
+        overlap=complex(np.vdot(v0, res.transformed)),
+        iterations=int(res.iterations),
     )
 
 
@@ -377,9 +354,14 @@ def apply_unitary_gauge_field(
     flat = field.reshape(-1, gs.n)
 
     def site(k: int) -> str:
-        return f"site {tuple(int(i) for i in np.unravel_index(k, shape))}: "
+        return f"site {tuple(int(i) for i in np.unravel_index(k, shape))}: " if shape else ""
 
-    pnrm = _site_norms(flat, site)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite is refused below
+        pnrm = np.linalg.norm(flat, axis=-1)
+    bad = np.flatnonzero(~(np.isfinite(pnrm) & (pnrm > 0)))
+    if bad.size:
+        k = int(bad[0])
+        raise DegeneratePointError(f"{site(k)}field value has norm {pnrm[k]}; it must be finite and nonzero")
     frame = _build_frame(gs, v0)
     m, n = flat.shape
     transforms = np.empty((m, n, n), dtype=complex)

@@ -9,6 +9,7 @@ i q_1, i q_2 intertwine iff q_1 = q_2.
 import numpy as np
 import pytest
 
+from ssbspec import chiral
 from ssbspec.chiral import (
     RepresentationError,
     TripleProduct,
@@ -163,3 +164,17 @@ def test_frozen_scalar_slot_must_match_its_dimension(mass):
     # fermion_mass_after_breaking once ended in numpy's bare broadcast error
     with pytest.raises(RepresentationError, match=r"^scalar slot expects a vector of length 2$"):
         mass(electroweak_yukawa_tensor(), np.ones(3, dtype=complex), 0.5)
+
+
+def test_conjugated_scalar_slot_freezes_at_the_conjugate_vacuum():
+    # tau(a, b, c) = conj(a) (b_0 + i b_1) c: at v0 = (1, i) a linear scalar
+    # slot gives 1 + i i = 0, a conjugate-linear one 1 + i (-i) = 2
+    tensor = np.array([[[1.0], [1j]]])
+    v0 = np.array([1.0, 1j])
+    linear = TripleProduct(tensor, (True, False, False))
+    conjugate = TripleProduct(tensor, (True, True, False))
+    assert fermion_mass_matrix(linear, v0, g_y=0.5)[0, 0] == 0.0
+    assert fermion_mass_matrix(conjugate, v0, g_y=0.5)[0, 0] == 1.0
+    assert fermion_mass_after_breaking(conjugate, v0, g_y=0.5) == 1.0
+    for tau in (linear, conjugate):
+        assert chiral._frozen_coupling(tau, v0, 0.5)[0, 0] == 0.5 * tau.contract([1.0], v0, [1.0])

@@ -9,6 +9,7 @@ ranges, so no example asks for a large grid.
 import contextlib
 import io
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssbspec.cli import main
-from ssbspec.gridfile import write_field
+from ssbspec.gridfile import MAGIC, write_field
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 
 MODELS = [pathlib.Path("models/electroweak.model"), pathlib.Path("tests/goldens/spin1.model")]
@@ -174,4 +175,67 @@ def test_unitary_gauge_flag_values_exit_cleanly(field_files, scratch, data):
         )
     )
     argv = ["unitary-gauge"] + tail
+    assert_clean_exit(argv, *run(argv))
+
+
+# ---------------------------------------------------------------------------
+# grid-file bytes
+
+GRID = Grid(dim=2, shape=(4, 4), spacing=0.25)
+# (offset, format) of each header field of a 2-dim file: kind, dim, the two
+# extents, h, metric, n and r; the payload follows at byte 44
+HEADER_FIELDS = [(8, "<I"), (12, "<I"), (16, "<I"), (20, "<I"), (24, "<d"), (32, "<I"), (36, "<I"), (40, "<I")]
+PAYLOAD = 44
+WORDS = [0, 1, 2, 3, 4, 5, 16, 17, 2**31, 2**32 - 1]
+FLOATS = [0.0, -0.0, -0.25, 5e-324, 1e-308, 1e154, 1e308, float("inf"), float("-inf"), float("nan")]
+
+
+@pytest.fixture(scope="module")
+def good_fields(scratch):
+    """The bytes of a valid 4x4 field file for each model's multiplet."""
+    blobs = []
+    for n, vacuum in ((2, [0.0, 1.0]), (3, np.ones(3) / np.sqrt(3.0))):
+        path = scratch / f"good{n}.field"
+        write_field(path, GRID, "multiplet", np.asarray(vacuum) + 0.3 * smooth_multiplet_field(GRID, n, seed=n))
+        blobs.append(path.read_bytes())
+    return blobs
+
+
+@st.composite
+def mutated_field_bytes(draw, blob: bytes) -> bytes:
+    """blob with one to three byte mutations, about half of them in the header
+    after its magic: a flipped bit, a random byte, a header field or payload
+    number set to an edge value, or bytes cut off, inserted or deleted."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.one_of(st.integers(len(MAGIC), PAYLOAD - 1), st.integers(len(MAGIC), max(len(out) - 1, len(MAGIC)))))
+        kind = draw(st.sampled_from(["bit", "byte", "field", "number", "cut", "insert", "delete"]))
+        if kind == "bit" and at < len(out):
+            out[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "byte" and at < len(out):
+            out[at] = draw(st.integers(0, 255))
+        elif kind == "field":
+            offset, fmt = draw(st.sampled_from(HEADER_FIELDS))
+            value = draw(st.sampled_from(FLOATS if fmt == "<d" else WORDS))
+            out[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        elif kind == "number" and len(out) >= PAYLOAD + 8:
+            k = draw(st.integers(0, (len(out) - PAYLOAD) // 8 - 1))
+            out[PAYLOAD + 8 * k : PAYLOAD + 8 * k + 8] = struct.pack("<d", draw(st.sampled_from(FLOATS)))
+        elif kind == "cut":
+            del out[at:]
+        elif kind == "insert":
+            out[at:at] = draw(st.binary(min_size=1, max_size=16))
+        elif kind == "delete":
+            del out[at : at + draw(st.integers(1, 16))]
+    return bytes(out)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_mutated_field_bytes_exit_cleanly(good_fields, scratch, data):
+    k = data.draw(st.integers(0, len(MODELS) - 1))
+    path = scratch / "mutated.field"
+    path.write_bytes(data.draw(mutated_field_bytes(good_fields[k])))
+    argv = ["unitary-gauge", "--model", str(MODELS[k]), "--field", str(path), "--format", "machine"]
     assert_clean_exit(argv, *run(argv))

@@ -1,6 +1,7 @@
 import io
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ssbspec.higgsmodel import (
     check_potential_invariance,
     find_vacuum,
 )
-from ssbspec.liecore import realify, unrealify
+from ssbspec.liecore import GeneratorSet, realify, unrealify
 from ssbspec.modelfile import emit_document, parse_document, parse_model_file
 
 QUARTIC = QuarticPotential(mu=2.0, lam=1.0)
@@ -53,7 +54,9 @@ def test_parameter_validation():
         QuarticPotential(mu=1.0, lam=0.0)
 
 
-@pytest.mark.parametrize("mu, lam", [(1e308, 1e-308), (1e200, 1e-200), (1.7e308, 1.0), (-1e308, 1e-308)])
+@pytest.mark.parametrize(
+    "mu, lam", [(1e308, 1e-308), (1e200, 1e-200), (1.7e308, 1.0), (-1e308, 1e-308), (1e250, 1.0)]
+)
 def test_overflowing_potential_is_refused(mu, lam):
     # mu / (2 lambda) or 2 mu overflowed into an inf radius or Hessian, and
     # the spectrum ended in "Eigenvalues did not converge"
@@ -201,6 +204,38 @@ def test_spin1_gradient_norm_does_not_overflow(tmp_path, mu):
         doc = parse_document(out.getvalue())
         checks = doc["validation" if command == "spectrum" else "checks"]
         assert math.isfinite(checks["vacuum_gradient"]) and checks["pass"] is True
+
+
+def test_spin1_gradient_beyond_the_float_range_is_refused_at_mu(tmp_path):
+    # at mu = 1e250 the rounded vacuum gradient, about eps mu |v|, overflowed
+    # with a warning, and the check's bound with it, so both reports read
+    # vacuum_gradient = inf beside pass = true; at mu = 1e210 it is finite
+    path = tmp_path / "spin1.model"
+    for mu, code in (("1e250", 2), ("1e210", 0)):
+        path.write_text(SPIN1.read_text().replace("mu = 2.0", f"mu = {mu}"))
+        for command in ("spectrum", "validate"):
+            out = io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, "--model", str(path), "--format", "machine"], stdout=out) == code
+            if code:
+                assert out.getvalue().startswith("error: line 9 [potential]: quartic potential overflows")
+                assert out.getvalue().count("\n") == 1
+            else:
+                checks = parse_document(out.getvalue())["validation" if command == "spectrum" else "checks"]
+                assert math.isfinite(checks["vacuum_gradient"])
+
+
+def test_vacuum_too_long_to_square_is_not_a_vacuum():
+    # |v|^2 overflowed: the gradient and the check's bound both read inf, so
+    # the check passed and the spectrum ended in an unlocated error
+    pot = QuarticPotential(2.0, 1.0)
+    gs = GeneratorSet(su2_irrep(3))
+    for size in (1e140, 1e150, 1e160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAVacuumError, match="gradient norm inf"):
+                HiggsModel(gs, pot, [size, 0.0, 0.0])
 
 
 def test_spin1_vacuum_at_a_large_radius(tmp_path):

@@ -26,7 +26,6 @@ from ssbspec.latticefields import (
     covariance_defects,
     covariant_derivative,
     field_strength,
-    gauge_matrices,
     gauge_transform_gauge,
     gauge_transform_matter,
     higgs_density,
@@ -287,6 +286,17 @@ def test_quadratic_expansion_rejects_orbit_perturbation():
         quadratic_expansion_check(MODEL, SPEC, eps=0.01, grid=grid, delta_phi=bad)
 
 
+def test_quadratic_expansion_takes_an_explicit_gauge_field():
+    grid = Grid(dim=2, shape=(8, 8), spacing=0.125)
+    gauge = smooth_gauge_field(grid, GS.r, 7777 + 2)  # the field the check draws for seed 2
+    default = quadratic_expansion_check(MODEL, SPEC, eps=0.02, seed=2)
+    assert quadratic_expansion_check(MODEL, SPEC, eps=0.02, grid=grid, seed=2, gauge=gauge.tolist()) == default
+    doubled = quadratic_expansion_check(MODEL, SPEC, eps=0.02, grid=grid, seed=2, gauge=2.0 * gauge)
+    assert doubled.remainder != default.remainder
+    with pytest.raises(LatticeError, match=r"^gauge perturbation must have shape \(8, 8\) \+ 2 trailing axes"):
+        quadratic_expansion_check(MODEL, SPEC, eps=0.02, grid=grid, gauge=gauge[..., 0, :])
+
+
 def test_derivative_covariance_small_on_smooth_data():
     grid = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
     a = smooth_gauge_field(grid, GS.r, seed=1)
@@ -306,7 +316,7 @@ PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
 
 def _transform_route_inputs(gs, grid, seed, scale=0.4):
     """The matrices smooth_transform_field exponentiates, (sites, n, n), and their 1-norms."""
-    a = gauge_matrices(gs, latticefields._smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r))
+    a = gs.matrix_of(latticefields._smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r))
     return a, np.abs(a).sum(axis=-2).max(axis=-1)
 
 
@@ -421,13 +431,13 @@ def _old_field_strength(gs, grid, a):
 @pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
 def test_matmul_kernels_match_their_einsum_forms(gs):
     a, psi, sigma = _random_fields(gs, GRID3, seed=gs.n)
-    _assert_rel(gauge_matrices(gs, a), np.einsum("...r,rij->...ij", a, gs.matrices))
-    # the site-last matrices equal gauge_matrices' bit for bit, per site and per direction
+    _assert_rel(gs.matrix_of(a), np.einsum("...r,rij->...ij", a, gs.matrices))
+    # the site-last matrices equal matrix_of's bit for bit, per site and per direction
     flat = a.reshape(-1, GRID3.dim, gs.r)
     for coeffs in (flat[:, 1], flat):
-        dest = np.empty(_site_last(gauge_matrices(gs, coeffs)).shape, dtype=complex)
+        dest = np.empty(_site_last(gs.matrix_of(coeffs)).shape, dtype=complex)
         latticefields._load_matrices(gs, coeffs, dest)
-        assert np.array_equal(dest, _site_last(gauge_matrices(gs, coeffs)))
+        assert np.array_equal(dest, _site_last(gs.matrix_of(coeffs)))
     for mu in range(GRID3.dim):
         ref = central_difference(GRID3, psi, mu) + np.einsum(
             "...r,rij,...j->...i", a[..., mu, :], gs.matrices, psi
@@ -436,7 +446,7 @@ def test_matmul_kernels_match_their_einsum_forms(gs):
     _assert_rel(field_strength(gs, GRID3, a), _old_field_strength(gs, GRID3, a))
 
     sigma_inv = sigma.conj().swapaxes(-1, -2)
-    conjugated = np.einsum("...ij,...djk,...kl->...dil", sigma, gauge_matrices(gs, a), sigma_inv)
+    conjugated = np.einsum("...ij,...djk,...kl->...dil", sigma, gs.matrix_of(a), sigma_inv)
     dsig = np.stack([central_difference(GRID3, sigma, mu) for mu in range(GRID3.dim)], axis=GRID3.dim)
     # project has its own check against its einsum form in test_liecore
     coeffs, defect = gs.project(conjugated - np.einsum("...dij,...jk->...dik", dsig, sigma_inv))
@@ -451,8 +461,8 @@ def test_strength_defect_on_independent_planes_equals_full_mean(gs, metric):
     grid = Grid(dim=3, shape=GRID3.shape, spacing=GRID3.spacing, metric=metric)
     a, _, sigma = _random_fields(gs, grid, seed=10 + gs.n)
     a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
-    f_prime = gauge_matrices(gs, field_strength(gs, grid, a_prime))
-    f = gauge_matrices(gs, field_strength(gs, grid, a))
+    f_prime = gs.matrix_of(field_strength(gs, grid, a_prime))
+    f = gs.matrix_of(field_strength(gs, grid, a))
     conj = np.einsum("...ij,...mnjk,...kl->...mnil", sigma, f, sigma.conj().swapaxes(-1, -2))
     full = float(np.sqrt(np.mean(np.abs(f_prime - conj) ** 2)))
     assert latticefields._strength_defect(gs, grid, a, a_prime, sigma) == pytest.approx(full, rel=1e-13)

@@ -4,7 +4,8 @@
 unless the caller chose a count; ``import ssbspec`` must load no numpy so
 that ``python -m ssbspec`` reaches it first.  It also keeps the cyclic
 garbage collector off for the whole command, freezes the heap and hands
-the caller back its collector state.
+the caller back its collector state.  No command loads scipy, and only
+those that draw random samples load ``numpy.random``.
 """
 import os
 import pathlib
@@ -32,6 +33,11 @@ COUNT_TASKS = (
 REPORT_GC = (
     "import atexit, gc, sys\n"
     "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+)
+# prints the loaded modules to stderr as the process exits
+REPORT_MODULES = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
 )
 ENTRY_POINTS = {
     # what the [project.scripts] wrapper runs
@@ -154,3 +160,36 @@ def test_garbage_does_not_grow_with_the_grid(tmp_path):
     assert run.returncode == 0, run.stderr
     small, large = map(int, run.stdout.split())
     assert small == large > 0
+
+
+MODEL = "models/electroweak.model"
+# each subcommand, and whether it draws random samples (a seeded potential
+# check, a synthesized field), the one reason to load numpy.random
+COMMANDS = {
+    "spectrum": (["spectrum", "--model", MODEL], True),
+    "validate": (["validate", "--model", MODEL], True),
+    "gauge-check": (["gauge-check", "--model", MODEL], True),
+    "unitary-gauge": (["unitary-gauge", "--model", MODEL], True),
+    "unitary-gauge-field": (["unitary-gauge", "--model", MODEL, "--field"], False),
+    "yukawa": (["yukawa", "--model", MODEL], False),
+    "electroweak": (["electroweak"], False),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_no_scipy_and_numpy_random_only_to_draw(command, tmp_path):
+    # numpy alone serves the program, scipy being a test reference only, and
+    # numpy.random costs about 16-20 ms of a process's start
+    argv, draws = COMMANDS[command]
+    if argv[-1] == "--field":
+        from ssbspec.gridfile import write_field
+        from ssbspec.latticefields import Grid
+
+        write_field(tmp_path / "in.field", Grid(dim=2, shape=(4, 4), spacing=0.25), "multiplet", np.ones((4, 4, 2)))
+        argv = argv + [str(tmp_path / "in.field")]
+    run = _child(["-c", REPORT_MODULES + f"from ssbspec.__main__ import run\nsys.exit(run({argv!r}))\n"])
+    assert run.returncode == 0, run.stderr
+    modules = set(run.stderr.decode().split("\n")[-2].split())
+    assert "ssbspec.cli" in modules
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}
+    assert ("numpy.random" in modules) == draws

@@ -263,6 +263,13 @@ HUGE = "1" + "0" * 400
             "yukawa",
             "ragged",
         ),
+        (MINIMAL.replace("[potential]", 'factors = [["u1", [0]]]\n\n[potential]'), 7, "algebra", "factors entries must be"),
+        (
+            MINIMAL + SINGLET_TAIL.replace("singlet = [[[[0.0, 1.0]]]]", "singlet = [[[[0.0, 1.0, 0.0]]]]"),
+            12,
+            "representations",
+            "singlet: innermost entries must be [re, im] pairs",
+        ),
     ],
     ids=[
         "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged", "factor-index",
@@ -275,7 +282,7 @@ HUGE = "1" + "0" * 400
         "factor-coupling-boolean", "g_y-boolean", "n-null", "r-null", "generators-null", "factors-null",
         "factors-number", "mu-null", "vector-null", "tensor-null", "n-float-and-ragged", "n-float-and-not-skew",
         "r-boolean-and-bad-factor", "g_y-boolean-and-tensor-pairs", "slots-mistyped-and-tensor-pairs",
-        "g_y-missing-and-tensor-ragged",
+        "g_y-missing-and-tensor-ragged", "factor-not-a-triple", "representation-not-pairs",
     ],
 )
 def test_assembly_issue_carries_the_entry_line(bad, line, section, message):

@@ -174,6 +174,16 @@ def test_first_of_two_degenerate_sites_is_named():
         apply_unitary_gauge_field(GS, V0, field)
 
 
+def test_single_value_errors_carry_no_site():
+    # a value is a field of shape (n,): its errors name no site
+    with pytest.raises(DegeneratePointError, match=r"^field value has norm 0\.0; it must be finite and nonzero$"):
+        solve_unitary_gauge_point(GS, V0, np.zeros(2))
+    with pytest.raises(DegeneratePointError, match=r"^no convergence in 0 iterations"):
+        solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), config=UnitaryGaugeConfig(max_iter=0))
+    with pytest.raises(ValueError, match=r"^field must have 2 components on the last axis$"):
+        solve_unitary_gauge_point(GS, V0, np.ones(3))
+
+
 @pytest.mark.parametrize(
     "shrink, message",
     [(1.0, "no convergence in 50 iterations"), (0.25, "trust radius collapsed")],
@@ -288,6 +298,16 @@ def test_orbit_climb_escapes_a_saddle():
     for start in _starts(SPIN1, SPIN1_V0):
         other = solve_unitary_gauge_point(SPIN1, SPIN1_V0, start @ phi)
         assert other.overlap.real <= res.overlap.real + 1e-10
+
+
+@pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
+def test_unbroken_vacuum_leaves_the_field_as_it_is(gs):
+    # at v0 = 0 no direction is broken and every value is already in unitary gauge
+    field = smooth_multiplet_field(Grid(dim=2, shape=(4, 4), spacing=0.25), gs.n, 3)
+    out = apply_unitary_gauge_field(gs, np.zeros(gs.n), field)
+    assert np.array_equal(out.transformed, field)
+    assert np.array_equal(out.transforms, np.broadcast_to(np.eye(gs.n), field.shape + (gs.n,)))
+    assert not out.defects.any() and not out.iterations.any()
 
 
 def _starts(gs: GeneratorSet, v0: np.ndarray) -> list:
