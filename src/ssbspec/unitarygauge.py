@@ -120,8 +120,7 @@ def goldstone_vanish_check(
     Equivalent to the fiber derivative vanishing along broken directions.
     """
     of = orbit_frame(gs, v0)
-    shift = np.asarray(phi, dtype=complex) - np.asarray(v0, dtype=complex)
-    xi = np.sqrt(2.0) * of.u[:, : of.rank].T @ realify(shift)
+    xi = np.sqrt(2.0) * of.u[:, : of.rank].T @ realify(np.subtract(phi, v0))
     defect = float(np.max(np.abs(xi))) if xi.size else 0.0
     return GoldstoneCheck(ok=defect < tol, defect=defect, xi=xi)
 

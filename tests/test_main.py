@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import ssbspec
+from ssbspec.gridfile import write_field
+from ssbspec.latticefields import Grid
 
 SRC = str(pathlib.Path(ssbspec.__file__).parents[1])
 ROOT = pathlib.Path(SRC).parent
@@ -182,9 +184,6 @@ def test_command_loads_no_scipy_and_numpy_random_only_to_draw(command, tmp_path)
     # numpy.random costs about 16-20 ms of a process's start
     argv, draws = COMMANDS[command]
     if argv[-1] == "--field":
-        from ssbspec.gridfile import write_field
-        from ssbspec.latticefields import Grid
-
         write_field(tmp_path / "in.field", Grid(dim=2, shape=(4, 4), spacing=0.25), "multiplet", np.ones((4, 4, 2)))
         argv = argv + [str(tmp_path / "in.field")]
     run = _child(["-c", REPORT_MODULES + f"from ssbspec.__main__ import run\nsys.exit(run({argv!r}))\n"])

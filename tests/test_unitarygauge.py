@@ -178,8 +178,6 @@ def test_single_value_errors_carry_no_site():
     # a value is a field of shape (n,): its errors name no site
     with pytest.raises(DegeneratePointError, match=r"^field value has norm 0\.0; it must be finite and nonzero$"):
         solve_unitary_gauge_point(GS, V0, np.zeros(2))
-    with pytest.raises(DegeneratePointError, match=r"^no convergence in 0 iterations"):
-        solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), config=UnitaryGaugeConfig(max_iter=0))
     with pytest.raises(ValueError, match=r"^field must have 2 components on the last axis$"):
         solve_unitary_gauge_point(GS, V0, np.ones(3))
 
@@ -268,7 +266,7 @@ def test_hard_sites_inside_a_batch(monkeypatch):
 
 def test_tight_iteration_budget_raises():
     cfg = UnitaryGaugeConfig(max_iter=0)
-    with pytest.raises(DegeneratePointError, match="no convergence in 0 iterations"):
+    with pytest.raises(DegeneratePointError, match="^no convergence in 0 iterations"):
         solve_unitary_gauge_point(GS, V0, np.array([1.0, 0.0]), config=cfg)
     # a value already in unitary gauge needs no iteration
     assert solve_unitary_gauge_point(GS, V0, np.array([0.0, 2.0]), config=cfg).iterations == 0
