@@ -208,7 +208,8 @@ def mutated_field_bytes(draw, blob: bytes) -> bytes:
     number set to an edge value, or bytes cut off, inserted or deleted."""
     out = bytearray(blob)
     for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.one_of(st.integers(len(MAGIC), PAYLOAD - 1), st.integers(len(MAGIC), max(len(out) - 1, len(MAGIC)))))
+        end = max(len(out) - 1, len(MAGIC))
+        at = draw(st.one_of(st.integers(len(MAGIC), PAYLOAD - 1), st.integers(len(MAGIC), end)))
         kind = draw(st.sampled_from(["bit", "byte", "field", "number", "cut", "insert", "delete"]))
         if kind == "bit" and at < len(out):
             out[at] ^= 1 << draw(st.integers(0, 7))
