@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .electroweak import PAULI
+from .electroweak import build_generators
 from .liecore import TOL_RANK, GeneratorSet
 
 __all__ = [
@@ -152,10 +152,7 @@ def electroweak_fermion_representations(
     -gp on the right singlet, so the conjugate-linear slot balances the
     abelian phases of the Yukawa coupling.
     """
-    su2 = 0.5j * g * PAULI
-    eye2 = np.eye(2)
-    left = GeneratorSet(np.concatenate([su2, [-0.5j * gp * eye2]]))
-    scalar = GeneratorSet(np.concatenate([su2, [0.5j * gp * eye2]]))
+    left, scalar = build_generators(g, -gp), build_generators(g, gp)
     singlet = GeneratorSet(
         np.concatenate([np.zeros((3, 1, 1), dtype=complex), [[[-1j * gp]]]])
     )

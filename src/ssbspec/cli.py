@@ -406,15 +406,17 @@ def _extent(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp, handler, tol=None, model_required=True, with_model=True):
-    """The handler and the flags every subcommand shares; --tol, with its
-    default, only where tol is given."""
+def _add_common(sp, handler, tol=None, model_required=True, with_model=True, seeded=True):
+    """The handler and the flags the subcommands share; --tol, with its
+    default, only where tol is given, and --seed only where the command draws
+    random samples."""
     sp.set_defaults(handler=handler)
     if with_model:
         sp.add_argument(
             "--model", required=model_required, help="model file path", default=None
         )
-    sp.add_argument("--seed", type=_seed, default=None, help=f"rng seed (or ${ENV_SEED})")
+    if seeded:
+        sp.add_argument("--seed", type=_seed, default=None, help=f"rng seed (or ${ENV_SEED})")
     if tol is not None:
         sp.add_argument(
             "--tol",
@@ -471,10 +473,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("yukawa", help="trilinear invariance and fermion masses")
-    _add_common(sp, _cmd_yukawa, tol=1e-10)
+    _add_common(sp, _cmd_yukawa, tol=1e-10, seeded=False)
 
     sp = sub.add_parser("electroweak", help="built-in preset report")
-    _add_common(sp, _cmd_electroweak, tol=1e-9, with_model=False)
+    _add_common(sp, _cmd_electroweak, tol=1e-9, with_model=False, seeded=False)
     sp.add_argument("--g", type=float, default=2.0)
     sp.add_argument("--gp", type=float, default=1.0)
     sp.add_argument("--mu", type=float, default=2.0)

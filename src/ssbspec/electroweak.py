@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .higgsmodel import HiggsModel, QuarticPotential
-from .liecore import TOL_ALG, FactorLabel, GeneratorSet
+from .liecore import TOL_ALG, GeneratorSet
 
 __all__ = [
     "ChargeError",
@@ -70,10 +70,7 @@ def build_generators(g: float, gp: float) -> GeneratorSet:
     mats = np.empty((4, 2, 2), dtype=complex)
     mats[:3] = 0.5j * g * PAULI
     mats[3] = 0.5j * gp * np.eye(2)
-    return GeneratorSet(
-        mats,
-        factors=(FactorLabel("su2", (0, 1, 2), g), FactorLabel("u1", (3,), gp)),
-    )
+    return GeneratorSet(mats)
 
 
 def build_model(p: ElectroweakParams = ElectroweakParams()) -> HiggsModel:
@@ -181,30 +178,25 @@ class DecomposedGauge(NamedTuple):
 def decompose_gauge_field(coeffs: np.ndarray, p: ElectroweakParams) -> DecomposedGauge:
     """Split coefficients on the b basis into W+-, Z and photon fields.
 
-    W+- = (A1 +- i A2)/sqrt 2, Z = cos(theta) A3 - sin(theta) A4,
-    photon = sin(theta) A3 + cos(theta) A4, acting on the last axis.
+    W+- = (A1 +- i A2)/sqrt 2, and Z and the photon are the a_3 and a_4
+    components of diagonal_basis, acting on the last axis.
     """
     a = np.asarray(coeffs)
     if a.shape[-1] != 4:
         raise ValueError(f"expected 4 coefficients on the last axis, got {a.shape[-1]}")
-    theta = weinberg_angle(p)
-    c, s = math.cos(theta), math.sin(theta)
+    mixed = a @ diagonal_basis(p).T
     root2 = math.sqrt(2.0)
     return DecomposedGauge(
         w_plus=(a[..., 0] + 1j * a[..., 1]) / root2,
         w_minus=(a[..., 0] - 1j * a[..., 1]) / root2,
-        z=c * a[..., 2] - s * a[..., 3],
-        photon=s * a[..., 2] + c * a[..., 3],
+        z=mixed[..., 2],
+        photon=mixed[..., 3],
     )
 
 
 def recompose_gauge_field(dec: DecomposedGauge, p: ElectroweakParams) -> np.ndarray:
-    """Inverse of decompose_gauge_field (exact up to rounding)."""
-    theta = weinberg_angle(p)
-    c, s = math.cos(theta), math.sin(theta)
+    """Inverse of decompose_gauge_field, by the transpose of diagonal_basis' rotation."""
     root2 = math.sqrt(2.0)
     a1 = np.real(dec.w_plus + dec.w_minus) / root2
     a2 = np.real(-1j * (dec.w_plus - dec.w_minus)) / root2
-    a3 = c * dec.z + s * dec.photon
-    a4 = -s * dec.z + c * dec.photon
-    return np.stack([a1, a2, a3, a4], axis=-1)
+    return np.stack([a1, a2, dec.z, dec.photon], axis=-1) @ diagonal_basis(p)

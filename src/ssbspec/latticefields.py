@@ -197,16 +197,14 @@ def gauge_transform_gauge(
     grid: Grid,
     sigma: np.ndarray,
     a: np.ndarray,
-    tol_proj: float | None = None,
 ) -> TransformedGauge:
     """A'_mu = sigma A_mu sigma^-1 - (d_mu sigma) sigma^-1, in coefficients.
 
     The derivative term is a central difference, so for a smooth group
     valued sigma the result leaves the generator span by O(h^2); the
-    projection defect records how much.  Passing tol_proj makes a larger
-    defect an error.  A sigma that is not sitewise unitary, or has a NaN
-    entry, is rejected; the error gives the worst site defect over the whole
-    field.
+    projection defect records how much.  A sigma that is not sitewise
+    unitary, or has a NaN entry, is rejected; the error gives the worst site
+    defect over the whole field.
 
     The work runs one direction at a time: d_mu sigma needs neighbours, so
     it is taken over the whole field, and only one direction's is held.
@@ -233,7 +231,7 @@ def gauge_transform_gauge(
         unitary_worst.append(np.max(np.abs(prod, out=_real(free))))
     unitary_defect = np.max(unitary_worst)
     # unitarity is the group side of skew-Hermiticity, so it shares TOL_ALG;
-    # written as not (defect <= tol) so that a NaN defect fails, here and below
+    # written as not (defect <= tol) so that a NaN defect fails
     if not (unitary_defect <= TOL_ALG):
         raise NonGroupTransformError(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
@@ -256,12 +254,7 @@ def gauge_transform_gauge(
             coeffs[block, mu], defect = gs.project(stage)
             block_worst.append(np.max(defect))
         del d_sigma  # so that it is not held beside the next direction's
-    worst = float(np.max(block_worst))
-    if tol_proj is not None and not (worst <= tol_proj):
-        raise NonGroupTransformError(
-            f"transformed field leaves the generator span (defect {worst:.3e} > {tol_proj:.3e})"
-        )
-    return TransformedGauge(coefficients=coeffs.reshape(a.shape), projection_defect=worst)
+    return TransformedGauge(coefficients=coeffs.reshape(a.shape), projection_defect=float(np.max(block_worst)))
 
 
 def covariant_derivative(

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "AlgebraElement",
-    "FactorLabel",
     "GeneratorError",
     "GeneratorSet",
     "ValidationReport",
@@ -113,15 +112,7 @@ class GeneratorError(ValueError):
     """Structural problem with a generator set or an algebra element."""
 
 
-class FactorLabel(NamedTuple):
-    """Tags a block of generator indices as one group factor (metadata only)."""
-
-    name: str
-    indices: tuple[int, ...]  # 0-based positions into the generator stack
-    coupling: float
-
-
-class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
+class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
     """Basis of a compact symmetry algebra acting on C^n.
 
     Parameters
@@ -132,13 +123,11 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         unless the skew defect is at most TOL_ALG times a finite `scale`,
         which also refuses NaN and infinite entries and finite entries
         whose moduli overflow.
-    factors : tuple of FactorLabel, optional
-        Partition of the basis indices into group factors.
     """
 
     __slots__ = ()
 
-    def __new__(cls, matrices: np.ndarray, factors: tuple[FactorLabel, ...] | None = None):
+    def __new__(cls, matrices: np.ndarray):
         m = np.array(matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise GeneratorError(
@@ -147,16 +136,7 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         if m.shape[0] == 0 or m.shape[1] == 0:
             raise GeneratorError("generator stack must be nonempty")
         m.setflags(write=False)
-        if factors is not None:
-            seen: set[int] = set()
-            for f in factors:
-                for i in f.indices:
-                    if not 0 <= i < m.shape[0] or i in seen:
-                        raise GeneratorError(
-                            f"factor {f.name!r} has an out-of-range or repeated index {i}"
-                        )
-                    seen.add(i)
-        gs = super().__new__(cls, m, factors)
+        gs = super().__new__(cls, m)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite defect or scale is refused below
             skew, scale = gs.skew_defect(), gs.scale
         if not skew <= TOL_ALG * scale < np.inf:
@@ -226,10 +206,19 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices factors")):
         return coeffs.reshape(lead + (self.r,)), np.linalg.norm(resid, axis=-1).reshape(lead)
 
     def _brackets(self):
-        """Every [g_i, g_j], shape (r, r, n, n), and its projection (c, defect)."""
-        prod = np.einsum("aij,bjk->abik", self.matrices, self.matrices)
+        """Every [g_i, g_j], shape (r, r, n, n), and its projection (c, defect).
+
+        They are computed on the basis divided by the power of two u at or just
+        above max|X|, then c is multiplied by u and the brackets and defects by
+        u^2: scaling by a power of two is exact, and the products and the
+        projection's matmul, which grow like max|X|^3, stay in range.
+        """
+        u = math.ldexp(1.0, math.frexp(self.scale)[1])
+        unit = self._replace(matrices=self.matrices / u)
+        prod = np.einsum("aij,bjk->abik", unit.matrices, unit.matrices)
         brackets = prod - np.transpose(prod, (1, 0, 2, 3))
-        return (brackets, *self.project(brackets))
+        c, defect = unit.project(brackets)
+        return brackets * u**2, c * u, defect * u**2
 
     def structure_constants(self) -> np.ndarray:
         """c with [g_i, g_j] = sum_k c[i, j, k] g_k.

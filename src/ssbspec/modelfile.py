@@ -25,7 +25,7 @@ import numpy as np
 from .chiral import TripleProduct
 from .higgsmodel import HiggsModel, NotAVacuumError, PotentialError, QuarticPotential, find_vacuum
 from .latticefields import Grid, LatticeError
-from .liecore import FactorLabel, GeneratorSet, GeneratorError
+from .liecore import GeneratorSet, GeneratorError
 
 __all__ = [
     "Document",
@@ -104,7 +104,7 @@ _ARRAY = (lambda v: isinstance(v, list), "an array")
 # for an optional key, its default.  [representations] takes any key.  null
 # passes no test, so it is a value of the wrong type, never a missing key.
 _KEYS = {
-    "algebra": {"n": _INTEGER, "r": _INTEGER, "generators": _ARRAY, "factors": (*_ARRAY, ())},
+    "algebra": {"n": _INTEGER, "r": _INTEGER, "generators": _ARRAY},
     "potential": {"mu": _NUMBER, "lambda": _NUMBER},
     "vacuum": {"vector": _ARRAY},
     "yukawa": {
@@ -287,20 +287,10 @@ def parse_model_file(text: str) -> ModelBundle:
     if gens is not None and len(expected) == 3 and gens.shape != expected:
         issue("algebra", f"generators have shape {gens.shape}, expected {expected}", "generators")
     elif gens is not None:
-        factors = ()
-        for item in algebra.get("factors", ()):
-            if not (_is_triple(item, object) and isinstance(item[0], str) and isinstance(item[1], list)):
-                issue("algebra", "factors entries must be [name, indices, coupling]", "factors")
-            elif not all(_is_int(i) for i in item[1]):
-                issue("algebra", f"non-integer index for factor {item[0]!r}", "factors")
-            elif not (_is_number(item[2]) and item[2] > 0):
-                issue("algebra", f"non-positive coupling for factor {item[0]!r}", "factors")
-            else:
-                factors += (FactorLabel(name=item[0], indices=tuple(item[1]), coupling=float(item[2])),)
         try:
-            gs = GeneratorSet(matrices=gens, factors=factors)
+            gs = GeneratorSet(gens)
         except GeneratorError as err:
-            issue("algebra", str(err), "factors" if str(err).startswith("factor") else "generators")
+            issue("algebra", str(err), "generators")
 
     potential = None
     couplings = entries_of("potential", needed=True)

@@ -303,7 +303,7 @@ def test_gauge_check_fails_a_first_order_scheme(monkeypatch):
 
 def test_gauge_check_fails_a_non_covariant_transform(monkeypatch):
     # matter moves with sigma but the gauge field stays put: the defects no longer shrink
-    def unmoved(gs, grid, sigma, a, tol_proj=None):
+    def unmoved(gs, grid, sigma, a):
         return latticefields.TransformedGauge(coefficients=a, projection_defect=0.0)
 
     monkeypatch.setattr(latticefields, "gauge_transform_gauge", unmoved)
@@ -374,7 +374,7 @@ def test_parse_errors_exit_2(tmp_path, monkeypatch):
     # only after the whole sweep): each exits 2 naming what is wrong, none raises
     doc = parse_document(pathlib.Path(MODEL).read_text())
     doc["algebra"]["generators"][3] = np.zeros((2, 2, 2)).tolist()
-    del doc["algebra"]["factors"], doc["representations"], doc["yukawa"]
+    del doc["representations"], doc["yukawa"]
     zero = tmp_path / "zero_generator.model"
     zero.write_text(modelfile.emit_document(doc))
     missing = MODEL.replace(".model", ".missing")
@@ -506,3 +506,23 @@ def test_import_loads_neither_dataclasses_nor_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_factors_key_is_refused_at_its_line(tmp_path):
+    # the couplings live in the generators alone; a factors key restated them
+    # unread, so a file that still has one is refused rather than trusted
+    text = pathlib.Path(MODEL).read_text()
+    (comment,) = [row for row in text.splitlines() if row.startswith("# couplings folded in above")]
+    path = tmp_path / "factors.model"
+    path.write_text(text.replace(comment, 'factors = [["su2", [0, 1, 2], 2.0], ["u1", [3], 1.0]]'))
+    assert run("spectrum", "--model", str(path)) == (2, "error: line 9 [algebra]: unknown key 'factors'\n")
+
+
+@pytest.mark.parametrize("argv", [["electroweak"], ["yukawa", "--model", MODEL]], ids=["electroweak", "yukawa"])
+def test_commands_that_draw_nothing_take_no_seed(argv, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv, "--seed", "1")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    monkeypatch.setenv("SSB_SPECTRUM_SEED", "abc")
+    assert run(*argv)[0] == 0

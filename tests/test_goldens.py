@@ -55,7 +55,7 @@ CASES = {
     ),
     "spectrum_electroweak": (0, lambda tmp: ["spectrum", "--model", EW, "--seed", "7"]),
     "validate_electroweak": (0, lambda tmp: ["validate", "--model", EW, "--seed", "7"]),
-    "yukawa_electroweak": (0, lambda tmp: ["yukawa", "--model", EW, "--seed", "7"]),
+    "yukawa_electroweak": (0, lambda tmp: ["yukawa", "--model", EW]),
     "spectrum_spin1": (0, lambda tmp: ["spectrum", "--model", SPIN1, "--seed", "7"]),
     "validate_spin1": (0, lambda tmp: ["validate", "--model", SPIN1, "--seed", "7"]),
     "spectrum_symmetric": (0, lambda tmp: ["spectrum", "--model", SYMMETRIC, "--seed", "7"]),

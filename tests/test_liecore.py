@@ -114,6 +114,19 @@ def test_structure_constants_su2_block():
     np.testing.assert_allclose(c[:, 3], 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [-300, 345, 500])
+def test_brackets_scale_exactly_with_the_generators(k):
+    # the brackets are taken on the basis divided by a power of two near
+    # max|X|; on the stack itself their products and projection, which grow
+    # like max|X|^3, overflowed from about 1e102 into a RuntimeWarning
+    unit = GeneratorSet(su2_irrep(3))
+    scaled = GeneratorSet(unit.matrices * 2.0**k)
+    with np.errstate(all="raise"):
+        c, defect = scaled.structure_constants(), scaled.closure_defect()
+    assert np.array_equal(c, unit.structure_constants() * 2.0**k)
+    assert defect == unit.closure_defect() * 4.0**k
+
+
 def test_projection_detects_outside_span():
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     _, defect = EW.project(sigma1)

@@ -146,10 +146,6 @@ SINGLET_TAIL = (
 )
 
 
-def _with_factor(indices: str) -> str:
-    return MINIMAL.replace("[potential]", f'factors = [["u1", {indices}, 1.0]]\n\n[potential]')
-
-
 GRID_TAIL = '\n[grid]\ndim = 2\nshape = [4, 4]\nh = 0.5\nmetric = "euclidean"\n'
 
 # a JSON integer beyond the float range: float() of it raised OverflowError
@@ -164,7 +160,6 @@ HUGE = "1" + "0" * 400
         (MINIMAL.replace("r = 1", "r = true"), 4, "algebra", "r must be an integer"),
         (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[1.0, 0.0]]]]"), 5, "algebra", "not skew-Hermitian"),
         (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 1.0], [0.0]]]]"), 5, "algebra", "generators: ragged"),
-        (MINIMAL.replace("[potential]", 'factors = [["u1", [3], 1.0]]\n\n[potential]'), 7, "algebra", "out-of-range"),
         (MINIMAL.replace("lambda = 1.0\n", ""), 7, "potential", "missing key 'lambda'"),
         (MINIMAL.replace("lambda = 1.0", "lambda = 0.0"), 9, "potential", "non-positive coupling"),
         (MINIMAL.replace("mu = 2.0", "mu = 2.0\ncolor = 3"), 9, "potential", "unknown key 'color'"),
@@ -173,13 +168,12 @@ HUGE = "1" + "0" * 400
         (MINIMAL + YUKAWA_TAIL, 12, "representations", "'higgs' is reserved"),
         (MINIMAL + YUKAWA_TAIL, 18, "yukawa", "g_y must be a number"),
         (MINIMAL.split("[potential]")[0], 0, "potential", "missing [potential] section"),
-        (_with_factor('["x"]'), 7, "algebra", "non-integer index"),
-        (_with_factor('[2.9]'), 7, "algebra", "non-integer index"),
-        (_with_factor('[true]'), 7, "algebra", "non-integer index"),
         (MINIMAL + GRID_TAIL.replace("h = 0.5", "h = true"), 14, "grid", "h must be a number"),
         (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 2.7"), 12, "grid", "dim must be an integer"),
         (MINIMAL + GRID_TAIL.replace("dim = 2", 'dim = "2"'), 12, "grid", "dim must be an integer"),
         (MINIMAL + GRID_TAIL.replace("[4, 4]", "[4.5, 4]"), 13, "grid", "shape must be a list of integers"),
+        (MINIMAL + GRID_TAIL.replace("[4, 4]", "[true, 4]"), 13, "grid", "shape must be a list of integers"),
+        (MINIMAL + GRID_TAIL.replace("[4, 4]", '["4", 4]'), 13, "grid", "shape must be a list of integers"),
         (MINIMAL + GRID_TAIL.replace('"euclidean"', "3"), 15, "grid", "metric must be a string"),
         (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 0"), 12, "grid", "dimension must be at least 1"),
         (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 3"), 13, "grid", "expected 3 extents"),
@@ -209,20 +203,14 @@ HUGE = "1" + "0" * 400
         (MINIMAL.replace("r = 1", "r = 1.0"), 4, "algebra", "r must be an integer"),
         (MINIMAL.replace("mu = 2.0", "mu = true"), 8, "potential", "mu must be a number"),
         (MINIMAL.replace("lambda = 1.0", "lambda = true"), 9, "potential", "lambda must be a number"),
-        (
-            MINIMAL.replace("[potential]", 'factors = [["u1", [0], true]]\n\n[potential]'),
-            7,
-            "algebra",
-            "non-positive coupling for factor 'u1'",
-        ),
         (MINIMAL + SINGLET_TAIL.replace("g_y = 1.0", "g_y = true"), 18, "yukawa", "g_y must be a number"),
         # null is a value of the wrong type, not a missing key
         (MINIMAL.replace("n = 1", "n = null"), 3, "algebra", "n must be an integer"),
         (MINIMAL.replace("r = 1", "r = null"), 4, "algebra", "r must be an integer"),
         (MINIMAL.replace("[[[[0.0, 1.0]]]]", "null"), 5, "algebra", "generators must be an array"),
-        (MINIMAL.replace("[potential]", "factors = null\n\n[potential]"), 7, "algebra", "factors must be an array"),
-        # a number for factors ended in a TypeError traceback
-        (MINIMAL.replace("[potential]", "factors = 3\n\n[potential]"), 7, "algebra", "factors must be an array"),
+        # the removed factors key is refused at its line whatever its value
+        (MINIMAL.replace("[potential]", "factors = null\n\n[potential]"), 7, "algebra", "unknown key 'factors'"),
+        (MINIMAL.replace("[potential]", "factors = 3\n\n[potential]"), 7, "algebra", "unknown key 'factors'"),
         (MINIMAL.replace("mu = 2.0", "mu = null"), 8, "potential", "mu must be a number"),
         (MINIMAL + "\n[vacuum]\nvector = null\n", 12, "vacuum", "vector must be an array"),
         (MINIMAL + SINGLET_TAIL.replace("[[[[1.0, 0.0]]]]", "null"), 17, "yukawa", "tensor must be an array"),
@@ -243,7 +231,7 @@ HUGE = "1" + "0" * 400
             MINIMAL.replace("r = 1", "r = true").replace("[potential]", 'factors = [["u1", [0], -1.0]]\n\n[potential]'),
             7,
             "algebra",
-            "non-positive coupling for factor 'u1'",
+            "unknown key 'factors'",
         ),
         (
             MINIMAL + SINGLET_TAIL.replace("g_y = 1.0", "g_y = true").replace("[[[[1.0, 0.0]]]]", "[[1.0]]"),
@@ -263,7 +251,6 @@ HUGE = "1" + "0" * 400
             "yukawa",
             "ragged",
         ),
-        (MINIMAL.replace("[potential]", 'factors = [["u1", [0]]]\n\n[potential]'), 7, "algebra", "factors entries must be"),
         (
             MINIMAL + SINGLET_TAIL.replace("singlet = [[[[0.0, 1.0]]]]", "singlet = [[[[0.0, 1.0, 0.0]]]]"),
             12,
@@ -272,17 +259,18 @@ HUGE = "1" + "0" * 400
         ),
     ],
     ids=[
-        "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged", "factor-index",
+        "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged",
         "missing-key", "lambda", "unknown-key", "vacuum", "unknown-section", "reserved-name",
-        "g_y", "missing-section", "factor-index-string", "factor-index-float", "factor-index-boolean",
-        "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-metric-number",
+        "g_y", "missing-section",
+        "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-extent-boolean",
+        "grid-extent-string", "grid-metric-number",
         "grid-dim-zero", "grid-extent-count", "grid-extent-small", "grid-h-zero", "grid-metric-unknown",
         "mu-huge-integer", "mu-overflow", "mu-twice-overflows", "representation-not-skew", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
         "factor-coupling-huge-integer", "n-boolean", "r-not-integer", "mu-boolean", "lambda-boolean",
-        "factor-coupling-boolean", "g_y-boolean", "n-null", "r-null", "generators-null", "factors-null",
+        "g_y-boolean", "n-null", "r-null", "generators-null", "factors-null",
         "factors-number", "mu-null", "vector-null", "tensor-null", "n-float-and-ragged", "n-float-and-not-skew",
         "r-boolean-and-bad-factor", "g_y-boolean-and-tensor-pairs", "slots-mistyped-and-tensor-pairs",
-        "g_y-missing-and-tensor-ragged", "factor-not-a-triple", "representation-not-pairs",
+        "g_y-missing-and-tensor-ragged", "representation-not-pairs",
     ],
 )
 def test_assembly_issue_carries_the_entry_line(bad, line, section, message):
@@ -304,12 +292,10 @@ def test_assembly_issue_carries_the_entry_line(bad, line, section, message):
         (MINIMAL.replace("r = 1", "r = true"), "algebra"),
         (MINIMAL.replace("mu = 2.0", "mu = true"), "potential"),
         (MINIMAL.replace("lambda = 1.0", "lambda = true"), "potential"),
-        (MINIMAL.replace("[potential]", 'factors = [["u1", [0], true]]\n\n[potential]'), "algebra"),
         (MINIMAL + SINGLET_TAIL.replace("g_y = 1.0", "g_y = true"), "yukawa"),
     ],
     ids=[
-        "n-float", "n-boolean", "r-float", "r-boolean", "mu-boolean", "lambda-boolean", "factor-coupling-boolean",
-        "g_y-boolean",
+        "n-float", "n-boolean", "r-float", "r-boolean", "mu-boolean", "lambda-boolean", "g_y-boolean",
     ],
 )
 def test_mistyped_value_stays_in_its_section(bad, section):
@@ -342,14 +328,6 @@ def test_non_skew_generator_rejected():
 
 def test_non_positive_lambda_rejected():
     bad = MINIMAL.replace("lambda = 1.0", "lambda = 0.0")
-    with pytest.raises(ModelFileError, match="non-positive coupling"):
-        parse_model_file(bad)
-
-
-def test_non_positive_factor_coupling_rejected():
-    bad = MINIMAL.replace(
-        "[potential]", 'factors = [["u1", [0], -1.0]]\n\n[potential]'
-    )
     with pytest.raises(ModelFileError, match="non-positive coupling"):
         parse_model_file(bad)
 

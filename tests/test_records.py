@@ -17,7 +17,7 @@ from ssbspec.higgsmodel import (
     QuarticPotential,
 )
 from ssbspec.latticefields import Grid, LatticeError
-from ssbspec.liecore import FactorLabel, GeneratorError, GeneratorSet
+from ssbspec.liecore import GeneratorError, GeneratorSet
 from ssbspec.unitarygauge import UnitaryGaugeConfig, apply_unitary_gauge_field
 
 MODEL = build_model()
@@ -28,13 +28,12 @@ SKEW = 0.5j * np.array([[[1, 0], [0, -1]]], dtype=complex)
 # (type, valid arguments in field order)
 VALIDATED = [
     (MassForm, ([[2.0, 0.0], [0.0, 1.0]],)),
-    (GeneratorSet, (SKEW, None)),
+    (GeneratorSet, (SKEW,)),
     (TripleProduct, (np.zeros((2, 2, 1)), (1, 0, 0))),
     (ElectroweakParams, (2.0, 1.0, 2.0, 1.0)),
     (QuarticPotential, (2.0, 1.0)),
     (HiggsModel, (GS, QUARTIC, MODEL.vacuum)),
     (Grid, (2, (4, 5), 0.25, "euclidean")),
-    (GeneratorSet, (SKEW, (FactorLabel("u1", (0,), 1.0),))),
 ]
 
 # (type, bad arguments in field order, error, message)
@@ -42,7 +41,7 @@ INVALID = [
     (MassForm, (["a"],), ValueError, "could not convert"),
     # representations are GeneratorSets; this row keeps the id it had under chiral.Representation
     pytest.param(
-        GeneratorSet, (np.ones((1, 2, 2)), None), GeneratorError, "not skew-Hermitian",
+        GeneratorSet, (np.ones((1, 2, 2)),), GeneratorError, "not skew-Hermitian",
         id="Representation-args1-GeneratorError-not skew-Hermitian",
     ),
     (TripleProduct, (np.zeros((2, 2)), (0, 0, 0)), RepresentationError, "three slots"),
@@ -53,8 +52,7 @@ INVALID = [
     (HiggsModel, (GS, QUARTIC, np.zeros(3)), NotAVacuumError, r"shape \(2,\)"),
     (Grid, (2, (4, 3), 0.25, "euclidean"), LatticeError, "at least 4"),
     (Grid, (2, (4, 4), 0.25, "minkowski"), LatticeError, "unknown metric"),
-    (GeneratorSet, (np.zeros((2, 2)), None), GeneratorError, r"\(r, n, n\) stack"),
-    (GeneratorSet, (SKEW, (FactorLabel("u1", (1,), 1.0),)), GeneratorError, "out-of-range"),
+    (GeneratorSet, (np.zeros((2, 2)),), GeneratorError, r"\(r, n, n\) stack"),
 ]
 
 

@@ -79,7 +79,6 @@ def test_rescaled_electroweak_model(tmp_path, su2, u1):
     algebra["generators"] = (
         (np.array(algebra["generators"]) * np.array([su2, su2, su2, u1])[:, None, None, None]).tolist()
     )
-    algebra["factors"] = [["su2", [0, 1, 2], 2.0 * su2], ["u1", [3], u1]]
     path = tmp_path / "rescaled.model"
     path.write_text(emit_document(doc))
     code, report = run("spectrum", "--model", str(path))
@@ -89,6 +88,26 @@ def test_rescaled_electroweak_model(tmp_path, su2, u1):
     # vacuum (0, 1): W = g / sqrt 2, Z = sqrt(g^2 + g'^2) / sqrt 2, g = 2 su2, g' = u1
     w, z = 2.0 * su2 / math.sqrt(2.0), math.hypot(2.0 * su2, u1) / math.sqrt(2.0)
     assert spec["boson_masses"] == pytest.approx([z, w, w, 0.0], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("g", ["3e102", "1e103", "1e154"])
+def test_electroweak_huge_weak_coupling(g):
+    # the closure brackets overflowed: 3e102 warned and failed, 1e103 ended
+    # in "cannot emit NaN"
+    code, doc = run("electroweak", "--g", g)
+    assert code == 0, doc["validation"]
+
+
+@pytest.mark.parametrize("factor", [1e100, 1e104, 1e140])
+def test_spin1_model_with_huge_generators(tmp_path, factor):
+    # validate warned and failed at x1e100 and ended in "cannot emit NaN" at x1e140
+    doc = parse_document(SPIN1.read_text())
+    doc["algebra"]["generators"] = (np.array(doc["algebra"]["generators"]) * factor).tolist()
+    path = tmp_path / "huge.model"
+    path.write_text(emit_document(doc))
+    for command in ("spectrum", "validate"):
+        code, report = run(command, "--model", str(path))
+        assert code == 0, report
 
 
 ABELIAN = """\
@@ -120,7 +139,7 @@ def test_abelian_model_has_zero_brackets_and_passes(tmp_path):
 def test_zero_generator_keeps_its_zero_column():
     doc = parse_document(EW.read_text())
     doc["algebra"]["generators"][3] = np.zeros((2, 2, 2)).tolist()
-    del doc["algebra"]["factors"], doc["representations"], doc["yukawa"]
+    del doc["representations"], doc["yukawa"]
     model = parse_model_file(emit_document(doc)).model
     with warnings.catch_warnings():
         warnings.simplefilter("error")
