@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .higgsmodel import HiggsModel, NotAVacuumError
-from .liecore import TOL_RANK, GeneratorSet, realify, unrealify
+from .liecore import TOL_RANK, GeneratorSet, realify, safe_norm, unrealify
 
 __all__ = [
     "MassForm",
@@ -122,7 +122,7 @@ def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
     the coupled one.
     """
     acted = _acted(gs, v)
-    norms = np.linalg.norm(gs.matrices, axis=(1, 2))
+    norms = safe_norm(realify(gs.matrices.reshape(gs.r, -1)))
     free = np.linalg.svd(acted / np.where(norms > 0, norms, 1.0)[:, None], compute_uv=False)
     u, s, vt = np.linalg.svd(acted.T)
     return OrbitFrame(u=u, s=s, vt=vt, rank=int(np.sum(free > TOL_RANK * free[0])))

@@ -134,11 +134,12 @@ def _cmd_electroweak(args):
     )
     scale = model.generators.scale
     # each mass against its own prediction, so a lost small mass fails and
-    # the photon must come out exactly 0; each defect against its own scale
+    # the photon must come out exactly 0; each defect against its own scale,
+    # which must be finite: a max|X|^2 beyond the float range fails
     ok = (
         bool(np.all(gaps <= args.tol * pred.as_array()))
         and higgs_gap <= args.tol * pred.higgs
-        and report.closure_defect <= TOL_ALG * scale**2
+        and report.closure_defect <= TOL_ALG * scale * scale < np.inf
         and unbroken_norm <= TOL_ALG * float(np.linalg.norm(model.vacuum)) * scale
     )
     doc = {
@@ -175,7 +176,8 @@ def _cmd_electroweak(args):
 def _model_checks(model, tol, seed, samples, hessian=False) -> tuple[dict, bool]:
     """A loaded model's defects, and the one pass rule of spectrum and validate:
     skew, gradient and Hessian were judged when the model file loaded, so it
-    reads closure against max|X|^2 and invariance against the largest |V|."""
+    reads closure against max|X|^2, which must be finite, and invariance
+    against the largest |V|."""
     report = validate_generators(model.generators)
     checks = {
         "skew_defect": report.skew_defect,
@@ -187,7 +189,8 @@ def _model_checks(model, tol, seed, samples, hessian=False) -> tuple[dict, bool]
         checks["hessian_min_eigenvalue"] = float(np.linalg.eigvalsh(hess).min())
     invariance, v_scale = check_potential_invariance(model, samples=samples, seed=seed)
     checks["potential_invariance"] = invariance
-    ok = report.closure_defect <= tol * model.generators.scale**2 and invariance <= tol * v_scale
+    scale = model.generators.scale
+    ok = report.closure_defect <= tol * scale * scale < np.inf and invariance <= tol * v_scale
     return checks, ok
 
 

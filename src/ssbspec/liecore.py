@@ -44,6 +44,10 @@ TOL_ALG = 1e-10
 # Rank cut: singular values at or below TOL_RANK times the largest count as zero.
 TOL_RANK = 1e-8
 
+# GeneratorSet._brackets works at max|X| <= 2^BRACKET_EXP (about 1.8e72), where
+# the fourth power of the largest entry, about 1e289, is still in range.
+BRACKET_EXP = 240
+
 # Sites per call of a stacked kernel (the unitary-gauge sweep, the lattice
 # transforms): the (sites, n, n) temporaries scale with this, not with the grid.
 SITE_BLOCK = 4096
@@ -206,19 +210,22 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
         return coeffs.reshape(lead + (self.r,)), np.linalg.norm(resid, axis=-1).reshape(lead)
 
     def _brackets(self):
-        """Every [g_i, g_j], shape (r, r, n, n), and its projection (c, defect).
+        """u, a power of two, and for the basis divided by u the brackets
+        [g_i, g_j], shape (r, r, n, n), and their projection (c, defect).
 
-        They are computed on the basis divided by the power of two u at or just
-        above max|X|, then c is multiplied by u and the brackets and defects by
-        u^2: scaling by a power of two is exact, and the products and the
-        projection's matmul, which grow like max|X|^3, stay in range.
+        The products grow like max|X|^2, the projection's matmul like
+        max|X|^3 and its residual norms square the brackets, so a basis with
+        max|X| above 2^BRACKET_EXP is divided by the power of two that brings
+        it there; below that u is 1.  Scaling by a power of two is exact: the
+        basis's own structure constants are u c and its defects u^2 defect,
+        and generators far smaller than max|X| keep the normal range their
+        squares need.
         """
-        u = math.ldexp(1.0, math.frexp(self.scale)[1])
+        u = math.ldexp(1.0, max(0, math.frexp(self.scale)[1] - BRACKET_EXP))
         unit = self._replace(matrices=self.matrices / u)
         prod = np.einsum("aij,bjk->abik", unit.matrices, unit.matrices)
         brackets = prod - np.transpose(prod, (1, 0, 2, 3))
-        c, defect = unit.project(brackets)
-        return brackets * u**2, c * u, defect * u**2
+        return (u, brackets, *unit.project(brackets))
 
     def structure_constants(self) -> np.ndarray:
         """c with [g_i, g_j] = sum_k c[i, j, k] g_k.
@@ -226,11 +233,11 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
         Raises GeneratorError if some bracket leaves the span (the basis
         does not close under commutators).
         """
-        brackets, c, defect = self._brackets()
+        u, brackets, c, defect = self._brackets()
         worst = float(np.max(defect))
         if worst > TOL_ALG * float(np.max(np.abs(brackets))):
-            raise GeneratorError(f"brackets leave the generator span (defect {worst:.3e})")
-        return c
+            raise GeneratorError(f"brackets leave the generator span (defect {worst * u * u:.3e})")
+        return c * u
 
     def skew_defect(self) -> float:
         """Largest entry of g_i + g_i^dagger over the basis."""
@@ -239,7 +246,8 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
 
     def closure_defect(self) -> float:
         """Largest Frobenius distance of a bracket from the span."""
-        return float(np.max(self._brackets()[2]))
+        u, _, _, defect = self._brackets()
+        return float(np.max(defect)) * u * u
 
 
 def _require_independent(gram: np.ndarray) -> None:

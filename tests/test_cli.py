@@ -526,3 +526,17 @@ def test_commands_that_draw_nothing_take_no_seed(argv, monkeypatch, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     monkeypatch.setenv("SSB_SPECTRUM_SEED", "abc")
     assert run(*argv)[0] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")  # the mass form's squares
+@pytest.mark.parametrize("command", ["spectrum", "validate"])
+def test_closure_bound_beyond_the_float_range_fails(tmp_path, command):
+    # at max|X| = 1e300 the closure bound tol max|X|^2 is not a float: the
+    # check fails rather than passing an infinite defect or raising
+    doc = parse_document(pathlib.Path("tests/goldens/spin1.model").read_text())
+    doc["algebra"]["generators"] = (np.array(doc["algebra"]["generators"]) * 1e300).tolist()
+    path = tmp_path / "huge.model"
+    path.write_text(modelfile.emit_document(doc))
+    code, text = run(command, "--model", str(path), "--format", "machine")
+    assert code == 1
+    assert "closure_defect = inf\n" in text and "pass = false\n" in text

@@ -90,17 +90,23 @@ def test_rescaled_electroweak_model(tmp_path, su2, u1):
     assert spec["boson_masses"] == pytest.approx([z, w, w, 0.0], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("g", ["3e102", "1e103", "1e154"])
-def test_electroweak_huge_weak_coupling(g):
+@pytest.mark.parametrize(
+    "argv",
+    [["--g", "3e102"], ["--g", "1e103"], ["--g", "1e154"], ["--g", "1e-100", "--gp", "1e100"], ["--g", "1e100", "--gp", "1e-60"]],
+    ids=["3e102", "1e103", "1e154", "split-1e200", "split-1e160"],
+)
+def test_electroweak_huge_coupling(argv):
     # the closure brackets overflowed: 3e102 warned and failed, 1e103 ended
-    # in "cannot emit NaN"
-    code, doc = run("electroweak", "--g", g)
+    # in "cannot emit NaN"; couplings 200 decades apart must keep passing
+    code, doc = run("electroweak", *argv)
     assert code == 0, doc["validation"]
 
 
-@pytest.mark.parametrize("factor", [1e100, 1e104, 1e140])
+@pytest.mark.parametrize("factor", [1e100, 1e104, 1e140, 1e154])
 def test_spin1_model_with_huge_generators(tmp_path, factor):
-    # validate warned and failed at x1e100 and ended in "cannot emit NaN" at x1e140
+    # validate warned and failed at x1e100 and ended in "cannot emit NaN" at
+    # x1e140; at x1e154 the generator norms' squares overflowed and spectrum
+    # read every boson as massless
     doc = parse_document(SPIN1.read_text())
     doc["algebra"]["generators"] = (np.array(doc["algebra"]["generators"]) * factor).tolist()
     path = tmp_path / "huge.model"
