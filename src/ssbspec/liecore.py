@@ -44,8 +44,8 @@ TOL_ALG = 1e-10
 # Rank cut: singular values at or below TOL_RANK times the largest count as zero.
 TOL_RANK = 1e-8
 
-# GeneratorSet._brackets works at max|X| <= 2^BRACKET_EXP (about 1.8e72), where
-# the fourth power of the largest entry, about 1e289, is still in range.
+# GeneratorSet._brackets works at max|X| <= 2^BRACKET_EXP (about 1.8e72), whose
+# fourth power, about 1e289, is still in range.
 BRACKET_EXP = 240
 
 # Sites per call of a stacked kernel (the unitary-gauge sweep, the lattice
@@ -211,16 +211,11 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
 
     def _brackets(self):
         """u, a power of two, and for the basis divided by u the brackets
-        [g_i, g_j], shape (r, r, n, n), and their projection (c, defect).
-
-        The products grow like max|X|^2, the projection's matmul like
-        max|X|^3 and its residual norms square the brackets, so a basis with
-        max|X| above 2^BRACKET_EXP is divided by the power of two that brings
-        it there; below that u is 1.  Scaling by a power of two is exact: the
-        basis's own structure constants are u c and its defects u^2 defect,
-        and generators far smaller than max|X| keep the normal range their
-        squares need.
-        """
+        [g_i, g_j], shape (r, r, n, n), and their projection (c, defect); the
+        basis's own are exactly u c and u^2 defect.  u is 1 unless max|X|
+        exceeds 2^BRACKET_EXP, and then brings it down to that and no further,
+        so the residual norms (about max|X|^4) stay in range and generators
+        far smaller than max|X| keep normal squares."""
         u = math.ldexp(1.0, max(0, math.frexp(self.scale)[1] - BRACKET_EXP))
         unit = self._replace(matrices=self.matrices / u)
         prod = np.einsum("aij,bjk->abik", unit.matrices, unit.matrices)

@@ -175,6 +175,7 @@ HUGE = "1" + "0" * 400
         (MINIMAL + GRID_TAIL.replace("[4, 4]", "[true, 4]"), 13, "grid", "shape must be a list of integers"),
         (MINIMAL + GRID_TAIL.replace("[4, 4]", '["4", 4]'), 13, "grid", "shape must be a list of integers"),
         (MINIMAL + GRID_TAIL.replace('"euclidean"', "3"), 15, "grid", "metric must be a string"),
+        (MINIMAL + GRID_TAIL.replace('"euclidean"', "null"), 15, "grid", "metric must be a string"),
         (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 0"), 12, "grid", "dimension must be at least 1"),
         (MINIMAL + GRID_TAIL.replace("dim = 2", "dim = 3"), 13, "grid", "expected 3 extents"),
         (MINIMAL + GRID_TAIL.replace("[4, 4]", "[4, 3]"), 13, "grid", "at least 4"),
@@ -263,7 +264,7 @@ HUGE = "1" + "0" * 400
         "missing-key", "lambda", "unknown-key", "vacuum", "unknown-section", "reserved-name",
         "g_y", "missing-section",
         "grid-h-boolean", "grid-dim-float", "grid-dim-string", "grid-extent-float", "grid-extent-boolean",
-        "grid-extent-string", "grid-metric-number",
+        "grid-extent-string", "grid-metric-number", "grid-metric-null",
         "grid-dim-zero", "grid-extent-count", "grid-extent-small", "grid-h-zero", "grid-metric-unknown",
         "mu-huge-integer", "mu-overflow", "mu-twice-overflows", "representation-not-skew", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
         "factor-coupling-huge-integer", "n-boolean", "r-not-integer", "mu-boolean", "lambda-boolean",
