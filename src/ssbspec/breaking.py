@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .higgsmodel import HiggsModel, NotAVacuumError
-from .liecore import TOL_RANK, GeneratorSet, realify, safe_norm, unrealify
+from .liecore import TOL_RANK, GeneratorSet, realify, unrealify
 
 __all__ = [
     "MassForm",
@@ -116,14 +116,13 @@ def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
     times the largest, v = 0 having rank 0.
 
     Couplings are folded into the generators, so the coupled map is the
-    map of the unit generators g_i / |g_i| (a zero generator keeps its zero
-    column) times an invertible diagonal, and has the same rank.  The rank
-    is read off that coupling-free map; the masses and the frame come from
-    the coupled one.
+    map of the unit basis (GeneratorSet.unit_basis, each generator divided
+    by a power of two; a zero generator keeps its zero column) times an
+    invertible diagonal, and has the same rank.  The rank is read off that
+    coupling-free map; the masses and the frame come from the coupled one.
     """
     acted = _acted(gs, v)
-    norms = safe_norm(realify(gs.matrices.reshape(gs.r, -1)))
-    free = np.linalg.svd(acted / np.where(norms > 0, norms, 1.0)[:, None], compute_uv=False)
+    free = np.linalg.svd(realify(gs.unit_basis()[1] @ np.asarray(v, dtype=complex)), compute_uv=False)
     u, s, vt = np.linalg.svd(acted.T)
     return OrbitFrame(u=u, s=s, vt=vt, rank=int(np.sum(free > TOL_RANK * free[0])))
 
@@ -251,7 +250,6 @@ class SpectrumResult(NamedTuple):
     """Full spectrum data of a broken model at its vacuum."""
 
     vacuum: np.ndarray
-    mass_form_matrix: np.ndarray
     unbroken: np.ndarray  # (r - d, r) coefficient rows
     broken: np.ndarray  # (d, r) mass-diagonal coefficient rows, descending mass
     boson_masses: np.ndarray  # (r,) descending, zeros on the unbroken tail
@@ -272,7 +270,6 @@ def spectrum(model: HiggsModel) -> SpectrumResult:
     osplit = _orbit_split(frame, model.potential.hessian(v0))
     return SpectrumResult(
         vacuum=v0,
-        mass_form_matrix=mass_form(gs, v0).matrix,
         unbroken=_canonical_rows(frame.vt[frame.rank :]),
         broken=broken,
         boson_masses=masses,

@@ -53,7 +53,7 @@ from .latticefields import (
     yang_mills_density,
     field_strength,
 )
-from .liecore import TOL_ALG, TOL_RANK, act, exponentiate, safe_norm, validate_generators
+from .liecore import TOL_ALG, TOL_RANK, exponentiate, realify, safe_norm, validate_generators
 from .modelfile import ModelFileError, emit_document, parse_model_file
 from .unitarygauge import DegeneratePointError, UnitaryGaugeConfig, apply_unitary_gauge_field
 
@@ -128,19 +128,14 @@ def _cmd_electroweak(args):
     gaps = np.abs(pred.as_array() - spec.boson_masses)
     higgs_gap = abs(pred.higgs - float(spec.higgs_masses[0]))
     ops = charge_operators(model.generators, p)
-    unbroken_norm = max(
-        float(np.linalg.norm(act(model.generators, row, model.vacuum)))
-        for row in spec.unbroken
-    )
-    scale = model.generators.scale
+    unbroken_norm = float(np.max(safe_norm(realify(model.generators.matrix_of(spec.unbroken) @ model.vacuum))))
     # each mass against its own prediction, so a lost small mass fails and
-    # the photon must come out exactly 0; each defect against its own scale,
-    # which must be finite: a max|X|^2 beyond the float range fails
+    # the photon must come out exactly 0; each defect against its own scale
     ok = (
         bool(np.all(gaps <= args.tol * pred.as_array()))
         and higgs_gap <= args.tol * pred.higgs
-        and report.closure_defect <= TOL_ALG * scale * scale < np.inf
-        and unbroken_norm <= TOL_ALG * float(np.linalg.norm(model.vacuum)) * scale
+        and report.closure_defect <= TOL_ALG
+        and unbroken_norm <= TOL_ALG * float(np.linalg.norm(model.vacuum)) * model.generators.scale
     )
     doc = {
         "report": {"command": "electroweak", "tolerance": args.tol},
@@ -176,8 +171,8 @@ def _cmd_electroweak(args):
 def _model_checks(model, tol, seed, samples, hessian=False) -> tuple[dict, bool]:
     """A loaded model's defects, and the one pass rule of spectrum and validate:
     skew, gradient and Hessian were judged when the model file loaded, so it
-    reads closure against max|X|^2, which must be finite, and invariance
-    against the largest |V|."""
+    reads the scale-free closure defect against tol, and invariance against
+    the largest |V|."""
     report = validate_generators(model.generators)
     checks = {
         "skew_defect": report.skew_defect,
@@ -189,8 +184,7 @@ def _model_checks(model, tol, seed, samples, hessian=False) -> tuple[dict, bool]
         checks["hessian_min_eigenvalue"] = float(np.linalg.eigvalsh(hess).min())
     invariance, v_scale = check_potential_invariance(model, samples=samples, seed=seed)
     checks["potential_invariance"] = invariance
-    scale = model.generators.scale
-    ok = report.closure_defect <= tol * scale * scale < np.inf and invariance <= tol * v_scale
+    ok = report.closure_defect <= tol and invariance <= tol * v_scale
     return checks, ok
 
 

@@ -121,8 +121,10 @@ def boson_mass_predictions(p: ElectroweakParams) -> MassPredictions:
 
 
 def elementary_charge(p: ElectroweakParams) -> float:
-    """e = g g' / sqrt(g^2 + g'^2) = g sin(theta)."""
-    return p.g * p.gp / math.hypot(p.g, p.gp)
+    """e = g g' / sqrt(g^2 + g'^2) = g sin(theta), as min(g, g') times a factor
+    in [1/sqrt 2, 1], so that g g' neither overflows nor underflows."""
+    lo, hi = sorted((p.g, p.gp))
+    return lo * (hi / math.hypot(p.g, p.gp))
 
 
 class ChargeOperators(NamedTuple):

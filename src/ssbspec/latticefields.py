@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .breaking import SpectrumResult
+from .breaking import SpectrumResult, mass_form
 from .higgsmodel import HiggsModel
 from .liecore import TOL_ALG, TOL_RANK, GeneratorSet, realify, unrealify
 from .liecore import _expm_skew_into, _real, _site_product, _site_workspace
@@ -573,7 +573,7 @@ def quadratic_expansion_check(
     s = grid.signs
     hess = model.potential.hessian(v0)
     v_at_vacuum = model.potential.value(v0)
-    mass_form = spec.mass_form_matrix
+    form = mass_form(gs, v0).matrix
 
     def full_density(e: float) -> np.ndarray:
         phi = v0 + e * delta_phi
@@ -589,7 +589,7 @@ def quadratic_expansion_check(
             dgrad = central_difference(grid, delta_phi, mu)
             out = out + s[mu] * e * e * np.einsum("...i,...i->...", dgrad.conj(), dgrad).real
             a_mu = gauge[..., mu, :]
-            out = out + s[mu] * e * e * np.einsum("...i,ij,...j->...", a_mu, mass_form, a_mu)
+            out = out + s[mu] * e * e * np.einsum("...i,ij,...j->...", a_mu, form, a_mu)
         for mu in range(grid.dim):
             for nu in range(grid.dim):
                 if mu == nu:

@@ -44,10 +44,6 @@ TOL_ALG = 1e-10
 # Rank cut: singular values at or below TOL_RANK times the largest count as zero.
 TOL_RANK = 1e-8
 
-# GeneratorSet._brackets works at max|X| <= 2^BRACKET_EXP (about 1.8e72), whose
-# fourth power, about 1e289, is still in range.
-BRACKET_EXP = 240
-
 # Sites per call of a stacked kernel (the unitary-gauge sweep, the lattice
 # transforms): the (sites, n, n) temporaries scale with this, not with the grid.
 SITE_BLOCK = 4096
@@ -174,16 +170,18 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
         flat = c.reshape(-1, self.r) @ self.matrices.reshape(self.r, -1)
         return flat.reshape(c.shape[:-1] + (self.n, self.n))
 
-    def gram(self) -> np.ndarray:
-        """Real Frobenius Gram matrix of the basis matrices."""
-        return np.real(np.einsum("rij,sij->rs", np.conj(self.matrices), self.matrices))
+    def unit_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents e (r,) and the unit basis g_i / 2^e_i (r, n, n): 2^e_i brings
+        the largest real or imaginary part of g_i into [1/2, 1), and a zero
+        generator keeps e_i = 0.  ldexp on the float view cannot overflow and is
+        exact, so a coupling, which only rescales a generator, changes no
+        decision taken on this basis."""
+        flat = self.matrices.reshape(self.r, -1).view(float)
+        e = np.frexp(np.max(np.abs(flat), axis=1))[1]
+        return e, np.ldexp(flat, -e[:, None]).view(complex).reshape(self.matrices.shape)
 
     def project(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project matrices onto the real span of the basis.
-
-        The right-hand sides Re tr(g_i^dagger M) are one real matmul over
-        the interleaved (re, im) views of all matrices, and one solve with
-        the Gram matrix serves every matrix at once.
 
         Parameters
         ----------
@@ -195,44 +193,31 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
         defect : (...) real ndarray
             Frobenius distance between each matrix and its projection.
         """
-        M = np.ascontiguousarray(mats, dtype=complex)
-        if M.shape[-2:] != (self.n, self.n):
-            raise GeneratorError(f"expected trailing shape ({self.n}, {self.n})")
-        basis = self.matrices.reshape(self.r, -1)
-        flat = M.reshape(-1, basis.shape[1])
-        b = flat.view(float) @ basis.view(float).T
-        gram = self.gram()
-        _require_independent(gram)
-        coeffs = np.linalg.solve(gram, b.T).T
-        resid = coeffs @ basis
-        np.subtract(flat, resid, out=resid)
-        lead = M.shape[:-2]
-        return coeffs.reshape(lead + (self.r,)), np.linalg.norm(resid, axis=-1).reshape(lead)
+        e, unit = self.unit_basis()
+        coeffs, defect = _project(unit, mats)
+        return np.ldexp(coeffs, -e), defect
 
     def _brackets(self):
-        """u, a power of two, and for the basis divided by u the brackets
-        [g_i, g_j], shape (r, r, n, n), and their projection (c, defect); the
-        basis's own are exactly u c and u^2 defect.  u is 1 unless max|X|
-        exceeds 2^BRACKET_EXP, and then brings it down to that and no further,
-        so the residual norms (about max|X|^4) stay in range and generators
-        far smaller than max|X| keep normal squares."""
-        u = math.ldexp(1.0, max(0, math.frexp(self.scale)[1] - BRACKET_EXP))
-        unit = self._replace(matrices=self.matrices / u)
-        prod = np.einsum("aij,bjk->abik", unit.matrices, unit.matrices)
+        """The unit basis's brackets [u_i, u_j], shape (r, r, n, n), and their
+        projection (c', defect) onto the unit basis, with the exponents e:
+        the basis's own are [g_i, g_j] = sum_k c'[i, j, k] 2^(e_i + e_j - e_k) g_k.
+        Every entry stays near 1, whatever the couplings."""
+        e, unit = self.unit_basis()
+        prod = np.einsum("aij,bjk->abik", unit, unit)
         brackets = prod - np.transpose(prod, (1, 0, 2, 3))
-        return (u, brackets, *unit.project(brackets))
+        return (e, *_project(unit, brackets))
 
     def structure_constants(self) -> np.ndarray:
         """c with [g_i, g_j] = sum_k c[i, j, k] g_k.
 
-        Raises GeneratorError if some bracket leaves the span (the basis
-        does not close under commutators).
+        Raises GeneratorError if the closure defect exceeds TOL_ALG (the
+        basis does not close under commutators).
         """
-        u, brackets, c, defect = self._brackets()
+        e, c, defect = self._brackets()
         worst = float(np.max(defect))
-        if worst > TOL_ALG * float(np.max(np.abs(brackets))):
-            raise GeneratorError(f"brackets leave the generator span (defect {worst * u * u:.3e})")
-        return c * u
+        if not worst <= TOL_ALG:
+            raise GeneratorError(f"brackets leave the generator span (defect {worst:.3e})")
+        return np.ldexp(c, e[:, None, None] + e[None, :, None] - e)
 
     def skew_defect(self) -> float:
         """Largest entry of g_i + g_i^dagger over the basis."""
@@ -240,30 +225,49 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
         return float(np.max(np.abs(m + np.conj(np.transpose(m, (0, 2, 1))))))
 
     def closure_defect(self) -> float:
-        """Largest Frobenius distance of a bracket from the span."""
-        u, _, _, defect = self._brackets()
-        return float(np.max(defect)) * u * u
+        """Largest Frobenius distance of a bracket of the unit basis from its span:
+        scale-free, so every closure check reads it against a bare tolerance."""
+        return float(np.max(self._brackets()[2]))
+
+
+def _project(unit: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (..., r) of mats (..., n, n) on the unit basis (r, n, n) and
+    their Frobenius distances from its span: the right-hand sides are one real
+    matmul over the (re, im) views, and one Gram solve serves every matrix."""
+    r, n = unit.shape[:2]
+    M = np.ascontiguousarray(mats, dtype=complex)
+    if M.shape[-2:] != (n, n):
+        raise GeneratorError(f"expected trailing shape ({n}, {n})")
+    basis = unit.reshape(r, -1)
+    flat = M.reshape(-1, basis.shape[1])
+    b = flat.view(float) @ basis.view(float).T
+    gram = np.real(np.einsum("rij,sij->rs", np.conj(unit), unit))
+    _require_independent(gram)
+    coeffs = np.linalg.solve(gram, b.T).T
+    resid = coeffs @ basis
+    np.subtract(flat, resid, out=resid)
+    lead = M.shape[:-2]
+    return coeffs.reshape(lead + (r,)), np.linalg.norm(resid, axis=-1).reshape(lead)
 
 
 def _require_independent(gram: np.ndarray) -> None:
     """Raise GeneratorError naming the first generator that is zero or lies in
     the span of those before it.
 
-    Singular means an eigenvalue at or below TOL_RANK times the largest, judged
-    on the coupling-free Gram matrix (each generator divided by its Frobenius
-    norm), so couplings decades apart do not read as dependence.
+    Singular means an eigenvalue at or below TOL_RANK times the largest,
+    judged on the unit basis's Gram matrix, whose nonzero diagonal entries
+    lie in [1/4, 2 n^2]: couplings decades apart do not read as dependence,
+    and no generator's square leaves the float range.
     """
-    norms = np.sqrt(np.diag(gram))
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(np.diag(gram) == 0.0)
     if zero.size:
         raise GeneratorError(f"generator {zero[0]} is zero")
-    unit = gram / np.outer(norms, norms)
-    w = np.linalg.eigvalsh(unit)
+    w = np.linalg.eigvalsh(gram)
     cut = TOL_RANK * w[-1]
     if w[0] > cut:
         return
     # the leading minors' smallest eigenvalues only fall as generators join
-    first = next(i for i in range(1, len(unit)) if np.linalg.eigvalsh(unit[: i + 1, : i + 1])[0] <= cut)
+    first = next(i for i in range(1, len(gram)) if np.linalg.eigvalsh(gram[: i + 1, : i + 1])[0] <= cut)
     raise GeneratorError(f"generator {first} lies in the span of the generators before it")
 
 

@@ -528,15 +528,18 @@ def test_commands_that_draw_nothing_take_no_seed(argv, monkeypatch, capsys):
     assert run(*argv)[0] == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")  # the mass form's squares
 @pytest.mark.parametrize("command", ["spectrum", "validate"])
-def test_closure_bound_beyond_the_float_range_fails(tmp_path, command):
-    # at max|X| = 1e300 the closure bound tol max|X|^2 is not a float: the
-    # check fails rather than passing an infinite defect or raising
+def test_closure_check_beyond_the_float_range_passes(tmp_path, command):
+    # closure is judged on the unit basis, so generators whose max|X|^2 leaves
+    # the float range pass with a finite defect: at x1e300 the check once
+    # read closure_defect = inf and failed, and at x1e-300 the Gram matrix's
+    # squares underflowed into "generator 0 is zero"
     doc = parse_document(pathlib.Path("tests/goldens/spin1.model").read_text())
-    doc["algebra"]["generators"] = (np.array(doc["algebra"]["generators"]) * 1e300).tolist()
-    path = tmp_path / "huge.model"
-    path.write_text(modelfile.emit_document(doc))
-    code, text = run(command, "--model", str(path), "--format", "machine")
-    assert code == 1
-    assert "closure_defect = inf\n" in text and "pass = false\n" in text
+    path = tmp_path / "scaled.model"
+    for factor in (1e300, 1e-300):
+        generators = np.array(doc["algebra"]["generators"]) * factor
+        path.write_text(modelfile.emit_document({**doc, "algebra": {**doc["algebra"], "generators": generators.tolist()}}))
+        code, text = run(command, "--model", str(path), "--format", "machine")
+        assert code == 0, (factor, text)
+        (line,) = [line for line in text.splitlines() if line.startswith("closure_defect = ")]
+        assert math.isfinite(float(line.split(" = ")[1])) and "pass = true\n" in text

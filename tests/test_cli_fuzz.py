@@ -1,7 +1,7 @@
 """Seeded fuzzing of the CLI through main().
 
 Mutated model text (spectrum, validate) and mutated flag values
-(gauge-check, unitary-gauge) must end in exit 0, 1 or 2 with no
+(gauge-check, unitary-gauge, electroweak) must end in exit 0, 1 or 2 with no
 traceback: bad input is reported on an `error:` line, or by argparse's
 usage error for a bad flag value.  Flag values are drawn from small
 ranges, so no example asks for a large grid.
@@ -139,6 +139,32 @@ COMMON = (
 def test_gauge_check_flag_values_exit_cleanly(tail):
     argv = ["gauge-check"] + tail
     assert_clean_exit(argv, *run(argv))
+
+
+EW_FLAGS = {"--g": "g", "--gp": "gp", "--mu": "mu", "--lambda": "lambda"}
+BAD_PARAMETERS = ["nan", "inf", "-1", "0", "1e309", "abc"]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(FUZZ, max_examples=100)
+@given(
+    exponents=st.lists(st.floats(-150.0, 150.0), min_size=4, max_size=4),
+    bad=st.dictionaries(st.sampled_from(list(EW_FLAGS)), st.sampled_from(BAD_PARAMETERS), max_size=2),
+)
+def test_electroweak_flag_values_exit_cleanly(exponents, bad):
+    # any coupling and potential parameter log-uniform in 1e+-150 passes; a
+    # bad one exits 2 naming itself, in argparse's words or the model's
+    argv = ["electroweak", "--format", "machine"]
+    for flag, k in zip(EW_FLAGS, exponents):
+        argv += [flag, bad.get(flag, repr(10.0**k))]
+    code, text = run(argv)
+    assert_clean_exit(argv, code, text)
+    assert code == (2 if bad else 0), (argv, text)
+    if bad:
+        assert any(
+            f"argument {flag}: invalid float value" in text or f"electroweak parameter {EW_FLAGS[flag]} must be" in text
+            for flag in bad
+        ), (argv, text)
 
 
 @pytest.fixture(scope="module")

@@ -31,6 +31,10 @@ def test_closed_forms():
     assert weinberg_angle(PARAMS) == pytest.approx(np.arctan(0.5))
     assert elementary_charge(PARAMS) == pytest.approx(2.0 / np.sqrt(5.0))
     assert elementary_charge(PARAMS) == pytest.approx(PARAMS.g * np.sin(weinberg_angle(PARAMS)))
+    # g g' itself overflowed at 1e200 and lost digits in subnormals at 1e-160
+    for coupling in (1e-160, 1e200):
+        p = ElectroweakParams(g=coupling, gp=coupling)
+        assert elementary_charge(p) == pytest.approx(coupling / np.sqrt(2.0), rel=1e-15)
 
 
 @settings(max_examples=30, deadline=None)

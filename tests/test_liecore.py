@@ -116,15 +116,15 @@ def test_structure_constants_su2_block():
 
 @pytest.mark.parametrize("k", [-300, 345, 500])
 def test_brackets_scale_exactly_with_the_generators(k):
-    # the brackets are taken on the basis divided by a power of two near
-    # max|X|; on the stack itself their products and projection, which grow
-    # like max|X|^3, overflowed from about 1e102 into a RuntimeWarning
+    # the brackets are taken on the unit basis; on the stack itself their
+    # products and projection, which grow like max|X|^3, overflowed from
+    # about 1e102 into a RuntimeWarning
     unit = GeneratorSet(su2_irrep(3))
     scaled = GeneratorSet(unit.matrices * 2.0**k)
     with np.errstate(all="raise"):
         c, defect = scaled.structure_constants(), scaled.closure_defect()
     assert np.array_equal(c, unit.structure_constants() * 2.0**k)
-    assert defect == unit.closure_defect() * 4.0**k
+    assert defect == unit.closure_defect()
 
 
 def test_projection_detects_outside_span():
@@ -152,7 +152,8 @@ def test_projection_names_a_dependent_generator():
 def _old_project(gs, mats):
     """The einsum form project replaced, one Gram solve per matrix."""
     b = np.real(np.einsum("rij,...ij->...r", np.conj(gs.matrices), mats))
-    coeffs = np.linalg.solve(gs.gram(), b[..., None])[..., 0]
+    gram = np.real(np.einsum("rij,sij->rs", np.conj(gs.matrices), gs.matrices))
+    coeffs = np.linalg.solve(gram, b[..., None])[..., 0]
     recon = np.einsum("...r,rij->...ij", coeffs, gs.matrices)
     return coeffs, np.linalg.norm((mats - recon).reshape(mats.shape[:-2] + (-1,)), axis=-1)
 

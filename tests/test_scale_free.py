@@ -18,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbspec.breaking import orbit_frame, spectrum
+from ssbspec.chiral import su2_irrep
 from ssbspec.cli import main
+from ssbspec.electroweak import build_generators
+from ssbspec.liecore import GeneratorSet
 from ssbspec.modelfile import emit_document, parse_document, parse_model_file
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,7 +45,7 @@ def run(*argv):
 
 
 @PROPERTY
-@given(g=log_uniform(12), gp=log_uniform(12), mu=log_uniform(12), lam=log_uniform(12))
+@given(g=log_uniform(150), gp=log_uniform(150), mu=log_uniform(150), lam=log_uniform(150))
 def test_electroweak_spectrum_at_any_scale(g, gp, mu, lam):
     code, doc = run("electroweak", "--g", repr(g), "--gp", repr(gp), "--mu", repr(mu), "--lambda", repr(lam))
     assert code == 0, doc["validation"]
@@ -53,6 +56,33 @@ def test_electroweak_spectrum_at_any_scale(g, gp, mu, lam):
     assert m["numerical_bosons"][3] == 0.0
     (higgs,) = m["numerical_higgs"]
     assert abs(higgs - m["higgs"]) <= tol * m["higgs"]
+
+
+BASES = {
+    "doublet": (build_generators(2.0, 1.0).matrices, np.array([0.0, 1.0])),
+    "spin1": (su2_irrep(3), np.ones(3) / math.sqrt(3.0)),
+}
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(BASES)), data=st.data())
+def test_power_of_two_couplings_change_no_decision(name, data):
+    # each generator rescaled by its own power of two has the same unit
+    # basis, so closure and rank read the same bit for bit, and the structure
+    # constants and coefficients move by exact powers of two
+    matrices, v0 = BASES[name]
+    k = np.array(data.draw(st.lists(st.integers(-900, 900), min_size=len(matrices), max_size=len(matrices))))
+    base, scaled = GeneratorSet(matrices), GeneratorSet(np.ldexp(matrices.view(float), k[:, None, None]).view(complex))
+    mats = np.random.default_rng(len(v0)).normal(size=(5, len(v0), len(v0), 2)).view(complex)[..., 0]
+    assert scaled.closure_defect() == base.closure_defect()
+    assert orbit_frame(scaled, v0).rank == orbit_frame(base, v0).rank
+    (c, defect), (c_scaled, defect_scaled) = base.project(mats), scaled.project(mats)
+    assert np.array_equal(c_scaled, np.ldexp(c, -k)) and np.array_equal(defect_scaled, defect)
+    # an exponent k_i + k_j - k_k past the float range overflows or underflows
+    # the same way in both
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(base.structure_constants(), k[:, None, None] + k[None, :, None] - k)
+        assert np.array_equal(scaled.structure_constants(), want)
 
 
 @PROPERTY
@@ -92,12 +122,37 @@ def test_rescaled_electroweak_model(tmp_path, su2, u1):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--g", "3e102"], ["--g", "1e103"], ["--g", "1e154"], ["--g", "1e-100", "--gp", "1e100"], ["--g", "1e100", "--gp", "1e-60"]],
-    ids=["3e102", "1e103", "1e154", "split-1e200", "split-1e160"],
+    [
+        ["--g", "3e102"],
+        ["--g", "1e103"],
+        ["--g", "1e154"],
+        ["--g", "1e-100", "--gp", "1e100"],
+        ["--g", "1e100", "--gp", "1e-60"],
+        ["--g", "1e-160", "--gp", "1e-160"],
+        ["--g", "1e-170"],
+        ["--g", "1e300"],
+        ["--g", "1e200", "--gp", "1e-100"],
+        ["--g", "1e200"],
+        ["--g", "1e60", "--mu", "1e200"],
+        ["--g", "1e155"],
+        ["--g", "1e200", "--gp", "1e200"],
+        ["--g", "1e300", "--gp", "1e300"],
+        ["--g", "1e250", "--gp", "1e300"],
+    ],
+    ids=[
+        "3e102", "1e103", "1e154", "split-1e200", "split-1e160", "1e-160-both", "1e-170", "1e300",
+        "split-1e300", "1e200", "1e60-mu-1e200", "1e155", "1e200-both", "1e300-both", "1e250-1e300",
+    ],
 )
 def test_electroweak_huge_coupling(argv):
     # the closure brackets overflowed: 3e102 warned and failed, 1e103 ended
-    # in "cannot emit NaN"; couplings 200 decades apart must keep passing
+    # in "cannot emit NaN"; couplings 200 decades apart must keep passing.
+    # Each later input failed once a generator's or the mass form's squares
+    # left the float range: 1e-160 ended in "cannot emit NaN", 1e-170, 1e300
+    # and split-1e300 read a generator as zero, 1e200 failed a closure bound
+    # of tol max|X|^2 = inf beside closure_defect = 0.0, 1e60-mu-1e200 and
+    # 1e155 warned in the mass form, and the last three in the unbroken
+    # action's norm
     code, doc = run("electroweak", *argv)
     assert code == 0, doc["validation"]
 
