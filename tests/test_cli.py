@@ -536,9 +536,10 @@ def test_closure_check_beyond_the_float_range_passes(tmp_path, command):
     # squares underflowed into "generator 0 is zero"
     doc = parse_document(pathlib.Path("tests/goldens/spin1.model").read_text())
     path = tmp_path / "scaled.model"
+    generators = np.array(doc["algebra"]["generators"])
     for factor in (1e300, 1e-300):
-        generators = np.array(doc["algebra"]["generators"]) * factor
-        path.write_text(modelfile.emit_document({**doc, "algebra": {**doc["algebra"], "generators": generators.tolist()}}))
+        doc["algebra"]["generators"] = (generators * factor).tolist()
+        path.write_text(modelfile.emit_document(doc))
         code, text = run(command, "--model", str(path), "--format", "machine")
         assert code == 0, (factor, text)
         (line,) = [line for line in text.splitlines() if line.startswith("closure_defect = ")]

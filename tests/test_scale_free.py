@@ -72,7 +72,8 @@ def test_power_of_two_couplings_change_no_decision(name, data):
     # constants and coefficients move by exact powers of two
     matrices, v0 = BASES[name]
     k = np.array(data.draw(st.lists(st.integers(-900, 900), min_size=len(matrices), max_size=len(matrices))))
-    base, scaled = GeneratorSet(matrices), GeneratorSet(np.ldexp(matrices.view(float), k[:, None, None]).view(complex))
+    base = GeneratorSet(matrices)
+    scaled = GeneratorSet(np.ldexp(matrices.view(float), k[:, None, None]).view(complex))
     mats = np.random.default_rng(len(v0)).normal(size=(5, len(v0), len(v0), 2)).view(complex)[..., 0]
     assert scaled.closure_defect() == base.closure_defect()
     assert orbit_frame(scaled, v0).rank == orbit_frame(base, v0).rank
