@@ -9,15 +9,9 @@ __version__ = "0.1.0"
 
 # public name -> the ssbspec module it comes from
 _EXPORTS = {
-    "MassForm": "breaking",
-    "QuadraticReport": "breaking",
     "SpectrumResult": "breaking",
-    "decompose_shift": "breaking",
     "mass_form": "breaking",
-    "orbit_split": "breaking",
-    "quadratic_lagrangian": "breaking",
     "spectrum": "breaking",
-    "stabilizer_split": "breaking",
     "HiggsModel": "higgsmodel",
     "QuarticPotential": "higgsmodel",
     "check_potential_invariance": "higgsmodel",

@@ -11,29 +11,20 @@ whose eigenvalues 2 m^2 give the scalar masses.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .higgsmodel import HiggsModel, NotAVacuumError
-from .liecore import TOL_RANK, GeneratorSet, realify, unrealify
+from .liecore import TOL_RANK, GeneratorSet, realify
 
 __all__ = [
-    "MassForm",
     "OrbitFrame",
     "OrbitSplit",
-    "QuadraticReport",
-    "ShiftDecomposition",
     "SpectrumResult",
-    "StabilizerSplit",
-    "decompose_shift",
     "mass_form",
     "orbit_frame",
-    "orbit_split",
-    "quadratic_lagrangian",
     "spectrum",
-    "stabilizer_split",
 ]
 
 
@@ -76,25 +67,11 @@ def _sort_clusters(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     return np.concatenate(out_vals), np.concatenate(out_rows)
 
 
-class MassForm(namedtuple("MassForm", "matrix")):
-    """Symmetric PSD matrix m_ij = Re <g_i v0, g_j v0> on coefficient vectors,
-    stored as a read-only real copy."""
-
-    __slots__ = ()
-
-    def __new__(cls, matrix: np.ndarray):
-        m = np.array(matrix, dtype=float)
-        m.setflags(write=False)
-        return super().__new__(cls, m)
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.asarray(a) @ self.matrix @ np.asarray(b))
-
-
-def mass_form(gs: GeneratorSet, v0: np.ndarray) -> MassForm:
-    """Mass form of the vacuum v0; exactly symmetric by construction."""
+def mass_form(gs: GeneratorSet, v0: np.ndarray) -> np.ndarray:
+    """Mass form m_ij = Re <g_i v0, g_j v0> of the vacuum v0 on coefficient
+    vectors; symmetric PSD, exactly symmetric by construction."""
     T = _acted(gs, v0)
-    return MassForm(T @ T.T)
+    return T @ T.T
 
 
 class OrbitFrame(NamedTuple):
@@ -127,32 +104,6 @@ def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
     return OrbitFrame(u=u, s=s, vt=vt, rank=int(np.sum(free > TOL_RANK * free[0])))
 
 
-class StabilizerSplit(NamedTuple):
-    """Orthonormal split of the coefficient space at a vacuum.
-
-    unbroken rows annihilate v0; broken rows span the complement.
-    """
-
-    unbroken: np.ndarray  # (r - d, r)
-    broken: np.ndarray  # (d, r)
-
-    @property
-    def d(self) -> int:
-        return self.broken.shape[0]
-
-
-def stabilizer_split(gs: GeneratorSet, v0: np.ndarray) -> StabilizerSplit:
-    """Kernel / complement split of X -> X v0 on coefficient vectors.
-
-    v0 = 0 gives an all-unbroken split.
-    """
-    frame = orbit_frame(gs, v0)
-    return StabilizerSplit(
-        unbroken=_canonical_rows(frame.vt[frame.rank :]),
-        broken=_canonical_rows(frame.vt[: frame.rank]),
-    )
-
-
 def _bosons(frame: OrbitFrame) -> tuple[np.ndarray, np.ndarray]:
     """Mass-diagonal broken rows and the r boson masses M = sqrt(2) s.
 
@@ -183,17 +134,13 @@ class OrbitSplit(NamedTuple):
     hessian_eigenvalues: np.ndarray  # full realified spectrum, descending then zeros
 
 
-def orbit_split(gs: GeneratorSet, v0: np.ndarray, hessian: np.ndarray) -> OrbitSplit:
+def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
     """Split the Hessian at a vacuum into orbit and transverse blocks.
 
     The Hessian must vanish on the orbit directions and be PSD on the
     complement; violations raise NotAVacuumError.  Transverse eigenvalues
     are 2 m^2 for scalar masses m.
     """
-    return _orbit_split(orbit_frame(gs, v0), hessian)
-
-
-def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
     d = frame.rank
     H = np.asarray(hessian, dtype=float)
     scale = float(np.max(np.abs(H)))
@@ -221,29 +168,6 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
         higgs_masses=np.sqrt(vals / 2.0),
         hessian_eigenvalues=eigs,
     )
-
-
-class ShiftDecomposition(NamedTuple):
-    """Coordinates of phi - v0 in the orbit/transverse frame.
-
-    The shift is (1/sqrt 2) (sum_i xi_i e_i + sum_j eta_j f_j) in
-    realified coordinates.
-    """
-
-    xi: np.ndarray
-    eta: np.ndarray
-
-
-def decompose_shift(split: OrbitSplit, v0: np.ndarray, phi: np.ndarray) -> ShiftDecomposition:
-    delta = realify(np.asarray(phi, dtype=complex) - np.asarray(v0, dtype=complex))
-    root2 = np.sqrt(2.0)
-    return ShiftDecomposition(xi=root2 * (split.orbit @ delta), eta=root2 * (split.transverse @ delta))
-
-
-def reconstruct_shift(split: OrbitSplit, v0: np.ndarray, dec: ShiftDecomposition) -> np.ndarray:
-    """Inverse of decompose_shift; exact because the frame is orthonormal."""
-    delta = (split.orbit.T @ dec.xi + split.transverse.T @ dec.eta) / np.sqrt(2.0)
-    return np.asarray(v0, dtype=complex) + unrealify(delta)
 
 
 class SpectrumResult(NamedTuple):
@@ -278,68 +202,4 @@ def spectrum(model: HiggsModel) -> SpectrumResult:
         transverse_basis=osplit.transverse,
         higgs_masses=osplit.higgs_masses,
         hessian_eigenvalues=osplit.hessian_eigenvalues,
-    )
-
-
-class QuadraticReport(NamedTuple):
-    """Coefficients of the second-order expansion around a candidate vacuum.
-
-    For a genuine vacuum: the constant term, scalar masses on transverse
-    modes (Hessian eigenvalue / 2 = m^2), broken boson masses
-    (2 x mass-form eigenvalue = M^2), and the massless boson count.
-    When the point is not a vacuum the report instead carries the raw
-    realified Hessian eigenvalues as scalar_mass_squared and flags
-    is_vacuum False; the bosons are reported from the orbit frame as usual.
-    """
-
-    is_vacuum: bool
-    constant: float
-    boson_masses: tuple[float, ...]
-    massless_boson_count: int
-    goldstone_count: int
-    higgs_masses: tuple[float, ...]
-    scalar_mass_squared: tuple[float, ...] | None = None
-
-
-def quadratic_lagrangian(
-    model: HiggsModel,
-    spec: SpectrumResult | None = None,
-    *,
-    at: np.ndarray | None = None,
-) -> QuadraticReport:
-    """Quadratic Lagrangian data at the model's vacuum (or a trial point).
-
-    With a precomputed SpectrumResult this is pure bookkeeping.  Passing
-    `at` expands around a trial point instead of the model's vacuum;
-    points that fail the stationarity or curvature conditions fall into a
-    guard branch reporting raw realified Hessian eigenvalues, with the
-    (always well-defined) orbit frame still giving the boson masses.
-    """
-    v0 = np.asarray(at, dtype=complex) if at is not None else model.vacuum
-    if v0 is None:
-        raise NotAVacuumError("model has no vacuum; run find_vacuum first")
-    const = model.potential.value(v0)
-    if spec is None or at is not None:
-        try:
-            spec = spectrum(HiggsModel(model.generators, model.potential, v0))
-        except NotAVacuumError:
-            frame = orbit_frame(model.generators, v0)
-            _, masses = _bosons(frame)
-            eigs = np.sort(np.linalg.eigvalsh(model.potential.hessian(v0)))
-            return QuadraticReport(
-                is_vacuum=False,
-                constant=const,
-                boson_masses=tuple(masses),
-                massless_boson_count=int(np.sum(masses == 0.0)),
-                goldstone_count=frame.rank,
-                higgs_masses=(),
-                scalar_mass_squared=tuple(eigs),
-            )
-    return QuadraticReport(
-        is_vacuum=True,
-        constant=const,
-        boson_masses=tuple(spec.boson_masses),
-        massless_boson_count=int(np.sum(spec.boson_masses == 0.0)),
-        goldstone_count=spec.goldstone_count,
-        higgs_masses=tuple(spec.higgs_masses),
     )

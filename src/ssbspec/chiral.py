@@ -1,38 +1,29 @@
-"""Equivariant maps between representations and trilinear invariants.
+"""Trilinear invariants and the fermion masses they give after breaking.
 
 A representation of the symmetry algebra on one multiplet is a
 liecore.GeneratorSet, the skew-Hermitian image of the model's one basis:
 every representation of a model has the same generator count r, and its
 dimension is the set's n.
 
-The obstruction to a fermion bilinear mass term is Schur's lemma in
-computational form: the pairing exists iff the space of equivariant maps
-between the two representations is nonzero, and that space is the null
-space of a stacked commutation system, found here by singular value
-thresholding.  Trilinear couplings are handled the same way at the level
-of an invariance defect: the summed infinitesimal action on the
-coefficient tensor must vanish, with conjugate slots acted on by the
-complex conjugate matrices.
+A trilinear coupling is invariant when the summed infinitesimal action on
+its coefficient tensor vanishes, with conjugate slots acted on by the
+complex conjugate matrices.  Freezing the scalar slot at the vacuum leaves
+a bilinear coupling of the two fermion slots, whose magnitudes are the
+fermion mass matrix.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 import numpy as np
 
-from .electroweak import build_generators
-from .liecore import TOL_RANK, GeneratorSet
+from .liecore import GeneratorSet, realify, safe_norm
 
 __all__ = [
-    "IntertwinerBasis",
     "RepresentationError",
     "TripleProduct",
-    "electroweak_fermion_representations",
-    "electroweak_yukawa_tensor",
     "fermion_mass_after_breaking",
     "fermion_mass_matrix",
-    "intertwiner_basis",
     "su2_irrep",
     "triple_invariance_defect",
 ]
@@ -40,44 +31,6 @@ __all__ = [
 
 class RepresentationError(ValueError):
     """Bad trilinear tensor, mismatched representations or irrep dimension."""
-
-
-class IntertwinerBasis(NamedTuple):
-    """Basis of {K : L_i K = K R_i for every generator i}."""
-
-    matrices: tuple[np.ndarray, ...]  # each (dim_left, dim_right)
-    singular_values: np.ndarray  # of the stacked commutation system
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrices)
-
-
-def intertwiner_basis(rep_left: GeneratorSet, rep_right: GeneratorSet) -> IntertwinerBasis:
-    """Null space of the stacked system {L_i K - K R_i = 0}.
-
-    Row-major vectorization turns each equation into
-    (L_i kron I - I kron R_i^T) vec(K) = 0; the joint null space is read
-    off the SVD of the stack.
-    """
-    if rep_left.r != rep_right.r:
-        raise RepresentationError(
-            f"generator counts differ: {rep_left.r} vs {rep_right.r}"
-        )
-    dl, dr = rep_left.n, rep_right.n
-    blocks = [
-        np.kron(li, np.eye(dr)) - np.kron(np.eye(dl), ri.T)
-        for li, ri in zip(rep_left.matrices, rep_right.matrices)
-    ]
-    system = np.concatenate(blocks, axis=0)
-    _, s, vh = np.linalg.svd(system)
-    smax = s[0] if s.size else 0.0
-    kept = []
-    for k in range(dl * dr):
-        sv = s[k] if k < s.size else 0.0
-        if sv <= TOL_RANK * smax:
-            kept.append(np.conj(vh[k]).reshape(dl, dr))
-    return IntertwinerBasis(matrices=tuple(kept), singular_values=s)
 
 
 class TripleProduct(namedtuple("TripleProduct", "tensor conjugated")):
@@ -119,7 +72,8 @@ def triple_invariance_defect(
     """Largest norm over generators of the summed slot action on the tensor.
 
     Zero exactly when the trilinear form is invariant; conjugate slots
-    use the conjugate matrices.
+    use the conjugate matrices.  The norm is scaled, so a tensor whose
+    squared entries overflow still gives a finite defect.
     """
     reps = (rep_a, rep_b, rep_c)
     if tau.tensor.shape != tuple(rp.n for rp in reps):
@@ -139,35 +93,8 @@ def triple_invariance_defect(
             + np.einsum("bx,axc->abc", xb, tau.tensor)
             + np.einsum("cx,abx->abc", xc, tau.tensor)
         )
-        worst = max(worst, float(np.linalg.norm(moved)))
+        worst = max(worst, float(safe_norm(realify(moved.ravel()))))
     return worst
-
-
-def electroweak_fermion_representations(
-    g: float, gp: float
-) -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
-    """Left lepton doublet, scalar doublet, right electron singlet.
-
-    Hypercharge factors: -gp/2 on the left doublet, +gp/2 on the scalar,
-    -gp on the right singlet, so the conjugate-linear slot balances the
-    abelian phases of the Yukawa coupling.
-    """
-    left, scalar = build_generators(g, -gp), build_generators(g, gp)
-    singlet = GeneratorSet(
-        np.concatenate([np.zeros((3, 1, 1), dtype=complex), [[[-1j * gp]]]])
-    )
-    return left, scalar, singlet
-
-
-def electroweak_yukawa_tensor() -> TripleProduct:
-    """The delta pairing of the lepton doublet with the scalar doublet.
-
-    Entries tensor[a, b, 0] = delta_ab; slot one is conjugate linear.
-    """
-    t = np.zeros((2, 2, 1), dtype=complex)
-    t[0, 0, 0] = 1.0
-    t[1, 1, 0] = 1.0
-    return TripleProduct(tensor=t, conjugated=(True, False, False))
 
 
 def _frozen_coupling(tau: TripleProduct, v0: np.ndarray, g_y: float) -> np.ndarray:

@@ -231,11 +231,12 @@ def _cmd_validate(args):
 
 
 def _yukawa_invariance(bundle) -> tuple[float, float]:
-    """The Yukawa tensor's invariance defect, and its scale |tensor| max|rep|."""
+    """The Yukawa tensor's invariance defect, and its scale |tensor| max|rep|,
+    both taken without squaring an entry."""
     named = {"higgs": bundle.model.generators, **bundle.representations}
     reps = [named[name] for name in bundle.yukawa.slots]
     tau = bundle.yukawa.product
-    scale = float(np.linalg.norm(tau.tensor)) * max(rp.scale for rp in reps)
+    scale = float(safe_norm(realify(tau.tensor.ravel()))) * max(rp.scale for rp in reps)
     return triple_invariance_defect(tau, *reps), scale
 
 

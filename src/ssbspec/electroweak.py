@@ -23,17 +23,13 @@ from .liecore import TOL_ALG, GeneratorSet
 __all__ = [
     "ChargeError",
     "ChargeOperators",
-    "DecomposedGauge",
     "ElectroweakParams",
     "MassPredictions",
     "build_generators",
     "build_model",
     "boson_mass_predictions",
     "charge_operators",
-    "decompose_gauge_field",
-    "diagonal_basis",
     "elementary_charge",
-    "recompose_gauge_field",
     "weinberg_angle",
 ]
 
@@ -83,19 +79,6 @@ def build_model(p: ElectroweakParams = ElectroweakParams()) -> HiggsModel:
 def weinberg_angle(p: ElectroweakParams) -> float:
     """Mixing angle with tan(theta) = g'/g."""
     return math.atan2(p.gp, p.g)
-
-
-def diagonal_basis(p: ElectroweakParams) -> np.ndarray:
-    """Rows of mass-diagonal coefficient vectors a_1..a_4 in the b basis."""
-    norm = math.hypot(p.g, p.gp)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, p.g / norm, -p.gp / norm],
-            [0.0, 0.0, p.gp / norm, p.g / norm],
-        ]
-    )
 
 
 class MassPredictions(NamedTuple):
@@ -162,43 +145,3 @@ def charge_operators(rep: GeneratorSet, p: ElectroweakParams) -> ChargeOperators
         t_plus=t[0] - 1j * t[1],
         t_minus=t[0] + 1j * t[1],
     )
-
-
-class DecomposedGauge(NamedTuple):
-    """Physical combinations of a gauge coefficient field.
-
-    w_plus/w_minus are complex; z and photon stay real for real input.
-    Arrays keep the leading shape of the coefficient field.
-    """
-
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    z: np.ndarray
-    photon: np.ndarray
-
-
-def decompose_gauge_field(coeffs: np.ndarray, p: ElectroweakParams) -> DecomposedGauge:
-    """Split coefficients on the b basis into W+-, Z and photon fields.
-
-    W+- = (A1 +- i A2)/sqrt 2, and Z and the photon are the a_3 and a_4
-    components of diagonal_basis, acting on the last axis.
-    """
-    a = np.asarray(coeffs)
-    if a.shape[-1] != 4:
-        raise ValueError(f"expected 4 coefficients on the last axis, got {a.shape[-1]}")
-    mixed = a @ diagonal_basis(p).T
-    root2 = math.sqrt(2.0)
-    return DecomposedGauge(
-        w_plus=(a[..., 0] + 1j * a[..., 1]) / root2,
-        w_minus=(a[..., 0] - 1j * a[..., 1]) / root2,
-        z=mixed[..., 2],
-        photon=mixed[..., 3],
-    )
-
-
-def recompose_gauge_field(dec: DecomposedGauge, p: ElectroweakParams) -> np.ndarray:
-    """Inverse of decompose_gauge_field, by the transpose of diagonal_basis' rotation."""
-    root2 = math.sqrt(2.0)
-    a1 = np.real(dec.w_plus + dec.w_minus) / root2
-    a2 = np.real(-1j * (dec.w_plus - dec.w_minus)) / root2
-    return np.stack([a1, a2, dec.z, dec.photon], axis=-1) @ diagonal_basis(p)

@@ -573,7 +573,7 @@ def quadratic_expansion_check(
     s = grid.signs
     hess = model.potential.hessian(v0)
     v_at_vacuum = model.potential.value(v0)
-    form = mass_form(gs, v0).matrix
+    form = mass_form(gs, v0)
 
     def full_density(e: float) -> np.ndarray:
         phi = v0 + e * delta_phi

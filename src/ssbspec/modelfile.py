@@ -25,7 +25,7 @@ import numpy as np
 from .chiral import TripleProduct
 from .higgsmodel import HiggsModel, NotAVacuumError, PotentialError, QuarticPotential, find_vacuum
 from .latticefields import Grid, LatticeError
-from .liecore import GeneratorSet, GeneratorError
+from .liecore import GeneratorError, GeneratorSet, realify, safe_norm
 
 __all__ = [
     "Document",
@@ -347,6 +347,12 @@ def parse_model_file(text: str) -> ModelBundle:
             dims = tuple(reps[s].n for s in slots)
             if tensor.shape != dims:
                 issue("yukawa", f"tensor shape {tensor.shape} does not match slot dimensions {dims}", "tensor")
+            # |g_y| |tensor| |v0| bounds every fermion mass; Python floats
+            # overflow to inf without a warning
+            elif model is not None and not math.isfinite(
+                abs(float(g_y)) * float(safe_norm(realify(tensor.ravel()))) * float(safe_norm(realify(model.vacuum)))
+            ):
+                issue("yukawa", f"g_y = {g_y} makes the fermion masses overflow at this tensor and vacuum", "g_y")
             else:
                 yukawa = YukawaSection(
                     product=TripleProduct(tensor=tensor, conjugated=tuple(flags)),

@@ -11,16 +11,7 @@ import time
 
 import numpy as np
 
-from ssbspec.breaking import mass_form, spectrum, stabilizer_split
-from ssbspec.chiral import (
-    electroweak_fermion_representations,
-    electroweak_yukawa_tensor,
-    fermion_mass_after_breaking,
-    fermion_mass_matrix,
-    intertwiner_basis,
-    su2_irrep,
-    triple_invariance_defect,
-)
+from ssbspec.breaking import mass_form, spectrum
 from ssbspec.cli import main
 from ssbspec.electroweak import ElectroweakParams, build_generators, build_model
 from ssbspec.higgsmodel import QuarticPotential, find_vacuum
@@ -37,7 +28,8 @@ from ssbspec.latticefields import (
     smooth_multiplet_field,
     yang_mills_density,
 )
-from ssbspec.liecore import GeneratorSet, exponentiate, realify, unrealify
+from ssbspec.liecore import exponentiate, realify, unrealify
+from ssbspec.modelfile import parse_document
 from ssbspec.unitarygauge import (
     fiber_derivative,
     goldstone_vanish_check,
@@ -97,13 +89,13 @@ def test_02_mass_form_matrix_matches_closed_form():
                 [0.0, 0.0, -g * gp, gp * gp],
             ]
         )
-        assert np.max(np.abs(mass_form(gs, v0).matrix - closed)) < TOL_MASS_FORM
+        assert np.max(np.abs(mass_form(gs, v0) - closed)) < TOL_MASS_FORM
 
 
 def test_03_stabilizer_is_the_photon_direction():
     g, gp = PARAMS.g, PARAMS.gp
     model = build_model(PARAMS)
-    split = stabilizer_split(model.generators, model.vacuum)
+    split = spectrum(model)
     assert split.unbroken.shape == (1, 4)
 
     # angle via the orthogonal residual; acos of the overlap loses half the digits
@@ -235,26 +227,19 @@ def test_08_unitary_gauge_solver_reaches_the_canonical_ray():
         assert not check.ok and np.max(np.abs(s_broken)) > 1e-6
 
 
-def test_09_intertwiner_dimensions_follow_schur():
-    left, _, right = electroweak_fermion_representations(PARAMS.g, PARAMS.gp)
-    assert intertwiner_basis(left, right).dimension == 0
-    for dim in (1, 2, 3):
-        rep = GeneratorSet(su2_irrep(dim))
-        assert intertwiner_basis(rep, rep).dimension == 1
-
-
 def test_10_yukawa_invariance_and_fermion_masses():
-    tau = electroweak_yukawa_tensor()
-    left, scalar, right = electroweak_fermion_representations(PARAMS.g, PARAMS.gp)
-    assert triple_invariance_defect(tau, left, scalar, right) < TOL_YUKAWA
+    out = io.StringIO()
+    assert main(["yukawa", "--model", "models/electroweak.model", "--format", "machine"], stdout=out) == 0
+    report = parse_document(out.getvalue())["yukawa"]
+    assert report["invariance_defect"] < TOL_YUKAWA
 
-    model = build_model(PARAMS)
+    # closed forms: the file's g_y = 1/2 times |v0|, on the electron row only
     g_y = 0.5
-    masses = fermion_mass_matrix(tau, model.vacuum, g_y)
-    norm = np.linalg.norm(model.vacuum)
+    norm = math.sqrt(PARAMS.mu / (2.0 * PARAMS.lam))
+    masses = np.array(report["mass_matrix"])
     assert abs(masses[1, 0] - norm * g_y) < TOL_YUKAWA  # electron row
     assert masses[0, 0] < TOL_YUKAWA  # neutrino row
-    assert abs(fermion_mass_after_breaking(tau, model.vacuum, g_y) - norm * g_y) < TOL_YUKAWA
+    assert abs(report["dirac_mass"] - norm * g_y) < TOL_YUKAWA
 
 
 def test_11_machine_reports_are_byte_identical():

@@ -1,14 +1,17 @@
 """Seeded fuzzing of the CLI through main().
 
-Mutated model text (spectrum, validate) and mutated flag values
-(gauge-check, unitary-gauge, electroweak) must end in exit 0, 1 or 2 with no
-traceback: bad input is reported on an `error:` line, or by argparse's
-usage error for a bad flag value.  Flag values are drawn from small
-ranges, so no example asks for a large grid.
+Mutated model text (spectrum, validate), mutated fermion sections (yukawa,
+validate) and mutated flag values (gauge-check, unitary-gauge, electroweak)
+must end in exit 0, 1 or 2 with no traceback: bad input is reported on an
+`error:` line, or by argparse's usage error for a bad flag value.  Flag
+values are drawn from small ranges, so no example asks for a large grid.
 """
 import contextlib
+import copy
 import io
+import json
 import pathlib
+import re
 import struct
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from ssbspec.cli import main
 from ssbspec.gridfile import MAGIC, write_field
 from ssbspec.latticefields import Grid, smooth_multiplet_field
+from ssbspec.modelfile import emit_document, parse_document
 
 MODELS = [pathlib.Path("models/electroweak.model"), pathlib.Path("tests/goldens/spin1.model")]
 FUZZ = settings(
@@ -95,6 +99,94 @@ def test_mutated_model_text_exits_cleanly(scratch, text, command):
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
     argv = [command, "--model", str(path), "--format", "machine"]
     assert_clean_exit(argv, *run(argv))
+
+
+# ---------------------------------------------------------------------------
+# [representations] and [yukawa]
+
+FERMION_SECTIONS = ("representations", "yukawa")
+SLOT_NAMES = ["left_doublet", "right_singlet", "higgs", "nowhere"]
+BAD_VALUES = ["nan", "1e309", "null", '"x"', '{"a": 1}']
+
+
+class Raw(str):
+    """Value text written as it is, which JSON could not write: nan, 1e309, an object."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return json.dumps(value)
+
+
+def _sublist(draw, value):
+    """A list nested in value, at a drawn depth; None if value is not a list."""
+    while isinstance(value, list) and value and isinstance(value[0], list) and draw(st.booleans()):
+        value = value[draw(st.integers(0, len(value) - 1))]
+    return value if isinstance(value, list) else None
+
+
+@st.composite
+def fermion_model(draw) -> tuple[str, bool]:
+    """The shipped model with g_y log-uniform in 1e+-300 and the tensor's two
+    entries log-uniform in 1e+-150, then zero to two mutations of its
+    [representations] and [yukawa] keys; and whether it was mutated."""
+    doc = parse_document(MODELS[0].read_text())
+    yukawa, left_doublet = doc["yukawa"], doc["representations"]["left_doublet"]
+    entry = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-150.0, 150.0))
+    yukawa["tensor"][0][0][0][0] = yukawa["tensor"][1][1][0][0] = entry
+    yukawa["g_y"] = 10.0 ** draw(st.floats(-300.0, 300.0))
+    # [section, key, value] in file order; a key written twice is a duplicate key
+    rows = [[section, key, value] for section in FERMION_SECTIONS for key, value in doc.pop(section).items()]
+    kinds = ["drop", "dup", "slots", "reserved", "shape", "flip", "bad"]
+    mutations = draw(st.lists(st.sampled_from(kinds), max_size=2))
+    for kind in mutations:
+        i = draw(st.integers(0, len(rows) - 1)) if rows else None
+        named = {row[1]: row for row in rows}
+        sub = _sublist(draw, rows[i][2]) if rows else None
+        if kind == "drop" and rows:
+            del rows[i]
+        elif kind == "dup" and rows:
+            rows.insert(i, copy.deepcopy(rows[i]))
+        elif kind == "slots" and "slots" in named:
+            named["slots"][2] = [draw(st.sampled_from(SLOT_NAMES)) for _ in range(3)]
+        elif kind == "reserved":
+            rows.insert(0, ["representations", "higgs", copy.deepcopy(left_doublet)])
+        elif kind == "flip" and "conjugated" in named:
+            named["conjugated"][2] = [draw(st.booleans()) for _ in range(3)]
+        elif kind == "shape" and sub:
+            op = draw(st.sampled_from(["cut", "extra", "wrap"]))
+            sub[:] = sub[:-1] if op == "cut" else sub + sub[-1:] if op == "extra" else [list(sub)]
+        elif kind == "bad" and sub:
+            sub[draw(st.integers(0, len(sub) - 1))] = Raw(draw(st.sampled_from(BAD_VALUES)))
+        elif kind == "bad" and rows:
+            rows[i][2] = Raw(draw(st.sampled_from(BAD_VALUES)))
+    text = emit_document(doc)
+    for section in FERMION_SECTIONS:
+        text += f"\n[{section}]\n" + "".join(f"{key} = {_dump(value)}\n" for s, key, value in rows if s == section)
+    return text, bool(mutations)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(FUZZ, max_examples=100)
+@given(model=fermion_model(), command=st.sampled_from(["yukawa", "validate"]))
+def test_mutated_fermion_sections_exit_cleanly(scratch, model, command):
+    # every error is located at a line of the section at fault; an unmutated
+    # model exits 0, or 2 where its g_y makes the masses overflow
+    text, mutated = model
+    path = scratch / "fermions.model"
+    path.write_text(text)
+    argv = [command, "--model", str(path), "--format", "machine"]
+    code, out = run(argv)
+    assert_clean_exit(argv, code, out)
+    errors = [line for line in out.splitlines() if line.startswith("error:")]
+    assert all(re.match(r"error: line \d+ \[(representations|yukawa)\]: ", line) for line in errors), (text, out)
+    if code in (0, 1):
+        assert not re.search(r"\b(nan|inf)\b", out), (text, out)
+    if not mutated:
+        assert code == 0 or (code == 2 and len(errors) == 1 and "g_y = " in errors[0]), (text, out)
 
 
 # ---------------------------------------------------------------------------

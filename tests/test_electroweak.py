@@ -11,10 +11,7 @@ from ssbspec.electroweak import (
     build_generators,
     build_model,
     charge_operators,
-    decompose_gauge_field,
-    diagonal_basis,
     elementary_charge,
-    recompose_gauge_field,
     weinberg_angle,
 )
 from ssbspec.liecore import GeneratorError, GeneratorSet
@@ -48,7 +45,10 @@ def test_numerical_spectrum_agrees_with_closed_forms(g, gp, mu, lam):
 
 
 def test_diagonal_basis_annihilator():
-    basis = diagonal_basis(PARAMS)
+    # the module docstring's mass-diagonal combinations a_1..a_4, as closed forms
+    g, gp = PARAMS.g, PARAMS.gp
+    norm = np.hypot(g, gp)
+    basis = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, g / norm, -gp / norm], [0, 0, gp / norm, g / norm]])
     model = build_model(PARAMS)
     gs, v0 = model.generators, model.vacuum
     # the last combination annihilates the vacuum, the others do not
@@ -57,6 +57,11 @@ def test_diagonal_basis_annihilator():
     assert norms[3] < 1e-12
     assert np.all(norms[:3] > 0.1)
     np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-14)
+    # spectrum finds the same rows up to sign, and the W pair's plane
+    s = spectrum(model)
+    np.testing.assert_allclose(np.abs(s.unbroken), np.abs(basis[3:]), atol=1e-12)
+    np.testing.assert_allclose(np.abs(s.broken[0]), np.abs(basis[2]), atol=1e-12)
+    np.testing.assert_allclose(s.broken[1:] @ basis[2:].T, 0.0, atol=1e-12)
 
 
 def test_charge_operators_doublet():
@@ -72,9 +77,9 @@ def test_charge_operators_doublet():
     # the convention pairs with the W+- split: A1 T1 + A2 T2 = (W+ T+ + W- T-)/sqrt2
     rng = np.random.default_rng(1)
     a = rng.normal(size=4)
-    dec = decompose_gauge_field(a, PARAMS)
+    w_plus, w_minus = (a[0] + 1j * a[1]) / np.sqrt(2.0), (a[0] - 1j * a[1]) / np.sqrt(2.0)
     lhs = a[0] * ops.t1 + a[1] * ops.t2
-    rhs = (dec.w_plus * ops.t_plus + dec.w_minus * ops.t_minus) / np.sqrt(2.0)
+    rhs = (w_plus * ops.t_plus + w_minus * ops.t_minus) / np.sqrt(2.0)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     # the vacuum is electrically neutral
     v0 = build_model(PARAMS).vacuum
@@ -98,32 +103,6 @@ def test_charge_operators_reject_bad_reps():
         charge_operators(GeneratorSet(mats), PARAMS)
     with pytest.raises(ChargeError):
         charge_operators(GeneratorSet(np.zeros((3, 2, 2), dtype=complex)), PARAMS)
-
-
-def test_decompose_gauge_field_example():
-    dec = decompose_gauge_field(np.array([0.0, 0.0, 1.0, 0.0]), PARAMS)
-    assert dec.z == pytest.approx(2.0 / np.sqrt(5.0))
-    assert dec.photon == pytest.approx(1.0 / np.sqrt(5.0))
-    assert dec.w_plus == pytest.approx(0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4))
-def test_decompose_round_trip_and_norms(coeffs):
-    a = np.array(coeffs)
-    dec = decompose_gauge_field(a, PARAMS)
-    np.testing.assert_allclose(recompose_gauge_field(dec, PARAMS), a, atol=1e-12)
-    assert abs(dec.w_plus) ** 2 + abs(dec.w_minus) ** 2 == pytest.approx(
-        a[0] ** 2 + a[1] ** 2, abs=1e-10
-    )
-    assert dec.w_minus == pytest.approx(np.conj(dec.w_plus))
-
-
-def test_decompose_accepts_fields():
-    a = np.random.default_rng(0).normal(size=(5, 5, 4))
-    dec = decompose_gauge_field(a, PARAMS)
-    assert dec.z.shape == (5, 5)
-    np.testing.assert_allclose(recompose_gauge_field(dec, PARAMS), a, atol=1e-12)
 
 
 def test_parameter_validation():

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbspec.chiral import electroweak_fermion_representations, su2_irrep
+from ssbspec.chiral import su2_irrep
 from ssbspec import liecore
 from ssbspec.electroweak import build_generators
 from ssbspec.liecore import (
@@ -278,7 +278,7 @@ def test_generator_set_refuses_a_non_skew_part_nan_and_inf(r, n, seed, log_scale
 @given(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.integers(1, 5), st.integers(1, 5))
 def test_generator_set_accepts_every_stack_the_package_builds(log_g, log_gp, r, n):
     g, gp = 10.0**log_g, 10.0**log_gp
-    stacks = [build_generators(g, gp), *electroweak_fermion_representations(g, gp)]
+    stacks = [build_generators(g, gp)]
     stacks += [GeneratorSet(su2_irrep(dim)) for dim in range(1, 6)]
     stacks.append(GeneratorSet(np.zeros((r, n, n))))  # a trivial representation
     for gs in stacks:

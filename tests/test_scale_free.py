@@ -221,3 +221,46 @@ def test_zero_yukawa_matrix_leaves_every_row_massless(tmp_path):
     assert code == 0
     assert doc["yukawa"]["massless_rows"] == [0, 1]
     assert doc["yukawa"]["pass"] is True
+
+
+UNIT_TENSOR = "tensor = [[[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[1.0, 0.0]]]]"
+SINGLET = "right_singlet = [[[[0.0, 0.0]]], [[[0.0, 0.0]]], [[[0.0, 0.0]]], [[[0.0, -1.0]]]]"
+
+
+def _yukawa_model(tmp_path, entry, hypercharge="-1.0", g_y="0.5"):
+    """The shipped model with its tensor's two entries, the singlet's hypercharge and g_y replaced."""
+    text = EW.read_text()
+    assert UNIT_TENSOR in text and SINGLET in text
+    text = text.replace(UNIT_TENSOR, UNIT_TENSOR.replace("1.0, 0.0]]", f"{entry}, 0.0]]"))
+    text = text.replace(SINGLET, SINGLET.replace("-1.0", hypercharge)).replace("g_y = 0.5", f"g_y = {g_y}")
+    path = tmp_path / "yukawa.model"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", ["1.0", "1e200"])
+def test_yukawa_huge_tensor_is_judged_without_overflow(tmp_path, entry):
+    # the defect and its scale were np.linalg.norm's: at 1e200 the flipped
+    # singlet read invariance_defect = inf and passed, and the invariant
+    # tensor warned
+    code, doc = run("yukawa", "--model", _yukawa_model(tmp_path, entry))
+    assert code == 0 and doc["yukawa"]["invariance_defect"] == 0.0
+    assert doc["yukawa"]["dirac_mass"] == 0.5 * float(entry)
+    code, doc = run("yukawa", "--model", _yukawa_model(tmp_path, entry, hypercharge="1.0"))
+    assert code == 1 and doc["yukawa"]["pass"] is False
+    assert doc["yukawa"]["invariance_defect"] == pytest.approx(2.0 * math.sqrt(2.0) * float(entry), rel=1e-15)
+
+
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+@pytest.mark.parametrize("command", ["yukawa", "validate"])
+def test_overflowing_yukawa_coupling_is_refused_at_its_line(tmp_path, command, fmt):
+    # |g_y| |tensor| |v0| = 1e308 sqrt(200): the table once printed dirac_mass
+    # nan and massless_rows [0, 1] at exit 0, the machine format "cannot emit NaN"
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--model", _yukawa_model(tmp_path, "10.0", g_y="1e308"), "--format", fmt], stdout=out)
+    assert code == 2
+    assert out.getvalue() == (
+        "error: line 28 [yukawa]: g_y = 1e+308 makes the fermion masses overflow at this tensor and vacuum\n"
+    )

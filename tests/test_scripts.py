@@ -14,7 +14,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "argv",
     [
-        ["electroweak_demo.py"],
         ["gauge_covariance_study.py", "--grid", "8", "--refine", "1", "--seeds", "1"],
         pytest.param(
             ["gauge_covariance_study.py", "--grid", "8", "--refine", "1", "--seeds", "1",
