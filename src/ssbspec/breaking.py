@@ -20,7 +20,6 @@ from .liecore import TOL_RANK, GeneratorSet, realify
 
 __all__ = [
     "OrbitFrame",
-    "OrbitSplit",
     "SpectrumResult",
     "mass_form",
     "orbit_frame",
@@ -104,42 +103,15 @@ def orbit_frame(gs: GeneratorSet, v: np.ndarray) -> OrbitFrame:
     return OrbitFrame(u=u, s=s, vt=vt, rank=int(np.sum(free > TOL_RANK * free[0])))
 
 
-def _bosons(frame: OrbitFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Mass-diagonal broken rows and the r boson masses M = sqrt(2) s.
-
-    The broken rows are the frame's first rank rows of vt, which
-    diagonalize the mass form; masses descend and are zero past the rank.
-    Within a cluster of masses equal to TOL_RANK relative to the largest,
-    the rows are sign-fixed and sorted lexicographically for determinism,
-    so a row's own mass matches its entry only to within that gap.
-    """
-    d = frame.rank
-    masses = np.zeros(frame.vt.shape[0])
-    masses[:d] = np.sqrt(2.0) * frame.s[:d]
-    scale = frame.s[0] if d else 1.0
-    _, broken = _sort_clusters(frame.s[:d] / scale, frame.vt[:d])
-    return broken, masses
-
-
-class OrbitSplit(NamedTuple):
-    """Orthonormal split of realified field space at a vacuum.
-
-    orbit rows span the gauge-orbit tangent realify(g v0); transverse
-    rows are Hessian eigendirections of the complement.
-    """
-
-    orbit: np.ndarray  # (d, 2n)
-    transverse: np.ndarray  # (2n - d, 2n)
-    higgs_masses: np.ndarray  # (2n - d,) descending
-    hessian_eigenvalues: np.ndarray  # full realified spectrum, descending then zeros
-
-
-def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
+def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split the Hessian at a vacuum into orbit and transverse blocks.
 
-    The Hessian must vanish on the orbit directions and be PSD on the
-    complement; violations raise NotAVacuumError.  Transverse eigenvalues
-    are 2 m^2 for scalar masses m.
+    Returns the orbit rows, spanning the gauge-orbit tangent realify(g v0);
+    the transverse rows, Hessian eigendirections of the complement; and the
+    scalar masses m, descending, from the transverse eigenvalues 2 m^2.
+    The Hessian must vanish on the orbit directions, or NotAVacuumError is
+    raised.  It needs no check for a negative transverse eigenvalue: the
+    block's smallest is at least the Hessian's, which HiggsModel bounds.
     """
     d = frame.rank
     H = np.asarray(hessian, dtype=float)
@@ -151,55 +123,45 @@ def _orbit_split(frame: OrbitFrame, hessian: np.ndarray) -> OrbitSplit:
             "Hessian does not vanish along the vacuum orbit; the point is not a group minimum"
         )
     Hp = P.T @ H @ P
-    Hp = 0.5 * (Hp + Hp.T)
-    lam, W = np.linalg.eigh(Hp)
-    if lam.size and lam.min() < -TOL_RANK * scale:
-        raise NotAVacuumError(
-            f"Hessian eigenvalue {lam.min():.3e} on the transverse space; not a minimum"
-        )
+    lam, W = np.linalg.eigh(0.5 * (Hp + Hp.T))
     vals, rows = _sort_clusters(lam, (P @ W).T)
     # flat directions are massless, not the square root of rounding noise;
     # relative to the Hessian itself, so a small mu keeps its Higgs mass
     vals[np.abs(vals) <= TOL_RANK * scale] = 0.0
-    eigs = np.concatenate([vals, np.zeros(d)])
-    return OrbitSplit(
-        orbit=_canonical_rows(e),
-        transverse=rows,
-        higgs_masses=np.sqrt(vals / 2.0),
-        hessian_eigenvalues=eigs,
-    )
+    return _canonical_rows(e), rows, np.sqrt(vals / 2.0)
 
 
 class SpectrumResult(NamedTuple):
     """Full spectrum data of a broken model at its vacuum."""
 
-    vacuum: np.ndarray
     unbroken: np.ndarray  # (r - d, r) coefficient rows
-    broken: np.ndarray  # (d, r) mass-diagonal coefficient rows, descending mass
     boson_masses: np.ndarray  # (r,) descending, zeros on the unbroken tail
     goldstone_count: int
     orbit_basis: np.ndarray  # (d, 2n)
     transverse_basis: np.ndarray  # (2n - d, 2n)
     higgs_masses: np.ndarray  # (2n - d,) descending
-    hessian_eigenvalues: np.ndarray
 
 
 def spectrum(model: HiggsModel) -> SpectrumResult:
-    """Run the whole pipeline: orbit frame, splits, boson and scalar masses."""
+    """Run the whole pipeline: orbit frame, splits, boson and scalar masses.
+
+    The boson masses are M = sqrt(2) s on the frame's first rank singular
+    values and zero past them; the broken directions are the frame's first
+    rank rows of vt, which diagonalize the mass form.
+    """
     if model.vacuum is None:
         raise NotAVacuumError("model has no vacuum; run find_vacuum first")
     gs, v0 = model.generators, model.vacuum
     frame = orbit_frame(gs, v0)
-    broken, masses = _bosons(frame)
-    osplit = _orbit_split(frame, model.potential.hessian(v0))
+    d = frame.rank
+    masses = np.zeros(frame.vt.shape[0])
+    masses[:d] = np.sqrt(2.0) * frame.s[:d]
+    orbit, transverse, higgs = _orbit_split(frame, model.potential.hessian(v0))
     return SpectrumResult(
-        vacuum=v0,
-        unbroken=_canonical_rows(frame.vt[frame.rank :]),
-        broken=broken,
+        unbroken=_canonical_rows(frame.vt[d:]),
         boson_masses=masses,
-        goldstone_count=frame.rank,
-        orbit_basis=osplit.orbit,
-        transverse_basis=osplit.transverse,
-        higgs_masses=osplit.higgs_masses,
-        hessian_eigenvalues=osplit.hessian_eigenvalues,
+        goldstone_count=d,
+        orbit_basis=orbit,
+        transverse_basis=transverse,
+        higgs_masses=higgs,
     )

@@ -342,7 +342,7 @@ def _cmd_gauge_check(args):
     sigma = np.broadcast_to(
         exponentiate(gs, rng.normal(size=gs.r)), base.shape + (gs.n, gs.n)
     ).copy()
-    a2 = gauge_transform_gauge(gs, base, sigma, a).coefficients
+    a2 = gauge_transform_gauge(gs, base, sigma, a)
     psi2 = gauge_transform_matter(sigma, psi)
     pairs = (
         [yang_mills_density(base, field_strength(gs, base, x)) for x in (a, a2)],

@@ -58,6 +58,9 @@ class ElectroweakParams(namedtuple("ElectroweakParams", "g gp mu lam")):
                 raise ValueError(f"electroweak parameter {name} must be finite, got {value}")
             if not value > 0:
                 raise ValueError(f"electroweak parameter {name} must be positive, got {value}")
+            # the generators carry g/2 and g'/2: a coupling whose half underflows leaves a zero generator
+            if name in ("g", "gp") and value / 2 == 0:
+                raise ValueError(f"electroweak parameter {name} = {value} is too small: its half underflows to 0")
         return super().__new__(cls, g, gp, mu, lam)
 
 
@@ -113,13 +116,9 @@ def elementary_charge(p: ElectroweakParams) -> float:
 class ChargeOperators(NamedTuple):
     """Hermitian charge operators of one representation."""
 
-    t1: np.ndarray
-    t2: np.ndarray
     t3: np.ndarray
     hypercharge: np.ndarray
     charge: np.ndarray  # Q = T3 + Y/2
-    t_plus: np.ndarray  # T1 - i T2
-    t_minus: np.ndarray  # T1 + i T2
 
 
 def charge_operators(rep: GeneratorSet, p: ElectroweakParams) -> ChargeOperators:
@@ -131,17 +130,11 @@ def charge_operators(rep: GeneratorSet, p: ElectroweakParams) -> ChargeOperators
     """
     if rep.r != 4:
         raise ChargeError(f"need a four-generator representation, got r={rep.r}")
-    t = [-1j * rep.matrices[l] / p.g for l in range(3)]
-    y = -2j * rep.matrices[3] / p.gp
+    # divided as reals: numpy divides a complex array by g as a product with
+    # 1/g, which overflows for a subnormal g
+    ops = (-1j * rep.matrices).view(float) / np.array([p.g, p.g, p.g, p.gp])[:, None, None]
+    t, y = ops[:3].view(complex), 2.0 * ops[3].view(complex)
     scale = max(float(np.max(np.abs(m))) for m in (*t, y))
     if float(np.max(np.abs(t[2] @ y - y @ t[2]))) > TOL_ALG * scale:
         raise ChargeError("T3 and hypercharge do not commute")
-    return ChargeOperators(
-        t1=t[0],
-        t2=t[1],
-        t3=t[2],
-        hypercharge=y,
-        charge=t[2] + 0.5 * y,
-        t_plus=t[0] - 1j * t[1],
-        t_minus=t[0] + 1j * t[1],
-    )
+    return ChargeOperators(t3=t[2], hypercharge=y, charge=t[2] + 0.5 * y)

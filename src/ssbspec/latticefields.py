@@ -34,7 +34,6 @@ __all__ = [
     "NonGroupTransformError",
     "NotUnitaryGaugeError",
     "OrderMeasurement",
-    "TransformedGauge",
     "central_difference",
     "convergence_orders",
     "covariance_defects",
@@ -98,10 +97,6 @@ class Grid(namedtuple("Grid", "dim shape spacing metric")):
     @property
     def site_count(self) -> int:
         return math.prod(self.shape)
-
-    @property
-    def volume_element(self) -> float:
-        return self.spacing**self.dim
 
     def fractions(self) -> np.ndarray:
         """Per-axis site positions as fractions of the period, shape (D, *shape)."""
@@ -187,24 +182,20 @@ def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-class TransformedGauge(NamedTuple):
-    coefficients: np.ndarray  # (*shape, D, r)
-    projection_defect: float  # worst site defect of the span projection
-
-
 def gauge_transform_gauge(
     gs: GeneratorSet,
     grid: Grid,
     sigma: np.ndarray,
     a: np.ndarray,
-) -> TransformedGauge:
-    """A'_mu = sigma A_mu sigma^-1 - (d_mu sigma) sigma^-1, in coefficients.
+) -> np.ndarray:
+    """A'_mu = sigma A_mu sigma^-1 - (d_mu sigma) sigma^-1, in coefficients,
+    shape (*shape, D, r).
 
     The derivative term is a central difference, so for a smooth group
-    valued sigma the result leaves the generator span by O(h^2); the
-    projection defect records how much.  A sigma that is not sitewise
-    unitary, or has a NaN entry, is rejected; the error gives the worst site
-    defect over the whole field.
+    valued sigma the result leaves the generator span by O(h^2), and the
+    coefficients are its projection onto the span.  A sigma that is not
+    sitewise unitary, or has a NaN entry, is rejected; the error gives the
+    worst site defect over the whole field.
 
     The work runs one direction at a time: d_mu sigma needs neighbours, so
     it is taken over the whole field, and only one direction's is held.
@@ -237,7 +228,6 @@ def gauge_transform_gauge(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
     coeffs = np.empty((sites, grid.dim, gs.r))
-    block_worst = []
     for mu in range(grid.dim):
         d_sigma = central_difference(grid, sigma, mu).reshape(sites, n, n)
         for block, (s, s_inv, m, prod, term) in blocks:
@@ -251,10 +241,9 @@ def gauge_transform_gauge(
             # project reads (sites, n, n); prod's memory holds that copy
             stage = prod.reshape(-1, n, n)
             np.copyto(stage, moved.transpose(2, 0, 1))
-            coeffs[block, mu], defect = gs.project(stage)
-            block_worst.append(np.max(defect))
+            coeffs[block, mu] = gs.project(stage)[0]
         del d_sigma  # so that it is not held beside the next direction's
-    return TransformedGauge(coefficients=coeffs.reshape(a.shape), projection_defect=float(np.max(block_worst)))
+    return coeffs.reshape(a.shape)
 
 
 def covariant_derivative(
@@ -461,7 +450,7 @@ def covariance_defects(
     matrices, both from one A'.  The mean-square norm keeps refinement
     ratios clean where a max would jump between sites.
     """
-    a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
+    a_prime = gauge_transform_gauge(gs, grid, sigma, a)
     return (
         _derivative_defect(gs, grid, a, a_prime, psi, sigma),
         _strength_defect(gs, grid, a, a_prime, sigma),
@@ -539,7 +528,7 @@ def quadratic_expansion_check(
     A delta_phi with components along the orbit directions is rejected.
     """
     gs = model.generators
-    v0 = spec.vacuum
+    v0 = model.vacuum
     if grid is None:
         grid = Grid(dim=2, shape=(8, 8), spacing=0.125)
     transverse = spec.transverse_basis  # (2n - d, 2n)

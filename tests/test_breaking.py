@@ -75,16 +75,17 @@ def test_boson_spectrum_matches_closed_forms():
     )
     assert s.goldstone_count == 3
     np.testing.assert_allclose(s.higgs_masses, [np.sqrt(2.0)], atol=1e-12)
-    # the massive neutral direction is (g b3 - g' b4)/norm
-    np.testing.assert_allclose(np.abs(s.broken[0]), [0, 0, 2 / np.sqrt(5), 1 / np.sqrt(5)], atol=1e-12)
+    # the massive neutral direction, the heaviest broken row, is (g b3 - g' b4)/norm
+    z = orbit_frame(model.generators, model.vacuum).vt[0]
+    np.testing.assert_allclose(np.abs(z), [0, 0, 2 / np.sqrt(5), 1 / np.sqrt(5)], atol=1e-12)
 
 
 def test_broken_masses_diagonalize_the_form():
     model = build_model(ElectroweakParams(g=1.1, gp=0.7))
     s = spectrum(model)
-    mf = mass_form(model.generators, s.vacuum)
+    mf = mass_form(model.generators, model.vacuum)
     d = s.goldstone_count
-    basis = np.vstack([s.broken, s.unbroken])
+    basis = np.vstack([orbit_frame(model.generators, model.vacuum).vt[:d], s.unbroken])
     D = basis @ mf @ basis.T
     np.testing.assert_allclose(D, np.diag(np.diag(D)), atol=1e-12)
     np.testing.assert_allclose(np.diag(D)[:d], 0.5 * s.boson_masses[:d] ** 2, atol=1e-12)
@@ -108,7 +109,7 @@ def test_spectrum_across_coupling_scales(log_g, log_gp):
     assert np.count_nonzero(s.boson_masses) == s.goldstone_count == 3
     gs, v0 = model.generators, model.vacuum
     # |a v0| = M / sqrt 2 on every broken row, and 0 on every unbroken one
-    moved = [np.linalg.norm(act(gs, row, v0)) for row in s.broken]
+    moved = [np.linalg.norm(act(gs, row, v0)) for row in orbit_frame(gs, v0).vt[:3]]
     np.testing.assert_allclose(moved, s.boson_masses[:3] / np.sqrt(2.0), rtol=1e-9, atol=atol)
     still = [np.linalg.norm(act(gs, row, v0)) for row in s.unbroken]
     np.testing.assert_allclose(still, 0.0, atol=atol)
@@ -143,9 +144,11 @@ def test_orbit_split_structure():
     # the transverse direction is the real-radial one, realify((0, 1))
     np.testing.assert_allclose(np.abs(split.transverse_basis[0]), [0, 0, 1, 0], atol=1e-12)
     np.testing.assert_allclose(split.higgs_masses, [np.sqrt(p.mu)], atol=1e-12)
-    # exactly d zero Hessian eigenvalues
-    eigs = np.sort(np.abs(split.hessian_eigenvalues))
-    assert np.sum(eigs < 1e-8) == 3
+    # the Hessian is zero on the orbit and 2 m^2 on each transverse direction
+    H = model.potential.hessian(model.vacuum)
+    np.testing.assert_allclose(split.orbit_basis @ H @ split.orbit_basis.T, 0.0, atol=1e-12)
+    transverse = split.transverse_basis @ H @ split.transverse_basis.T
+    np.testing.assert_allclose(transverse, np.diag(2.0 * split.higgs_masses**2), atol=1e-12)
     frame = np.vstack([split.orbit_basis, split.transverse_basis])
     np.testing.assert_allclose(frame @ frame.T, np.eye(4), atol=1e-12)
 

@@ -304,7 +304,7 @@ def test_gauge_check_fails_a_first_order_scheme(monkeypatch):
 def test_gauge_check_fails_a_non_covariant_transform(monkeypatch):
     # matter moves with sigma but the gauge field stays put: the defects no longer shrink
     def unmoved(gs, grid, sigma, a):
-        return latticefields.TransformedGauge(coefficients=a, projection_defect=0.0)
+        return a
 
     monkeypatch.setattr(latticefields, "gauge_transform_gauge", unmoved)
     code, text = run("gauge-check", "--format", "machine")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbspec.breaking import spectrum
+from ssbspec.breaking import orbit_frame, spectrum
 from ssbspec.electroweak import (
     ChargeError,
     ElectroweakParams,
@@ -57,11 +57,11 @@ def test_diagonal_basis_annihilator():
     assert norms[3] < 1e-12
     assert np.all(norms[:3] > 0.1)
     np.testing.assert_allclose(basis @ basis.T, np.eye(4), atol=1e-14)
-    # spectrum finds the same rows up to sign, and the W pair's plane
-    s = spectrum(model)
-    np.testing.assert_allclose(np.abs(s.unbroken), np.abs(basis[3:]), atol=1e-12)
-    np.testing.assert_allclose(np.abs(s.broken[0]), np.abs(basis[2]), atol=1e-12)
-    np.testing.assert_allclose(s.broken[1:] @ basis[2:].T, 0.0, atol=1e-12)
+    # spectrum finds the unbroken row up to sign, and the orbit frame the Z row and the W pair's plane
+    np.testing.assert_allclose(np.abs(spectrum(model).unbroken), np.abs(basis[3:]), atol=1e-12)
+    broken = orbit_frame(gs, v0).vt[:3]
+    np.testing.assert_allclose(np.abs(broken[0]), np.abs(basis[2]), atol=1e-12)
+    np.testing.assert_allclose(broken[1:] @ basis[2:].T, 0.0, atol=1e-12)
 
 
 def test_charge_operators_doublet():
@@ -69,18 +69,6 @@ def test_charge_operators_doublet():
     np.testing.assert_allclose(ops.t3, np.diag([0.5, -0.5]), atol=1e-14)
     np.testing.assert_allclose(ops.hypercharge, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(ops.charge, np.diag([1.0, 0.0]), atol=1e-14)
-    # T+- are ladder operators for T3 (T+ lowers in this pairing convention)
-    comm = ops.t3 @ ops.t_plus - ops.t_plus @ ops.t3
-    np.testing.assert_allclose(comm, -ops.t_plus, atol=1e-14)
-    comm = ops.t3 @ ops.t_minus - ops.t_minus @ ops.t3
-    np.testing.assert_allclose(comm, ops.t_minus, atol=1e-14)
-    # the convention pairs with the W+- split: A1 T1 + A2 T2 = (W+ T+ + W- T-)/sqrt2
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=4)
-    w_plus, w_minus = (a[0] + 1j * a[1]) / np.sqrt(2.0), (a[0] - 1j * a[1]) / np.sqrt(2.0)
-    lhs = a[0] * ops.t1 + a[1] * ops.t2
-    rhs = (w_plus * ops.t_plus + w_minus * ops.t_minus) / np.sqrt(2.0)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
     # the vacuum is electrically neutral
     v0 = build_model(PARAMS).vacuum
     assert np.linalg.norm(ops.charge @ v0) < 1e-14

@@ -75,7 +75,6 @@ def test_grid_validation():
             Grid(dim=2, shape=(4, 4), spacing=spacing)
     g = Grid(dim=3, shape=(4, 8, 4), spacing=0.5, metric="lorentzian")
     assert np.array_equal(g.signs, [1.0, -1.0, -1.0])
-    assert g.volume_element == pytest.approx(0.125)
 
 
 def test_central_difference_matches_closed_form():
@@ -99,9 +98,11 @@ def test_abelian_transform_law():
     a = (0.2 + 0.1 * np.sin(3 * x))[:, None, None]
     out = gauge_transform_gauge(U1, grid, sigma, a)
     dtheta = 0.7 * np.cos(x) - 0.6 * np.sin(2 * x)
-    gap = np.max(np.abs(out.coefficients[:, 0, 0] - (a[:, 0, 0] - dtheta)))
+    gap = np.max(np.abs(out[:, 0, 0] - (a[:, 0, 0] - dtheta)))
     assert gap < 2.0 * grid.spacing**2
-    assert out.projection_defect < 2.0 * grid.spacing**2
+    # before its projection, A' = i a - (d sigma) sigma^-1 leaves the span i R by O(h^2)
+    moved = 1j * a[:, 0, 0] - central_difference(grid, sigma[:, 0, 0], 0) * np.conj(sigma[:, 0, 0])
+    assert np.max(U1.project(moved[:, None, None])[1]) < 2.0 * grid.spacing**2
 
 
 def test_non_unitary_transform_rejected():
@@ -221,14 +222,15 @@ def test_constant_transform_leaves_densities_invariant():
     grid = Grid(dim=2, shape=(12, 12), spacing=0.2)
     a = smooth_gauge_field(grid, GS.r, seed=11, scale=0.8)
     psi = smooth_multiplet_field(grid, GS.n, seed=12)
-    phi = SPEC.vacuum + 0.3 * smooth_multiplet_field(grid, GS.n, seed=13)
+    phi = MODEL.vacuum + 0.3 * smooth_multiplet_field(grid, GS.n, seed=13)
     coeffs = np.array([0.4, -0.9, 0.25, 0.6])
     one = exponentiate(GS, coeffs)
     sigma = np.broadcast_to(one, grid.shape + one.shape).copy()
 
-    moved = gauge_transform_gauge(GS, grid, sigma, a)
-    assert moved.projection_defect < 1e-12
-    a2 = moved.coefficients
+    a2 = gauge_transform_gauge(GS, grid, sigma, a)
+    # a constant transform keeps A' in the span: sigma A sigma^-1 is all of it
+    conjugated = np.einsum("ij,...djk,kl->...dil", one, GS.matrix_of(a), one.conj().T)
+    assert np.max(GS.project(conjugated)[1]) < 1e-12
     psi2 = gauge_transform_matter(sigma, psi)
     phi2 = gauge_transform_matter(sigma, phi)
 
@@ -269,7 +271,7 @@ def test_quadratic_expansion_zero_eps():
 def test_quadratic_expansion_rejects_orbit_perturbation():
     grid = Grid(dim=2, shape=(8, 8), spacing=0.125)
     # a broken generator applied to the vacuum points along the orbit
-    bad = np.broadcast_to(GS.matrices[0] @ SPEC.vacuum, grid.shape + (GS.n,)).copy()
+    bad = np.broadcast_to(GS.matrices[0] @ MODEL.vacuum, grid.shape + (GS.n,)).copy()
     with pytest.raises(NotUnitaryGaugeError):
         quadratic_expansion_check(MODEL, SPEC, eps=0.01, grid=grid, delta_phi=bad)
 
@@ -437,10 +439,8 @@ def test_matmul_kernels_match_their_einsum_forms(gs):
     conjugated = np.einsum("...ij,...djk,...kl->...dil", sigma, gs.matrix_of(a), sigma_inv)
     dsig = np.stack([central_difference(GRID3, sigma, mu) for mu in range(GRID3.dim)], axis=GRID3.dim)
     # project has its own check against its einsum form in test_liecore
-    coeffs, defect = gs.project(conjugated - np.einsum("...dij,...jk->...dik", dsig, sigma_inv))
-    out = gauge_transform_gauge(gs, GRID3, sigma, a)
-    _assert_rel(out.coefficients, coeffs)
-    assert out.projection_defect == pytest.approx(float(np.max(defect)), rel=1e-13)
+    coeffs, _ = gs.project(conjugated - np.einsum("...dij,...jk->...dik", dsig, sigma_inv))
+    _assert_rel(gauge_transform_gauge(gs, GRID3, sigma, a), coeffs)
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "lorentzian"])
@@ -448,7 +448,7 @@ def test_matmul_kernels_match_their_einsum_forms(gs):
 def test_strength_defect_on_independent_planes_equals_full_mean(gs, metric):
     grid = Grid(dim=3, shape=GRID3.shape, spacing=GRID3.spacing, metric=metric)
     a, _, sigma = _random_fields(gs, grid, seed=10 + gs.n)
-    a_prime = gauge_transform_gauge(gs, grid, sigma, a).coefficients
+    a_prime = gauge_transform_gauge(gs, grid, sigma, a)
     f_prime = gs.matrix_of(field_strength(gs, grid, a_prime))
     f = gs.matrix_of(field_strength(gs, grid, a))
     conj = np.einsum("...ij,...mnjk,...kl->...mnil", sigma, f, sigma.conj().swapaxes(-1, -2))
@@ -524,8 +524,7 @@ def test_site_blocks_leave_the_lattice_kernels_bit_identical(gs, grid, block, mo
         a = smooth_gauge_field(grid, gs.r, seed=1)
         psi = smooth_multiplet_field(grid, gs.n, seed=2)
         sigma = smooth_transform_field(gs, grid, seed=3)
-        moved = gauge_transform_gauge(gs, grid, sigma, a)
-        return sigma, moved.coefficients, moved.projection_defect, covariance_defects(gs, grid, a, psi, sigma)
+        return sigma, gauge_transform_gauge(gs, grid, sigma, a), covariance_defects(gs, grid, a, psi, sigma)
 
     assert grid.site_count <= liecore.SITE_BLOCK  # the reference is one block
     whole = kernels()

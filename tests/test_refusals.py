@@ -10,35 +10,16 @@ from ssbspec.liecore import GeneratorError, GeneratorSet, unrealify
 from ssbspec.modelfile import ModelFileError, emit_document
 
 EW = build_generators(2.0, 1.0)
-V0 = np.array([0.0, 1.0], dtype=complex)
 TAU = TripleProduct(np.ones((2, 2, 1)), (True, False, False))
-
-
-class NegativeTransverse:
-    """A flat potential whose Hessian at V0 is zero on the orbit and -1 on
-    every transverse direction."""
-
-    def value(self, v):
-        return 0.0
-
-    def gradient(self, v):
-        return np.zeros(4)
-
-    def hessian(self, v):
-        frame = orbit_frame(EW, V0)
-        transverse = frame.u[:, frame.rank :]
-        return -transverse @ transverse.T
-
-
-def _negative_transverse_spectrum():
-    # HiggsModel(EW, NegativeTransverse(), V0) is refused by the model's own,
-    # tighter Hessian check; _replace skips it to reach spectrum's
-    return spectrum(HiggsModel(EW, NegativeTransverse())._replace(vacuum=V0))
 
 
 CASES = {
     "acted-shape": (lambda: orbit_frame(EW, np.zeros(3)), ValueError, r"vacuum must have shape \(2,\), got \(3,\)"),
-    "transverse-negative": (_negative_transverse_spectrum, NotAVacuumError, "on the transverse space; not a minimum"),
+    "vacuum-at-origin": (
+        lambda: HiggsModel(EW, QuarticPotential(2.0, 1.0), np.zeros(2)),
+        NotAVacuumError,
+        r"Hessian has negative eigenvalue -2\.000e\+00",
+    ),
     "no-vacuum": (lambda: spectrum(HiggsModel(EW, QuarticPotential(2.0, 1.0))), NotAVacuumError, "model has no vacuum"),
     "triple-shape": (
         lambda: triple_invariance_defect(TAU, EW, EW, EW),

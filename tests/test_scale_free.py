@@ -158,6 +158,35 @@ def test_electroweak_huge_coupling(argv):
     assert code == 0, doc["validation"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--g", "1e-310"], ["--gp", "1e-310"], ["--g", "1e-310", "--gp", "1e-310"]],
+    ids=["g", "gp", "both"],
+)
+def test_electroweak_subnormal_coupling_keeps_the_charges(argv):
+    # numpy divides a complex array by g as a product with 1/g, which
+    # overflowed: --g 1e-310 printed isospin [inf, -inf] at exit 0, and
+    # --gp 1e-310 a NaN charge that the machine format could not emit
+    code, doc = run("electroweak", *argv)
+    assert code == 0, doc["validation"]
+    derived = doc["derived"]
+    np.testing.assert_allclose(derived["isospin_diagonal"], [0.5, -0.5], rtol=0.0, atol=5e-14)
+    np.testing.assert_allclose(derived["hypercharge_diagonal"], [1.0, 1.0], rtol=0.0, atol=5e-14)
+    np.testing.assert_allclose(derived["charge_diagonal"], [1.0, 0.0], rtol=0.0, atol=5e-14)
+
+
+@pytest.mark.parametrize("name", ["g", "gp"])
+def test_electroweak_coupling_whose_half_underflows_is_refused(name):
+    # the generators carry half of each coupling: at 5e-324 that is 0, and
+    # the report ended in "generator 0 is zero"
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["electroweak", f"--{name}", "5e-324", "--format", "machine"], stdout=out)
+    assert code == 2
+    assert out.getvalue() == f"error: electroweak parameter {name} = 5e-324 is too small: its half underflows to 0\n"
+
+
 @pytest.mark.parametrize("factor", [1e100, 1e104, 1e140, 1e154])
 def test_spin1_model_with_huge_generators(tmp_path, factor):
     # validate warned and failed at x1e100 and ended in "cannot emit NaN" at
