@@ -53,7 +53,7 @@ from .latticefields import (
     yang_mills_density,
     field_strength,
 )
-from .liecore import TOL_ALG, TOL_RANK, exponentiate, realify, safe_norm, validate_generators
+from .liecore import TOL_ALG, TOL_RANK, exponentiate, random_algebra_element, realify, safe_norm, validate_generators
 from .modelfile import ModelFileError, emit_document, parse_model_file
 from .unitarygauge import DegeneratePointError, UnitaryGaugeConfig, apply_unitary_gauge_field
 
@@ -61,6 +61,8 @@ __all__ = ["main"]
 
 ENV_SEED = "SSB_SPECTRUM_SEED"
 ORDER_BAND = (1.9, 2.1)
+# the doublet's charges in closed form: T3 = diag(1/2, -1/2), Y = 1, Q = T3 + Y/2
+DOUBLET_CHARGES = {"isospin_diagonal": (0.5, -0.5), "hypercharge_diagonal": (1.0, 1.0), "charge_diagonal": (1.0, 0.0)}
 
 
 def orders_pass(orders: tuple[float, ...]) -> bool:
@@ -128,12 +130,14 @@ def _cmd_electroweak(args):
     gaps = np.abs(pred.as_array() - spec.boson_masses)
     higgs_gap = abs(pred.higgs - float(spec.higgs_masses[0]))
     ops = charge_operators(model.generators, p)
+    charges = dict(zip(DOUBLET_CHARGES, (np.diag(m).real for m in (ops.t3, ops.hypercharge, ops.charge))))
     unbroken_norm = float(np.max(safe_norm(realify(model.generators.matrix_of(spec.unbroken) @ model.vacuum))))
     # each mass against its own prediction, so a lost small mass fails and
     # the photon must come out exactly 0; each defect against its own scale
     ok = (
         bool(np.all(gaps <= args.tol * pred.as_array()))
         and higgs_gap <= args.tol * pred.higgs
+        and all(np.all(np.abs(charges[key] - exact) <= args.tol) for key, exact in DOUBLET_CHARGES.items())
         and report.closure_defect <= TOL_ALG
         and unbroken_norm <= TOL_ALG * float(np.linalg.norm(model.vacuum)) * model.generators.scale
     )
@@ -152,9 +156,7 @@ def _cmd_electroweak(args):
         "derived": {
             "weinberg_angle": weinberg_angle(p),
             "elementary_charge": elementary_charge(p),
-            "isospin_diagonal": np.diag(ops.t3).real,
-            "hypercharge_diagonal": np.diag(ops.hypercharge).real,
-            "charge_diagonal": np.diag(ops.charge).real,
+            **charges,
         },
         "validation": {
             "skew_defect": report.skew_defect,
@@ -336,11 +338,10 @@ def _cmd_gauge_check(args):
     orders_ok = orders_pass(der.orders) and orders_pass(stren.orders)
 
     # constant transforms must leave every density unchanged
-    rng = np.random.default_rng(seed)
     a = smooth_gauge_field(base, gs.r, seed + 10)
     psi = smooth_multiplet_field(base, gs.n, seed + 11)
     sigma = np.broadcast_to(
-        exponentiate(gs, rng.normal(size=gs.r)), base.shape + (gs.n, gs.n)
+        exponentiate(gs, random_algebra_element(gs, seed)), base.shape + (gs.n, gs.n)
     ).copy()
     a2 = gauge_transform_gauge(gs, base, sigma, a)
     psi2 = gauge_transform_matter(sigma, psi)

@@ -10,6 +10,7 @@ real calculus.
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 
 import numpy as np
@@ -147,12 +148,12 @@ def check_potential_invariance(
     Order-of-draw is fixed, so the result is deterministic for a given
     seed and sample count.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     gs = model.generators
     coeffs, vs = [], []
     for _ in range(samples):
         coeffs.append(random_algebra_element(gs, rng))
-        vs.append(rng.normal(size=gs.n) + 1j * rng.normal(size=gs.n))
+        vs.append(np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(gs.n)]))
     # one stacked exponential: a call's fixed cost is many times a small matrix's own
     transforms = exponentiate(gs, np.reshape(coeffs, (samples, gs.r)))
     worst = scale = 0.0

@@ -17,6 +17,7 @@ so a site's result does not depend on its block.
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 from .breaking import SpectrumResult, mass_form
 from .higgsmodel import HiggsModel
 from .liecore import TOL_ALG, TOL_RANK, GeneratorSet, realify, unrealify
-from .liecore import _expm_skew_into, _real, _site_product, _site_workspace
+from .liecore import _coefficient_map, _expm_skew_into, _real, _site_product, _site_workspace
 
 __all__ = [
     "ExpansionCheck",
@@ -97,11 +98,6 @@ class Grid(namedtuple("Grid", "dim shape spacing metric")):
     @property
     def site_count(self) -> int:
         return math.prod(self.shape)
-
-    def fractions(self) -> np.ndarray:
-        """Per-axis site positions as fractions of the period, shape (D, *shape)."""
-        axes = [np.arange(m) / m for m in self.shape]
-        return np.stack(np.meshgrid(*axes, indexing="ij"))
 
     def refined(self, factor: int) -> "Grid":
         """Same physical box, factor times the resolution."""
@@ -200,8 +196,8 @@ def gauge_transform_gauge(
     The work runs one direction at a time: d_mu sigma needs neighbours, so
     it is taken over the whole field, and only one direction's is held.
     Everything else is site local and runs in blocks of liecore.SITE_BLOCK
-    sites (the unitarity check, both conjugation products, the derivative
-    term and GeneratorSet.project), in one site-last workspace for the call.
+    sites, in one site-last workspace for the call: the unitarity check, then
+    A'_mu = (sigma A_mu - d_mu sigma) sigma^-1 and its coefficients.
     """
     sigma = np.asarray(sigma, dtype=complex)
     a = np.asarray(a, dtype=float)
@@ -227,21 +223,21 @@ def gauge_transform_gauge(
         raise NonGroupTransformError(
             f"transform field is not unitary (defect {float(unitary_defect):.3e})"
         )
+    e, unit = gs.unit_basis()
+    to_basis, inverse_gram = _coefficient_map(unit)
     coeffs = np.empty((sites, grid.dim, gs.r))
     for mu in range(grid.dim):
         d_sigma = central_difference(grid, sigma, mu).reshape(sites, n, n)
         for block, (s, s_inv, m, prod, term) in blocks:
             _load_transform(s, s_inv, flat_sigma[block])
             _load_matrices(gs, flat_a[block, mu], m)
-            # each buffer is overwritten once its value is used: sigma A_mu
-            # sigma^-1 goes into m, (d_mu sigma) sigma^-1 into s
-            moved = _site_product(_site_product(s, m, prod, term), s_inv, m, term)
-            np.copyto(prod, d_sigma[block].transpose(1, 2, 0))
-            moved -= _site_product(prod, s_inv, s, term)
-            # project reads (sites, n, n); prod's memory holds that copy
+            _site_product(s, m, prod, term)
+            prod -= d_sigma[block].transpose(1, 2, 0)
+            moved = _site_product(prod, s_inv, m, term)
+            # the matmul reads (sites, n, n); prod's memory holds that copy
             stage = prod.reshape(-1, n, n)
             np.copyto(stage, moved.transpose(2, 0, 1))
-            coeffs[block, mu] = gs.project(stage)[0]
+            np.ldexp(stage.reshape(len(stage), -1).view(float) @ to_basis @ inverse_gram, -e, out=coeffs[block, mu])
         del d_sigma  # so that it is not held beside the next direction's
     return coeffs.reshape(a.shape)
 
@@ -342,34 +338,40 @@ def higgs_density(
 WAVE_TERMS = 3
 
 
-def _wave_set(rng: np.random.Generator, dim: int):
+def _wave_set(rng: random.Random, dim: int):
     # lowest nonzero wavevectors only; higher harmonics would push the
     # h^2 error constants up and blur order measurements on coarse grids
     waves = []
     for _ in range(WAVE_TERMS):
-        k = rng.integers(-1, 2, size=dim)
-        if not np.any(k):
-            k[rng.integers(dim)] = 1
-        waves.append((k, rng.uniform(0, 2 * np.pi), rng.normal()))
+        k = [rng.randrange(-1, 2) for _ in range(dim)]
+        if not any(k):
+            k[rng.randrange(dim)] = 1
+        waves.append((k, rng.uniform(0.0, 2.0 * math.pi), rng.gauss(0.0, 1.0)))
     return waves
-
-
-def _eval_waves(frac: np.ndarray, waves, scale: float) -> np.ndarray:
-    """Sum of the waves at the site fractions frac, shape (D, *shape)."""
-    out = np.zeros(frac.shape[1:])
-    for k, phase, amp in waves:
-        angle = 2.0 * np.pi * np.tensordot(k, frac, axes=(0, 0)) + phase
-        out = out + amp * np.sin(angle)
-    return scale * out / max(1, len(waves))
 
 
 def _smooth_components(grid: Grid, count: int, seed: int, scale: float) -> np.ndarray:
     """count periodic band-limited random fields, shape grid.shape + (count,),
-    drawn in order from one seeded generator; refining the grid resamples
-    the same continuum functions."""
-    rng = np.random.default_rng(seed)
-    frac = grid.fractions()
-    return np.stack([_eval_waves(frac, _wave_set(rng, grid.dim), scale) for _ in range(count)], axis=-1)
+    drawn in order from one seeded generator.  A wave amp sin(phase + 2 pi k.x)
+    is Im(amp e^(i phase)) turned axis by axis, elementwise, by the cos and sin
+    of k_d 2 pi i / m_d, an angle that site 2^j i of a 2^j m axis shares: a
+    refined grid resamples the same continuum functions, site for site."""
+    rng = random.Random(seed)
+    waves = [_wave_set(rng, grid.dim) for _ in range(count)]
+    angles = [2.0 * np.pi * np.arange(m) / m for m in grid.shape]
+    total = np.zeros((count,) + grid.shape)
+    for j in range(WAVE_TERMS):  # every component's j-th wave, summed in order
+        k, phase, amp = (np.array(part) for part in zip(*(w[j] for w in waves)))
+        re, im = (amp * (scale / WAVE_TERMS) * f(phase) for f in (np.cos, np.sin))
+        for d, angle in enumerate(angles):
+            turn = (k[:, d, None] * angle).reshape((count,) + (1,) * d + (-1,))
+            c, s, re, im = np.cos(turn), np.sin(turn), re[..., None], im[..., None]
+            if d + 1 < grid.dim:
+                re, im = re * c - im * s, re * s + im * c
+            else:  # only the imaginary part is needed, added in place
+                total += re * s
+                total += im * c
+    return np.moveaxis(total, 0, -1)
 
 
 def smooth_scalar_field(grid: Grid, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -476,7 +478,7 @@ def convergence_orders(
     test fields are sampled once, on the finest grid; each coarser grid
     takes the strided sub-lattice, which is bit-identical to resampling
     the same continuum data there (site i of the m-grid is site 2^k i of
-    the 2^k m-grid, at the same correctly rounded fraction, and every
+    the 2^k m-grid, at the same correctly rounded angle, and every
     field builder works site by site).  Each of the refinements + 1 grids
     then gets one gauge transform, which both defects share, and each
     defect sequence estimates the discretization order (2 for central

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -232,22 +233,29 @@ class GeneratorSet(namedtuple("GeneratorSet", "matrices")):
 
 def _project(unit: np.ndarray, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (..., r) of mats (..., n, n) on the unit basis (r, n, n) and
-    their Frobenius distances from its span: the right-hand sides are one real
-    matmul over the (re, im) views, and one Gram solve serves every matrix."""
+    their Frobenius distances from its span, by _coefficient_map."""
     r, n = unit.shape[:2]
     M = np.ascontiguousarray(mats, dtype=complex)
     if M.shape[-2:] != (n, n):
         raise GeneratorError(f"expected trailing shape ({n}, {n})")
-    basis = unit.reshape(r, -1)
-    flat = M.reshape(-1, basis.shape[1])
-    b = flat.view(float) @ basis.view(float).T
-    gram = np.real(np.einsum("rij,sij->rs", np.conj(unit), unit))
-    _require_independent(gram)
-    coeffs = np.linalg.solve(gram, b.T).T
-    resid = coeffs @ basis
+    flat = M.reshape(-1, n * n)
+    to_basis, inverse_gram = _coefficient_map(unit)
+    coeffs = (flat.view(float) @ to_basis) @ inverse_gram
+    resid = coeffs @ unit.reshape(r, -1)
     np.subtract(flat, resid, out=resid)
     lead = M.shape[:-2]
     return coeffs.reshape(lead + (r,)), np.linalg.norm(resid, axis=-1).reshape(lead)
+
+
+def _coefficient_map(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, G^-1), the package's one coefficient formula: matrices whose (re, im)
+    views are the rows of x have the coefficients (x @ B) @ G^-1 on the unit
+    basis (r, n, n), B (2 n^2, r) its real view and G = B^T B, which must pass
+    _require_independent.  On a diagonal G this rounds as a Gram solve does."""
+    basis = unit.reshape(len(unit), -1).view(float)
+    gram = basis @ basis.T
+    _require_independent(gram)
+    return basis.T, np.linalg.inv(gram)
 
 
 def _require_independent(gram: np.ndarray) -> None:
@@ -412,9 +420,10 @@ def unrealify(x: np.ndarray) -> np.ndarray:
 
 def random_algebra_element(
     gs: GeneratorSet,
-    seed: int | np.random.Generator,
+    seed: int | random.Random,
     scale: float = 1.0,
 ) -> AlgebraElement:
-    """Deterministic pseudo-random coefficient vector, N(0, scale^2) entries."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng.normal(0.0, scale, size=gs.r)
+    """Deterministic pseudo-random coefficient vector, N(0, scale^2) entries,
+    drawn from the standard library's generator (a seed starts a fresh one)."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return np.array([rng.gauss(0.0, scale) for _ in range(gs.r)])

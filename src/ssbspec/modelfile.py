@@ -25,7 +25,7 @@ import numpy as np
 from .chiral import TripleProduct
 from .higgsmodel import HiggsModel, NotAVacuumError, PotentialError, QuarticPotential, find_vacuum
 from .latticefields import Grid, LatticeError
-from .liecore import GeneratorError, GeneratorSet, realify, safe_norm
+from .liecore import GeneratorError, GeneratorSet, _coefficient_map, realify, safe_norm
 
 __all__ = [
     "Document",
@@ -288,7 +288,9 @@ def parse_model_file(text: str) -> ModelBundle:
         issue("algebra", f"generators have shape {gens.shape}, expected {expected}", "generators")
     elif gens is not None:
         try:
-            gs = GeneratorSet(gens)
+            checked = GeneratorSet(gens)
+            _coefficient_map(checked.unit_basis()[1])  # names a zero or dependent generator
+            gs = checked
         except GeneratorError as err:
             issue("algebra", str(err), "generators")
 

@@ -252,7 +252,10 @@ def test_spin1_vacuum_at_a_large_radius(tmp_path):
 )
 def test_parsed_vacuum_is_the_closed_form(n, log_mu, log_lam):
     mu, lam = 10.0**log_mu, 10.0**log_lam
-    vacuum = parse_model_file(_model_text(su2_irrep(n), mu, lam)).model.vacuum
+    # su(2) acts as zero on a singlet, and a model file refuses a zero
+    # generator, so the singlet takes u(1)'s
+    generators = su2_irrep(n) if n > 1 else np.array([[[1j]]])
+    vacuum = parse_model_file(_model_text(generators, mu, lam)).model.vacuum
     # parallel to (1, ..., 1): every entry the same positive real
     assert np.all(vacuum == vacuum[0]) and vacuum[0].imag == 0 and vacuum[0].real > 0
     radius = math.sqrt(mu / (2 * lam))

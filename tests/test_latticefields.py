@@ -7,6 +7,7 @@ Closed forms used below:
     coefficient c^2 along the third generator, density -f^2/2 euclidean
     and +f^2/2 lorentzian for f = |F_01|.
 """
+import random
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,27 @@ def test_smooth_fields_deterministic_and_resolution_consistent():
     # refining by 2 samples the same function at the even sites
     fine = smooth_scalar_field(grid.refined(2), seed=4)
     assert np.allclose(fine[::2, ::2], f1, atol=1e-13)
+
+
+def _per_site_waves(grid, count, seed, scale):
+    """The smooth components from their definition: one np.sin per wave and site."""
+    rng = random.Random(seed)
+    out = np.zeros(grid.shape + (count,))
+    for component in range(count):
+        for k, phase, amp in latticefields._wave_set(rng, grid.dim):
+            for site in np.ndindex(*grid.shape):
+                x = np.array(site) / np.array(grid.shape)
+                out[site + (component,)] += amp * np.sin(phase + 2.0 * np.pi * np.dot(k, x))
+    return scale * out / latticefields.WAVE_TERMS
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 9), (5, 7, 6)], ids=["1d", "2d", "3d"])
+def test_smooth_components_match_a_per_site_sine(shape):
+    # per-axis cos and sin tables turned site by site, against the sine itself
+    grid = Grid(dim=len(shape), shape=shape, spacing=0.1)
+    got = latticefields._smooth_components(grid, 4, seed=17, scale=0.8)
+    assert got.shape == shape + (4,)
+    assert np.max(np.abs(got - _per_site_waves(grid, 4, 17, 0.8))) <= 1e-14
 
 
 def test_quadratic_expansion_cubic_remainder():
@@ -532,6 +554,19 @@ def test_site_blocks_leave_the_lattice_kernels_bit_identical(gs, grid, block, mo
     blocked = kernels()
     for ref, got in zip(whole, blocked):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS[::2], ids=["plane", "lone-site"])
+def test_gauge_transform_takes_two_site_products_per_direction(grid, monkeypatch):
+    # one for the unitarity check, then (sigma A_mu - d_mu sigma) sigma^-1
+    sigma = smooth_transform_field(GS, grid, seed=4)
+    a = smooth_gauge_field(grid, GS.r, seed=5)
+    calls = []
+    real = latticefields._site_product
+    monkeypatch.setattr(latticefields, "_site_product", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(liecore, "SITE_BLOCK", 7)
+    gauge_transform_gauge(GS, grid, sigma, a)
+    assert len(calls) == len(liecore.site_blocks(grid.site_count)) * (1 + 2 * grid.dim)
 
 
 def test_non_unitary_site_in_the_last_block_is_reported(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -177,6 +179,29 @@ def test_project_matches_its_einsum_form(gs):
             assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
 
 
+def test_coefficient_map_matches_a_gram_solve():
+    # a basis whose unit Gram matrix is far from diagonal (condition number 43)
+    m = EW.matrices
+    gs = GeneratorSet([m[0], m[0] + 0.5 * m[1], m[2] - 0.3 * m[3], 2.0 * m[3] + m[1]])
+    unit = gs.unit_basis()[1]
+    basis = unit.reshape(gs.r, -1).view(float)
+    gram = basis @ basis.T
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) >= 0.25
+    x = np.random.default_rng(0).normal(size=(200, 2 * gs.n**2))
+    to_basis, inverse_gram = liecore._coefficient_map(unit)
+    got = x @ to_basis @ inverse_gram
+    ref = np.linalg.solve(gram, (x @ basis.T).T).T
+    bound = 10 * np.linalg.cond(gram) * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= bound
+    # project reads the same map, scaled back to the basis's own coefficients
+    mats = unrealify(x[:5]).reshape(5, gs.n, gs.n)
+    coeffs = np.linalg.solve(
+        np.real(np.einsum("rij,sij->rs", np.conj(gs.matrices), gs.matrices)),
+        np.real(np.einsum("rij,...ij->r...", np.conj(gs.matrices), mats)),
+    ).T
+    np.testing.assert_allclose(gs.project(mats)[0], coeffs, rtol=1e-13, atol=1e-13 * np.max(np.abs(coeffs)))
+
+
 def test_shape_errors():
     with pytest.raises(GeneratorError):
         GeneratorSet(np.zeros((2, 2, 3), dtype=complex))
@@ -224,7 +249,7 @@ def test_random_elements_deterministic_and_centered():
     a = random_algebra_element(EW, 1234, scale=0.7)
     b = random_algebra_element(EW, 1234, scale=0.7)
     np.testing.assert_array_equal(a, b)
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     draws = np.array([random_algebra_element(EW, rng) for _ in range(1000)])
     # mean of 1000 unit-variance draws stays within 5 standard errors
     assert np.all(np.abs(draws.mean(axis=0)) < 5.0 / np.sqrt(1000))

@@ -258,6 +258,13 @@ HUGE = "1" + "0" * 400
             "representations",
             "singlet: innermost entries must be [re, im] pairs",
         ),
+        (MINIMAL.replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 0.0]]]]"), 5, "algebra", "generator 0 is zero"),
+        (
+            MINIMAL.replace("r = 1", "r = 2").replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 1.0]]], [[[0.0, -3.0]]]]"),
+            5,
+            "algebra",
+            "generator 1 lies in the span of the generators before it",
+        ),
     ],
     ids=[
         "generator-shape", "n-not-integer", "r-boolean", "not-skew", "ragged",
@@ -271,7 +278,7 @@ HUGE = "1" + "0" * 400
         "g_y-boolean", "n-null", "r-null", "generators-null", "factors-null",
         "factors-number", "mu-null", "vector-null", "tensor-null", "n-float-and-ragged", "n-float-and-not-skew",
         "r-boolean-and-bad-factor", "g_y-boolean-and-tensor-pairs", "slots-mistyped-and-tensor-pairs",
-        "g_y-missing-and-tensor-ragged", "representation-not-pairs",
+        "g_y-missing-and-tensor-ragged", "representation-not-pairs", "zero-generator", "dependent-generator",
     ],
 )
 def test_assembly_issue_carries_the_entry_line(bad, line, section, message):

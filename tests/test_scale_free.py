@@ -21,6 +21,7 @@ from ssbspec.breaking import orbit_frame, spectrum
 from ssbspec.chiral import su2_irrep
 from ssbspec.cli import main
 from ssbspec.electroweak import build_generators
+from ssbspec.higgsmodel import HiggsModel
 from ssbspec.liecore import GeneratorSet
 from ssbspec.modelfile import emit_document, parse_document, parse_model_file
 
@@ -175,6 +176,19 @@ def test_electroweak_subnormal_coupling_keeps_the_charges(argv):
     np.testing.assert_allclose(derived["charge_diagonal"], [1.0, 0.0], rtol=0.0, atol=5e-14)
 
 
+@pytest.mark.parametrize("argv", [["--gp", "1.5e-323"], ["--g", "1.5e-323"]], ids=["gp", "g"])
+def test_electroweak_wrong_charges_fail_the_report(argv):
+    # three ulps: the generators carry the half rounded up to two ulps, and
+    # charge_operators divides by the exact coupling; the report printed the
+    # wrong charges with pass = true at exit 0
+    code, doc = run("electroweak", *argv)
+    assert code == 1 and doc["validation"]["pass"] is False
+    exact = [[0.5, -0.5], [1.0, 1.0], [1.0, 0.0]]
+    derived = doc["derived"]
+    got = [derived[key] for key in ("isospin_diagonal", "hypercharge_diagonal", "charge_diagonal")]
+    assert got != exact and max(abs(x - y) for g, e in zip(got, exact) for x, y in zip(g, e)) > 0.1
+
+
 @pytest.mark.parametrize("name", ["g", "gp"])
 def test_electroweak_coupling_whose_half_underflows_is_refused(name):
     # the generators carry half of each coupling: at 5e-324 that is 0, and
@@ -231,10 +245,11 @@ def test_abelian_model_has_zero_brackets_and_passes(tmp_path):
 
 
 def test_zero_generator_keeps_its_zero_column():
-    doc = parse_document(EW.read_text())
-    doc["algebra"]["generators"][3] = np.zeros((2, 2, 2)).tolist()
-    del doc["representations"], doc["yukawa"]
-    model = parse_model_file(emit_document(doc)).model
+    # built in the library: a model file refuses a zero generator at its line
+    shipped = parse_model_file(EW.read_text()).model
+    zeroed = np.array(shipped.generators.matrices)
+    zeroed[3] = 0.0
+    model = HiggsModel(GeneratorSet(zeroed), shipped.potential, shipped.vacuum)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert orbit_frame(model.generators, model.vacuum).rank == 3

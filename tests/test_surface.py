@@ -37,6 +37,7 @@ KEPT = {
     "chiral.su2_irrep": "test reference: tests and perfbench build spin-j models from it",
     "chiral.TripleProduct.contract": "test reference: the direct contraction _frozen_coupling is checked against",
     "liecore.act": "test reference: the group action tests compare against",
+    "liecore.GeneratorSet.project": "test reference: the lattice tests measure how far a matrix lies from the span with it",
     "liecore.unrealify": "test reference: inverts realify in the tests",
     "modelfile.parse_document": "test reference: reads machine reports back in the tests",
     "unitarygauge.fiber_derivative": "test reference: the orbit coordinates of the acceptance test",
