@@ -270,7 +270,7 @@ def _per_site_waves(grid, count, seed, scale):
 
 @pytest.mark.parametrize("shape", [(5,), (4, 9), (5, 7, 6)], ids=["1d", "2d", "3d"])
 def test_smooth_components_match_a_per_site_sine(shape):
-    # per-axis cos and sin tables turned site by site, against the sine itself
+    # the waves turned axis by axis, against the sine itself
     grid = Grid(dim=len(shape), shape=shape, spacing=0.1)
     got = latticefields._smooth_components(grid, 4, seed=17, scale=0.8)
     assert got.shape == shape + (4,)
