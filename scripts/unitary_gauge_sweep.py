@@ -11,7 +11,7 @@ import numpy as np
 
 from ssbspec.electroweak import build_model
 from ssbspec.latticefields import Grid, smooth_multiplet_field
-from ssbspec.unitarygauge import apply_unitary_gauge_field
+from ssbspec.unitarygauge import UnitaryGaugeConfig, apply_unitary_gauge_field
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
         drift = 0.0
         for seed in range(args.seeds):
             field = model.vacuum + scale * smooth_multiplet_field(grid, n, seed=seed)
-            result = apply_unitary_gauge_field(model.generators, model.vacuum, field)
+            result = apply_unitary_gauge_field(model.generators, model.vacuum, field, UnitaryGaugeConfig())
             max_defect = max(max_defect, float(np.max(result.defects)))
             max_iter = max(max_iter, int(np.max(result.iterations)))
             total_iter += int(np.sum(result.iterations))

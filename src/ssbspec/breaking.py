@@ -149,8 +149,6 @@ def spectrum(model: HiggsModel) -> SpectrumResult:
     values and zero past them; the broken directions are the frame's first
     rank rows of vt, which diagonalize the mass form.
     """
-    if model.vacuum is None:
-        raise NotAVacuumError("model has no vacuum; run find_vacuum first")
     gs, v0 = model.generators, model.vacuum
     frame = orbit_frame(gs, v0)
     d = frame.rank

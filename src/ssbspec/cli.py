@@ -277,9 +277,7 @@ def _cmd_unitary_gauge(args):
     model = bundle.model
     seed = _resolve_seed(args)
     if args.field:
-        grid, kind, field = read_field(args.field)
-        if kind != "multiplet":
-            raise ValueError(f"expected a multiplet field file, got kind {kind!r}")
+        grid, _, field = read_field(args.field)
         if field.shape[-1] != model.generators.n:
             raise ValueError(
                 f"field has {field.shape[-1]} components, model multiplet has "
@@ -300,10 +298,7 @@ def _cmd_unitary_gauge(args):
             os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
         except OSError as err:
             raise type(err)(err.errno, err.strerror, args.out) from None
-    config = UnitaryGaugeConfig(tol=args.tol)
-    result = apply_unitary_gauge_field(
-        model.generators, model.vacuum, field, config=config
-    )
+    result = apply_unitary_gauge_field(model.generators, model.vacuum, field, UnitaryGaugeConfig(tol=args.tol))
     if args.out:
         write_field(args.out, grid, "multiplet", result.transformed)
     ok = result.max_defect < args.tol
@@ -331,10 +326,10 @@ def _cmd_gauge_check(args):
     if args.model:
         gs = _load_bundle(args.model).model.generators
     else:
-        gs = build_model(ElectroweakParams()).generators
+        gs = build_model().generators
     seed = _resolve_seed(args)
     base = Grid(dim=2, shape=(args.grid, args.grid), spacing=1.0 / args.grid, metric=args.metric)
-    der, stren = convergence_orders(gs, base, seed=seed, refinements=args.refine)
+    der, stren = convergence_orders(gs, base, seed, refinements=args.refine)
     orders_ok = orders_pass(der.orders) and orders_pass(stren.orders)
 
     # constant transforms must leave every density unchanged
@@ -476,10 +471,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("electroweak", help="built-in preset report")
     _add_common(sp, _cmd_electroweak, tol=1e-9, with_model=False, seeded=False)
-    sp.add_argument("--g", type=float, default=2.0)
-    sp.add_argument("--gp", type=float, default=1.0)
-    sp.add_argument("--mu", type=float, default=2.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    preset = ElectroweakParams()
+    for flag, name in (("--g", "g"), ("--gp", "gp"), ("--mu", "mu"), ("--lambda", "lam")):
+        sp.add_argument(flag, dest=name, type=float, default=getattr(preset, name))
 
     return parser
 

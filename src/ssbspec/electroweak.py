@@ -61,6 +61,14 @@ class ElectroweakParams(namedtuple("ElectroweakParams", "g gp mu lam")):
             # the generators carry g/2 and g'/2: a coupling whose half underflows leaves a zero generator
             if name in ("g", "gp") and value / 2 == 0:
                 raise ValueError(f"electroweak parameter {name} = {value} is too small: its half underflows to 0")
+        # the largest mass, which every boson-mass product stays below; a
+        # potential that overflows is refused here first
+        z = QuarticPotential(mu, lam).vacuum_radius * math.hypot(g, gp) / math.sqrt(2.0)
+        if not math.isfinite(z):
+            raise ValueError(
+                f"electroweak parameters g={g}, gp={gp}, mu={mu}, lambda={lam} give a Z mass "
+                "sqrt(mu/(2 lambda)) hypot(g, gp)/sqrt(2) beyond the float range"
+            )
         return super().__new__(cls, g, gp, mu, lam)
 
 

@@ -87,54 +87,45 @@ class QuarticPotential(namedtuple("QuarticPotential", "mu lam")):
 
 
 class HiggsModel(namedtuple("HiggsModel", "generators potential vacuum")):
-    """Generator set, invariant potential, and (optionally) a pinned vacuum.
+    """Generator set, invariant potential, and a pinned vacuum.
 
-    When a vacuum is supplied it is stored as a read-only copy and verified
-    at construction: the gradient must vanish and the Hessian must be
-    positive semidefinite, both to TOL_VAC relative to max|H|.
+    The vacuum is stored as a read-only copy and verified at construction:
+    the gradient must vanish and the Hessian must be positive semidefinite,
+    both to TOL_VAC relative to max|H|.
     """
 
     __slots__ = ()
 
-    def __new__(cls, generators: GeneratorSet, potential: QuarticPotential, vacuum: np.ndarray | None = None):
-        if vacuum is not None:
-            vacuum = np.array(vacuum, dtype=complex)
-            if vacuum.shape != (generators.n,):
-                raise NotAVacuumError(
-                    f"vacuum must have shape ({generators.n},), got {vacuum.shape}"
-                )
-            vacuum.setflags(write=False)
-            with np.errstate(over="ignore", invalid="ignore"):  # a vector too long to square fails below
-                grad = potential.gradient(vacuum)
-                hess = potential.hessian(vacuum)
-            # the Hessian scales as mu and the gradient as mu |v|, so both
-            # checks are relative and hold at any mu and lambda; the bound is
-            # finite at the potential's own vacuum, and where it overflows
-            # off that sphere the gradient does too
-            curvature = float(np.max(np.abs(hess)))
-            slope = float(safe_norm(grad))
-            if not slope <= TOL_VAC * curvature * (1.0 + float(safe_norm(realify(vacuum)))) < math.inf:
-                raise NotAVacuumError(f"gradient norm {slope:.3e} at the supplied vacuum")
-            lo = float(np.linalg.eigvalsh(hess).min())
-            if lo < -TOL_VAC * curvature:
-                raise NotAVacuumError(f"Hessian has negative eigenvalue {lo:.3e} at the supplied vacuum")
+    def __new__(cls, generators: GeneratorSet, potential: QuarticPotential, vacuum: np.ndarray):
+        vacuum = np.array(vacuum, dtype=complex)
+        if vacuum.shape != (generators.n,):
+            raise NotAVacuumError(f"vacuum must have shape ({generators.n},), got {vacuum.shape}")
+        vacuum.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # a vector too long to square fails below
+            grad = potential.gradient(vacuum)
+            hess = potential.hessian(vacuum)
+        # the Hessian scales as mu and the gradient as mu |v|, so both
+        # checks are relative and hold at any mu and lambda; the bound is
+        # finite at the potential's own vacuum, and where it overflows
+        # off that sphere the gradient does too
+        curvature = float(np.max(np.abs(hess)))
+        slope = float(safe_norm(grad))
+        if not slope <= TOL_VAC * curvature * (1.0 + float(safe_norm(realify(vacuum)))) < math.inf:
+            raise NotAVacuumError(f"gradient norm {slope:.3e} at the supplied vacuum")
+        lo = float(np.linalg.eigvalsh(hess).min())
+        if lo < -TOL_VAC * curvature:
+            raise NotAVacuumError(f"Hessian has negative eigenvalue {lo:.3e} at the supplied vacuum")
         return super().__new__(cls, generators, potential, vacuum)
 
 
-def find_vacuum(model: HiggsModel, seed_point: np.ndarray) -> np.ndarray:
-    """The minimum of the potential on the ray through a nonzero seed point.
+def find_vacuum(potential: QuarticPotential, n: int) -> np.ndarray:
+    """The minimum of the potential on the diagonal ray of C^n,
+    vacuum_radius (1, ..., 1) / sqrt(n).
 
     V depends on |v| alone, so its minima are the sphere
-    |v| = vacuum_radius (the origin when mu <= 0), which meets every ray
-    from the origin once: the vacuum is the seed rescaled to that radius.
-    Raises PotentialError for a zero or non-finite seed.
+    |v| = vacuum_radius (the origin when mu <= 0), which meets that ray once.
     """
-    seed = np.asarray(seed_point, dtype=complex)
-    peak = float(np.max(np.abs(seed), initial=0.0))
-    if not (np.isfinite(peak) and peak > 0):
-        raise PotentialError(f"seed point must be nonzero and finite, got largest entry {peak}")
-    unit = seed / peak  # the norm of a tiny or huge seed would under- or overflow
-    return unit * (model.potential.vacuum_radius / float(np.linalg.norm(unit)))
+    return np.full(n, potential.vacuum_radius / math.sqrt(n), dtype=complex)
 
 
 def check_potential_invariance(

@@ -418,12 +418,8 @@ def unrealify(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
-def random_algebra_element(
-    gs: GeneratorSet,
-    seed: int | random.Random,
-    scale: float = 1.0,
-) -> AlgebraElement:
-    """Deterministic pseudo-random coefficient vector, N(0, scale^2) entries,
+def random_algebra_element(gs: GeneratorSet, seed: int | random.Random) -> AlgebraElement:
+    """Deterministic pseudo-random coefficient vector, N(0, 1) entries,
     drawn from the standard library's generator (a seed starts a fresh one)."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return np.array([rng.gauss(0.0, scale) for _ in range(gs.r)])
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(gs.r)])

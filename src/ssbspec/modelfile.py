@@ -309,7 +309,7 @@ def parse_model_file(text: str) -> ModelBundle:
     model = None
     vacuum = _complex_array(entries_of("vacuum"), "vector", issue, "vacuum")
     if gs is not None and potential is not None and "vacuum" not in doc:
-        vacuum = find_vacuum(HiggsModel(generators=gs, potential=potential), np.ones(gs.n))
+        vacuum = find_vacuum(potential, gs.n)
     if gs is not None and potential is not None and vacuum is not None:
         try:
             model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)
@@ -347,13 +347,15 @@ def parse_model_file(text: str) -> ModelBundle:
                 issue("yukawa", f"unknown representation {s!r}", "slots")
         if all(s in reps for s in slots):
             dims = tuple(reps[s].n for s in slots)
+            size = float(safe_norm(realify(tensor.ravel())))
             if tensor.shape != dims:
                 issue("yukawa", f"tensor shape {tensor.shape} does not match slot dimensions {dims}", "tensor")
-            # |g_y| |tensor| |v0| bounds every fermion mass; Python floats
-            # overflow to inf without a warning
-            elif model is not None and not math.isfinite(
-                abs(float(g_y)) * float(safe_norm(realify(tensor.ravel()))) * float(safe_norm(realify(model.vacuum)))
-            ):
+            # |tensor| sum_k n_k max|X_k| bounds every partial sum of the
+            # summed slot action, and |g_y| |tensor| |v0| every fermion mass;
+            # Python floats overflow to inf without a warning
+            elif not math.isfinite(size * sum(reps[s].n * reps[s].scale for s in slots)):
+                issue("yukawa", "tensor entries make the summed slot action overflow at these representations", "tensor")
+            elif model is not None and not math.isfinite(abs(float(g_y)) * size * float(safe_norm(realify(model.vacuum)))):
                 issue("yukawa", f"g_y = {g_y} makes the fermion masses overflow at this tensor and vacuum", "g_y")
             else:
                 yukawa = YukawaSection(

@@ -336,7 +336,7 @@ def apply_unitary_gauge_field(
     gs: GeneratorSet,
     v0: np.ndarray,
     field: np.ndarray,
-    config: UnitaryGaugeConfig = UnitaryGaugeConfig(),
+    config: UnitaryGaugeConfig,
 ) -> GaugeFieldResult:
     """Solve the pointwise problem across a grid field.
 

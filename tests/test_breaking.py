@@ -164,10 +164,10 @@ def test_orbit_split_rejects_non_minimum():
 
 
 def test_spectrum_requires_vacuum():
+    # the model refuses a missing vacuum, so spectrum never meets one
     model = build_model()
-    stripped = type(model)(model.generators, model.potential, None)
-    with pytest.raises(NotAVacuumError):
-        spectrum(stripped)
+    with pytest.raises(NotAVacuumError, match="vacuum must have shape"):
+        spectrum(type(model)(model.generators, model.potential, None))
 
 
 @pytest.mark.parametrize("mu", [2.0, 1e-9, 1e-12])

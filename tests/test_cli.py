@@ -18,7 +18,7 @@ from ssbspec.cli import main
 from ssbspec.gridfile import read_field, write_field
 from ssbspec.latticefields import Grid, smooth_multiplet_field
 from ssbspec.modelfile import parse_document
-from ssbspec.unitarygauge import apply_unitary_gauge_field
+from ssbspec.unitarygauge import UnitaryGaugeConfig, apply_unitary_gauge_field
 
 MODEL = "models/electroweak.model"
 
@@ -129,6 +129,21 @@ def test_electroweak_overflowing_potential_is_one_error_line(argv, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "g, lam", [("1e300", "1e-300"), ("1.7e308", "3e-57")], ids=["g-1e300", "g-1.7e308"]
+)
+def test_electroweak_z_mass_beyond_the_float_range_is_one_error_line(g, lam, capsys):
+    # these warned from breaking._acted, then ended in "SVD did not converge"
+    code, text = run("electroweak", "--g", g, "--lambda", lam)
+    assert (code, text) == (
+        2,
+        f"error: electroweak parameters g={float(g)}, gp=1.0, mu=2.0, lambda={float(lam)} give a Z mass "
+        "sqrt(mu/(2 lambda)) hypot(g, gp)/sqrt(2) beyond the float range\n",
+    )
+    assert capsys.readouterr().err == ""
+
+
 def test_spectrum_is_byte_identical_across_runs():
     code1, text1 = run("spectrum", "--model", MODEL, "--format", "machine", "--seed", "5")
     code2, text2 = run("spectrum", "--model", MODEL, "--format", "machine", "--seed", "5")
@@ -218,7 +233,7 @@ def test_unitary_gauge_reads_field_file(tmp_path):
     assert np.allclose(norms_in, norms_out, atol=1e-12)
     # the counters: the site of the largest defect and the largest iteration count
     model = modelfile.parse_model_file(pathlib.Path(MODEL).read_text()).model
-    swept = apply_unitary_gauge_field(model.generators, model.vacuum, phi)
+    swept = apply_unitary_gauge_field(model.generators, model.vacuum, phi, UnitaryGaugeConfig())
     doc = parse_document(text)["result"]
     assert doc["max_defect"] == swept.max_defect
     assert doc["worst_site"] == [int(i) for i in np.unravel_index(np.argmax(swept.defects), (4, 4))]
@@ -314,9 +329,13 @@ def test_gauge_check_fails_a_non_covariant_transform(monkeypatch):
     assert doc["result"]["invariance_pass"] is True
 
 
-def _field_file(tmp: pathlib.Path, kind: str, field: np.ndarray) -> str:
-    path = tmp / f"{kind}.field"
-    write_field(path, Grid(dim=2, shape=(4, 4), spacing=0.5), kind, field)
+def _field_file(tmp: pathlib.Path, field: np.ndarray, kind: int = 0) -> str:
+    """A multiplet field file on a 4x4 grid, its header's kind word set to kind."""
+    path = tmp / "multiplet.field"
+    write_field(path, Grid(dim=2, shape=(4, 4), spacing=0.5), "multiplet", field)
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = kind.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
     return str(path)
 
 
@@ -329,11 +348,11 @@ def _field_file(tmp: pathlib.Path, kind: str, field: np.ndarray) -> str:
             "no --field given and the model file has no [grid] section",
         ),
         (
-            lambda tmp: ["unitary-gauge", "--model", MODEL, "--field", _field_file(tmp, "gauge", np.zeros((4, 4, 2, 4)))],
-            "expected a multiplet field file, got kind 'gauge'",
+            lambda tmp: ["unitary-gauge", "--model", MODEL, "--field", _field_file(tmp, np.ones((4, 4, 2)), kind=1)],
+            "field kind 1 at byte 8: only kind 0, a multiplet, is read",
         ),
         (
-            lambda tmp: ["unitary-gauge", "--model", MODEL, "--field", _field_file(tmp, "multiplet", np.ones((4, 4, 3)))],
+            lambda tmp: ["unitary-gauge", "--model", MODEL, "--field", _field_file(tmp, np.ones((4, 4, 3)))],
             "field has 3 components, model multiplet has 2",
         ),
     ],

@@ -63,7 +63,7 @@ def test_corpus_sweeps_cleanly(name):
         starts = []
     for amp in AMPLITUDES:
         field = v0 + amp * (rng.normal(size=(16, 16, n)) + 1j * rng.normal(size=(16, 16, n))) / np.sqrt(2.0)
-        out = apply_unitary_gauge_field(gs, v0, field)
+        out = apply_unitary_gauge_field(gs, v0, field, UnitaryGaugeConfig())
         assert out.max_defect < TOL
         assert out.iterations.max() <= 20
         overlap = _overlap(v0, out.transformed)
@@ -74,5 +74,5 @@ def test_corpus_sweeps_cleanly(name):
         assert np.max(np.abs(U @ np.conj(np.swapaxes(U, -1, -2)) - np.eye(n))) < 1e-12
         np.testing.assert_allclose((U @ field[..., None])[..., 0], out.transformed, rtol=0, atol=1e-12 * norms.max())
         for start in starts:
-            other = apply_unitary_gauge_field(gs, v0, (start @ field[..., None])[..., 0])
+            other = apply_unitary_gauge_field(gs, v0, (start @ field[..., None])[..., 0], UnitaryGaugeConfig())
             assert np.max(_overlap(v0, other.transformed) - overlap) <= TOL

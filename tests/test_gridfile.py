@@ -7,7 +7,7 @@ import pytest
 
 from ssbspec.cli import main
 from ssbspec.gridfile import MAGIC, GridFileError, read_field, write_field
-from ssbspec.latticefields import Grid, smooth_gauge_field, smooth_multiplet_field
+from ssbspec.latticefields import Grid, smooth_multiplet_field
 
 GRID = Grid(dim=2, shape=(4, 6), spacing=0.25, metric="lorentzian")
 
@@ -22,41 +22,16 @@ def test_multiplet_round_trip(tmp_path):
     assert np.array_equal(back, field)
 
 
-def test_gauge_round_trip_real_payload(tmp_path):
-    path = tmp_path / "a.field"
-    field = smooth_gauge_field(GRID, 4, seed=2)
-    write_field(path, GRID, "gauge", field)
-    _, kind, back = read_field(path)
-    assert kind == "gauge"
-    assert back.dtype == np.float64
-    assert np.array_equal(back, field)
-
-
-def test_transform_round_trip(tmp_path):
-    path = tmp_path / "s.field"
-    rng = np.random.default_rng(0)
-    field = rng.normal(size=GRID.shape + (2, 2)) + 1j * rng.normal(size=GRID.shape + (2, 2))
-    write_field(path, GRID, "transform", field)
-    _, kind, back = read_field(path)
-    assert kind == "transform"
-    assert np.array_equal(back, field)
-
-
 def test_wrong_shape_rejected(tmp_path):
     with pytest.raises(GridFileError, match="must have shape"):
         write_field(tmp_path / "x.field", GRID, "multiplet", np.zeros((4, 5, 2), dtype=complex))
 
 
-def test_complex_gauge_payload_rejected(tmp_path):
-    bad = smooth_gauge_field(GRID, 2, seed=3).astype(complex)
-    bad[0, 0, 0, 0] += 1j
-    with pytest.raises(GridFileError, match="must be real"):
-        write_field(tmp_path / "x.field", GRID, "gauge", bad)
-
-
 def test_unknown_kind_rejected(tmp_path):
-    with pytest.raises(GridFileError, match="unknown field kind"):
-        write_field(tmp_path / "x.field", GRID, "spinor", np.zeros((4, 6, 2), dtype=complex))
+    # gauge and transform were kinds 1 and 2 of the file; only multiplets are written
+    for kind in ("spinor", "gauge", "transform"):
+        with pytest.raises(GridFileError, match=f"unknown field kind '{kind}'"):
+            write_field(tmp_path / "x.field", GRID, kind, np.zeros((4, 6, 2), dtype=complex))
 
 
 def test_bad_magic(tmp_path):
@@ -108,7 +83,10 @@ def _header(kind=0, dim=2, shape=(4, 4), metric=0, n=2) -> bytes:
 @pytest.mark.parametrize(
     "header, line",
     [
-        (_header(kind=3), "unknown field kind index 3"),
+        # gauge-coefficient and transform files, kinds 1 and 2, are no longer read
+        (_header(kind=1), "field kind 1 at byte 8: only kind 0, a multiplet, is read"),
+        (_header(kind=2), "field kind 2 at byte 8: only kind 0, a multiplet, is read"),
+        (_header(kind=3), "field kind 3 at byte 8: only kind 0, a multiplet, is read"),
         (_header(dim=17, shape=()), "implausible grid dimension 17"),
         (_header(metric=2), "unknown metric index 2"),
         # int64 counts of these headers wrapped: to 0, which an empty payload
@@ -124,18 +102,9 @@ def _header(kind=0, dim=2, shape=(4, 4), metric=0, n=2) -> bytes:
             f"with 2 per site imply {2 * (2**32 - 1) ** 4}",
         ),
     ],
-    ids=["kind", "dimension", "metric", "count-wraps-to-zero", "count-wraps-negative"],
+    ids=["gauge-kind", "transform-kind", "kind", "dimension", "metric", "count-wraps-to-zero", "count-wraps-negative"],
 )
 def test_bad_header_exits_2_through_the_cli(tmp_path, header, line):
     path = tmp_path / "x.field"
     path.write_bytes(header)
     assert _unitary_gauge_on(path) == (2, f"error: {line}\n")
-
-
-def test_gauge_payload_with_imaginary_parts_exits_2_through_the_cli(tmp_path):
-    path = tmp_path / "a.field"
-    write_field(path, GRID, "gauge", smooth_gauge_field(GRID, 4, seed=2))
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<d", blob, len(blob) - 8, 0.5)  # the last entry's imaginary part
-    path.write_bytes(bytes(blob))
-    assert _unitary_gauge_on(path) == (2, "error: gauge payload must have zero imaginary parts\n")

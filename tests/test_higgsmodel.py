@@ -88,36 +88,24 @@ def test_analytic_derivatives_match_finite_differences(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_find_vacuum_hits_sphere(seed):
-    model = HiggsModel(build_generators(2.0, 1.0), QUARTIC)
+    # couplings from 1e-100 to 1e100, where the radius squared reaches
+    # 1e-150 to 1e150; the spin-j irrep of dimension n takes the vacuum
     rng = np.random.default_rng(seed)
-    start = rng.normal(size=2) * 3 + 1j * rng.normal(size=2) * 3
-    v0 = find_vacuum(model, start)
-    assert abs(np.linalg.norm(v0) - QUARTIC.vacuum_radius) < 1e-10
+    mu, lam = 10.0 ** rng.uniform(-100.0, 100.0), 10.0 ** rng.uniform(-50.0, 50.0)
+    n = int(rng.integers(2, 6))
+    pot = QuarticPotential(mu, lam)
+    v0 = find_vacuum(pot, n)
+    assert v0.shape == (n,) and np.all(v0 == v0[0]) and v0[0].imag == 0
+    assert math.isclose(v0[0].real * math.sqrt(n), pot.vacuum_radius, rel_tol=1e-15)
+    HiggsModel(GeneratorSet(su2_irrep(n)), pot, v0)
 
 
 def test_find_vacuum_general_parameters():
-    for mu, lam in [(0.5, 0.25), (7.0, 3.0), (1e-2, 4.0)]:
+    for mu, lam in [(0.5, 0.25), (7.0, 3.0), (1e-2, 4.0), (-1.0, 2.0)]:
         pot = QuarticPotential(mu, lam)
-        model = HiggsModel(build_generators(1.3, 0.6), pot)
-        v0 = find_vacuum(model, np.array([0.1 + 0.2j, -0.05j]))
-        assert abs(np.linalg.norm(v0) - pot.vacuum_radius) < 1e-9 * max(1.0, pot.vacuum_radius)
-
-
-def test_find_vacuum_rejects_zero_seed():
-    model = HiggsModel(build_generators(2.0, 1.0), QUARTIC)
-    with pytest.raises(PotentialError):
-        find_vacuum(model, np.zeros(2, dtype=complex))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(PotentialError):
-            find_vacuum(model, np.array([1.0, bad]))
-
-
-@pytest.mark.parametrize("size", [1e-200, 1e200])
-def test_find_vacuum_takes_seeds_of_any_size(size):
-    # |seed|^2 would under- or overflow; only the direction may matter
-    model = HiggsModel(build_generators(2.0, 1.0), QUARTIC)
-    v0 = find_vacuum(model, size * np.array([3.0, 4.0j]))
-    np.testing.assert_allclose(v0, [0.6, 0.8j], rtol=1e-15)
+        v0 = find_vacuum(pot, 2)
+        np.testing.assert_allclose(v0, [pot.vacuum_radius / math.sqrt(2.0)] * 2, rtol=1e-15)
+        HiggsModel(build_generators(1.3, 0.6), pot, v0)
 
 
 def test_model_verifies_supplied_vacuum():
@@ -274,5 +262,5 @@ def test_invariance_check_quartic_and_broken():
     defect, scale = check_potential_invariance(model, samples=100, seed=3)
     assert defect < 1e-9 and scale > 0
     # a non-scalar diagonal quadratic form is not invariant under the action
-    skewed = HiggsModel(model.generators, Lopsided())
+    skewed = model._replace(potential=Lopsided())
     assert check_potential_invariance(skewed, samples=100, seed=3)[0] > 0.01

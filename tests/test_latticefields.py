@@ -21,7 +21,6 @@ from ssbspec.latticefields import (
     Grid,
     LatticeError,
     NonGroupTransformError,
-    NotUnitaryGaugeError,
     central_difference,
     convergence_orders,
     covariance_defects,
@@ -161,7 +160,7 @@ def test_covariant_derivative_constant_field():
     grad = covariant_derivative(GS, grid, a, psi, 0)
     expected = 1.3 * (GS.matrices[2] @ psi[0])
     assert np.allclose(grad, expected, atol=1e-14)
-    assert np.allclose(covariant_derivative(GS, grid, None, psi, 0), 0.0, atol=1e-15)
+    assert np.allclose(covariant_derivative(GS, grid, np.zeros_like(a), psi, 0), 0.0, atol=1e-15)
 
 
 def test_shape_validation_errors():
@@ -221,7 +220,7 @@ def test_convergence_orders_transform_once_per_level(monkeypatch):
 
 def test_constant_transform_leaves_densities_invariant():
     grid = Grid(dim=2, shape=(12, 12), spacing=0.2)
-    a = smooth_gauge_field(grid, GS.r, seed=11, scale=0.8)
+    a = 0.8 * smooth_gauge_field(grid, GS.r, seed=11)
     psi = smooth_multiplet_field(grid, GS.n, seed=12)
     phi = MODEL.vacuum + 0.3 * smooth_multiplet_field(grid, GS.n, seed=13)
     coeffs = np.array([0.4, -0.9, 0.25, 0.6])
@@ -290,25 +289,6 @@ def test_quadratic_expansion_zero_eps():
     assert check.remainder_half == 0.0
 
 
-def test_quadratic_expansion_rejects_orbit_perturbation():
-    grid = Grid(dim=2, shape=(8, 8), spacing=0.125)
-    # a broken generator applied to the vacuum points along the orbit
-    bad = np.broadcast_to(GS.matrices[0] @ MODEL.vacuum, grid.shape + (GS.n,)).copy()
-    with pytest.raises(NotUnitaryGaugeError):
-        quadratic_expansion_check(MODEL, SPEC, eps=0.01, grid=grid, delta_phi=bad)
-
-
-def test_quadratic_expansion_takes_an_explicit_gauge_field():
-    grid = Grid(dim=2, shape=(8, 8), spacing=0.125)
-    gauge = smooth_gauge_field(grid, GS.r, 7777 + 2)  # the field the check draws for seed 2
-    default = quadratic_expansion_check(MODEL, SPEC, eps=0.02, seed=2)
-    assert quadratic_expansion_check(MODEL, SPEC, eps=0.02, grid=grid, seed=2, gauge=gauge.tolist()) == default
-    doubled = quadratic_expansion_check(MODEL, SPEC, eps=0.02, grid=grid, seed=2, gauge=2.0 * gauge)
-    assert doubled.remainder != default.remainder
-    with pytest.raises(LatticeError, match=r"^gauge perturbation must have shape \(8, 8\) \+ 2 trailing axes"):
-        quadratic_expansion_check(MODEL, SPEC, eps=0.02, grid=grid, gauge=gauge[..., 0, :])
-
-
 def test_derivative_covariance_small_on_smooth_data():
     grid = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
     a = smooth_gauge_field(grid, GS.r, seed=1)
@@ -326,9 +306,10 @@ def test_derivative_covariance_small_on_smooth_data():
 PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
 
 
-def _transform_route_inputs(gs, grid, seed, scale=0.4):
+def _transform_route_inputs(gs, grid, seed):
     """The matrices smooth_transform_field exponentiates, (sites, n, n), and their 1-norms."""
-    a = gs.matrix_of(latticefields._smooth_components(grid, gs.r, seed, scale).reshape(-1, gs.r))
+    coeffs = latticefields._smooth_components(grid, gs.r, seed, latticefields.TRANSFORM_SCALE)
+    a = gs.matrix_of(coeffs.reshape(-1, gs.r))
     return a, np.abs(a).sum(axis=-2).max(axis=-1)
 
 

@@ -243,8 +243,8 @@ def test_realify_interleaves():
 
 
 def test_random_elements_deterministic_and_centered():
-    a = random_algebra_element(EW, 1234, scale=0.7)
-    b = random_algebra_element(EW, 1234, scale=0.7)
+    a = random_algebra_element(EW, 1234)
+    b = random_algebra_element(EW, 1234)
     np.testing.assert_array_equal(a, b)
     rng = random.Random(0)
     draws = np.array([random_algebra_element(EW, rng) for _ in range(1000)])

@@ -215,6 +215,13 @@ HUGE = "1" + "0" * 400
         (MINIMAL.replace("mu = 2.0", "mu = null"), 8, "potential", "mu must be a number"),
         (MINIMAL + "\n[vacuum]\nvector = null\n", 12, "vacuum", "vector must be an array"),
         (MINIMAL + SINGLET_TAIL.replace("[[[[1.0, 0.0]]]]", "null"), 17, "yukawa", "tensor must be an array"),
+        # three slot actions of size 1 on an entry of 1e308 can sum to 3e308
+        (
+            MINIMAL + SINGLET_TAIL.replace("[[[[1.0, 0.0]]]]", "[[[[1e308, 0.0]]]]"),
+            17,
+            "yukawa",
+            "tensor entries make the summed slot action overflow",
+        ),
         # a mistyped key hides no issue of another key in its section
         (
             MINIMAL.replace("n = 1", "n = 1.0").replace("[[[[0.0, 1.0]]]]", "[[[[0.0, 1.0], [0.0]]]]"),
@@ -276,7 +283,7 @@ HUGE = "1" + "0" * 400
         "mu-huge-integer", "mu-overflow", "mu-twice-overflows", "representation-not-skew", "lambda-huge-integer", "g_y-huge-integer", "grid-h-huge-integer",
         "factor-coupling-huge-integer", "n-boolean", "r-not-integer", "mu-boolean", "lambda-boolean",
         "g_y-boolean", "n-null", "r-null", "generators-null", "factors-null",
-        "factors-number", "mu-null", "vector-null", "tensor-null", "n-float-and-ragged", "n-float-and-not-skew",
+        "factors-number", "mu-null", "vector-null", "tensor-null", "tensor-action-overflows", "n-float-and-ragged", "n-float-and-not-skew",
         "r-boolean-and-bad-factor", "g_y-boolean-and-tensor-pairs", "slots-mistyped-and-tensor-pairs",
         "g_y-missing-and-tensor-ragged", "representation-not-pairs", "zero-generator", "dependent-generator",
     ],

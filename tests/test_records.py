@@ -99,7 +99,7 @@ def test_validated_types_normalise_their_input():
 
 
 def _records():
-    gaugefield = apply_unitary_gauge_field(GS, MODEL.vacuum, np.tile(MODEL.vacuum, (4, 4, 1)))
+    gaugefield = apply_unitary_gauge_field(GS, MODEL.vacuum, np.tile(MODEL.vacuum, (4, 4, 1)), UnitaryGaugeConfig())
     # one record per type
     validated = {cls: cls(*args) for cls, args in VALIDATED}
     return list(validated.values()) + [spectrum(MODEL), gaugefield, UnitaryGaugeConfig()]

@@ -20,7 +20,11 @@ CASES = {
         NotAVacuumError,
         r"Hessian has negative eigenvalue -2\.000e\+00",
     ),
-    "no-vacuum": (lambda: spectrum(HiggsModel(EW, QuarticPotential(2.0, 1.0))), NotAVacuumError, "model has no vacuum"),
+    "no-vacuum": (
+        lambda: spectrum(HiggsModel(EW, QuarticPotential(2.0, 1.0), None)),
+        NotAVacuumError,
+        r"vacuum must have shape \(2,\), got \(\)",
+    ),
     "triple-shape": (
         lambda: triple_invariance_defect(TAU, EW, EW, EW),
         RepresentationError,

@@ -1,16 +1,20 @@
-"""Every public function, method and record field is used by a command, or
-is listed here with its reason.
+"""Every public function, method, record field and parameter default is
+used by a command, or is listed here with its reason.
 
 The golden cases of tests/test_goldens.py run in process, in machine
 format, under sys.setprofile, together with `unitary-gauge --out`, which
 no golden writes.  While they run, each field of a public record reads
-through a recording property put in place of its tuple getter.  Each
-function named in a module's __all__ and each method and property getter
-defined in a public class must be entered by one of those commands, and
-each field of a public record read, unless KEPT covers it.  A KEPT name is
-a function, a method, a field or a whole record; each must be public and
-never used (a record: none of its members used), so the list cannot go
-stale.
+through a recording property put in place of its tuple getter, and each
+call of a public callable records the defaulted parameters that it sets
+to another value than their default.  Each function named in a module's
+__all__ and each method and property getter defined in a public class must
+be entered by one of those commands, each field of a public record read,
+and each default overridden, unless KEPT covers it.  A default that no
+command overrides is dead weight: drop the parameter, or drop the default
+where every command passes the value.  A KEPT name is a function, a
+method, a field, a parameter ('module.function.parameter') or a whole
+record; each must be public and never used (a record: none of its members
+used), so the list cannot go stale.
 """
 import importlib
 import inspect
@@ -28,7 +32,7 @@ from test_goldens import CASES, EW
 KEPT = {
     "__main__.run": "the console entry point around cli.main; tests/test_main.py runs it in a subprocess",
     "breaking.mass_form": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
-    "breaking.SpectrumResult.orbit_basis": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
+    "breaking.SpectrumResult.orbit_basis": "test reference: the orbit rows the acceptance and breaking tests perturb along",
     "breaking.SpectrumResult.transverse_basis": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
     "latticefields.ExpansionCheck": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
     "latticefields.higgs_density": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
@@ -60,12 +64,12 @@ def _public():
 
 
 def _callables():
-    """'module.name' -> code object of each public function, and 'module.Class.name'
-    of each method and property getter defined in a public class."""
+    """'module.name' -> each public function, and 'module.Class.name' -> each
+    method and property getter defined in a public class."""
     found = {}
     for name, obj in _public():
         if inspect.isfunction(obj):
-            found[name] = obj.__code__
+            found[name] = obj
             continue
         for attr, value in vars(obj).items():
             value = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
@@ -73,8 +77,26 @@ def _callables():
             if attr.startswith("_") and not attr.endswith("__"):
                 continue
             if inspect.isfunction(value) and value.__module__ == obj.__module__:
-                found[f"{name}.{attr}"] = value.__code__
+                found[f"{name}.{attr}"] = value
     return found
+
+
+def _defaults():
+    """'module.name.parameter' -> (code object, parameter, default) for each
+    parameter with a default of a public callable."""
+    return {
+        f"{name}.{param.name}": (function.__code__, param.name, param.default)
+        for name, function in _callables().items()
+        for param in inspect.signature(function).parameters.values()
+        if param.default is not param.empty
+    }
+
+
+def _same(value, default) -> bool:
+    try:
+        return value is default or bool(value == default)
+    except (TypeError, ValueError):  # an array against a scalar default
+        return False
 
 
 def _fields():
@@ -96,15 +118,22 @@ def _recording(getter, name, read):
 
 @pytest.fixture(scope="module")
 def used(tmp_path_factory):
-    """The names of the public callables entered and record fields read while the commands run."""
+    """The names of the public callables entered, the record fields read and
+    the defaulted parameters set to another value while the commands run."""
     tmp = tmp_path_factory.mktemp("surface")
     runs = [(code, argv(tmp)) for code, argv in CASES.values()]
     runs.append((0, ["unitary-gauge", "--model", EW, "--seed", "7", "--out", str(tmp / "out.field")]))
-    entered, read = set(), set()
+    entered, read, overridden = set(), set(), set()
+    defaults = {}
+    for name, (code, param, default) in _defaults().items():
+        defaults.setdefault(code, []).append((name, param, default))
 
     def profile(frame, event, arg):
         if event == "call":
             entered.add(frame.f_code)
+            for name, param, default in defaults.get(frame.f_code, ()):
+                if not _same(frame.f_locals[param], default):
+                    overridden.add(name)
 
     with pytest.MonkeyPatch.context() as patch:
         for name, owner, field in _fields():
@@ -115,7 +144,7 @@ def used(tmp_path_factory):
                 assert main(argv + ["--format", "machine"], stdout=io.StringIO()) == code, argv
             finally:
                 sys.setprofile(None)
-    return {name for name, code in _callables().items() if code in entered} | read
+    return {name for name, function in _callables().items() if function.__code__ in entered} | read | overridden
 
 
 def _kept(name):
@@ -126,7 +155,7 @@ def test_every_public_function_is_run_or_kept(used):
     unreached = _callables().keys() - used
     assert sorted(name for name in unreached if not _kept(name)) == [], "run by no command: cut it, or keep it with a reason"
     # a kept name is unused, and a kept record has no used member
-    unused = {*_callables(), *(name for name, _, _ in _fields())} - used
+    unused = {*_callables(), *(name for name, _, _ in _fields()), *_defaults()} - used
     members = lambda kept: {name for name in unused | used if name.startswith(kept + ".")} or {kept}
     assert sorted(kept for kept in KEPT if not members(kept) <= unused) == [], "used by a command, or not public: drop it from KEPT"
 
@@ -134,3 +163,10 @@ def test_every_public_function_is_run_or_kept(used):
 def test_every_record_field_is_read_or_kept(used):
     unread = {name for name, _, _ in _fields() if name not in used}
     assert sorted(name for name in unread if not _kept(name)) == [], "read by no command: cut it, or keep it with a reason"
+
+
+def test_every_default_is_overridden_or_kept(used):
+    unset = _defaults().keys() - used
+    assert sorted(name for name in unset if not _kept(name)) == [], (
+        "no command sets another value: drop the parameter, or its default where every command passes it"
+    )

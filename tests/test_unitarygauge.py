@@ -141,7 +141,7 @@ def test_solver_property_canonical_form(re0, im0, re1, im1):
 def test_field_sweep_small_grid():
     rng = np.random.default_rng(3)
     field = rng.normal(size=(4, 4, 2)) + 1j * rng.normal(size=(4, 4, 2))
-    out = apply_unitary_gauge_field(GS, V0, field)
+    out = apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
     assert out.max_defect < 1e-10
     radii = np.linalg.norm(field, axis=-1)
     np.testing.assert_allclose(out.transformed[..., 0], 0.0, atol=1e-9)
@@ -154,8 +154,8 @@ def test_field_sweep_small_grid():
 def test_field_sweep_is_deterministic():
     rng = np.random.default_rng(5)
     field = rng.normal(size=(3, 3, 2)) + 1j * rng.normal(size=(3, 3, 2))
-    a = apply_unitary_gauge_field(GS, V0, field)
-    b = apply_unitary_gauge_field(GS, V0, field)
+    a = apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
+    b = apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
     np.testing.assert_array_equal(a.transformed, b.transformed)
     np.testing.assert_array_equal(a.transforms, b.transforms)
 
@@ -164,7 +164,7 @@ def test_zero_site_reports_its_location():
     field = np.ones((2, 2, 2), dtype=complex)
     field[1, 0] = 0.0
     with pytest.raises(DegeneratePointError, match=r"site \(1, 0\)"):
-        apply_unitary_gauge_field(GS, V0, field)
+        apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
 
 
 def test_first_of_two_degenerate_sites_is_named():
@@ -172,7 +172,7 @@ def test_first_of_two_degenerate_sites_is_named():
     field[2, 1] = np.nan
     field[0, 3] = 0.0
     with pytest.raises(DegeneratePointError, match=r"^site \(0, 3\): field value has norm 0\.0"):
-        apply_unitary_gauge_field(GS, V0, field)
+        apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
 
 
 def test_single_value_errors_carry_no_site():
@@ -205,7 +205,7 @@ def test_first_of_two_failing_sites_is_named(monkeypatch, shrink, message):
     # both sites in the second block of five: the name counts from the field's start
     monkeypatch.setattr(liecore, "SITE_BLOCK", 5)
     with pytest.raises(DegeneratePointError, match=rf"^site \(1, 3\): {message} \(goldstone defect 0\.000e\+00"):
-        apply_unitary_gauge_field(GS, V0, field)
+        apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
 
 
 SPIN1 = GeneratorSet(su2_irrep(3))
@@ -224,10 +224,10 @@ def test_sweep_is_independent_of_site_order(gs, v0, monkeypatch):
     )
     field[3, 2] = -1.3 * v0
     perm = rng.permutation(30)
-    out = apply_unitary_gauge_field(gs, v0, field)
+    out = apply_unitary_gauge_field(gs, v0, field, UnitaryGaugeConfig())
     # and in blocks of seven sites instead of one block
     monkeypatch.setattr(liecore, "SITE_BLOCK", 7)
-    shuffled = apply_unitary_gauge_field(gs, v0, field.reshape(30, n)[perm].reshape(5, 6, n))
+    shuffled = apply_unitary_gauge_field(gs, v0, field.reshape(30, n)[perm].reshape(5, 6, n), UnitaryGaugeConfig())
     for name in ("transformed", "transforms", "defects"):
         got = getattr(shuffled, name).reshape(30, -1)
         np.testing.assert_allclose(got, getattr(out, name).reshape(30, -1)[perm], rtol=0, atol=1e-12)
@@ -255,7 +255,7 @@ def test_hard_sites_inside_a_batch(monkeypatch):
         return subproblem(H, s, radius, tiny)
 
     monkeypatch.setattr(unitarygauge, "_subproblem", spy)
-    out = apply_unitary_gauge_field(GS, V0, field)
+    out = apply_unitary_gauge_field(GS, V0, field, UnitaryGaugeConfig())
     assert hard[0] == 1
     for idx, phi in (((2, 3), TWIST_PHI), ((0, 4), -1.3 * V0)):
         point = solve_unitary_gauge_point(GS, V0, phi)
@@ -303,7 +303,7 @@ def test_orbit_climb_escapes_a_saddle():
 def test_unbroken_vacuum_leaves_the_field_as_it_is(gs):
     # at v0 = 0 no direction is broken and every value is already in unitary gauge
     field = smooth_multiplet_field(Grid(dim=2, shape=(4, 4), spacing=0.25), gs.n, 3)
-    out = apply_unitary_gauge_field(gs, np.zeros(gs.n), field)
+    out = apply_unitary_gauge_field(gs, np.zeros(gs.n), field, UnitaryGaugeConfig())
     assert np.array_equal(out.transformed, field)
     assert np.array_equal(out.transforms, np.broadcast_to(np.eye(gs.n), field.shape + (gs.n,)))
     assert not out.defects.any() and not out.iterations.any()
