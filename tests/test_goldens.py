@@ -69,6 +69,13 @@ CASES = {
     "gauge_check_lorentzian": (
         0, lambda tmp: ["gauge-check", "--grid", "16", "--refine", "1", "--seed", "0", "--metric", "lorentzian"]
     ),
+    # spin 1 through the lattice; its 128^2 level spans several site blocks
+    "gauge_check_spin1": (
+        0,
+        lambda tmp: [
+            "gauge-check", "--model", SPIN1, "--grid", "32", "--refine", "2", "--seed", "3", "--metric", "lorentzian"
+        ],
+    ),
     "spectrum_errors": (2, lambda tmp: ["spectrum", "--model", ERRORS]),
 }
 
