@@ -1,16 +1,17 @@
 """Discretized field theory on a periodic grid.
 
 Conventions:
-  - grid axes come first; field components trail (matter (..., n), gauge
-    coefficient fields (..., D, r), transforms (..., n, n)).
+  - fields are site-last inside, from synthesis to defect: matter (n, *grid),
+    gauge coefficient fields (D, r, *grid), transforms (n, n, *grid).  The
+    public functions take and return them grid-first: (*grid, n) and so on.
   - derivatives are central differences with periodic wrap, O(h^2).
   - gauge fields are stored as real generator coefficients; contraction
     of algebra indices is the plain Euclidean coefficient product.
   - the metric is diagonal: all +1, or (+1, -1, ..., -1).
 
-Kernels: site-local work runs on liecore's site-last layer, in blocks of
-liecore.SITE_BLOCK sites.  Each kernel call allocates one workspace for the
-longest block (_site_workspace) and fills it with out=; per-site matrix
+Kernels: site-local work runs in blocks of liecore.SITE_BLOCK sites, on
+slices of the site-last fields.  Each kernel call allocates one workspace for
+the longest block (_site_workspace) and fills it with out=; per-site matrix
 products and the transform field's exponential run on (n, n, sites) stacks,
 so a site's result does not depend on its block.
 """
@@ -113,21 +114,22 @@ def _check_grid_axes(grid: Grid, field: np.ndarray, trailing: int, what: str):
 
 
 def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
-    """(f(x+h e_mu) - f(x-h e_mu)) / 2h with periodic wrap.
-
-    The differences are taken between slices of the field straight into the
-    output, the two wrapped edge slabs included, so no shifted copy is made;
-    a strided field (one direction of a gauge field) is made contiguous
-    first, since contiguous slices subtract faster.
-    """
+    """(f(x+h e_mu) - f(x-h e_mu)) / 2h with periodic wrap, on a grid-first field."""
     if not 0 <= mu < grid.dim:
         raise LatticeError(f"direction {mu} out of range for dimension {grid.dim}")
-    field = np.ascontiguousarray(field)
+    return _difference(grid, np.ascontiguousarray(field), mu)
+
+
+def _difference(grid: Grid, field: np.ndarray, axis: int) -> np.ndarray:
+    """The central difference along the given axis of field, which runs along
+    one grid direction.  The differences are taken between slices of the field
+    straight into the output, the two wrapped edge slabs included, so no
+    shifted copy is made."""
     step = 2.0 * grid.spacing
     out = np.empty(field.shape, np.result_type(field, step))
 
     def along(start, stop):
-        return (slice(None),) * mu + (slice(start, stop),)
+        return (slice(None),) * axis + (slice(start, stop),)
 
     np.subtract(field[along(2, None)], field[along(None, -2)], out=out[along(1, -1)])
     np.subtract(field[along(1, 2)], field[along(-1, None)], out=out[along(None, 1)])
@@ -136,49 +138,92 @@ def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
     return out
 
 
+def _site_last(grid: Grid, field: np.ndarray) -> np.ndarray:
+    """A grid-first field (*grid, ...) as a site-last view (..., *grid), whose
+    grid axes still merge into one site axis."""
+    return np.moveaxis(field, range(grid.dim), range(-grid.dim, 0))
+
+
+def _grid_first(grid: Grid, field: np.ndarray) -> np.ndarray:
+    """A site-last field (..., *grid) as a contiguous grid-first one (*grid, ...)."""
+    return np.ascontiguousarray(np.moveaxis(field, range(-grid.dim, 0), range(grid.dim)))
+
+
 def _load_matrices(gs: GeneratorSet, coeffs: np.ndarray, dest: np.ndarray):
-    """dest = gs.matrix_of(coeffs) with the sites moved last.
-
-    coeffs is (sites, ..., r) and dest a contiguous (n, n, ..., sites).  The
-    matmul is matrix_of's transposed: the same products of each site,
-    which BLAS sums in the same order.
-    """
-    np.matmul(
-        gs.matrices.reshape(gs.r, -1).T, coeffs.T.reshape(gs.r, -1), out=dest.reshape(gs.n * gs.n, -1)
-    )
+    """dest = the matrices of the site-last coefficients (r, ..., sites), into a
+    contiguous (n, n, ..., sites): matrix_of's matmul transposed, the same
+    products of each site, which BLAS sums in the same order."""
+    np.matmul(gs.matrices.reshape(gs.r, -1).T, coeffs.reshape(gs.r, -1), out=dest.reshape(gs.n * gs.n, -1))
 
 
-def _load_transform(s: np.ndarray, s_inv: np.ndarray, sigma: np.ndarray):
-    """s = sigma and s_inv = sigma^dagger, both site-last, from a (sites, n, n) block."""
-    np.copyto(s, sigma.transpose(1, 2, 0))
-    np.conjugate(s.transpose(1, 0, 2), out=s_inv)
+def _check_gauge(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    _check_grid_axes(grid, a, 2, "gauge field")
+    if a.shape[grid.dim] != grid.dim or a.shape[-1] != gs.r:
+        raise LatticeError(f"gauge field must end in ({grid.dim}, {gs.r})")
+    return a
 
 
-def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Pointwise sigma(x) psi(x), in site blocks."""
-    sigma = np.asarray(sigma, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    if sigma.shape[:-2] != psi.shape[:-1] or sigma.shape[-1] != psi.shape[-1]:
-        raise LatticeError(
-            f"transform shape {sigma.shape} does not match matter shape {psi.shape}"
-        )
-    n = psi.shape[-1]
-    flat_sigma, flat_psi = sigma.reshape(-1, n, n), psi.reshape(-1, n)
+def _transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """sigma psi, site by site, for site-last sigma (n, n, sites) and psi (n, sites)."""
     out = np.empty(psi.shape, dtype=complex)
-    flat_out = out.reshape(-1, n)
-    for block, (s, v, moved, term) in _site_workspace(len(flat_psi), (n, n), (n, 1), (n, 1), (1,)):
-        np.copyto(s, flat_sigma[block].transpose(1, 2, 0))
-        np.copyto(v[:, 0], flat_psi[block].T)
-        np.copyto(flat_out[block], _site_product(s, v, moved, term)[:, 0].T)
+    for block, (term,) in _site_workspace(psi.shape[-1], (1,)):
+        _site_product(sigma[..., block], psi[:, None, block], out[:, None, block], term)
     return out
 
 
-def gauge_transform_gauge(
-    gs: GeneratorSet,
-    grid: Grid,
-    sigma: np.ndarray,
-    a: np.ndarray,
-) -> np.ndarray:
+def gauge_transform_matter(sigma: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Pointwise sigma(x) psi(x)."""
+    sigma = np.asarray(sigma, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    if sigma.shape[:-2] != psi.shape[:-1] or sigma.shape[-1] != psi.shape[-1]:
+        raise LatticeError(f"transform shape {sigma.shape} does not match matter shape {psi.shape}")
+    n = psi.shape[-1]
+    out = _transform_matter(sigma.reshape(-1, n, n).transpose(1, 2, 0), psi.reshape(-1, n).T)
+    return np.ascontiguousarray(out.T).reshape(psi.shape)
+
+
+def _transform_gauge(gs: GeneratorSet, grid: Grid, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """gauge_transform_gauge on site-last fields: sigma (n, n, *grid) and a and
+    the result (D, r, *grid)."""
+    sites, n = grid.site_count, gs.n
+    flat_sigma = sigma.reshape(n, n, sites)
+    blocks = _site_workspace(sites, (n, n), (n, n), (n, n), (n,))
+
+    unitary_worst = []
+    for block, (s_inv, free, prod, term) in blocks:
+        s = flat_sigma[..., block]
+        _site_product(s, np.conjugate(s.transpose(1, 0, 2), out=s_inv), prod, term)
+        prod -= np.eye(n)[..., None]
+        unitary_worst.append(np.max(np.abs(prod, out=_real(free))))
+    unitary_defect = np.max(unitary_worst)
+    # unitarity is the group side of skew-Hermiticity, so it shares TOL_ALG;
+    # written as not (defect <= tol) so that a NaN defect fails
+    if not (unitary_defect <= TOL_ALG):
+        raise NonGroupTransformError(
+            f"transform field is not unitary (defect {float(unitary_defect):.3e})"
+        )
+    e, unit = gs.unit_basis()
+    to_basis, inverse_gram = _coefficient_map(unit)
+    flat_a = a.reshape(grid.dim, gs.r, sites)
+    coeffs = np.empty(flat_a.shape)
+    for mu in range(grid.dim):
+        d_sigma = _difference(grid, sigma, 2 + mu).reshape(n, n, sites)
+        for block, (s_inv, m, prod, term) in blocks:
+            s = flat_sigma[..., block]
+            _load_matrices(gs, flat_a[mu, :, block], m)
+            _site_product(s, m, prod, term)
+            prod -= d_sigma[..., block]
+            moved = _site_product(prod, np.conjugate(s.transpose(1, 0, 2), out=s_inv), m, term)
+            # the projection reads (sites, n, n); prod's memory holds that copy
+            stage = prod.reshape(-1, n, n)
+            np.copyto(stage, moved.transpose(2, 0, 1))
+            np.ldexp(stage.reshape(len(stage), -1).view(float) @ to_basis @ inverse_gram, -e, out=coeffs[mu, :, block].T)
+        del d_sigma  # so that it is not held beside the next direction's
+    return coeffs.reshape(a.shape)
+
+
+def gauge_transform_gauge(gs: GeneratorSet, grid: Grid, sigma: np.ndarray, a: np.ndarray) -> np.ndarray:
     """A'_mu = sigma A_mu sigma^-1 - (d_mu sigma) sigma^-1, in coefficients,
     shape (*shape, D, r).
 
@@ -195,83 +240,47 @@ def gauge_transform_gauge(
     A'_mu = (sigma A_mu - d_mu sigma) sigma^-1 and its coefficients.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    a = np.asarray(a, dtype=float)
     _check_grid_axes(grid, sigma, 2, "transform field")
-    _check_grid_axes(grid, a, 2, "gauge field")
-    if a.shape[grid.dim] != grid.dim or a.shape[-1] != gs.r:
-        raise LatticeError(f"gauge field must end in ({grid.dim}, {gs.r})")
-    sites, n = grid.site_count, gs.n
-    flat_sigma = sigma.reshape(sites, n, n)
-    flat_a = a.reshape(sites, grid.dim, gs.r)
-    blocks = _site_workspace(sites, (n, n), (n, n), (n, n), (n, n), (n,))
-
-    unitary_worst = []
-    for block, (s, s_inv, free, prod, term) in blocks:
-        _load_transform(s, s_inv, flat_sigma[block])
-        _site_product(s, s_inv, prod, term)
-        prod -= np.eye(n)[..., None]
-        unitary_worst.append(np.max(np.abs(prod, out=_real(free))))
-    unitary_defect = np.max(unitary_worst)
-    # unitarity is the group side of skew-Hermiticity, so it shares TOL_ALG;
-    # written as not (defect <= tol) so that a NaN defect fails
-    if not (unitary_defect <= TOL_ALG):
-        raise NonGroupTransformError(
-            f"transform field is not unitary (defect {float(unitary_defect):.3e})"
-        )
-    e, unit = gs.unit_basis()
-    to_basis, inverse_gram = _coefficient_map(unit)
-    coeffs = np.empty((sites, grid.dim, gs.r))
-    for mu in range(grid.dim):
-        d_sigma = central_difference(grid, sigma, mu).reshape(sites, n, n)
-        for block, (s, s_inv, m, prod, term) in blocks:
-            _load_transform(s, s_inv, flat_sigma[block])
-            _load_matrices(gs, flat_a[block, mu], m)
-            _site_product(s, m, prod, term)
-            prod -= d_sigma[block].transpose(1, 2, 0)
-            moved = _site_product(prod, s_inv, m, term)
-            # the matmul reads (sites, n, n); prod's memory holds that copy
-            stage = prod.reshape(-1, n, n)
-            np.copyto(stage, moved.transpose(2, 0, 1))
-            np.ldexp(stage.reshape(len(stage), -1).view(float) @ to_basis @ inverse_gram, -e, out=coeffs[block, mu])
-        del d_sigma  # so that it is not held beside the next direction's
-    return coeffs.reshape(a.shape)
+    a = _check_gauge(gs, grid, a)
+    return _grid_first(grid, _transform_gauge(gs, grid, _site_last(grid, sigma), _site_last(grid, a)))
 
 
-def covariant_derivative(
-    gs: GeneratorSet, grid: Grid, a: np.ndarray, psi: np.ndarray, mu: int
-) -> np.ndarray:
-    """d_mu psi + A_mu psi."""
-    psi = np.asarray(psi, dtype=complex)
-    _check_grid_axes(grid, psi, 1, "matter field")
-    dpsi = central_difference(grid, psi, mu)
-    a = np.asarray(a, dtype=float)
-    _check_grid_axes(grid, a, 2, "gauge field")
-    if psi.shape[-1] != gs.n:
-        raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
-    # A_mu psi in site blocks, so the (sites, n, n) matrix field stays one block
+def _covariant(gs: GeneratorSet, grid: Grid, a_mu: np.ndarray, psi: np.ndarray, mu: int) -> np.ndarray:
+    """d_mu psi + A_mu psi on site-last fields: a_mu (r, *grid), psi and the result (n, *grid)."""
     n = gs.n
-    a_mu = a[..., mu, :].reshape(-1, gs.r)
-    flat_psi, flat_out = psi.reshape(-1, n), dpsi.reshape(-1, n)
-    for block, (m, v, moved, term) in _site_workspace(len(flat_out), (n, n), (n, 1), (n, 1), (1,)):
-        _load_matrices(gs, a_mu[block], m)
-        np.copyto(v[:, 0], flat_psi[block].T)
-        flat_out[block] += _site_product(m, v, moved, term)[:, 0].T
+    flat_a, flat_psi = a_mu.reshape(gs.r, -1), psi.reshape(n, -1)
+    dpsi = _difference(grid, psi, 1 + mu)
+    flat_out = dpsi.reshape(n, -1)
+    for block, (m, moved, term) in _site_workspace(flat_out.shape[-1], (n, n), (n, 1), (1,)):
+        _load_matrices(gs, flat_a[:, block], m)
+        flat_out[:, block] += _site_product(m, flat_psi[:, None, block], moved, term)[:, 0]
     return dpsi
 
 
+def covariant_derivative(gs: GeneratorSet, grid: Grid, a: np.ndarray, psi: np.ndarray, mu: int) -> np.ndarray:
+    """d_mu psi + A_mu psi."""
+    psi = np.asarray(psi, dtype=complex)
+    _check_grid_axes(grid, psi, 1, "matter field")
+    if not 0 <= mu < grid.dim:
+        raise LatticeError(f"direction {mu} out of range for dimension {grid.dim}")
+    a = _check_gauge(gs, grid, a)
+    if psi.shape[-1] != gs.n:
+        raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
+    return _grid_first(grid, _covariant(gs, grid, _site_last(grid, a[..., mu, :]), _site_last(grid, psi), mu))
+
+
 def _strength_planes(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
-    """F_{mu nu} on the planes mu < nu, in np.triu_indices order: (*grid, planes, r)."""
-    a = np.asarray(a, dtype=float)
-    _check_grid_axes(grid, a, 2, "gauge field")
+    """F_{mu nu} of the site-last a (D, r, *grid) on the planes mu < nu, in
+    np.triu_indices order: (r, planes, sites)."""
     c = gs.structure_constants()
     r = gs.r
     mus, nus = np.triu_indices(grid.dim, 1)
-    out = np.empty(grid.shape + (len(mus), r))
+    out = np.empty((r, len(mus), grid.site_count))
     for p, (mu, nu) in enumerate(zip(mus, nus)):
-        curl = central_difference(grid, a[..., nu, :], mu) - central_difference(grid, a[..., mu, :], nu)
-        outer = a[..., mu, :, None] * a[..., nu, None, :]
-        bracket = (outer.reshape(-1, r * r) @ c.reshape(r * r, r)).reshape(curl.shape)
-        np.add(curl, bracket, out=out[..., p, :])
+        curl = _difference(grid, a[nu], 1 + mu) - _difference(grid, a[mu], 1 + nu)
+        outer = a[mu, :, None] * a[nu, None, :]
+        bracket = c.reshape(r * r, r).T @ outer.reshape(r * r, -1)
+        np.add(curl.reshape(r, -1), bracket, out=out[:, p])
     return out
 
 
@@ -282,11 +291,11 @@ def field_strength(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
     is exact; generator sets that do not close raise here.
     Returns shape (*grid, D, D, r), antisymmetric in (mu, nu).
     """
-    planes = _strength_planes(gs, grid, a)
+    planes = _strength_planes(gs, grid, _site_last(grid, _check_gauge(gs, grid, a)))
     F = np.zeros(grid.shape + (grid.dim, grid.dim, gs.r))
     for p, (mu, nu) in enumerate(zip(*np.triu_indices(grid.dim, 1))):
-        F[..., mu, nu, :] = planes[..., p, :]
-        F[..., nu, mu, :] = -planes[..., p, :]
+        F[..., mu, nu, :] = planes[:, p].T.reshape(grid.shape + (gs.r,))
+        F[..., nu, mu, :] = -F[..., mu, nu, :]
     return F
 
 
@@ -346,11 +355,12 @@ def _wave_set(rng: random.Random, dim: int):
 
 
 def _smooth_components(grid: Grid, count: int, seed: int, scale: float) -> np.ndarray:
-    """count periodic band-limited random fields, shape grid.shape + (count,),
-    drawn in order from one seeded generator.  A wave amp sin(phase + 2 pi k.x)
-    is Im(amp e^(i phase)) turned axis by axis, elementwise, by the cos and sin
-    of k_d 2 pi i / m_d, an angle that site 2^j i of a 2^j m axis shares: a
-    refined grid resamples the same continuum functions, site for site."""
+    """count periodic band-limited random fields, site-last: shape (count,) +
+    grid.shape, drawn in order from one seeded generator.  A wave amp sin(phase
+    + 2 pi k.x) is Im(amp e^(i phase)) turned axis by axis, elementwise, by the
+    cos and sin of k_d 2 pi i / m_d, an angle that site 2^j i of a 2^j m axis
+    shares: a refined grid resamples the same continuum functions, site for
+    site."""
     rng = random.Random(seed)
     waves = [_wave_set(rng, grid.dim) for _ in range(count)]
     angles = [2.0 * np.pi * np.arange(m) / m for m in grid.shape]
@@ -366,21 +376,34 @@ def _smooth_components(grid: Grid, count: int, seed: int, scale: float) -> np.nd
             else:  # only the imaginary part is needed, added in place
                 total += re * s
                 total += im * c
-    return np.moveaxis(total, 0, -1)
+    return total
+
+
+def _multiplet(grid: Grid, n: int, seed: int) -> np.ndarray:
+    parts = _smooth_components(grid, 2 * n, seed, 1.0)
+    return parts[:n] + 1j * parts[n:]
+
+
+def _transform(gs: GeneratorSet, grid: Grid, seed: int) -> np.ndarray:
+    """smooth_transform_field, site-last: (n, n, *grid)."""
+    coeffs = _smooth_components(grid, gs.r, seed, TRANSFORM_SCALE).reshape(gs.r, -1)
+    sigma = np.empty((gs.n, gs.n) + grid.shape, dtype=complex)
+    dest = sigma.reshape(gs.n, gs.n, -1).transpose(2, 0, 1)  # the exponential's (sites, n, n), a view of sigma
+    _expm_skew_into(dest, lambda block, x: _load_matrices(gs, coeffs[:, block], x))
+    return sigma
 
 
 def smooth_scalar_field(grid: Grid, seed: int) -> np.ndarray:
-    return _smooth_components(grid, 1, seed, 1.0)[..., 0]
+    return _smooth_components(grid, 1, seed, 1.0)[0]
 
 
 def smooth_multiplet_field(grid: Grid, n: int, seed: int) -> np.ndarray:
-    parts = _smooth_components(grid, 2 * n, seed, 1.0)
-    return parts[..., :n] + 1j * parts[..., n:]
+    return np.moveaxis(_multiplet(grid, n, seed), 0, -1)
 
 
 def smooth_gauge_field(grid: Grid, r: int, seed: int) -> np.ndarray:
     """Coefficient field of shape grid.shape + (dim, r)."""
-    return _smooth_components(grid, grid.dim * r, seed, 1.0).reshape(grid.shape + (grid.dim, r))
+    return np.moveaxis(_smooth_components(grid, grid.dim * r, seed, 1.0), 0, -1).reshape(grid.shape + (grid.dim, r))
 
 
 def smooth_transform_field(gs: GeneratorSet, grid: Grid, seed: int) -> np.ndarray:
@@ -391,48 +414,54 @@ def smooth_transform_field(gs: GeneratorSet, grid: Grid, seed: int) -> np.ndarra
     liecore.SITE_BLOCK sites on site-last stacks, in one workspace for the
     call, written into one result.
     """
-    coeffs = _smooth_components(grid, gs.r, seed, TRANSFORM_SCALE).reshape(-1, gs.r)
-    sigma = np.empty((len(coeffs), gs.n, gs.n), dtype=complex)
-    _expm_skew_into(sigma, lambda block, x: _load_matrices(gs, coeffs[block], x))
-    return sigma.reshape(grid.shape + (gs.n, gs.n))
+    return _grid_first(grid, _transform(gs, grid, seed))
 
 
 # ---------------------------------------------------------------------------
-# covariance measurements
+# covariance measurements, on site-last fields
 
 
 def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
-    psi_prime = gauge_transform_matter(sigma, psi)
-    gaps = []
-    for mu in range(grid.dim):
-        lhs = covariant_derivative(gs, grid, a_prime, psi_prime, mu)
-        rhs = gauge_transform_matter(sigma, covariant_derivative(gs, grid, a, psi, mu))
-        gaps.append(np.abs(lhs - rhs) ** 2)
-    return float(np.sqrt(np.mean(gaps)))
+    flat_sigma = sigma.reshape(gs.n, gs.n, -1)
+    psi_prime = _transform_matter(flat_sigma, psi.reshape(gs.n, -1)).reshape(psi.shape)
+    # the squared gaps fill one array in (D, sites, n) order, summed once
+    gap = np.empty((grid.dim, grid.site_count, gs.n))
+    for mu in range(grid.dim):  # rhs first, so that its nabla_mu psi is freed before lhs is built
+        rhs = _transform_matter(flat_sigma, _covariant(gs, grid, a[mu], psi, mu).reshape(gs.n, -1))
+        lhs = _covariant(gs, grid, a_prime[mu], psi_prime, mu).reshape(gs.n, -1)
+        np.abs(np.subtract(lhs, rhs, out=lhs), out=gap[mu].T)
+        del lhs, rhs  # so that they are not held beside the next direction's
+    return float(np.sqrt(np.mean(np.square(gap, out=gap))))
 
 
 def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     # F is antisymmetric: the planes mu < nu hold half the mean square over (D, D)
     sites, n, count = grid.site_count, gs.n, grid.dim * (grid.dim - 1) // 2
-    f_prime = _strength_planes(gs, grid, a_prime).reshape(sites, count, gs.r)
-    f = _strength_planes(gs, grid, a).reshape(sites, count, gs.r)
-    flat_sigma = sigma.reshape(sites, n, n)
+    f_prime = _strength_planes(gs, grid, a_prime)
+    f = _strength_planes(gs, grid, a)
+    flat_sigma = sigma.reshape(n, n, sites)
     planes = (n, n, count)
     # the matrices are built and conjugated in site blocks; the squared gaps
     # fill one array in (sites, planes, n, n) order, summed once, so the
     # summation order is the grid's
     gap = np.empty((sites, count, n, n))
-    for block, (s, s_inv, f_mat, prod, conj, term) in _site_workspace(
-        sites, (n, n), (n, n), planes, planes, planes, planes[1:]
-    ):
-        _load_transform(s, s_inv, flat_sigma[block])
-        _load_matrices(gs, f[block], f_mat)
-        _site_product(_site_product(s[:, :, None], f_mat, prod, term), s_inv[:, :, None], conj, term)
-        _load_matrices(gs, f_prime[block], f_mat)
-        np.subtract(f_mat, conj, out=conj)
+    for block, (s_inv, f_mat, prod, term) in _site_workspace(sites, (n, n), planes, planes, planes[1:]):
+        s = flat_sigma[..., block]
+        np.conjugate(s.transpose(1, 0, 2), out=s_inv)
+        _load_matrices(gs, f[..., block], f_mat)
+        # sigma F sigma^-1 goes back into f_mat, F(A') into prod
+        conj = _site_product(_site_product(s[:, :, None], f_mat, prod, term), s_inv[:, :, None], f_mat, term)
+        _load_matrices(gs, f_prime[..., block], prod)
+        np.subtract(prod, conj, out=prod)
         block_gap = gap[block].transpose(2, 3, 1, 0)
-        np.square(np.abs(conj, out=block_gap), out=block_gap)
+        np.square(np.abs(prod, out=block_gap), out=block_gap)
     return float(np.sqrt(2.0 * np.sum(gap) / (sites * grid.dim**2 * n**2)))
+
+
+def _defects(gs, grid, a, psi, sigma) -> tuple[float, float]:
+    """covariance_defects of site-last a (D, r, *grid), psi (n, *grid) and sigma (n, n, *grid)."""
+    a_prime = _transform_gauge(gs, grid, sigma, a)
+    return _derivative_defect(gs, grid, a, a_prime, psi, sigma), _strength_defect(gs, grid, a, a_prime, sigma)
 
 
 def covariance_defects(
@@ -445,11 +474,14 @@ def covariance_defects(
     matrices, both from one A'.  The mean-square norm keeps refinement
     ratios clean where a max would jump between sites.
     """
-    a_prime = gauge_transform_gauge(gs, grid, sigma, a)
-    return (
-        _derivative_defect(gs, grid, a, a_prime, psi, sigma),
-        _strength_defect(gs, grid, a, a_prime, sigma),
-    )
+    sigma = np.asarray(sigma, dtype=complex)
+    psi = np.asarray(psi, dtype=complex)
+    _check_grid_axes(grid, sigma, 2, "transform field")
+    _check_grid_axes(grid, psi, 1, "matter field")
+    if psi.shape[-1] != gs.n:
+        raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
+    fields = (_check_gauge(gs, grid, a), psi, sigma)
+    return _defects(gs, grid, *(_site_last(grid, f) for f in fields))
 
 
 class OrderMeasurement(NamedTuple):
@@ -481,15 +513,15 @@ def convergence_orders(
         raise LatticeError(f"refinements must be at least 1 to measure an order, got {refinements}")
     fine = grid.refined(2**refinements)
     fields = (
-        smooth_gauge_field(fine, gs.r, seed),
-        smooth_multiplet_field(fine, gs.n, seed + 1),
-        smooth_transform_field(gs, fine, seed + 2),
+        _smooth_components(fine, fine.dim * gs.r, seed, 1.0).reshape((fine.dim, gs.r) + fine.shape),
+        _multiplet(fine, gs.n, seed + 1),
+        _transform(gs, fine, seed + 2),
     )
     levels = []
     for level in range(refinements + 1):
-        sites = (slice(None, None, 2 ** (refinements - level)),) * grid.dim
+        sites = (...,) + (slice(None, None, 2 ** (refinements - level)),) * grid.dim
         a, psi, sigma = (np.ascontiguousarray(f[sites]) for f in fields)
-        levels.append(covariance_defects(gs, grid.refined(2**level), a, psi, sigma))
+        levels.append(_defects(gs, grid.refined(2**level), a, psi, sigma))
     derivative, strength = zip(*levels)
     return OrderMeasurement(derivative), OrderMeasurement(strength)
 

@@ -315,6 +315,12 @@ def parse_model_file(text: str) -> ModelBundle:
             model = HiggsModel(generators=gs, potential=potential, vacuum=vacuum)
         except NotAVacuumError as err:
             issue("vacuum", str(err), "vector")
+        # n max|X| max|v0_j| bounds every entry of a generator's action on the vacuum
+        largest = float(np.max(safe_norm(realify(vacuum).reshape(-1, 2)))) if model is not None else 0.0
+        if not math.isfinite(gs.n * gs.scale * largest):
+            place, key = ("vacuum", "vector") if "vacuum" in doc else ("potential", "lambda")
+            issue(place, "generators acting on this vacuum overflow: n max|X| max|v0| is beyond the float range", key)
+            model = None
 
     representations = {}
     for name in doc.get("representations", {}):

@@ -317,11 +317,16 @@ def test_gauge_check_fails_a_first_order_scheme(monkeypatch):
 
 
 def test_gauge_check_fails_a_non_covariant_transform(monkeypatch):
-    # matter moves with sigma but the gauge field stays put: the defects no longer shrink
-    def unmoved(gs, grid, sigma, a):
-        return a
+    # matter moves with sigma but the gauge field stays put: the defects no
+    # longer shrink.  The identity replaces the gauge transform of each
+    # level's defects only; the constant-transform block keeps the real one.
+    def unmoved(gs, grid, a, psi, sigma):
+        return (
+            latticefields._derivative_defect(gs, grid, a, a, psi, sigma),
+            latticefields._strength_defect(gs, grid, a, a, sigma),
+        )
 
-    monkeypatch.setattr(latticefields, "gauge_transform_gauge", unmoved)
+    monkeypatch.setattr(latticefields, "_defects", unmoved)
     code, text = run("gauge-check", "--format", "machine")
     assert code == 1
     doc = parse_document(text)
@@ -451,6 +456,32 @@ def test_out_of_memory_exits_2(error, line, monkeypatch):
 
     monkeypatch.setattr(cli, "convergence_orders", exhausted)
     assert run("gauge-check", "--grid", "100000") == (2, line)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["spectrum", "validate"])
+@pytest.mark.parametrize(
+    "vacuum, line",
+    [(None, "line 8 [potential]"), ([[0.0, 0.0], [1e150, 0.0]], "line 11 [vacuum]")],
+    ids=["potential-vacuum", "vacuum-section"],
+)
+def test_generator_action_on_the_vacuum_beyond_the_float_range_is_one_error_line(tmp_path, command, vacuum, line):
+    # models/electroweak.model with every generator x1e300 and lambda = 1e-300
+    # (vacuum radius 1e150) warned "overflow encountered in matmul" in
+    # breaking._acted, then ended in "SVD did not converge"; the refusal names
+    # the [vacuum] vector line, or lambda where the potential fixes the vacuum
+    doc = parse_document(pathlib.Path("models/electroweak.model").read_text())
+    doc["algebra"]["generators"] = (np.array(doc["algebra"]["generators"]) * 1e300).tolist()
+    doc["potential"]["lambda"] = 1e-300
+    if vacuum is None:
+        del doc["vacuum"]
+    else:
+        doc["vacuum"]["vector"] = vacuum
+    path = tmp_path / "huge.model"
+    path.write_text(modelfile.emit_document(doc))
+    assert run(command, "--model", str(path)) == (
+        2, f"error: {line}: generators acting on this vacuum overflow: n max|X| max|v0| is beyond the float range\n"
+    )
 
 
 def test_generator_moduli_beyond_the_float_range_are_named(tmp_path):

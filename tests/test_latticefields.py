@@ -190,7 +190,9 @@ def test_covariance_orders_second_order():
 def test_convergence_orders_transform_once_per_level(monkeypatch):
     # the fields are sampled once, on the finest grid, and strided down;
     # the == below against freshly sampled coarse fields proves that exact.
-    # The 3-D case strides a slice of (step,) * dim off the plane.
+    # The 3-D case strides a slice of (step,) * dim off the plane.  The spies
+    # sit on the site-last kernels that convergence_orders calls: the gauge
+    # transform and the transform field's exponential.
     calls = {}
 
     def spy(name):
@@ -202,14 +204,14 @@ def test_convergence_orders_transform_once_per_level(monkeypatch):
 
         monkeypatch.setattr(latticefields, name, counted)
 
-    spy("gauge_transform_gauge")
-    spy("smooth_transform_field")
+    spy("_transform_gauge")
+    spy("_expm_skew_into")
     plane = Grid(dim=2, shape=(8, 8), spacing=1.0 / 8)
     cube = Grid(dim=3, shape=(6, 6, 6), spacing=1.0 / 6)
     for gs, base, refinements in ((GS, plane, 2), (SPIN1, plane, 2), (GS, cube, 1)):
-        calls.update(gauge_transform_gauge=0, smooth_transform_field=0)
+        calls.update(_transform_gauge=0, _expm_skew_into=0)
         der, stren = convergence_orders(gs, base, seed=5, refinements=refinements)
-        assert calls == {"gauge_transform_gauge": refinements + 1, "smooth_transform_field": 1}
+        assert calls == {"_transform_gauge": refinements + 1, "_expm_skew_into": 1}
         for level in range(refinements + 1):
             g = base.refined(2**level)
             a = smooth_gauge_field(g, gs.r, 5)
@@ -272,8 +274,8 @@ def test_smooth_components_match_a_per_site_sine(shape):
     # the waves turned axis by axis, against the sine itself
     grid = Grid(dim=len(shape), shape=shape, spacing=0.1)
     got = latticefields._smooth_components(grid, 4, seed=17, scale=0.8)
-    assert got.shape == shape + (4,)
-    assert np.max(np.abs(got - _per_site_waves(grid, 4, 17, 0.8))) <= 1e-14
+    assert got.shape == (4,) + shape  # site-last
+    assert np.max(np.abs(np.moveaxis(got, 0, -1) - _per_site_waves(grid, 4, 17, 0.8))) <= 1e-14
 
 
 def test_quadratic_expansion_cubic_remainder():
@@ -309,7 +311,7 @@ PLANE128 = Grid(dim=2, shape=(128, 128), spacing=1.0 / 128)
 def _transform_route_inputs(gs, grid, seed):
     """The matrices smooth_transform_field exponentiates, (sites, n, n), and their 1-norms."""
     coeffs = latticefields._smooth_components(grid, gs.r, seed, latticefields.TRANSFORM_SCALE)
-    a = gs.matrix_of(coeffs.reshape(-1, gs.r))
+    a = gs.matrix_of(coeffs.reshape(gs.r, -1).T)
     return a, np.abs(a).sum(axis=-2).max(axis=-1)
 
 
@@ -425,11 +427,12 @@ def _old_field_strength(gs, grid, a):
 def test_matmul_kernels_match_their_einsum_forms(gs):
     a, psi, sigma = _random_fields(gs, GRID3, seed=gs.n)
     _assert_rel(gs.matrix_of(a), np.einsum("...r,rij->...ij", a, gs.matrices))
-    # the site-last matrices equal matrix_of's bit for bit, per site and per direction
+    # the site-last matrices of site-last coefficients equal matrix_of's bit
+    # for bit, per site and per direction
     flat = a.reshape(-1, GRID3.dim, gs.r)
     for coeffs in (flat[:, 1], flat):
         dest = np.empty(_site_last(gs.matrix_of(coeffs)).shape, dtype=complex)
-        latticefields._load_matrices(gs, coeffs, dest)
+        latticefields._load_matrices(gs, coeffs.T, dest)
         assert np.array_equal(dest, _site_last(gs.matrix_of(coeffs)))
     for mu in range(GRID3.dim):
         ref = central_difference(GRID3, psi, mu) + np.einsum(
@@ -456,7 +459,8 @@ def test_strength_defect_on_independent_planes_equals_full_mean(gs, metric):
     f = gs.matrix_of(field_strength(gs, grid, a))
     conj = np.einsum("...ij,...mnjk,...kl->...mnil", sigma, f, sigma.conj().swapaxes(-1, -2))
     full = float(np.sqrt(np.mean(np.abs(f_prime - conj) ** 2)))
-    assert latticefields._strength_defect(gs, grid, a, a_prime, sigma) == pytest.approx(full, rel=1e-13)
+    site_last = (latticefields._site_last(grid, x) for x in (a, a_prime, sigma))
+    assert latticefields._strength_defect(gs, grid, *site_last) == pytest.approx(full, rel=1e-13)
 
 
 def _traced_peak(fn) -> int:
@@ -472,12 +476,13 @@ def _traced_peak(fn) -> int:
 
 # Measured peaks (numpy 2.4, x86-64), spin-1, with 15-20 % headroom in each
 # bound.  Over the whole grid at once (no site blocks) they were 18.6, 12.6
-# and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB.
+# and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB, and
+# with grid-first fields between the site-last kernels 7.2, 6.2 and 11.1 MB.
 def test_covariance_defects_peak_memory_at_128():
     a = smooth_gauge_field(PLANE128, SPIN1.r, seed=0)
     psi = smooth_multiplet_field(PLANE128, SPIN1.n, seed=1)
     sigma = smooth_transform_field(SPIN1, PLANE128, seed=2)
-    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 8.5e6  # 7.2 MB
+    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 6.8e6  # 5.8 MB
 
 
 def test_smooth_transform_field_peak_memory_at_128():
@@ -486,7 +491,7 @@ def test_smooth_transform_field_peak_memory_at_128():
 
 def test_convergence_orders_peak_memory_at_32_refined_twice():
     base = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
-    assert _traced_peak(lambda: convergence_orders(SPIN1, base, seed=0, refinements=2)) < 13.3e6  # 11.1 MB
+    assert _traced_peak(lambda: convergence_orders(SPIN1, base, seed=0, refinements=2)) < 11.2e6  # 9.5 MB
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +540,27 @@ def test_site_blocks_leave_the_lattice_kernels_bit_identical(gs, grid, block, mo
     blocked = kernels()
     for ref, got in zip(whole, blocked):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize(
+    "base, refinements",
+    [(Grid(dim=2, shape=(16, 16), spacing=1.0 / 16), 2), (Grid(dim=3, shape=(6, 6, 6), spacing=1.0 / 6), 1)],
+    ids=["plane", "cube"],
+)
+@pytest.mark.parametrize("gs", [GS, SPIN1], ids=["doublet", "spin1"])
+def test_site_blocks_leave_convergence_orders_bit_identical(gs, base, refinements, block, monkeypatch):
+    # n <= 3 only: for n >= 4 the projection's gemm rounds by block (ROADMAP item 9)
+    fine = base.refined(2**refinements)
+    fields = (smooth_gauge_field(fine, gs.r, 1), smooth_multiplet_field(fine, gs.n, 2), smooth_transform_field(gs, fine, 3))
+
+    def measure():
+        return convergence_orders(gs, base, seed=4, refinements=refinements), covariance_defects(gs, fine, *fields)
+
+    assert fine.site_count <= liecore.SITE_BLOCK  # the reference is one block per level
+    whole = measure()
+    monkeypatch.setattr(liecore, "SITE_BLOCK", block)
+    assert measure() == whole
 
 
 @pytest.mark.parametrize("grid", BLOCK_GRIDS[::2], ids=["plane", "lone-site"])

@@ -34,6 +34,9 @@ KEPT = {
     "breaking.mass_form": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
     "breaking.SpectrumResult.orbit_basis": "test reference: the orbit rows the acceptance and breaking tests perturb along",
     "breaking.SpectrumResult.transverse_basis": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
+    "latticefields.central_difference": "the grid-first difference quadratic_expansion_check takes (ROADMAP item 13); the lattice tests check it against closed forms",
+    "latticefields.covariance_defects": "test reference: the grid-first boundary of the per-level defects convergence_orders measures site-last",
+    "latticefields.smooth_transform_field": "perfbench traces it by name (latticefields.transform_field); the lattice tests sample transforms with it",
     "latticefields.ExpansionCheck": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
     "latticefields.higgs_density": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
     "latticefields.quadratic_expansion_check": "waits for validate's quadratic-Lagrangian check (ROADMAP item 13)",
