@@ -76,6 +76,11 @@ CASES = {
             "gauge-check", "--model", SPIN1, "--grid", "32", "--refine", "2", "--seed", "3", "--metric", "lorentzian"
         ],
     ),
+    # the doublet's 96^2 level splits into blocks of 4096, 4096 and 1024
+    # sites, whose edges fall mid-row (4096 = 42 rows + 64 sites)
+    "gauge_check_doublet_24": (
+        0, lambda tmp: ["gauge-check", "--grid", "24", "--refine", "2", "--seed", "3"]
+    ),
     "spectrum_errors": (2, lambda tmp: ["spectrum", "--model", ERRORS]),
 }
 
