@@ -48,10 +48,11 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
 def _sort_clusters(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order rows by descending value; within clusters of values equal to
     TOL_RANK relative to the largest, the rows are sign-fixed and sorted
-    lexicographically for determinism."""
+    lexicographically for determinism.  values is never empty: the one
+    caller passes the transverse block, which holds the radial direction."""
     order = np.argsort(-values, kind="stable")
     values, rows = values[order], _canonical_rows(rows[order])
-    scale = float(np.abs(values).max()) if values.size else 0.0
+    scale = float(np.abs(values).max())
     out_vals, out_rows, start = [], [], 0
     for k in range(1, values.size + 1):
         if k == values.size or values[start] - values[k] > TOL_RANK * scale:
@@ -61,8 +62,6 @@ def _sort_clusters(values: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
             out_rows.append(block[idx])
             out_vals.append(vals[idx])
             start = k
-    if not out_rows:
-        return values, rows
     return np.concatenate(out_vals), np.concatenate(out_rows)
 
 

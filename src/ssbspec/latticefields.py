@@ -9,11 +9,14 @@ Conventions:
     of algebra indices is the plain Euclidean coefficient product.
   - the metric is diagonal: all +1, or (+1, -1, ..., -1).
 
-Kernels: site-local work runs in blocks of liecore.SITE_BLOCK sites, on
-slices of the site-last fields.  Each kernel call allocates one workspace for
-the longest block (_site_workspace) and fills it with out=; per-site matrix
+Kernels: all work runs in blocks of liecore.SITE_BLOCK sites, on slices of
+the site-last fields.  Each kernel call allocates one workspace for the
+longest block (_site_workspace) and fills it with out=; per-site matrix
 products and the transform field's exponential run on (n, n, sites) stacks,
-so a site's result does not depend on its block.
+so a site's result does not depend on its block.  A central difference is
+taken per block too, from neighbours gathered by flat index (_neighbours),
+so the only whole-grid arrays are the fields themselves (sigma, A, A', psi,
+psi' = sigma psi) and the squared gaps that each defect sums at once.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numpy as np
 from .breaking import SpectrumResult, mass_form
 from .higgsmodel import HiggsModel
 from .liecore import TOL_ALG, GeneratorSet, realify, unrealify
-from .liecore import _coefficient_map, _expm_skew_into, _real, _site_product, _site_workspace
+from .liecore import _coefficient_map, _expm_skew_into, _real, _site_product, _site_workspace, site_blocks
 
 __all__ = [
     "ExpansionCheck",
@@ -117,24 +120,38 @@ def central_difference(grid: Grid, field: np.ndarray, mu: int) -> np.ndarray:
     """(f(x+h e_mu) - f(x-h e_mu)) / 2h with periodic wrap, on a grid-first field."""
     if not 0 <= mu < grid.dim:
         raise LatticeError(f"direction {mu} out of range for dimension {grid.dim}")
-    return _difference(grid, np.ascontiguousarray(field), mu)
+    field = np.asarray(field, np.result_type(field, 2.0 * grid.spacing))
+    if field.shape[: grid.dim] != grid.shape:
+        raise LatticeError(f"field must have shape {grid.shape} + trailing axes, got {field.shape}")
+    flat = np.ascontiguousarray(field.reshape(grid.site_count, -1).T)
+    out = np.empty(flat.shape[::-1], field.dtype)
+    for block in site_blocks(grid.site_count):
+        out[block] = _difference(grid, flat, _neighbours(grid, block)[mu]).T
+    return out.reshape(field.shape)
 
 
-def _difference(grid: Grid, field: np.ndarray, axis: int) -> np.ndarray:
-    """The central difference along the given axis of field, which runs along
-    one grid direction.  The differences are taken between slices of the field
-    straight into the output, the two wrapped edge slabs included, so no
-    shifted copy is made."""
-    step = 2.0 * grid.spacing
-    out = np.empty(field.shape, np.result_type(field, step))
+def _neighbours(grid: Grid, block: slice) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each direction mu, the flat indices of the sites one step up and
+    one step down mu from each site of the block, with periodic wrap."""
+    steps, sites = [], np.arange(block.start, block.stop)
+    for mu, extent in enumerate(grid.shape):
+        stride = math.prod(grid.shape[mu + 1 :])
+        span = extent * stride  # the sites within one stride of an end of their span wrap by a span
+        at = sites - sites // span * span
+        up, down = sites + stride, sites - stride
+        up[at >= span - stride] -= span
+        down[at < stride] += span
+        steps.append((up, down))
+    return steps
 
-    def along(start, stop):
-        return (slice(None),) * axis + (slice(start, stop),)
 
-    np.subtract(field[along(2, None)], field[along(None, -2)], out=out[along(1, -1)])
-    np.subtract(field[along(1, 2)], field[along(-1, None)], out=out[along(None, 1)])
-    np.subtract(field[along(None, 1)], field[along(-2, -1)], out=out[along(-1, None)])
-    out /= step
+def _difference(grid: Grid, field: np.ndarray, step: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The central difference of the contiguous flat site-last field (..., sites)
+    at the sites whose neighbours along one direction step holds (_neighbours),
+    each site's the same subtraction and division as over the whole field."""
+    out = field.take(step[0], axis=-1)
+    out -= field.take(step[1], axis=-1)
+    out /= 2.0 * grid.spacing
     return out
 
 
@@ -142,6 +159,12 @@ def _site_last(grid: Grid, field: np.ndarray) -> np.ndarray:
     """A grid-first field (*grid, ...) as a site-last view (..., *grid), whose
     grid axes still merge into one site axis."""
     return np.moveaxis(field, range(grid.dim), range(-grid.dim, 0))
+
+
+def _contiguous(grid: Grid, field: np.ndarray) -> np.ndarray:
+    """A grid-first field as a contiguous site-last one, whose neighbours
+    _difference gathers."""
+    return np.ascontiguousarray(_site_last(grid, field))
 
 
 def _grid_first(grid: Grid, field: np.ndarray) -> np.ndarray:
@@ -207,19 +230,18 @@ def _transform_gauge(gs: GeneratorSet, grid: Grid, sigma: np.ndarray, a: np.ndar
     to_basis, inverse_gram = _coefficient_map(unit)
     flat_a = a.reshape(grid.dim, gs.r, sites)
     coeffs = np.empty(flat_a.shape)
-    for mu in range(grid.dim):
-        d_sigma = _difference(grid, sigma, 2 + mu).reshape(n, n, sites)
-        for block, (s_inv, m, prod, term) in blocks:
-            s = flat_sigma[..., block]
+    for block, (s_inv, m, prod, term) in blocks:
+        s = flat_sigma[..., block]
+        np.conjugate(s.transpose(1, 0, 2), out=s_inv)
+        for mu, step in enumerate(_neighbours(grid, block)):
             _load_matrices(gs, flat_a[mu, :, block], m)
             _site_product(s, m, prod, term)
-            prod -= d_sigma[..., block]
-            moved = _site_product(prod, np.conjugate(s.transpose(1, 0, 2), out=s_inv), m, term)
+            prod -= _difference(grid, flat_sigma, step)
+            moved = _site_product(prod, s_inv, m, term)
             # the projection reads (sites, n, n); prod's memory holds that copy
             stage = prod.reshape(-1, n, n)
             np.copyto(stage, moved.transpose(2, 0, 1))
             np.ldexp(stage.reshape(len(stage), -1).view(float) @ to_basis @ inverse_gram, -e, out=coeffs[mu, :, block].T)
-        del d_sigma  # so that it is not held beside the next direction's
     return coeffs.reshape(a.shape)
 
 
@@ -233,28 +255,26 @@ def gauge_transform_gauge(gs: GeneratorSet, grid: Grid, sigma: np.ndarray, a: np
     sitewise unitary, or has a NaN entry, is rejected; the error gives the
     worst site defect over the whole field.
 
-    The work runs one direction at a time: d_mu sigma needs neighbours, so
-    it is taken over the whole field, and only one direction's is held.
-    Everything else is site local and runs in blocks of liecore.SITE_BLOCK
-    sites, in one site-last workspace for the call: the unitarity check, then
-    A'_mu = (sigma A_mu - d_mu sigma) sigma^-1 and its coefficients.
+    The work runs in blocks of liecore.SITE_BLOCK sites, in one site-last
+    workspace for the call: the unitarity check, then, direction by
+    direction, A'_mu = (sigma A_mu - d_mu sigma) sigma^-1 and its
+    coefficients, with d_mu sigma taken from the block's neighbours.
     """
     sigma = np.asarray(sigma, dtype=complex)
     _check_grid_axes(grid, sigma, 2, "transform field")
     a = _check_gauge(gs, grid, a)
-    return _grid_first(grid, _transform_gauge(gs, grid, _site_last(grid, sigma), _site_last(grid, a)))
+    return _grid_first(grid, _transform_gauge(gs, grid, _contiguous(grid, sigma), _site_last(grid, a)))
 
 
-def _covariant(gs: GeneratorSet, grid: Grid, a_mu: np.ndarray, psi: np.ndarray, mu: int) -> np.ndarray:
-    """d_mu psi + A_mu psi on site-last fields: a_mu (r, *grid), psi and the result (n, *grid)."""
-    n = gs.n
-    flat_a, flat_psi = a_mu.reshape(gs.r, -1), psi.reshape(n, -1)
-    dpsi = _difference(grid, psi, 1 + mu)
-    flat_out = dpsi.reshape(n, -1)
-    for block, (m, moved, term) in _site_workspace(flat_out.shape[-1], (n, n), (n, 1), (1,)):
-        _load_matrices(gs, flat_a[:, block], m)
-        flat_out[:, block] += _site_product(m, flat_psi[:, None, block], moved, term)[:, 0]
-    return dpsi
+def _covariant(gs, grid, a_mu, psi, block, step, m, moved, term) -> np.ndarray:
+    """d_mu psi + A_mu psi on the block's sites, (n, block length), for flat
+    site-last a_mu (r, sites) and contiguous psi (n, sites); step holds the
+    block's neighbours along mu, and m, moved and term are workspace buffers
+    of shapes (n, n), (n, 1) and (1,)."""
+    out = _difference(grid, psi, step)
+    _load_matrices(gs, a_mu[:, block], m)
+    out += _site_product(m, psi[:, None, block], moved, term)[:, 0]
+    return out
 
 
 def covariant_derivative(gs: GeneratorSet, grid: Grid, a: np.ndarray, psi: np.ndarray, mu: int) -> np.ndarray:
@@ -266,21 +286,25 @@ def covariant_derivative(gs: GeneratorSet, grid: Grid, a: np.ndarray, psi: np.nd
     a = _check_gauge(gs, grid, a)
     if psi.shape[-1] != gs.n:
         raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
-    return _grid_first(grid, _covariant(gs, grid, _site_last(grid, a[..., mu, :]), _site_last(grid, psi), mu))
+    flat_a, flat_psi = _site_last(grid, a[..., mu, :]).reshape(gs.r, -1), _contiguous(grid, psi).reshape(gs.n, -1)
+    out = np.empty(flat_psi.shape, dtype=complex)
+    for block, work in _site_workspace(grid.site_count, (gs.n, gs.n), (gs.n, 1), (1,)):
+        out[:, block] = _covariant(gs, grid, flat_a, flat_psi, block, _neighbours(grid, block)[mu], *work)
+    return _grid_first(grid, out.reshape((gs.n,) + grid.shape))
 
 
-def _strength_planes(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
-    """F_{mu nu} of the site-last a (D, r, *grid) on the planes mu < nu, in
-    np.triu_indices order: (r, planes, sites)."""
-    c = gs.structure_constants()
-    r = gs.r
+def _strength(grid: Grid, c: np.ndarray, a: np.ndarray, block: slice, steps) -> np.ndarray:
+    """F_{mu nu} of the contiguous flat site-last a (D, r, sites) on the block's
+    sites, whose neighbours steps holds, from the structure constants c: (r,
+    planes mu < nu in np.triu_indices order, block length).  The bracket's
+    gemm on the block's columns sums each column as over the whole field."""
+    r = len(c)
     mus, nus = np.triu_indices(grid.dim, 1)
-    out = np.empty((r, len(mus), grid.site_count))
+    out = np.empty((r, len(mus), block.stop - block.start))
     for p, (mu, nu) in enumerate(zip(mus, nus)):
-        curl = _difference(grid, a[nu], 1 + mu) - _difference(grid, a[mu], 1 + nu)
-        outer = a[mu, :, None] * a[nu, None, :]
-        bracket = c.reshape(r * r, r).T @ outer.reshape(r * r, -1)
-        np.add(curl.reshape(r, -1), bracket, out=out[:, p])
+        curl = _difference(grid, a[nu], steps[mu]) - _difference(grid, a[mu], steps[nu])
+        outer = a[mu, :, None, block] * a[nu, None, :, block]
+        np.add(curl, c.reshape(r * r, r).T @ outer.reshape(r * r, -1), out=out[:, p])
     return out
 
 
@@ -291,12 +315,14 @@ def field_strength(gs: GeneratorSet, grid: Grid, a: np.ndarray) -> np.ndarray:
     is exact; generator sets that do not close raise here.
     Returns shape (*grid, D, D, r), antisymmetric in (mu, nu).
     """
-    planes = _strength_planes(gs, grid, _site_last(grid, _check_gauge(gs, grid, a)))
-    F = np.zeros(grid.shape + (grid.dim, grid.dim, gs.r))
-    for p, (mu, nu) in enumerate(zip(*np.triu_indices(grid.dim, 1))):
-        F[..., mu, nu, :] = planes[:, p].T.reshape(grid.shape + (gs.r,))
-        F[..., nu, mu, :] = -F[..., mu, nu, :]
-    return F
+    a = _contiguous(grid, _check_gauge(gs, grid, a)).reshape(grid.dim, gs.r, -1)
+    c = gs.structure_constants()
+    mus, nus = np.triu_indices(grid.dim, 1)
+    F = np.zeros((grid.site_count, grid.dim, grid.dim, gs.r))
+    for block in site_blocks(grid.site_count):
+        F[block, mus, nus] = _strength(grid, c, a, block, _neighbours(grid, block)).T
+        F[block, nus, mus] = -F[block, mus, nus]
+    return F.reshape(grid.shape + (grid.dim, grid.dim, gs.r))
 
 
 def yang_mills_density(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -364,7 +390,7 @@ def _smooth_components(grid: Grid, count: int, seed: int, scale: float) -> np.nd
     rng = random.Random(seed)
     waves = [_wave_set(rng, grid.dim) for _ in range(count)]
     angles = [2.0 * np.pi * np.arange(m) / m for m in grid.shape]
-    total = np.zeros((count,) + grid.shape)
+    total, term = np.zeros((count,) + grid.shape), np.empty((count,) + grid.shape)
     for j in range(WAVE_TERMS):  # every component's j-th wave, summed in order
         k, phase, amp = (np.array(part) for part in zip(*(w[j] for w in waves)))
         re, im = (amp * (scale / WAVE_TERMS) * f(phase) for f in (np.cos, np.sin))
@@ -374,8 +400,8 @@ def _smooth_components(grid: Grid, count: int, seed: int, scale: float) -> np.nd
             if d + 1 < grid.dim:
                 re, im = re * c - im * s, re * s + im * c
             else:  # only the imaginary part is needed, added in place
-                total += re * s
-                total += im * c
+                total += np.multiply(re, s, out=term)
+                total += np.multiply(im, c, out=term)
     return total
 
 
@@ -422,46 +448,44 @@ def smooth_transform_field(gs: GeneratorSet, grid: Grid, seed: int) -> np.ndarra
 
 
 def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
-    flat_sigma = sigma.reshape(gs.n, gs.n, -1)
-    psi_prime = _transform_matter(flat_sigma, psi.reshape(gs.n, -1)).reshape(psi.shape)
+    n, sites = gs.n, grid.site_count
+    flat_sigma, flat_psi = sigma.reshape(n, n, sites), psi.reshape(n, sites)
+    flat_a, flat_a_prime = (x.reshape(grid.dim, gs.r, sites) for x in (a, a_prime))
+    psi_prime = _transform_matter(flat_sigma, flat_psi)  # whole, since its neighbours are read
     # the squared gaps fill one array in (D, sites, n) order, summed once
-    gap = np.empty((grid.dim, grid.site_count, gs.n))
-    for mu in range(grid.dim):  # rhs first, so that its nabla_mu psi is freed before lhs is built
-        rhs = _transform_matter(flat_sigma, _covariant(gs, grid, a[mu], psi, mu).reshape(gs.n, -1))
-        lhs = _covariant(gs, grid, a_prime[mu], psi_prime, mu).reshape(gs.n, -1)
-        np.abs(np.subtract(lhs, rhs, out=lhs), out=gap[mu].T)
-        del lhs, rhs  # so that they are not held beside the next direction's
+    gap = np.empty((grid.dim, sites, n))
+    for block, (rhs, *work) in _site_workspace(sites, (n, 1), (n, n), (n, 1), (1,)):
+        s = flat_sigma[..., block]
+        for mu, step in enumerate(_neighbours(grid, block)):  # sigma nabla psi first, then nabla' psi'
+            _site_product(s, _covariant(gs, grid, flat_a[mu], flat_psi, block, step, *work)[:, None], rhs, work[-1])
+            lhs = _covariant(gs, grid, flat_a_prime[mu], psi_prime, block, step, *work)
+            np.abs(np.subtract(lhs, rhs[:, 0], out=lhs), out=gap[mu, block].T)
     return float(np.sqrt(np.mean(np.square(gap, out=gap))))
 
 
 def _strength_defect(gs, grid, a, a_prime, sigma) -> float:
     # F is antisymmetric: the planes mu < nu hold half the mean square over (D, D)
     sites, n, count = grid.site_count, gs.n, grid.dim * (grid.dim - 1) // 2
-    f_prime = _strength_planes(gs, grid, a_prime)
-    f = _strength_planes(gs, grid, a)
+    c = gs.structure_constants()
+    flat_a, flat_a_prime = (x.reshape(grid.dim, gs.r, sites) for x in (a, a_prime))
     flat_sigma = sigma.reshape(n, n, sites)
     planes = (n, n, count)
-    # the matrices are built and conjugated in site blocks; the squared gaps
-    # fill one array in (sites, planes, n, n) order, summed once, so the
-    # summation order is the grid's
+    # F(A) and F(A') are built, loaded and conjugated in site blocks; the
+    # squared gaps fill one array in (sites, planes, n, n) order, summed once,
+    # so the summation order is the grid's
     gap = np.empty((sites, count, n, n))
     for block, (s_inv, f_mat, prod, term) in _site_workspace(sites, (n, n), planes, planes, planes[1:]):
+        steps = _neighbours(grid, block)
         s = flat_sigma[..., block]
         np.conjugate(s.transpose(1, 0, 2), out=s_inv)
-        _load_matrices(gs, f[..., block], f_mat)
+        _load_matrices(gs, _strength(grid, c, flat_a, block, steps), f_mat)
         # sigma F sigma^-1 goes back into f_mat, F(A') into prod
         conj = _site_product(_site_product(s[:, :, None], f_mat, prod, term), s_inv[:, :, None], f_mat, term)
-        _load_matrices(gs, f_prime[..., block], prod)
+        _load_matrices(gs, _strength(grid, c, flat_a_prime, block, steps), prod)
         np.subtract(prod, conj, out=prod)
         block_gap = gap[block].transpose(2, 3, 1, 0)
         np.square(np.abs(prod, out=block_gap), out=block_gap)
     return float(np.sqrt(2.0 * np.sum(gap) / (sites * grid.dim**2 * n**2)))
-
-
-def _defects(gs, grid, a, psi, sigma) -> tuple[float, float]:
-    """covariance_defects of site-last a (D, r, *grid), psi (n, *grid) and sigma (n, n, *grid)."""
-    a_prime = _transform_gauge(gs, grid, sigma, a)
-    return _derivative_defect(gs, grid, a, a_prime, psi, sigma), _strength_defect(gs, grid, a, a_prime, sigma)
 
 
 def covariance_defects(
@@ -480,8 +504,12 @@ def covariance_defects(
     _check_grid_axes(grid, psi, 1, "matter field")
     if psi.shape[-1] != gs.n:
         raise LatticeError(f"matter field has {psi.shape[-1]} components, the generators act on {gs.n}")
-    fields = (_check_gauge(gs, grid, a), psi, sigma)
-    return _defects(gs, grid, *(_site_last(grid, f) for f in fields))
+    a = _contiguous(grid, _check_gauge(gs, grid, a))
+    # only the transform gathers sigma's neighbours, so only it reads a contiguous copy
+    a_prime = _transform_gauge(gs, grid, _contiguous(grid, sigma), a)
+    sigma = _site_last(grid, sigma)
+    strength = _strength_defect(gs, grid, a, a_prime, sigma)
+    return _derivative_defect(gs, grid, a, a_prime, _contiguous(grid, psi), sigma), strength
 
 
 class OrderMeasurement(NamedTuple):
@@ -500,30 +528,28 @@ def convergence_orders(
     """Measured convergence orders of both covariance defects under refinement.
 
     Returns (derivative, strength), as in covariance_defects.  The smooth
-    test fields are sampled once, on the finest grid; each coarser grid
-    takes the strided sub-lattice, which is bit-identical to resampling
-    the same continuum data there (site i of the m-grid is site 2^k i of
-    the 2^k m-grid, at the same correctly rounded angle, and every
-    field builder works site by site).  Each of the refinements + 1 grids
-    then gets one gauge transform, which both defects share, and each
-    defect sequence estimates the discretization order (2 for central
-    differences).
+    test fields sample the same continuum data on every grid: site i of the
+    m-grid is site 2^k i of the 2^k m-grid, at the same correctly rounded
+    angle, and every field builder works site by site.  The transform field
+    is exponentiated once, on the finest grid, before any other field is
+    made, and each coarser grid takes its strided sub-lattice; A and psi are
+    sampled on each grid, psi only after the strength defect.  Each of the
+    refinements + 1 grids gets one gauge transform, which both defects
+    share, and each defect sequence estimates the discretization order (2
+    for central differences).
     """
     if refinements < 1:
         raise LatticeError(f"refinements must be at least 1 to measure an order, got {refinements}")
-    fine = grid.refined(2**refinements)
-    fields = (
-        _smooth_components(fine, fine.dim * gs.r, seed, 1.0).reshape((fine.dim, gs.r) + fine.shape),
-        _multiplet(fine, gs.n, seed + 1),
-        _transform(gs, fine, seed + 2),
-    )
-    levels = []
+    fine_sigma = _transform(gs, grid.refined(2**refinements), seed + 2)
+    derivative, strength = [], []
     for level in range(refinements + 1):
-        sites = (...,) + (slice(None, None, 2 ** (refinements - level)),) * grid.dim
-        a, psi, sigma = (np.ascontiguousarray(f[sites]) for f in fields)
-        levels.append(_defects(gs, grid.refined(2**level), a, psi, sigma))
-    derivative, strength = zip(*levels)
-    return OrderMeasurement(derivative), OrderMeasurement(strength)
+        g = grid.refined(2**level)
+        sigma = np.ascontiguousarray(fine_sigma[(...,) + (slice(None, None, 2 ** (refinements - level)),) * g.dim])
+        a = _smooth_components(g, g.dim * gs.r, seed, 1.0).reshape((g.dim, gs.r) + g.shape)
+        a_prime = _transform_gauge(gs, g, sigma, a)
+        strength.append(_strength_defect(gs, g, a, a_prime, sigma))
+        derivative.append(_derivative_defect(gs, g, a, a_prime, _multiplet(g, gs.n, seed + 1), sigma))
+    return OrderMeasurement(tuple(derivative)), OrderMeasurement(tuple(strength))
 
 
 # ---------------------------------------------------------------------------

@@ -318,15 +318,16 @@ def test_gauge_check_fails_a_first_order_scheme(monkeypatch):
 
 def test_gauge_check_fails_a_non_covariant_transform(monkeypatch):
     # matter moves with sigma but the gauge field stays put: the defects no
-    # longer shrink.  The identity replaces the gauge transform of each
-    # level's defects only; the constant-transform block keeps the real one.
-    def unmoved(gs, grid, a, psi, sigma):
-        return (
-            latticefields._derivative_defect(gs, grid, a, a, psi, sigma),
-            latticefields._strength_defect(gs, grid, a, a, sigma),
-        )
-
-    monkeypatch.setattr(latticefields, "_defects", unmoved)
+    # longer shrink.  Both defect kernels read A in place of A', so the
+    # identity replaces the gauge transform of each level's defects only; the
+    # constant-transform block keeps the real one.
+    derivative, strength = latticefields._derivative_defect, latticefields._strength_defect
+    monkeypatch.setattr(
+        latticefields, "_derivative_defect", lambda gs, grid, a, a_prime, *rest: derivative(gs, grid, a, a, *rest)
+    )
+    monkeypatch.setattr(
+        latticefields, "_strength_defect", lambda gs, grid, a, a_prime, *rest: strength(gs, grid, a, a, *rest)
+    )
     code, text = run("gauge-check", "--format", "machine")
     assert code == 1
     doc = parse_document(text)

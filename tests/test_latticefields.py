@@ -174,6 +174,8 @@ def test_shape_validation_errors():
         covariant_derivative(GS, grid, good_a[:4], np.zeros((8, 8, 2)), 0)
     with pytest.raises(LatticeError):
         central_difference(grid, np.zeros((8, 8)), 2)
+    with pytest.raises(LatticeError, match="field must have shape"):
+        central_difference(grid, np.zeros((4, 16, 2)), 0)  # the site count of the grid, but not its shape
     with pytest.raises(LatticeError):
         gauge_transform_matter(np.zeros((8, 8, 2, 2)), np.zeros((8, 8, 3)))
     with pytest.raises(LatticeError):
@@ -474,24 +476,39 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-# Measured peaks (numpy 2.4, x86-64), spin-1, with 15-20 % headroom in each
-# bound.  Over the whole grid at once (no site blocks) they were 18.6, 12.6
-# and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB, and
-# with grid-first fields between the site-last kernels 7.2, 6.2 and 11.1 MB.
+# Measured peaks (numpy 2.4, x86-64), spin-1 unless named, with 15-20 % headroom
+# in each bound.  Over the whole grid at once (no site blocks) they were 18.6,
+# 12.6 and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB,
+# with grid-first fields between the site-last kernels 7.2, 6.2 and 11.1 MB,
+# and with whole-field differences, curls and F planes 5.5, 6.2 and 9.5 MB
+# (doublet 7.9 MB; 32.5 and 31.5 MB at 64^2).  covariance_defects now holds a
+# contiguous site-last copy of sigma while the gauge transform gathers its
+# neighbours, which the whole-field d_mu sigma used to take.
 def test_covariance_defects_peak_memory_at_128():
     a = smooth_gauge_field(PLANE128, SPIN1.r, seed=0)
     psi = smooth_multiplet_field(PLANE128, SPIN1.n, seed=1)
     sigma = smooth_transform_field(SPIN1, PLANE128, seed=2)
-    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 6.8e6  # 5.8 MB
+    assert _traced_peak(lambda: covariance_defects(SPIN1, PLANE128, a, psi, sigma)) < 6.8e6  # 6.4 MB
 
 
 def test_smooth_transform_field_peak_memory_at_128():
     assert _traced_peak(lambda: smooth_transform_field(SPIN1, PLANE128, seed=2)) < 7.3e6  # 6.2 MB
 
 
+def _orders_peak(gs, extent: int) -> int:
+    base = Grid(dim=2, shape=(extent, extent), spacing=1.0 / extent)
+    return _traced_peak(lambda: convergence_orders(gs, base, seed=0, refinements=2))
+
+
 def test_convergence_orders_peak_memory_at_32_refined_twice():
-    base = Grid(dim=2, shape=(32, 32), spacing=1.0 / 32)
-    assert _traced_peak(lambda: convergence_orders(SPIN1, base, seed=0, refinements=2)) < 11.2e6  # 9.5 MB
+    assert _orders_peak(SPIN1, 32) < 9.5e6  # 8.1 MB
+
+
+@pytest.mark.parametrize(
+    "gs, extent, bound", [(GS, 32, 7.1e6), (SPIN1, 64, 31.8e6)], ids=["doublet-32", "spin1-64"]  # 6.0 and 27.0 MB
+)
+def test_convergence_orders_peak_memory_refined_twice(gs, extent, bound):
+    assert _orders_peak(gs, extent) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +530,28 @@ def test_central_difference_equals_its_roll_form(dim, extent, dtype):
         got = central_difference(grid, field, mu)
         assert got.dtype == ref.dtype
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("extent", [4, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_block_differences_equal_central_difference_at_every_block_size(dim, extent, monkeypatch):
+    # each block gathers its neighbours by flat index, the periodic wraps at
+    # both ends of every axis included; blocks of 2 sites up to the whole
+    # grid, a lone last site riding with the block before it
+    grid = Grid(dim=dim, shape=(extent,) * dim, spacing=0.3)
+    rng = np.random.default_rng(dim * extent)
+    field = rng.normal(size=grid.shape + (2,)) + 1j * rng.normal(size=grid.shape + (2,))
+    flat = latticefields._contiguous(grid, field).reshape(2, -1)
+    for mu in range(dim):
+        whole = central_difference(grid, field, mu)
+        assert np.array_equal(whole, (np.roll(field, -1, axis=mu) - np.roll(field, 1, axis=mu)) / (2.0 * grid.spacing))
+        for block in range(2, grid.site_count + 1):
+            monkeypatch.setattr(liecore, "SITE_BLOCK", block)
+            parts = [
+                latticefields._difference(grid, flat, latticefields._neighbours(grid, b)[mu])
+                for b in liecore.site_blocks(grid.site_count)
+            ]
+            assert np.array_equal(np.concatenate(parts, axis=-1), latticefields._contiguous(grid, whole).reshape(2, -1))
 
 
 # 1056 and 1024 sites split unevenly at 7 and 1000; 120 sites leave one
