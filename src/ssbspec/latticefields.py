@@ -530,22 +530,25 @@ def convergence_orders(
     Returns (derivative, strength), as in covariance_defects.  The smooth
     test fields sample the same continuum data on every grid: site i of the
     m-grid is site 2^k i of the 2^k m-grid, at the same correctly rounded
-    angle, and every field builder works site by site.  The transform field
-    is exponentiated once, on the finest grid, before any other field is
-    made, and each coarser grid takes its strided sub-lattice; A and psi are
-    sampled on each grid, psi only after the strength defect.  Each of the
+    angle, and every field builder works site by site.  sigma is
+    exponentiated on the finest grid before any other field is made, so its
+    workspace is freed first, then A is sampled there; each coarser grid
+    takes their strided sub-lattices.  psi is sampled on each grid, after
+    the strength defect, so that it is not held beside that.  Each of the
     refinements + 1 grids gets one gauge transform, which both defects
     share, and each defect sequence estimates the discretization order (2
     for central differences).
     """
     if refinements < 1:
         raise LatticeError(f"refinements must be at least 1 to measure an order, got {refinements}")
-    fine_sigma = _transform(gs, grid.refined(2**refinements), seed + 2)
+    fine = grid.refined(2**refinements)
+    fine_sigma = _transform(gs, fine, seed + 2)
+    fine_a = _smooth_components(fine, fine.dim * gs.r, seed, 1.0).reshape((fine.dim, gs.r) + fine.shape)
     derivative, strength = [], []
     for level in range(refinements + 1):
         g = grid.refined(2**level)
-        sigma = np.ascontiguousarray(fine_sigma[(...,) + (slice(None, None, 2 ** (refinements - level)),) * g.dim])
-        a = _smooth_components(g, g.dim * gs.r, seed, 1.0).reshape((g.dim, gs.r) + g.shape)
+        sites = (...,) + (slice(None, None, 2 ** (refinements - level)),) * g.dim
+        sigma, a = np.ascontiguousarray(fine_sigma[sites]), np.ascontiguousarray(fine_a[sites])
         a_prime = _transform_gauge(gs, g, sigma, a)
         strength.append(_strength_defect(gs, g, a, a_prime, sigma))
         derivative.append(_derivative_defect(gs, g, a, a_prime, _multiplet(g, gs.n, seed + 1), sigma))

@@ -481,9 +481,9 @@ def _traced_peak(fn) -> int:
 # 12.6 and 22.6 MB; conjugating F on all (D, D) planes once peaked near 46 MB,
 # with grid-first fields between the site-last kernels 7.2, 6.2 and 11.1 MB,
 # and with whole-field differences, curls and F planes 5.5, 6.2 and 9.5 MB
-# (doublet 7.9 MB; 32.5 and 31.5 MB at 64^2).  covariance_defects now holds a
-# contiguous site-last copy of sigma while the gauge transform gathers its
-# neighbours, which the whole-field d_mu sigma used to take.
+# (doublet 7.9 MB; 32.5 and 31.5 MB at 64^2).  covariance_defects holds a
+# contiguous site-last copy of its grid-first sigma (2.4 MB) while the gauge
+# transform gathers sigma's neighbours, so its bound stays where it was.
 def test_covariance_defects_peak_memory_at_128():
     a = smooth_gauge_field(PLANE128, SPIN1.r, seed=0)
     psi = smooth_multiplet_field(PLANE128, SPIN1.n, seed=1)
