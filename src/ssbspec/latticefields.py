@@ -456,7 +456,7 @@ def _derivative_defect(gs, grid, a, a_prime, psi, sigma) -> float:
     gap = np.empty((grid.dim, sites, n))
     for block, (rhs, *work) in _site_workspace(sites, (n, 1), (n, n), (n, 1), (1,)):
         s = flat_sigma[..., block]
-        for mu, step in enumerate(_neighbours(grid, block)):  # sigma nabla psi first, then nabla' psi'
+        for mu, step in enumerate(_neighbours(grid, block)):  # nabla psi is freed before nabla' psi' is built
             _site_product(s, _covariant(gs, grid, flat_a[mu], flat_psi, block, step, *work)[:, None], rhs, work[-1])
             lhs = _covariant(gs, grid, flat_a_prime[mu], psi_prime, block, step, *work)
             np.abs(np.subtract(lhs, rhs[:, 0], out=lhs), out=gap[mu, block].T)
